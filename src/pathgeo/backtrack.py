@@ -206,13 +206,13 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
 def _field_reflects(spec, samples, comps, window, tol):
     """Does the field satisfy the reflection identity on the window?
 
-    On flat charts components are compared directly; on the sphere the
+    On flat charts components are compared directly; on curved models the
     reflected vector is parallel transported across the retraced segment
     before comparison (componentwise comparison is chart dependent).
     """
     for u in range(0, window.half_width + 1):
         i, j = window.start + u, window.end - u
-        if spec.kind == mf.SPHERE and _pair_dist(spec, samples, i, j) > 1e-12:
+        if not spec.flat and _pair_dist(spec, samples, i, j) > 1e-12:
             seg = np.stack([samples[j], samples[i]])
             moved = mf.transport_along(spec, seg, comps[j])[-1]
         else:
@@ -230,23 +230,15 @@ def _interp_field_many(spec, samples, comps, idx, frac):
     p0, p1 = samples[idx], samples[idx + 1]
     u = mf.log(spec, p0, p1)
     x, _ = mf.flow(spec, p0, u, frac)
-    if spec.kind in (mf.SPHERE, mf.HALF_PLANE):
+    if not spec.flat:
         a = mf.transport_along(spec, np.stack([p0, x]), comps[idx])[-1]
         b = mf.transport_along(spec, np.stack([p1, x]), comps[idx + 1])[-1]
     else:
         a, b = comps[idx], comps[idx + 1]
-    out = (1 - frac)[..., None] * a + frac[..., None] * b
-    if spec.kind == mf.SPHERE:
-        xhat = x / spec.radius
-        out = out - np.sum(out * xhat, axis=-1, keepdims=True) * xhat
+    out = spec.project_tangent(x, (1 - frac)[..., None] * a + frac[..., None] * b)
     out = np.where((frac == 0.0)[..., None], comps[idx], out)
     out = np.where((frac == 1.0)[..., None], comps[idx + 1], out)
     return out
-
-
-def _interp_field(spec, samples, comps, i, frac):
-    """Field value between samples i and i+1 (scalar convenience wrapper)."""
-    return _interp_field_many(spec, samples, comps, np.asarray([i]), np.asarray([frac]))[0]
 
 
 def field_canonical_form(field, tol=DETECT_TOL, n=None):

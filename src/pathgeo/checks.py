@@ -8,8 +8,7 @@ order. Failures are report content, never exceptions.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,35 +55,17 @@ class PropertyResult:
         return out
 
 
-def _thread_count():
-    env = os.environ.get("PATHGEO_THREADS", "")
-    if env.strip():
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # random case generators
 # ---------------------------------------------------------------------------
 
 
 def random_point(spec, rng):
-    if spec.kind == mf.EUCLIDEAN:
-        return rng.uniform(-2.0, 2.0, spec.point_dim)
-    if spec.kind == mf.SPHERE:
-        x = rng.standard_normal(3)
-        return spec.radius * x / np.linalg.norm(x)
-    if spec.kind == mf.HALF_PLANE:
-        return np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])
-    L = np.asarray(spec.circumferences)
-    return rng.uniform(0.0, 1.0, len(L)) * L
+    return spec.random_point(rng)
 
 
 def random_tangent(spec, x, rng, max_norm=2.0):
-    v = rng.standard_normal(spec.point_dim)
-    if spec.kind == mf.SPHERE:
-        xhat = x / spec.radius
-        v = v - np.dot(v, xhat) * xhat
+    v = spec.random_vector(x, rng)
     nrm = mf.norm(spec, x, v)
     if nrm > 0:
         v = v * (rng.uniform(0.2, 1.0) * max_norm / nrm)
@@ -120,9 +101,7 @@ def random_collared_field(gamma, rng, scale=0.3):
     tail = t >= 1.0 - gamma.collar - 1e-12
     k_head = int(np.sum(head))
     k_tail = int(np.sum(tail))
-    if spec.kind == mf.SPHERE:
-        xhat = gamma.samples / spec.radius
-        comps = comps - np.sum(comps * xhat, axis=-1, keepdims=True) * xhat
+    comps = spec.project_tangent(gamma.samples, comps)
     if k_head:
         comps[:k_head] = comps[k_head - 1]
     if k_tail:
@@ -194,53 +173,6 @@ def _prop_transport_isometry(spec, rng, cases):
     return worst
 
 
-def _manifold_properties(seed, cases):
-    props = []
-    for idx, (name, spec) in enumerate(builtin_manifolds().items()):
-        base = seed + 1000 * idx
-        props.append(
-            (
-                "geodesic_oracle/" + name,
-                lambda spec=spec, base=base: _prop_geodesic_oracle(
-                    spec, np.random.default_rng(base + 1), cases
-                ),
-                1e-5,
-                cases,
-            )
-        )
-        props.append(
-            (
-                "exp_log_roundtrip/" + name,
-                lambda spec=spec, base=base: _prop_exp_log(
-                    spec, np.random.default_rng(base + 2), cases
-                ),
-                1e-5,
-                cases,
-            )
-        )
-        props.append(
-            (
-                "distance_axioms/" + name,
-                lambda spec=spec, base=base: _prop_distance_axioms(
-                    spec, np.random.default_rng(base + 3), cases
-                ),
-                1e-9,
-                cases,
-            )
-        )
-        props.append(
-            (
-                "transport_isometry/" + name,
-                lambda spec=spec, base=base: _prop_transport_isometry(
-                    spec, np.random.default_rng(base + 4), cases
-                ),
-                1e-5,
-                cases,
-            )
-        )
-    return props
-
-
 # ---------------------------------------------------------------------------
 # pathspace suite
 # ---------------------------------------------------------------------------
@@ -280,17 +212,9 @@ def _prop_minimizing(spec, rng, cases, n=64):
         g2 = nearby_path(g1, rng)
         dtilde = ps.pathspace_distance(g1, g2)
         sheet = ps.connecting_geodesic(g1, g2, S=16)
-        pts = sheet.points.copy()
         bump = np.sin(np.pi * np.linspace(0, 1, len(sheet.s_nodes)))[:, None, None]
-        noise = 0.05 * rng.standard_normal(pts.shape) * bump
-        if spec.kind == mf.SPHERE:
-            pts = pts + noise
-            pts = spec.radius * pts / np.linalg.norm(pts, axis=-1, keepdims=True)
-        elif spec.kind == mf.HALF_PLANE:
-            pts = pts + noise
-            pts[..., 1] = np.maximum(pts[..., 1], 0.05)
-        else:
-            pts = pts + noise
+        noise = 0.05 * rng.standard_normal(sheet.points.shape) * bump
+        pts = spec.retract(sheet.points + noise)
         perturbed = ps.sheet_from_grid(spec, sheet.s_nodes, pts)
         worst = max(worst, dtilde - ps.sheet_length(perturbed))
     return worst
@@ -318,32 +242,6 @@ def _prop_geodesic_residual(spec, rng, cases, n=32, S=64):
         sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), S)
         worst = max(worst, ps.transverse_residual(sheet))
     return worst
-
-
-def _pathspace_properties(seed, cases):
-    props = []
-    for idx, (name, spec) in enumerate(builtin_manifolds().items()):
-        base = seed + 2000 + 1000 * idx
-        for off, (label, fn, tol) in enumerate(
-            [
-                ("fubini_identity", _prop_fubini, 1e-6),
-                ("distance_chain", _prop_distance_chain, 1e-4),
-                ("minimizing_sheet", _prop_minimizing, 1e-4),
-                ("l2_transport_isometry", _prop_l2_transport, 1e-5),
-                ("geodesic_residual", _prop_geodesic_residual, 1e-4),
-            ]
-        ):
-            props.append(
-                (
-                    label + "/" + name,
-                    lambda fn=fn, spec=spec, s=base + off: fn(
-                        spec, np.random.default_rng(s), cases
-                    ),
-                    tol,
-                    cases,
-                )
-            )
-    return props
 
 
 # ---------------------------------------------------------------------------
@@ -410,54 +308,6 @@ def _prop_field_reflection(spec, rng, cases, n=64):
         out2 = bt.field_canonical_form(out)
         worst = max(worst, float(np.max(np.abs(out.components - out2.components))))
     return worst
-
-
-def _backtrack_properties(seed, cases, config=None):
-    props = []
-    specs = builtin_manifolds()
-    for idx, (name, spec) in enumerate(specs.items()):
-        base = seed + 4000 + 1000 * idx
-        props.append(
-            (
-                "detect_erase_canonical/" + name,
-                lambda spec=spec, s=base + 1: _prop_detect_erase(
-                    spec, np.random.default_rng(s), cases
-                ),
-                1e-9,
-                cases,
-            )
-        )
-        props.append(
-            (
-                "exp_preserves_windows/" + name,
-                lambda spec=spec, s=base + 2: _prop_exp_preserves_windows(
-                    spec, np.random.default_rng(s), cases
-                ),
-                1e-9,
-                cases,
-            )
-        )
-        props.append(
-            (
-                "field_reflection/" + name,
-                lambda spec=spec, s=base + 3: _prop_field_reflection(
-                    spec, np.random.default_rng(s), cases
-                ),
-                1e-9,
-                cases,
-            )
-        )
-    if config is not None:
-        for fname in sorted(config.fields):
-            props.append(
-                (
-                    "config_field_reflection/" + fname,
-                    lambda fname=fname: _prop_config_field(config, fname),
-                    1e-9,
-                    1,
-                )
-            )
-    return props
 
 
 def _prop_config_field(config, fname):
@@ -542,70 +392,68 @@ def _prop_cat2_laws(spec, rng, cases, n=32, S=8):
     return worst
 
 
-def _category_properties(seed, cases):
-    props = []
-    for idx, (name, spec) in enumerate(builtin_manifolds().items()):
-        base = seed + 6000 + 1000 * idx
-        props.append(
-            (
-                "category_1_laws/" + name,
-                lambda spec=spec, s=base + 1: _prop_cat1_laws(
-                    spec, np.random.default_rng(s), cases
-                ),
-                1e-9,
-                cases,
-            )
-        )
-        props.append(
-            (
-                "category_2_laws/" + name,
-                lambda spec=spec, s=base + 2: _prop_cat2_laws(
-                    spec, np.random.default_rng(s), cases
-                ),
-                1e-9,
-                cases,
-            )
-        )
-    return props
-
-
 # ---------------------------------------------------------------------------
 # runner
 # ---------------------------------------------------------------------------
 
 
-def _run_properties(props):
-    def run_one(entry):
-        name, fn, tol, cases = entry
-        try:
-            worst = float(fn())
-        except Exception as err:  # report, never raise
-            return PropertyResult(name, False, float("inf"), tol, cases, str(err))
-        return PropertyResult(name, worst <= tol, worst, tol, cases)
+# suite -> (seed base, first offset, halve cases, [(label, property, tol)]).
+# Property k of the idx-th built-in manifold draws its cases from
+# seed + base + 1000 * idx + first + k. Seeds overlap across suites (seed +
+# 2001 feeds geodesic_oracle/hyperbolic_half_plane and distance_chain/
+# euclidean); the report's bytes depend on them, so they stay as they are.
+PROPERTY_TABLES = {
+    "manifold": (0, 1, False, [
+        ("geodesic_oracle", _prop_geodesic_oracle, 1e-5),
+        ("exp_log_roundtrip", _prop_exp_log, 1e-5),
+        ("distance_axioms", _prop_distance_axioms, 1e-9),
+        ("transport_isometry", _prop_transport_isometry, 1e-5),
+    ]),
+    "pathspace": (2000, 0, True, [
+        ("fubini_identity", _prop_fubini, 1e-6),
+        ("distance_chain", _prop_distance_chain, 1e-4),
+        ("minimizing_sheet", _prop_minimizing, 1e-4),
+        ("l2_transport_isometry", _prop_l2_transport, 1e-5),
+        ("geodesic_residual", _prop_geodesic_residual, 1e-4),
+    ]),
+    "backtrack": (4000, 1, True, [
+        ("detect_erase_canonical", _prop_detect_erase, 1e-9),
+        ("exp_preserves_windows", _prop_exp_preserves_windows, 1e-9),
+        ("field_reflection", _prop_field_reflection, 1e-9),
+    ]),
+    "category": (6000, 1, True, [
+        ("category_1_laws", _prop_cat1_laws, 1e-9),
+        ("category_2_laws", _prop_cat2_laws, 1e-9),
+    ]),
+}
 
-    workers = _thread_count()
-    if workers <= 1:
-        results = [run_one(p) for p in props]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, props))
-    return results
+
+def _run_property(name, fn, tol, cases):
+    try:
+        worst = float(fn())
+    except Exception as err:  # report, never raise
+        return PropertyResult(name, False, float("inf"), tol, cases, str(err))
+    return PropertyResult(name, worst <= tol, worst, tol, cases)
 
 
 def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
     """Run a named suite; returns a JSON-ready deterministic report."""
     if suite not in SUITES:
         raise mf.DomainError("unknown suite %r (choose from %s)" % (suite, ", ".join(SUITES)))
-    props = []
-    if suite in ("manifold", "all"):
-        props += _manifold_properties(seed, cases)
-    if suite in ("pathspace", "all"):
-        props += _pathspace_properties(seed, max(3, cases // 2))
-    if suite in ("backtrack", "all"):
-        props += _backtrack_properties(seed, max(3, cases // 2), config=config)
-    if suite in ("category", "all"):
-        props += _category_properties(seed, max(3, cases // 2))
-    results = _run_properties(props)
+    results = []
+    for name, (base, first, halve, table) in PROPERTY_TABLES.items():
+        if suite not in (name, "all"):
+            continue
+        n = max(3, cases // 2) if halve else cases
+        for idx, (mname, spec) in enumerate(builtin_manifolds().items()):
+            for off, (label, prop, tol) in enumerate(table, first):
+                rng = np.random.default_rng(seed + base + 1000 * idx + off)
+                fn = functools.partial(prop, spec, rng, n)
+                results.append(_run_property(label + "/" + mname, fn, tol, n))
+        if name == "backtrack" and config is not None:
+            for fname in sorted(config.fields):
+                fn = functools.partial(_prop_config_field, config, fname)
+                results.append(_run_property("config_field_reflection/" + fname, fn, 1e-9, 1))
     return {
         "suite": suite,
         "seed": int(seed),

@@ -111,24 +111,20 @@ class ScenarioConfig:
         if ref is None:
             raise ConfigError("field %r needs a 'path' reference" % name)
         gamma = self.build_path(ref)
-        try:
-            gen = d.pop("generator", None)
-            if gen is None:
-                if "components" not in d:
-                    raise ConfigError("field %r needs a generator or inline 'components'" % name)
-                return pth.PathTangentField(gamma, np.asarray(d["components"], dtype=float))
-            if gen == "constant_in_chart":
-                return pth.make_constant_field(gamma, d["components"])
-            if gen == "normal_to_path":
-                return pth.make_normal_field(gamma, float(d.get("scale", 1.0)))
-            if gen == "zero":
-                return pth.make_zero_field(gamma)
+        gen = d.pop("generator", None)
+        if gen is None and "components" not in d:
+            raise ConfigError("field %r needs a generator or inline 'components'" % name)
+        if gen is not None and gen not in pth.FIELD_GENERATORS:
             raise ConfigError(
                 "field %r: unknown generator %r (%s)"
                 % (name, gen, ", ".join(sorted(pth.FIELD_GENERATORS)))
             )
-        except KeyError as err:
-            raise ConfigError("field %r: missing parameter %s" % (name, err))
+        try:
+            if gen is None:
+                return pth.PathTangentField(gamma, np.asarray(d["components"], dtype=float))
+            return pth.FIELD_GENERATORS[gen](gamma, **d)
+        except (TypeError, KeyError) as err:
+            raise ConfigError("field %r: bad generator parameters (%s)" % (name, err))
         except GeometryError as err:
             raise ConfigError("field %r: %s" % (name, err))
 

@@ -26,12 +26,12 @@ class DiscretePath:
     collar: float = 0.0
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if self.manifold.kind == mf.FLAT_TORUS:
-            samples = mf.wrap_coords(self.manifold, samples)
+        spec = self.manifold
+        samples = spec.wrap(np.asarray(self.samples, dtype=float))
         object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2 or samples.shape[1] != self.manifold.point_dim:
+        if samples.ndim != 2 or samples.shape[1] != spec.point_dim:
             raise DomainError("samples must have shape (N+1, point_dim)")
+        spec.validate(samples, "sample %d")
         if self.n_segments < 2:
             raise DomainError("a path needs at least N = 2 segments")
         if not (0.0 <= self.collar < 0.5):
@@ -93,12 +93,9 @@ class PathTangentField:
         object.__setattr__(self, "components", comps)
         if comps.shape != self.base.samples.shape:
             raise DomainError("field shape must match the base path grid")
-        spec = self.base.manifold
-        if spec.kind == mf.SPHERE:
-            ip = np.abs(np.sum(comps * self.base.samples, axis=-1))
-            bound = 1e-8 * (np.linalg.norm(comps, axis=-1) * spec.radius + 1e-12)
-            if np.any(ip > np.maximum(bound, 1e-12)):
-                raise DomainError("sphere field must be tangent at every sample")
+        self.base.manifold.check_tangent(
+            self.base.samples, comps, "field at sample %d", 1e-8, 1e-12
+        )
         if self.base.collar > 0:
             t = self.base.grid
             head = comps[t <= self.base.collar + 1e-12]
@@ -290,7 +287,7 @@ def make_geodesic_arc(p, q, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
 
 
 def make_great_circle_arc(spec, start, end, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
-    if spec.kind != mf.SPHERE:
+    if not isinstance(spec, mf.Sphere):
         raise DomainError("great_circle_arc requires a sphere")
     return make_geodesic_arc(mf.point(spec, start), mf.point(spec, end), n, collar)
 
@@ -299,7 +296,7 @@ def make_latitude_circle(
     spec, colatitude, n=DEFAULT_GRID, collar=DEFAULT_COLLAR, fraction=1.0, phase=0.0
 ):
     """Latitude circle at the given colatitude (sphere), constant angular speed."""
-    if spec.kind != mf.SPHERE:
+    if not isinstance(spec, mf.Sphere):
         raise DomainError("latitude_circle requires a sphere")
     r = spec.radius
     phi = collar_ramp(np.arange(n + 1) / n, collar)
@@ -311,7 +308,7 @@ def make_latitude_circle(
 
 def make_vertical_ray(spec, x, y_start, y_end, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     """Vertical geodesic x = const in the half plane, constant hyperbolic speed."""
-    if spec.kind != mf.HALF_PLANE:
+    if not isinstance(spec, mf.HalfPlane):
         raise DomainError("vertical_ray requires the hyperbolic half plane")
     phi = collar_ramp(np.arange(n + 1) / n, collar)
     ys = y_start * (y_end / y_start) ** phi
@@ -335,11 +332,7 @@ GENERATORS = {
 def make_constant_field(gamma, components):
     """Same chart components at every sample (projected tangentially on the sphere)."""
     comps = np.tile(np.asarray(components, dtype=float), (gamma.n_segments + 1, 1))
-    spec = gamma.manifold
-    if spec.kind == mf.SPHERE:
-        xhat = gamma.samples / spec.radius
-        comps = comps - np.sum(comps * xhat, axis=-1, keepdims=True) * xhat
-    return PathTangentField(gamma, comps)
+    return PathTangentField(gamma, gamma.manifold.project_tangent(gamma.samples, comps))
 
 
 def make_zero_field(gamma):
@@ -369,18 +362,12 @@ def make_normal_field(gamma, scale=1.0):
     comps = np.empty_like(gamma.samples)
     for i in range(n + 1):
         u = _direction_at(gamma, i)
-        if spec.kind == mf.SPHERE:
-            nvec = np.cross(gamma.samples[i] / spec.radius, u)
-        elif spec.point_dim == 2:
-            nvec = np.array([-u[1], u[0]])
-        else:
-            raise DomainError("normal field needs a 2d chart or the sphere")
-        comps[i] = scale * nvec
+        comps[i] = scale * spec.normal(gamma.samples[i], u)
     return PathTangentField(gamma, comps)
 
 
 FIELD_GENERATORS = {
     "constant_in_chart": make_constant_field,
     "normal_to_path": make_normal_field,
-    "zero": lambda gamma: make_zero_field(gamma),
+    "zero": make_zero_field,
 }

@@ -34,6 +34,12 @@ class Worldsheet:
             raise DomainError("points and velocities must share a grid")
         if self.points.shape[0] != self.s_nodes.shape[0]:
             raise DomainError("s grid does not match the sheet")
+        self.manifold.validate(self.points, "node (s=%d, t=%d)")
+        mf.check_nodes(
+            np.all(np.isfinite(self.velocities), axis=-1),
+            "velocity at node (s=%d, t=%d)",
+            "is not finite",
+        )
 
     @property
     def interval(self):
@@ -311,18 +317,10 @@ def transverse_residual(sheet):
     a, b = sheet.interval
     ds = (b - a) / S
     p = sheet.points
-    if spec.kind == mf.FLAT_TORUS:
-        L = np.asarray(spec.circumferences)
-        d2 = np.mod(p[2:] - p[1:-1] + L / 2, L) - L / 2
-        d1 = np.mod(p[:-2] - p[1:-1] + L / 2, L) - L / 2
-        acc = (d2 + d1) / ds**2
-    else:
-        acc = (p[2:] - 2 * p[1:-1] + p[:-2]) / ds**2
+    acc = spec.second_diff(p[:-2], p[1:-1], p[2:]) / ds**2
     v = sheet.velocities[1:-1]
     res = acc + mf.gamma_quad(spec, p[1:-1], v, v)
-    if spec.kind == mf.SPHERE:
-        # remove the radial part: the second difference picks up the
-        # constraint curvature that the projected velocity already absorbs
-        xhat = p[1:-1] / spec.radius
-        res = res - np.sum(res * xhat, axis=-1, keepdims=True) * xhat
+    # remove the normal part: on the sphere the second difference picks up
+    # the constraint curvature that the projected velocity already absorbs
+    res = spec.project_tangent(p[1:-1], res)
     return float(np.max(np.abs(res)))

@@ -11,7 +11,6 @@ import json
 
 import numpy as np
 
-from . import manifold as mf
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
 from .pathspace import Worldsheet
@@ -51,10 +50,6 @@ def _emit(obj):
 def dumps(obj):
     """Deterministic JSON text (sorted keys, 17-significant-digit floats)."""
     return _emit(obj) + "\n"
-
-
-def loads(text):
-    return json.loads(text)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +92,7 @@ def sheet_to_obj(sheet):
     Available for manifolds whose stored coordinates are an embedding in
     3-space: euclidean(3) and the sphere.
     """
-    spec = sheet.manifold
-    embedded = spec.kind == mf.SPHERE or (
-        spec.kind == mf.EUCLIDEAN and spec.point_dim == 3
-    )
-    if not embedded:
+    if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     S = sheet.n_s_segments
     n = sheet.n_t_segments

@@ -314,6 +314,30 @@ def test_config_validation_errors(tmp_path, capsys):
     assert "unknown path" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, needle",
+    [
+        ({"generator": "spiral"}, "unknown generator 'spiral'"),
+        ({"generator": "constant_in_chart"}, "components"),
+    ],
+    ids=["unknown-generator", "constant-without-components"],
+)
+def test_field_generator_errors_name_the_field(tmp_path, capsys, field, needle):
+    cfg = write_config(
+        tmp_path,
+        {
+            "manifold": {"kind": "euclidean", "dim": 2},
+            "paths": {"base": {"generator": "line", "start": [0, 0], "end": [1, 0]}},
+            "fields": {"wind": dict(field, path="base")},
+            "resolution": {"N": 16, "S": 4},
+        },
+    )
+    assert cli.main(["worldsheet", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert "field 'wind'" in err
+    assert needle in err
+
+
 def test_seventeen_digit_float_format():
     third = 1.0 / 3.0
     text = ser.format_float(third)

@@ -5,6 +5,7 @@ import pytest
 
 from pathgeo import manifold as mf
 from pathgeo import path as pth
+from pathgeo.pathspace import Worldsheet
 
 SEED = 31415
 
@@ -175,3 +176,58 @@ def test_path_json_roundtrip():
     assert back.manifold == spec
     assert np.array_equal(back.samples, gamma.samples)
     assert back.collar == gamma.collar
+
+
+E2 = mf.ManifoldSpec.euclidean(2)
+S2 = mf.ManifoldSpec.sphere(1.0)
+H2 = mf.ManifoldSpec.hyperbolic_half_plane()
+
+
+def _sheet(spec, points, velocities=None):
+    points = np.asarray(points, dtype=float)
+    vels = np.zeros_like(points) if velocities is None else velocities
+    return Worldsheet(spec, np.linspace(0, 1, len(points)), points, vels)
+
+
+def _nan_velocity():
+    vels = np.zeros((2, 3, 2))
+    vels[0, 1, 0] = np.nan
+    return vels
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: pth.DiscretePath(H2, [[0, 1], [0, 2], [0, -1]]), "sample 2 needs y > 0"),
+        (
+            lambda: pth.DiscretePath(S2, [[1, 0, 0], [0, 2, 0], [0, 0, 2]]),
+            "sample 1 is off the sphere",
+        ),
+        (lambda: pth.DiscretePath(E2, [[0, 0], [np.nan, 0], [1, 0]]), "sample 1 is not finite"),
+        (lambda: mf.point(S2, [np.nan, 0, 0]), "point is not finite"),
+        (lambda: mf.point(S2, [np.inf, 0, 0]), "point is not finite"),
+        (lambda: mf.point(E2, [np.inf, 0]), "point is not finite"),
+        (
+            lambda: _sheet(H2, [[[0, 1], [1, 1], [2, 1]], [[0, 1], [1, 1], [2, -1]]]),
+            "node (s=1, t=2) needs y > 0",
+        ),
+        (
+            lambda: _sheet(E2, np.zeros((2, 3, 2)), _nan_velocity()),
+            "velocity at node (s=0, t=1) is not finite",
+        ),
+    ],
+    ids=[
+        "path-half-plane-below-axis",
+        "path-off-sphere",
+        "path-nan",
+        "point-sphere-nan",
+        "point-sphere-inf",
+        "point-euclidean-inf",
+        "sheet-half-plane-below-axis",
+        "sheet-nan-velocity",
+    ],
+)
+def test_invalid_samples_are_rejected_where_they_enter(build, message):
+    with pytest.raises(mf.DomainError) as err:
+        build()
+    assert message in str(err.value)
