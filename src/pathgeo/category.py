@@ -129,15 +129,12 @@ def morphism1_equal(m1, m2, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def morphism2(seed, interval, S=16, method="closed_form", steps_per_unit=1000):
+def morphism2(seed, interval, S=16):
     """Geodesic worldsheet segment over the interval, seeded at s = 0."""
     a, b = float(interval[0]), float(interval[1])
     if a > b:
         raise DomainError("interval must satisfy a <= b")
-    sheet = ps.pathspace_geodesic(
-        seed.path, seed.field, (a, b), S if b > a else 0,
-        method=method, steps_per_unit=steps_per_unit,
-    )
+    sheet = ps.pathspace_geodesic(seed.path, seed.field, (a, b), S if b > a else 0)
     return GeodMorphism2(seed, sheet)
 
 

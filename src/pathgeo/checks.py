@@ -96,9 +96,7 @@ def random_collared_field(gamma, rng, scale=0.3):
     spec = gamma.manifold
     n = gamma.n_segments
     comps = rng.standard_normal((n + 1, spec.point_dim))
-    t = gamma.grid
-    head = t <= gamma.collar + 1e-12
-    tail = t >= 1.0 - gamma.collar - 1e-12
+    head, tail = gamma.collar_masks()
     k_head = int(np.sum(head))
     k_tail = int(np.sum(tail))
     comps = spec.project_tangent(gamma.samples, comps)
@@ -123,12 +121,11 @@ def nearby_path(gamma, rng, scale=0.2):
 # ---------------------------------------------------------------------------
 
 
-def _prop_geodesic_oracle(spec, rng, cases, steps_per_unit=1000):
+def _prop_geodesic_oracle(spec, rng, cases):
     xs = np.stack([random_point(spec, rng) for _ in range(cases)])
     vs = np.stack([random_tangent(spec, x, rng) for x in xs])
-    s_end = 1.0
-    pts, _ = mf.integrate_batch(spec, xs, vs, s_end, int(steps_per_unit * s_end))
-    ref, _ = mf.flow(spec, xs, vs, s_end)
+    pts, _ = mf.integrate_batch(spec, xs, vs, 1.0, 1000)
+    ref, _ = mf.flow(spec, xs, vs, 1.0)
     worst = float(np.max(mf.dist(spec, pts[-1], ref)))
     return worst
 

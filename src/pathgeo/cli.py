@@ -42,13 +42,12 @@ class ScenarioConfig:
         res = dict(data.get("resolution", {}))
         self.N = int(res.get("N", pth.DEFAULT_GRID))
         self.S = int(res.get("S", 16))
-        self.steps_per_unit = int(res.get("steps_per_unit", 1000))
         self.tolerances = {k: float(v) for k, v in data.get("tolerances", {}).items()}
         self._validate()
         self._path_cache = {}
 
     def _validate(self):
-        if self.N <= 0 or self.S <= 0 or self.steps_per_unit <= 0:
+        if self.N <= 0 or self.S <= 0:
             raise ConfigError("resolution values must be positive")
         if self.N & (self.N - 1) != 0:
             raise ConfigError("resolution N must be a power of two (got %d)" % self.N)
@@ -180,9 +179,7 @@ def cmd_worldsheet(args):
     config = _load_config(args)
     gamma = config.build_path(_single_name(config, "path", args.path))
     field = config.build_field(_single_name(config, "field", args.field))
-    sheet = ps.pathspace_geodesic(
-        gamma, field, config.interval, config.S, steps_per_unit=config.steps_per_unit
-    )
+    sheet = ps.pathspace_geodesic(gamma, field, config.interval, config.S)
     if args.format == "csv":
         _write(args.out, "worldsheet.csv", ser.sheet_to_csv(sheet))
     elif args.format == "obj":

@@ -39,10 +39,14 @@ class DiscretePath:
         if self.collar > 0:
             self._check_collar()
 
-    def _check_collar(self):
+    def collar_masks(self):
+        """Boolean masks of the grid nodes on the start and end collars."""
         t = self.grid
-        head = self.samples[t <= self.collar + 1e-12]
-        tail = self.samples[t >= 1.0 - self.collar - 1e-12]
+        return t <= self.collar + 1e-12, t >= 1.0 - self.collar - 1e-12
+
+    def _check_collar(self):
+        head, tail = self.collar_masks()
+        head, tail = self.samples[head], self.samples[tail]
         spec = self.manifold
         if len(head) and np.max(mf.dist(spec, head, head[0])) > 1e-9:
             raise DomainError("samples inside the start collar must coincide")
@@ -97,9 +101,8 @@ class PathTangentField:
             self.base.samples, comps, "field at sample %d", 1e-8, 1e-12
         )
         if self.base.collar > 0:
-            t = self.base.grid
-            head = comps[t <= self.base.collar + 1e-12]
-            tail = comps[t >= 1.0 - self.base.collar - 1e-12]
+            head, tail = self.base.collar_masks()
+            head, tail = comps[head], comps[tail]
             if len(head) and np.max(np.abs(head - head[0])) > 1e-9:
                 raise DomainError("field must be constant on the start collar")
             if len(tail) and np.max(np.abs(tail - tail[-1])) > 1e-9:
@@ -201,23 +204,25 @@ def concatenate(gamma1, gamma2):
     return DiscretePath(spec, samples, collar)
 
 
-def velocity_components(gamma):
-    """Discrete velocity at each sample via log maps of the neighbors.
+def log_velocity(spec, points, step):
+    """Discrete velocity along axis 0 of ``points`` via log maps of the
+    neighbors, for nodes ``step`` apart.
 
     Central differences of neighbor logs in the interior, one-sided at the
     ends; chart independent by construction.
     """
-    spec = gamma.manifold
-    s = gamma.samples
-    n = gamma.n_segments
-    dt = 1.0 / n
-    v = np.empty_like(s)
-    fwd = mf.log(spec, s[:-1], s[1:])  # log(p_i -> p_{i+1})
-    bwd = mf.log(spec, s[1:], s[:-1])  # log(p_i -> p_{i-1})
-    v[0] = fwd[0] / dt
-    v[-1] = -bwd[-1] / dt
-    v[1:-1] = (fwd[1:] - bwd[:-1]) / (2 * dt)
+    v = np.empty_like(points)
+    fwd = mf.log(spec, points[:-1], points[1:])  # log(p_i -> p_{i+1})
+    bwd = mf.log(spec, points[1:], points[:-1])  # log(p_i -> p_{i-1})
+    v[0] = fwd[0] / step
+    v[-1] = -bwd[-1] / step
+    v[1:-1] = (fwd[1:] - bwd[:-1]) / (2 * step)
     return v
+
+
+def velocity_components(gamma):
+    """Discrete velocity at each sample of the path (see ``log_velocity``)."""
+    return log_velocity(gamma.manifold, gamma.samples, 1.0 / gamma.n_segments)
 
 
 def velocity_field(gamma):

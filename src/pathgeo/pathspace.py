@@ -177,12 +177,9 @@ def pathspace_geodesic(
     )
 
 
-def pathspace_exp(gamma, field, method="closed_form", steps_per_unit=1000):
+def pathspace_exp(gamma, field):
     """Time-1 point of the path-space geodesic: the pointwise exponential."""
-    sheet = pathspace_geodesic(
-        gamma, field, (0.0, 1.0), 1, method=method, steps_per_unit=steps_per_unit
-    )
-    return sheet.slice_path(-1)
+    return pathspace_geodesic(gamma, field, (0.0, 1.0), 1).slice_path(-1)
 
 
 def pathspace_transport(sheet, field, substeps=8):
@@ -297,13 +294,7 @@ def sheet_from_grid(spec, s_nodes, points, collar=0.0):
     S = len(s_nodes) - 1
     if S < 1:
         raise DomainError("need at least two s nodes")
-    ds = (s_nodes[-1] - s_nodes[0]) / S
-    vels = np.empty_like(points)
-    fwd = mf.log(spec, points[:-1], points[1:])
-    bwd = mf.log(spec, points[1:], points[:-1])
-    vels[0] = fwd[0] / ds
-    vels[-1] = -bwd[-1] / ds
-    vels[1:-1] = (fwd[1:] - bwd[:-1]) / (2 * ds)
+    vels = pth.log_velocity(spec, points, (s_nodes[-1] - s_nodes[0]) / S)
     return Worldsheet(spec, s_nodes, points, vels, collar)
 
 

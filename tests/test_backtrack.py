@@ -45,6 +45,33 @@ def brute_force_windows(spec, samples, tol=1e-9):
     return out
 
 
+def insert_spur(samples, at, k):
+    """Retrace the k samples after index ``at`` back to it: a window
+    starting at ``at`` with half width k."""
+    return np.concatenate(
+        [samples[: at + k + 1], samples[at : at + k][::-1], samples[at + 1 :]]
+    )
+
+
+def shaped_paths(spec, rng):
+    """Nested spurs, a full palindrome, collar plateaus with a spur, and
+    spurs touching either end."""
+    s = checks.random_collared_path(spec, rng, n=24, collar=0.0).samples
+    nested = insert_spur(insert_spur(s, 6, 5), 8, 2)
+    collared = checks.random_collared_path(spec, rng, n=32, collar=0.125)
+    plateaus = insert_spur(collared.samples, 12, 4)
+    return [
+        nested,
+        insert_spur(nested, 20, 3),
+        np.concatenate([s, s[-2::-1]]),
+        np.concatenate([nested, nested[-2::-1]]),
+        plateaus,
+        np.concatenate([s[1:4][::-1], s]),
+        np.concatenate([s, s[-4:-1][::-1]]),
+        np.concatenate([s[1:4][::-1], plateaus, plateaus[-4:-1][::-1]]),
+    ]
+
+
 def abcba_path(spec=None):
     spec = spec or mf.ManifoldSpec.euclidean(2)
     A, B, C = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]
@@ -78,6 +105,11 @@ def test_detection_matches_brute_force():
             got = [(w.start, w.half_width) for w in bt.detect_backtracks(spurred)]
             want = brute_force_windows(spec, spurred.samples)
             assert got == want
+        for samples in shaped_paths(spec, rng):
+            gamma = pth.DiscretePath(spec, samples, 0.0)
+            got = [(w.start, w.half_width) for w in bt.detect_backtracks(gamma)]
+            assert got == brute_force_windows(spec, samples)
+            assert got
 
 
 def test_erase_backtrack_index_deletion_oracle():
@@ -106,6 +138,23 @@ def test_canonical_form_idempotent():
         c1 = bt.canonical_form(spurred)
         c2 = bt.canonical_form(c1)
         assert np.max(mf.dist(spec, c1.samples, c2.samples)) <= 1e-9
+
+
+def test_canonical_nodes_match_per_node_search():
+    rng = np.random.default_rng(SEED + 8)
+    for spec in specs():
+        for samples in shaped_paths(spec, rng):
+            idx, frac, total = bt._canonical_nodes(spec, samples, 40)
+            arcs = np.concatenate([[0.0], np.cumsum(mf.dist(spec, samples[:-1], samples[1:]))])
+            assert total == arcs[-1]
+            phi = pth.collar_ramp(np.arange(41) / 40, pth.DEFAULT_COLLAR)
+            for k, target in enumerate(phi * total):
+                # per-node reference: last arc position not beyond the target
+                i = int(np.searchsorted(arcs, target, side="right")) - 1
+                i = min(max(i, 0), len(arcs) - 2)
+                seg = arcs[i + 1] - arcs[i]
+                f = 0.0 if seg <= 0 else min(max((target - arcs[i]) / seg, 0.0), 1.0)
+                assert (idx[k], frac[k]) == (i, f)
 
 
 def test_canonical_form_of_constant_path():
@@ -180,6 +229,19 @@ def test_field_canonical_form_rejects_non_reflecting_field():
     comps = np.outer(np.linspace(0.0, 1.0, len(spurred.samples)), [1.0, 0.0])
     field = pth.PathTangentField(spurred, comps)
     with pytest.raises(mf.DomainError):
+        bt.field_canonical_form(field)
+
+
+def test_field_canonical_form_names_the_failing_window_in_input_numbering():
+    spec = mf.ManifoldSpec.euclidean(2)
+    line = pth.make_line(spec, [0, 0], [1, 0.5], n=24, collar=0.0)
+    spurred = pth.DiscretePath(spec, insert_spur(insert_spur(line.samples, 14, 3), 4, 2), 0.0)
+    first, second = bt.detect_backtracks(spurred)
+    assert (first.start, first.half_width, second.start) == (4, 2, 18)
+    comps = np.tile([1.0, 0.0], (len(spurred.samples), 1))
+    comps[second.start + 1] = [0.0, 1.0]  # reflects on the first window only
+    field = pth.PathTangentField(spurred, comps)
+    with pytest.raises(mf.DomainError, match=r"window \[18, 24\]"):
         bt.field_canonical_form(field)
 
 
