@@ -195,17 +195,11 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
 def _field_reflects(spec, samples, comps, i, j, tol):
     """Does the field satisfy the reflection identity on the pairs (i, j)?
 
-    On flat charts components are compared directly; on curved models the
-    reflected vector is parallel transported across the retraced segment
-    before comparison (componentwise comparison is chart dependent).
+    The reflected vector is parallel transported across the retraced
+    segment before comparison (componentwise comparison is chart dependent;
+    a flat chart keeps the components).
     """
-    moved = comps[j]
-    if not spec.flat:
-        far = mf.dist(spec, samples[i], samples[j]) > 1e-12
-        if np.any(far):
-            seg = np.stack([samples[j][far], samples[i][far]])
-            moved = moved.copy()
-            moved[far] = mf.transport_along(spec, seg, comps[j][far])[-1]
+    moved = spec.transport(samples[j], samples[i], comps[j])
     return bool(np.max(np.abs(comps[i] - moved)) <= tol)
 
 
@@ -215,11 +209,8 @@ def _interp_field_many(spec, samples, comps, idx, frac):
     p0, p1 = samples[idx], samples[idx + 1]
     u = mf.log(spec, p0, p1)
     x, _ = mf.flow(spec, p0, u, frac)
-    if not spec.flat:
-        a = mf.transport_along(spec, np.stack([p0, x]), comps[idx])[-1]
-        b = mf.transport_along(spec, np.stack([p1, x]), comps[idx + 1])[-1]
-    else:
-        a, b = comps[idx], comps[idx + 1]
+    a = spec.transport(p0, x, comps[idx])
+    b = spec.transport(p1, x, comps[idx + 1])
     out = spec.project_tangent(x, (1 - frac)[..., None] * a + frac[..., None] * b)
     out = np.where((frac == 0.0)[..., None], comps[idx], out)
     out = np.where((frac == 1.0)[..., None], comps[idx + 1], out)

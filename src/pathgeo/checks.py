@@ -167,6 +167,8 @@ def _prop_transport_isometry(spec, rng, cases):
         n0 = mf.norm(spec, curve[0], moved[0])
         n1 = mf.norm(spec, curve[-1], moved[-1])
         worst = max(worst, abs(float(n1 - n0)) / max(float(n0), 1e-12))
+        oracle = mf.transport_along_rk4(spec, curve, w)
+        worst = max(worst, float(np.max(np.abs(moved - oracle))))
     return worst
 
 
@@ -224,7 +226,7 @@ def _prop_l2_transport(spec, rng, cases, n=64, S=16):
         vfield = random_collared_field(gamma, rng)
         xfield = random_collared_field(gamma, rng)
         sheet = ps.pathspace_geodesic(gamma, vfield, (0.0, 1.0), S)
-        moved = ps.pathspace_transport(sheet, xfield, substeps=4)
+        moved = ps.pathspace_transport(sheet, xfield)
         g0 = ps.l2_metric(moved[0].base, moved[0], moved[0])
         g1 = ps.l2_metric(moved[-1].base, moved[-1], moved[-1])
         worst = max(worst, abs(g1 - g0) / max(abs(g0), 1e-12))

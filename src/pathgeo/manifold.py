@@ -13,10 +13,11 @@ every numerical routine has an analytic counterpart:
 Each model is one frozen dataclass subclass of ``ManifoldSpec``:
 ``Euclidean``, ``Sphere``, ``HalfPlane`` and ``FlatTorus``. The subclass
 holds everything about its model: parameter checks, point validation,
-chart arithmetic, metric, Christoffel symbols, the closed-form flow, dist
-and log, and the check suite's random cases. ``ManifoldSpec`` itself
-implements a flat chart (zero Christoffel symbols, straight geodesics), so
-the curved models override more of it than the flat ones.
+chart arithmetic, metric, Christoffel symbols, the closed-form flow, dist,
+log and parallel transport, and the check suite's random cases.
+``ManifoldSpec`` itself implements a flat chart (zero Christoffel symbols,
+straight geodesics, transport keeps components), so the curved models
+override more of it than the flat ones.
 ``ManifoldSpec(kind, ...)``, the classmethod constructors and ``from_json``
 pick the subclass from the ``_MODELS`` table.
 
@@ -98,8 +99,6 @@ class ManifoldSpec:
 
     # model parameters in JSON, each with its conversion on the way in
     json_params = {}
-    # zero Christoffel symbols: parallel transport keeps chart components
-    flat = True
     # the stored coordinates embed the manifold in 3-space
     embedded_3d = False
 
@@ -199,6 +198,11 @@ class ManifoldSpec:
         """
         return self.chart_diff(y, x)
 
+    def transport(self, x, y, X):
+        """Parallel transport of X from x to y along the connecting geodesic,
+        in closed form; a flat chart keeps the components."""
+        return X
+
     def tangent_basis(self, x):
         """Orthonormal (w.r.t. g) basis of the tangent space at one point x,
         rows = vectors."""
@@ -208,7 +212,7 @@ class ManifoldSpec:
         """Normal to the unit direction u at x: a quarter turn in a 2d chart."""
         if self.point_dim != 2:
             raise DomainError("normal field needs a 2d chart or the sphere")
-        return np.array([-u[1], u[0]])
+        return np.stack([-u[..., 1], u[..., 0]], axis=-1)
 
     # -- random cases for the property suites ------------------------------
 
@@ -254,7 +258,6 @@ class Sphere(ManifoldSpec):
     """
 
     json_params = {"radius": float}
-    flat = False
     embedded_3d = True
 
     def __post_init__(self):
@@ -319,6 +322,13 @@ class Sphere(ManifoldSpec):
         wn = np.linalg.norm(w, axis=-1, keepdims=True)
         safe = np.where(wn > 0, wn, 1.0)
         return np.where(wn > 0, ang * r * w / safe, np.zeros_like(x))
+
+    def transport(self, x, y, X):
+        # the rotation of the x-y plane that takes x to y, fixing its normal
+        denom = self.radius**2 + np.sum(x * y, axis=-1)
+        if np.any(denom <= 1e-12 * self.radius**2):
+            raise NormalNeighborhoodError("transport between antipodal points is undefined")
+        return X - (np.sum(y * X, axis=-1) / denom)[..., None] * (x + y)
 
     def tangent_basis(self, x):
         xhat = x / self.radius
@@ -392,10 +402,8 @@ def _mink(A, B):
 class HalfPlane(ManifoldSpec):
     """Poincare upper half plane (x, y), y > 0, metric (dx^2 + dy^2) / y^2.
 
-    Flow and log go through the hyperboloid model.
+    Flow, log and transport go through the hyperboloid model.
     """
-
-    flat = False
 
     @property
     def point_dim(self):
@@ -456,6 +464,12 @@ class HalfPlane(ManifoldSpec):
         sinh_d = np.sinh(d)
         scale = np.where(sinh_d > 0, d / np.where(sinh_d > 0, sinh_d, 1.0), 0.0)
         return _hyp_vec_to_uhp(P, w * scale[..., None])
+
+    def transport(self, x, y, X):
+        P, Q, W = _uhp_to_hyp(x), _uhp_to_hyp(y), _uhp_vec_to_hyp(x, X)
+        # 1 - <P,Q> = 1 + cosh d >= 2: no cut locus to guard
+        W = W + (_mink(Q, W) / (1.0 - _mink(P, Q)))[..., None] * (P + Q)
+        return _hyp_vec_to_uhp(Q, W)
 
     def tangent_basis(self, x):
         return np.eye(2) * x[1]
@@ -618,14 +632,25 @@ def integrate_batch(spec, x0, v0, s_end, steps):
     return xs, vs
 
 
-def transport_along(spec, points, X0, substeps=8):
-    """Parallel transport X0 along a sampled curve, RK4 per segment.
+def transport_along(spec, points, X0):
+    """Parallel transport X0 along axis 0 of ``points`` (m+1, ..., d), each
+    segment by the closed form ``spec.transport``; returns the field at
+    every sample. ``transport_along_rk4`` is its integrated oracle."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty_like(points)
+    out[0] = X0
+    for i in range(points.shape[0] - 1):
+        try:
+            out[i + 1] = spec.transport(points[i], points[i + 1], out[i])
+        except NormalNeighborhoodError as err:
+            raise NormalNeighborhoodError("segment %d: %s" % (i, err)) from None
+    return out
 
-    ``points`` has shape (m+1, ..., d); transport runs along axis 0. Between
-    consecutive samples the position follows the closed-form connecting
-    geodesic (degenerate zero-length segments transport by identity).
-    Returns the transported field at every sample, shape like ``points``.
-    """
+
+def transport_along_rk4(spec, points, X0, substeps=8):
+    """``transport_along`` by RK4 on the transport equation, ``substeps``
+    per segment along the closed-form connecting geodesic (zero-length
+    segments transport by identity): the independent oracle."""
     points = np.asarray(points, dtype=float)
     X = np.array(X0, dtype=float)
     out = np.empty_like(points)
@@ -766,12 +791,12 @@ def _chart_components(spec, x, v, basis):
     return np.array([inner(spec, x, v, b) for b in basis])
 
 
-def parallel_transport(curve, v0, substeps=8):
+def parallel_transport(curve, v0):
     """Parallel transport of v0 along an (s, point) sample sequence.
 
     Transport is parametrization independent; the s values only fix the
-    ordering and are validated to be nondecreasing. Coincident consecutive
-    samples transport by identity.
+    ordering and are validated to be nondecreasing. Consecutive samples
+    must not be antipodal (NormalNeighborhoodError names the segment).
     """
     if not curve:
         raise DomainError("empty curve")
@@ -782,7 +807,5 @@ def parallel_transport(curve, v0, substeps=8):
     _check_same_base(first, v0)
     spec = first.manifold
     pts = np.stack([pt.coords for _, pt in curve])
-    fields = transport_along(spec, pts, v0.components, substeps=substeps)
-    return [
-        TangentVector(ManifoldPoint(spec, x), X) for (x, X) in zip(pts, fields)
-    ]
+    fields = transport_along(spec, pts, v0.components)
+    return [TangentVector(ManifoldPoint(spec, x), X) for (x, X) in zip(pts, fields)]

@@ -344,31 +344,28 @@ def make_zero_field(gamma):
     return PathTangentField(gamma, np.zeros_like(gamma.samples))
 
 
-def _direction_at(gamma, i):
-    # tangent direction from the nearest distinct neighbor; forward first
-    spec = gamma.manifold
-    n = gamma.n_segments
-    for j in range(i + 1, n + 1):
-        if mf.dist(spec, gamma.samples[i], gamma.samples[j]) > 1e-12:
-            u = mf.log(spec, gamma.samples[i], gamma.samples[j])
-            return u / mf.norm(spec, gamma.samples[i], u)
-    for j in range(i - 1, -1, -1):
-        if mf.dist(spec, gamma.samples[i], gamma.samples[j]) > 1e-12:
-            u = mf.log(spec, gamma.samples[i], gamma.samples[j])
-            return -u / mf.norm(spec, gamma.samples[i], u)
-    raise DomainError("cannot orient a normal field on a constant path")
-
-
 def make_normal_field(gamma, scale=1.0):
     """Unit normal to the path, scaled: 90-degree rotation in 2d charts,
-    cross product with the radial direction on the sphere."""
-    spec = gamma.manifold
+    cross product with the radial direction on the sphere.
+
+    The tangent direction at each sample points to its nearest distinct
+    neighbor, searched forward first, then backward; each search step
+    advances only the samples still without one.
+    """
+    spec, x = gamma.manifold, gamma.samples
     n = gamma.n_segments
-    comps = np.empty_like(gamma.samples)
-    for i in range(n + 1):
-        u = _direction_at(gamma, i)
-        comps[i] = scale * spec.normal(gamma.samples[i], u)
-    return PathTangentField(gamma, comps)
+    partner = np.full(n + 1, -1)
+    for step in (1, -1):
+        live, k = np.flatnonzero(partner < 0), step
+        while (live := live[(live + k >= 0) & (live + k <= n)]).size:
+            far = mf.dist(spec, x[live], x[live + k]) > 1e-12
+            partner[live[far]] = live[far] + k
+            live, k = live[~far], k + step
+    if np.any(partner < 0):
+        raise DomainError("cannot orient a normal field on a constant path")
+    u = mf.log(spec, x, x[partner])
+    u = np.sign(partner - np.arange(n + 1))[:, None] * u / mf.norm(spec, x, u)[:, None]
+    return PathTangentField(gamma, scale * spec.normal(x, u))
 
 
 FIELD_GENERATORS = {

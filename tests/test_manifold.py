@@ -313,12 +313,42 @@ def test_sphere_latitude_holonomy():
     v0 = np.array([0.0, 0.0, 1.0])
     v0 = v0 - np.dot(v0, curve[0]) * curve[0]
     v0 /= np.linalg.norm(v0)
-    moved = mf.transport_along(spec, curve, v0, substeps=4)
+    moved = mf.transport_along(spec, curve, v0)
     cosang = np.clip(np.dot(moved[-1], v0), -1.0, 1.0)
     got = math.acos(cosang)
     want = 2 * math.pi * (1 - math.cos(theta))
     want = min(want, 2 * math.pi - want)  # holonomy angle folded into [0, pi]
     assert abs(got - want) < 1e-4
+
+
+def test_closed_form_transport_matches_rk4_oracle():
+    rng = np.random.default_rng(SEED + 13)
+    for spec in builtin_specs():
+        for _ in range(5):
+            x = random_point(spec, rng)
+            v = random_tangent(spec, x, rng, max_norm=1.0)
+            w = random_tangent(spec, x, rng, max_norm=1.0)
+            pts, _ = mf.flow(spec, x[None], v[None], np.linspace(0, 1, 33)[:, None])
+            curve = pts[:, 0, :]
+            # a polyline of short non-geodesic segments through nearby points
+            poly = curve + 0.01 * rng.standard_normal(curve.shape)
+            wp = w
+            if spec.kind == mf.SPHERE:
+                poly /= np.linalg.norm(poly, axis=-1, keepdims=True)
+                wp = w - np.dot(w, poly[0]) * poly[0]
+            for c, X in ((curve, w), (poly, wp)):
+                got = mf.transport_along(spec, c, X)
+                want = mf.transport_along_rk4(spec, c, X)
+                assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_transport_across_antipodal_samples_is_rejected():
+    spec = mf.ManifoldSpec.sphere(2.0)
+    curve = [(0.0, mf.point(spec, [0, 0, 2])), (0.5, mf.point(spec, [2, 0, 0])),
+             (1.0, mf.point(spec, [-2, 0, 0]))]
+    v0 = mf.tangent(curve[0][1], [1.0, 0.0, 0.0])
+    with pytest.raises(mf.NormalNeighborhoodError, match="segment 1"):
+        mf.parallel_transport(curve, v0)
 
 
 # ---------------------------------------------------------------------------

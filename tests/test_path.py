@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pathgeo import checks
 from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo.pathspace import Worldsheet
@@ -151,6 +152,39 @@ def test_normal_field_is_orthogonal_to_velocity():
     ips = np.sum(field.components * v, axis=1)
     assert np.max(np.abs(ips)) < 1e-9
     assert np.allclose(np.linalg.norm(field.components, axis=1), 2.0)
+
+
+def _normal_field_per_node(gamma, scale):
+    # the reference: a scalar search from every node for its nearest
+    # distinct neighbor, forward first, then backward
+    spec, x = gamma.manifold, gamma.samples
+    n = gamma.n_segments
+    comps = np.empty_like(x)
+    for i in range(n + 1):
+        for j in list(range(i + 1, n + 1)) + list(range(i - 1, -1, -1)):
+            if mf.dist(spec, x[i], x[j]) > 1e-12:
+                u = mf.log(spec, x[i], x[j])
+                u = (u if j > i else -u) / mf.norm(spec, x[i], u)
+                comps[i] = scale * spec.normal(x[i], u)
+                break
+        else:
+            raise mf.DomainError("constant path")
+    return comps
+
+
+def test_normal_field_matches_per_node_search():
+    rng = np.random.default_rng(17)
+    for spec in checks.builtin_manifolds().values():
+        for collar in (0.0, pth.DEFAULT_COLLAR, 0.3):
+            gamma = checks.random_collared_path(spec, rng, n=48, collar=collar)
+            # a plateau in the middle and at the very end
+            s = gamma.samples
+            s = np.concatenate([s[:20], np.repeat(s[20:21], 4, axis=0), s[20:], s[-1:]])
+            for path in (gamma, pth.DiscretePath(spec, s, 0.0)):
+                got = pth.make_normal_field(path, 0.7).components
+                assert np.array_equal(got, _normal_field_per_node(path, 0.7))
+        with pytest.raises(mf.DomainError, match="constant path"):
+            pth.make_normal_field(pth.make_constant_path(gamma.start(), 16))
 
 
 def test_generators_registry_and_fixtures():

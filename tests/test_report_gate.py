@@ -7,7 +7,7 @@ import hashlib
 from pathgeo import checks
 from pathgeo import serialize as ser
 
-REPORT_SHA256 = "62fccf316a06acb7c9e781c7b594469cba50a62a6633f184421b21191e9b83e0"
+REPORT_SHA256 = "301e6a50f19f0e7e28a6b27d8b93d68ff47ed5adac3dbdcdd09580cd2dec5ee0"
 
 
 def test_seed_42_report_is_byte_identical():
