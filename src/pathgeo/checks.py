@@ -156,20 +156,19 @@ def _prop_distance_axioms(spec, rng, cases):
 
 
 def _prop_transport_isometry(spec, rng, cases):
-    worst = 0.0
+    draws = []
     for _ in range(cases):
         x = random_point(spec, rng)
         v = random_tangent(spec, x, rng, max_norm=1.0)
-        w = random_tangent(spec, x, rng, max_norm=1.0)
-        pts, _ = mf.flow(spec, x[None], v[None], np.linspace(0, 1, 33)[:, None])
-        curve = pts[:, 0, :]
-        moved = mf.transport_along(spec, curve, w)
-        n0 = mf.norm(spec, curve[0], moved[0])
-        n1 = mf.norm(spec, curve[-1], moved[-1])
-        worst = max(worst, abs(float(n1 - n0)) / max(float(n0), 1e-12))
-        oracle = mf.transport_along_rk4(spec, curve, w)
-        worst = max(worst, float(np.max(np.abs(moved - oracle))))
-    return worst
+        draws.append((x, v, random_tangent(spec, x, rng, max_norm=1.0)))
+    x, v, w = (np.stack(c) for c in zip(*draws))  # cases on axis 0
+    curves, _ = mf.flow(spec, x, v, np.linspace(0, 1, 33)[:, None])
+    moved = mf.transport_along(spec, curves, w)
+    n0 = mf.norm(spec, curves[0], moved[0])
+    n1 = mf.norm(spec, curves[-1], moved[-1])
+    worst = np.max(np.abs(n1 - n0) / np.maximum(n0, 1e-12))
+    oracle = mf.transport_along_rk4(spec, curves, w)
+    return max(float(worst), float(np.max(np.abs(moved - oracle))))
 
 
 # ---------------------------------------------------------------------------

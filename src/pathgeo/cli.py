@@ -29,6 +29,20 @@ class ConfigError(DomainError):
     """Scenario configuration is missing or invalid."""
 
 
+def _read_json(filename, build):
+    """``build`` of the JSON in ``filename``; an unreadable file, text that is
+    not JSON, or a record missing a key is a ConfigError naming the file."""
+    try:
+        with open(filename) as fh:
+            return build(json.load(fh))
+    except OSError as err:
+        raise ConfigError("cannot read %s: %s" % (filename, err)) from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigError("%s is not valid JSON: %s" % (filename, err)) from None
+    except (KeyError, TypeError) as err:
+        raise ConfigError("%s: bad record (%s: %s)" % (filename, type(err).__name__, err)) from None
+
+
 class ScenarioConfig:
     """Validated scenario: manifold, named paths/fields, interval, resolution."""
 
@@ -62,13 +76,7 @@ class ScenarioConfig:
 
     @classmethod
     def load(cls, filename):
-        try:
-            with open(filename) as fh:
-                return cls(json.load(fh))
-        except OSError as err:
-            raise ConfigError("cannot read config %s: %s" % (filename, err))
-        except json.JSONDecodeError as err:
-            raise ConfigError("config %s is not valid JSON: %s" % (filename, err))
+        return _read_json(filename, cls)
 
     def tolerance(self, name, default):
         return self.tolerances.get(name, default)
@@ -180,12 +188,8 @@ def cmd_worldsheet(args):
     gamma = config.build_path(_single_name(config, "path", args.path))
     field = config.build_field(_single_name(config, "field", args.field))
     sheet = ps.pathspace_geodesic(gamma, field, config.interval, config.S)
-    if args.format == "csv":
-        _write(args.out, "worldsheet.csv", ser.sheet_to_csv(sheet))
-    elif args.format == "obj":
-        _write(args.out, "worldsheet.obj", ser.sheet_to_obj(sheet))
-    else:
-        _write(args.out, "worldsheet.json", ser.dumps(sheet.to_json()))
+    writers = {"csv": ser.sheet_to_csv, "obj": ser.sheet_to_obj, "json": lambda s: ser.dumps(s.to_json())}
+    _write(args.out, "worldsheet." + args.format, writers[args.format](sheet))
     summary = {
         "energy": ps.sheet_energy(sheet),
         "length": ps.sheet_length(sheet),
@@ -233,8 +237,7 @@ def cmd_energy(args):
 
 def cmd_backtrack(args):
     if args.input:
-        with open(args.input) as fh:
-            gamma = pth.DiscretePath.from_json(json.load(fh))
+        gamma = _read_json(args.input, pth.DiscretePath.from_json)
     else:
         config = _load_config(args)
         gamma = config.build_path(_single_name(config, "path", args.path))
@@ -251,13 +254,8 @@ def cmd_backtrack(args):
     return 0
 
 
-def _load_morphism(filename):
-    with open(filename) as fh:
-        return ser.morphism_from_json(json.load(fh))
-
-
 def cmd_compose(args):
-    ms = [_load_morphism(f) for f in args.files]
+    ms = [_read_json(f, ser.morphism_from_json) for f in args.files]
     if len(ms) == 4:
         if not all(isinstance(m, cat.GeodMorphism2) for m in ms):
             raise DomainError("exchange check needs four 2-morphism files")

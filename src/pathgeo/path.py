@@ -75,14 +75,14 @@ class DiscretePath:
         return {
             "manifold": self.manifold.to_json(),
             "collar": self.collar,
-            "samples": self.samples.tolist(),
+            "samples": self.samples,
         }
 
     @classmethod
     def from_json(cls, obj):
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
-            np.asarray(obj["samples"], dtype=float),
+            np.array(obj["samples"], dtype=float),
             float(obj.get("collar", 0.0)),
         )
 
@@ -116,11 +116,11 @@ class PathTangentField:
         return mf.TangentVector(self.base.point(i), self.components[i])
 
     def to_json(self):
-        return {"base": self.base.to_json(), "components": self.components.tolist()}
+        return {"base": self.base.to_json(), "components": self.components}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(DiscretePath.from_json(obj["base"]), np.asarray(obj["components"]))
+        return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
 
 
 # ---------------------------------------------------------------------------

@@ -64,9 +64,9 @@ class Worldsheet:
     def to_json(self):
         return {
             "manifold": self.manifold.to_json(),
-            "s_nodes": self.s_nodes.tolist(),
-            "points": self.points.tolist(),
-            "velocities": self.velocities.tolist(),
+            "s_nodes": self.s_nodes,
+            "points": self.points,
+            "velocities": self.velocities,
             "collar": self.collar,
         }
 
@@ -74,9 +74,9 @@ class Worldsheet:
     def from_json(cls, obj):
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
-            np.asarray(obj["s_nodes"], dtype=float),
-            np.asarray(obj["points"], dtype=float),
-            np.asarray(obj["velocities"], dtype=float),
+            np.array(obj["s_nodes"], dtype=float),
+            np.array(obj["points"], dtype=float),
+            np.array(obj["velocities"], dtype=float),
             float(obj.get("collar", 0.0)),
         )
 

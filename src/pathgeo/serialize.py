@@ -2,7 +2,10 @@
 
 All floating-point values are written in decimal with 17 significant
 digits, which round-trips IEEE doubles exactly, and JSON object keys are
-sorted, so identical inputs produce byte-identical files.
+sorted, so identical inputs produce byte-identical files. One row
+formatter, ``_rows``, writes every array: each 2-d slab along axis 0 goes
+through one %-format call of a repeated row template (JSON, CSV, OBJ vertex
+or face), after one finiteness check per array.
 """
 
 from __future__ import annotations
@@ -11,19 +14,41 @@ import json
 
 import numpy as np
 
+from . import category as cat
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
 from .pathspace import Worldsheet
 
+_FLOAT = "%.17g"
+
 
 def format_float(x):
     """Decimal representation with 17 significant digits (exact round-trip)."""
-    x = float(x)
-    if x != x:
-        raise DomainError("cannot serialize NaN")
-    if x in (float("inf"), float("-inf")):
-        raise DomainError("cannot serialize infinity")
-    return "%.17g" % x
+    return _rows(_finite(np.array([[float(x)]])), _FLOAT, "")
+
+
+def _finite(a):
+    """``a``, after one check that every entry is finite."""
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise DomainError("cannot serialize NaN" if np.isnan(bad[0]) else "cannot serialize infinity")
+    return a
+
+
+def _rows(a, template, sep):
+    """Rows of ``a`` through ``template`` (one slot per column), joined by
+    ``sep``: one format call per 2-d slab along axis 0."""
+    if a.ndim > 2:
+        return sep.join(_rows(slab, template, sep) for slab in a)
+    return sep.join([template] * len(a)) % tuple(a.ravel())
+
+
+def _json_floats(a):
+    """Nested JSON lists of a finite float array of rank >= 1."""
+    if a.ndim > 2:
+        return "[" + ", ".join(_json_floats(slab) for slab in a) + "]"
+    text = _rows(np.atleast_2d(a), "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]", ", ")
+    return text if a.ndim == 1 else "[" + text + "]"
 
 
 def _emit(obj):
@@ -31,6 +56,8 @@ def _emit(obj):
         items = sorted(obj.items())
         return "{" + ", ".join(json.dumps(str(k)) + ": " + _emit(v) for k, v in items) + "}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim:
+            return _json_floats(_finite(obj))
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
@@ -53,37 +80,27 @@ def dumps(obj):
 
 
 # ---------------------------------------------------------------------------
-# CSV
+# CSV and OBJ
 # ---------------------------------------------------------------------------
+
+
+def _csv(head, table):
+    """Header ``head``,x1,...,xd, then a line per row of ``table`` (2-d or 3-d)."""
+    names = head + ["x%d" % (k + 1) for k in range(table.shape[-1] - len(head))]
+    template = ",".join([_FLOAT] * len(names))
+    return ",".join(names) + "\n" + _rows(_finite(table), template, "\n") + "\n"
 
 
 def path_to_csv(gamma):
     """Rows t,x1,...,xd with a header line."""
-    d = gamma.manifold.point_dim
-    lines = ["t," + ",".join("x%d" % (k + 1) for k in range(d))]
-    ts = gamma.grid
-    for t, row in zip(ts, gamma.samples):
-        lines.append(",".join([format_float(t)] + [format_float(v) for v in row]))
-    return "\n".join(lines) + "\n"
+    return _csv(["t"], np.column_stack([gamma.grid, gamma.samples]))
 
 
 def sheet_to_csv(sheet):
     """Rows s,t,x1,...,xd with a header line, s-major order."""
-    d = sheet.manifold.point_dim
-    lines = ["s,t," + ",".join("x%d" % (k + 1) for k in range(d))]
     n = sheet.n_t_segments
-    ts = np.arange(n + 1) / n
-    for s, fiber in zip(sheet.s_nodes, sheet.points):
-        for t, row in zip(ts, fiber):
-            lines.append(
-                ",".join([format_float(s), format_float(t)] + [format_float(v) for v in row])
-            )
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# OBJ
-# ---------------------------------------------------------------------------
+    s, t = np.meshgrid(sheet.s_nodes, np.arange(n + 1) / n, indexing="ij")
+    return _csv(["s", "t"], np.dstack([s, t, sheet.points]))
 
 
 def sheet_to_obj(sheet):
@@ -94,20 +111,11 @@ def sheet_to_obj(sheet):
     """
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
-    S = sheet.n_s_segments
     n = sheet.n_t_segments
-    lines = []
-    for fiber in sheet.points:
-        for x, y, z in fiber:
-            lines.append("v %s %s %s" % (format_float(x), format_float(y), format_float(z)))
-    for j in range(S):
-        for i in range(n):
-            a = j * (n + 1) + i + 1  # OBJ indices are 1-based
-            b = a + 1
-            c = a + (n + 1) + 1
-            d = a + (n + 1)
-            lines.append("f %d %d %d %d" % (a, b, c, d))
-    return "\n".join(lines) + "\n"
+    a = np.arange(sheet.n_s_segments)[:, None] * (n + 1) + np.arange(n) + 1  # OBJ indices are 1-based
+    faces = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
+    vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
+    return "\n".join(filter(None, [vertices, _rows(faces, "f %d %d %d %d", "\n")])) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +127,14 @@ def morphism1_to_json(m):
     return {
         "kind": "morphism1",
         "path": m.path.to_json(),
-        "field": m.field.components.tolist(),
+        "field": m.field.components,
         "time": float(m.time),
     }
 
 
 def morphism1_from_json(obj):
-    from . import category as cat
-
     base = DiscretePath.from_json(obj["path"])
-    field = PathTangentField(base, np.asarray(obj["field"], dtype=float))
+    field = PathTangentField(base, np.array(obj["field"], dtype=float))
     return cat.GeodMorphism1(base, field, float(obj["time"]))
 
 
@@ -141,11 +147,7 @@ def morphism2_to_json(F):
 
 
 def morphism2_from_json(obj):
-    from . import category as cat
-
-    return cat.GeodMorphism2(
-        morphism1_from_json(obj["seed"]), Worldsheet.from_json(obj["sheet"])
-    )
+    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), Worldsheet.from_json(obj["sheet"]))
 
 
 def morphism_from_json(obj):

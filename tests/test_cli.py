@@ -344,3 +344,26 @@ def test_seventeen_digit_float_format():
     assert float(text) == third
     assert ser.format_float(0.5) == "0.5"
     assert ser.dumps({"a": 1.0 / 3.0}) == '{"a": %s}\n' % text
+
+
+@pytest.mark.parametrize(
+    "argv, bad, needle",
+    [
+        (["backtrack", "--input", "missing.json"], "missing.json", "cannot read"),
+        (["backtrack", "--input", "notjson.json"], "notjson.json", "is not valid JSON"),
+        (["backtrack", "--input", "nosamples.json"], "nosamples.json", "KeyError: 'samples'"),
+        (["compose", "notjson.json", "x.json"], "notjson.json", "is not valid JSON"),
+        (["compose", "nopath.json", "nopath.json"], "nopath.json", "KeyError: 'path'"),
+    ],
+    ids=["backtrack-missing", "backtrack-not-json", "backtrack-no-samples", "compose-not-json", "compose-no-path"],
+)
+def test_unreadable_input_files_are_errors_naming_the_file(tmp_path, capsys, argv, bad, needle):
+    (tmp_path / "notjson.json").write_text("not json\n")
+    (tmp_path / "nosamples.json").write_text(json.dumps({"manifold": {"kind": "euclidean", "dim": 2}}))
+    (tmp_path / "nopath.json").write_text(json.dumps({"kind": "morphism1"}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(tmp_path / bad) in err
+    assert needle in err

@@ -1,15 +1,49 @@
 """Refactor gate: the deterministic report of ``pathgeo check --suite all
---seed 42`` must not change. A change that alters it on purpose updates
-the digest below and says why."""
+--seed 42`` and the exports of one fixed worldsheet must not change. A
+change that alters them on purpose updates the digests below and says why."""
 
 import hashlib
 
+import pytest
+
 from pathgeo import checks
+from pathgeo import manifold as mf
+from pathgeo import path as pth
+from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
 
 REPORT_SHA256 = "301e6a50f19f0e7e28a6b27d8b93d68ff47ed5adac3dbdcdd09580cd2dec5ee0"
 
+# sphere latitude circle at colatitude 1, N = 64 (default collar), swept
+# for s in [0, 1] with S = 8 by its normal field scaled by 0.5
+EXPORT_SHA256 = {
+    "sheet_json": "c9f71f8b116bf5d13eda5b9ec99e73559578a62d20651e6b58c788a91a464780",
+    "sheet_csv": "caabd04c85e638d72894a861870fab20acc1ade54fd93b9e9c41c8f6d66eaf64",
+    "sheet_obj": "ff447ba26ab885bcea133592bdee228054f96d65b0982b1812550be13a764f45",
+    "path_csv": "1e2e9f14203fa7706f281580cf018d311a90808f1d0915d3066f32c8988967f8",
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def test_seed_42_report_is_byte_identical():
-    report = ser.dumps(checks.run_checks("all", seed=42))
-    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_SHA256
+    assert sha256(ser.dumps(checks.run_checks("all", seed=42))) == REPORT_SHA256
+
+
+@pytest.fixture(scope="module")
+def exports():
+    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=64)
+    sheet = ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 8)
+    return {
+        "sheet_json": ser.dumps(sheet.to_json()),
+        "sheet_csv": ser.sheet_to_csv(sheet),
+        "sheet_obj": ser.sheet_to_obj(sheet),
+        "path_csv": ser.path_to_csv(circle),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
+def test_fixed_sheet_exports_are_byte_identical(exports, name):
+    assert sha256(exports[name]) == EXPORT_SHA256[name]
