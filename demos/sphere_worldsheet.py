@@ -32,5 +32,5 @@ print("top slice max distance to pole:",
 
 out = os.path.join(os.path.dirname(__file__), "sphere_worldsheet.obj")
 with open(out, "w") as fh:
-    fh.write(ser.sheet_to_obj(sheet))
+    fh.writelines(ser.sheet_obj_pieces(sheet))
 print("wrote", out)

@@ -69,12 +69,6 @@ def morphism1(path, field, time):
     return GeodMorphism1(path, field, float(time))
 
 
-def canonical_morphism1(m, tol=bt.DETECT_TOL):
-    """The canonical-pair representative used for equality checks."""
-    fld = bt.field_canonical_form(m.field, tol)
-    return GeodMorphism1(fld.base, fld, m.time)
-
-
 def identity1(obj, n=pth.DEFAULT_GRID):
     """The constant-path morphism at an object."""
     base = pth.make_constant_path(obj.point, n)

@@ -31,7 +31,8 @@ class ConfigError(DomainError):
 
 def _read_json(filename, build):
     """``build`` of the JSON in ``filename``; an unreadable file, text that is
-    not JSON, or a record missing a key is a ConfigError naming the file."""
+    not JSON, a record missing a key, or a record ``build`` rejects is a
+    ConfigError naming the file."""
     try:
         with open(filename) as fh:
             return build(json.load(fh))
@@ -41,6 +42,8 @@ def _read_json(filename, build):
         raise ConfigError("%s is not valid JSON: %s" % (filename, err)) from None
     except (KeyError, TypeError) as err:
         raise ConfigError("%s: bad record (%s: %s)" % (filename, type(err).__name__, err)) from None
+    except DomainError as err:
+        raise ConfigError("%s: %s" % (filename, err)) from None
 
 
 class ScenarioConfig:
@@ -141,19 +144,31 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-def _write(outdir, filename, text):
-    if outdir:
-        os.makedirs(outdir, exist_ok=True)
-        full = os.path.join(outdir, filename)
-        with open(full, "w") as fh:
-            fh.write(text)
-        return full
-    return None
+def _write(outdir, filename, pieces):
+    """Write the text ``pieces`` to ``outdir/filename`` and return its path;
+    without ``outdir``, return None and draw no piece. The pieces go to a
+    temporary file beside the target that replaces it only once the last
+    piece is written, so an export that fails part-way leaves no partial
+    file and an earlier file as it was."""
+    if not outdir:
+        return None
+    os.makedirs(outdir, exist_ok=True)
+    full = os.path.join(outdir, filename)
+    tmp = "%s.%d.tmp" % (full, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            for piece in pieces:
+                fh.write(piece)
+        os.replace(tmp, full)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return full
 
 
 def _emit_report(args, filename, report):
     text = ser.dumps(report)
-    written = _write(args.out, filename, text)
+    written = _write(args.out, filename, [text])
     sys.stdout.write(text)
     if written:
         print("wrote %s" % written, file=sys.stderr)
@@ -188,7 +203,7 @@ def cmd_worldsheet(args):
     gamma = config.build_path(_single_name(config, "path", args.path))
     field = config.build_field(_single_name(config, "field", args.field))
     sheet = ps.pathspace_geodesic(gamma, field, config.interval, config.S)
-    writers = {"csv": ser.sheet_to_csv, "obj": ser.sheet_to_obj, "json": lambda s: ser.dumps(s.to_json())}
+    writers = {"csv": ser.sheet_csv_pieces, "obj": ser.sheet_obj_pieces, "json": lambda s: ser.json_pieces(s.to_json())}
     _write(args.out, "worldsheet." + args.format, writers[args.format](sheet))
     summary = {
         "energy": ps.sheet_energy(sheet),

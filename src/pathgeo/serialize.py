@@ -1,4 +1,4 @@
-"""Deterministic serialization: JSON, CSV, and OBJ export.
+"""Deterministic serialization: JSON, CSV, and OBJ export, streamed.
 
 All floating-point values are written in decimal with 17 significant
 digits, which round-trips IEEE doubles exactly, and JSON object keys are
@@ -6,10 +6,18 @@ sorted, so identical inputs produce byte-identical files. One row
 formatter, ``_rows``, writes every array: each 2-d slab along axis 0 goes
 through one %-format call of a repeated row template (JSON, CSV, OBJ vertex
 or face), after one finiteness check per array.
+
+Each format is one generator of text pieces (``json_pieces``,
+``path_csv_pieces``, ``sheet_csv_pieces``, ``sheet_obj_pieces``) that
+yields at most one formatted slab at a time, so a sheet is written fiber by
+fiber and its whole text never exists in memory: ``dump(obj, fh)`` writes
+the JSON pieces to a file, and ``dumps``, ``path_to_csv``, ``sheet_to_csv``
+and ``sheet_to_obj`` join the same pieces into one string.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -24,7 +32,7 @@ _FLOAT = "%.17g"
 
 def format_float(x):
     """Decimal representation with 17 significant digits (exact round-trip)."""
-    return _rows(_finite(np.array([[float(x)]])), _FLOAT, "")
+    return "".join(_rows(_finite(np.array([[float(x)]])), _FLOAT, ""))
 
 
 def _finite(a):
@@ -35,48 +43,79 @@ def _finite(a):
     return a
 
 
+def _joined(parts, sep, open_="", close=""):
+    """Pieces of ``open_ + sep.join(parts) + close``, each part an iterable
+    of pieces."""
+    yield open_
+    for i, part in enumerate(parts):
+        if i:
+            yield sep
+        yield from part
+    yield close
+
+
 def _rows(a, template, sep):
     """Rows of ``a`` through ``template`` (one slot per column), joined by
-    ``sep``: one format call per 2-d slab along axis 0."""
+    ``sep``: one piece, from one format call, per 2-d slab along axis 0."""
     if a.ndim > 2:
-        return sep.join(_rows(slab, template, sep) for slab in a)
-    return sep.join([template] * len(a)) % tuple(a.ravel())
+        yield from _joined((_rows(slab, template, sep) for slab in a), sep)
+    else:
+        yield sep.join([template] * len(a)) % tuple(a.ravel())
 
 
 def _json_floats(a):
-    """Nested JSON lists of a finite float array of rank >= 1."""
+    """Pieces of the nested JSON lists of a finite float array of rank >= 1."""
     if a.ndim > 2:
-        return "[" + ", ".join(_json_floats(slab) for slab in a) + "]"
-    text = _rows(np.atleast_2d(a), "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]", ", ")
-    return text if a.ndim == 1 else "[" + text + "]"
+        yield from _joined((_json_floats(slab) for slab in a), ", ", "[", "]")
+        return
+    rows = _rows(np.atleast_2d(a), "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]", ", ")
+    yield from rows if a.ndim == 1 else _joined([rows], "", "[", "]")
 
 
-def _emit(obj):
+def _json(obj):
+    """Pieces of the JSON text of ``obj``, without the final newline."""
     if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ", ".join(json.dumps(str(k)) + ": " + _emit(v) for k, v in items) + "}"
+        members = (itertools.chain([json.dumps(str(k)) + ": "], _json(v)) for k, v in sorted(obj.items()))
+        yield from _joined(members, ", ", "{", "}")
+        return
     if isinstance(obj, np.ndarray):
         if obj.dtype.kind == "f" and obj.ndim:
-            return _json_floats(_finite(obj))
+            yield from _json_floats(_finite(obj))
+            return
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise DomainError("cannot serialize %r" % type(obj).__name__)
+        yield from _joined(map(_json, obj), ", ", "[", "]")
+    elif isinstance(obj, (bool, np.bool_)):
+        yield "true" if obj else "false"
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, (float, np.floating)):
+        yield format_float(obj)
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    else:
+        raise DomainError("cannot serialize %r" % type(obj).__name__)
+
+
+def json_pieces(obj):
+    """Pieces of the deterministic JSON text of ``obj`` (sorted keys,
+    17-significant-digit floats, final newline)."""
+    yield from _json(obj)
+    yield "\n"
+
+
+def dump(obj, fh):
+    """Write the JSON text of ``obj`` to the text file ``fh``, one piece at
+    a time; the file receives exactly ``dumps(obj)``."""
+    for piece in json_pieces(obj):
+        fh.write(piece)
 
 
 def dumps(obj):
     """Deterministic JSON text (sorted keys, 17-significant-digit floats)."""
-    return _emit(obj) + "\n"
+    return "".join(json_pieces(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +127,42 @@ def _csv(head, table):
     """Header ``head``,x1,...,xd, then a line per row of ``table`` (2-d or 3-d)."""
     names = head + ["x%d" % (k + 1) for k in range(table.shape[-1] - len(head))]
     template = ",".join([_FLOAT] * len(names))
-    return ",".join(names) + "\n" + _rows(_finite(table), template, "\n") + "\n"
+    return _joined([_rows(_finite(table), template, "\n")], "", ",".join(names) + "\n", "\n")
+
+
+def path_csv_pieces(gamma):
+    """Pieces of ``path_to_csv(gamma)``."""
+    return _csv(["t"], np.column_stack([gamma.grid, gamma.samples]))
 
 
 def path_to_csv(gamma):
     """Rows t,x1,...,xd with a header line."""
-    return _csv(["t"], np.column_stack([gamma.grid, gamma.samples]))
+    return "".join(path_csv_pieces(gamma))
+
+
+def sheet_csv_pieces(sheet):
+    """Pieces of ``sheet_to_csv(sheet)``, one fiber at a time."""
+    n = sheet.n_t_segments
+    s, t = np.meshgrid(sheet.s_nodes, np.arange(n + 1) / n, indexing="ij")
+    return _csv(["s", "t"], np.dstack([s, t, sheet.points]))
 
 
 def sheet_to_csv(sheet):
     """Rows s,t,x1,...,xd with a header line, s-major order."""
+    return "".join(sheet_csv_pieces(sheet))
+
+
+def sheet_obj_pieces(sheet):
+    """Pieces of ``sheet_to_obj(sheet)``, one fiber (or one strip of faces)
+    at a time."""
+    if not sheet.manifold.embedded_3d:
+        raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     n = sheet.n_t_segments
-    s, t = np.meshgrid(sheet.s_nodes, np.arange(n + 1) / n, indexing="ij")
-    return _csv(["s", "t"], np.dstack([s, t, sheet.points]))
+    a = np.arange(sheet.n_s_segments)[:, None] * (n + 1) + np.arange(n) + 1  # OBJ indices are 1-based
+    faces = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
+    vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
+    parts = [vertices, _rows(faces, "f %d %d %d %d", "\n")] if faces.size else [vertices]
+    return _joined(parts, "\n", "", "\n")
 
 
 def sheet_to_obj(sheet):
@@ -109,13 +171,7 @@ def sheet_to_obj(sheet):
     Available for manifolds whose stored coordinates are an embedding in
     3-space: euclidean(3) and the sphere.
     """
-    if not sheet.manifold.embedded_3d:
-        raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
-    n = sheet.n_t_segments
-    a = np.arange(sheet.n_s_segments)[:, None] * (n + 1) + np.arange(n) + 1  # OBJ indices are 1-based
-    faces = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
-    vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
-    return "\n".join(filter(None, [vertices, _rows(faces, "f %d %d %d %d", "\n")])) + "\n"
+    return "".join(sheet_obj_pieces(sheet))
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +207,8 @@ def morphism2_from_json(obj):
 
 
 def morphism_from_json(obj):
+    if not isinstance(obj, dict):
+        raise DomainError("a morphism record is a JSON object, not %s" % type(obj).__name__)
     kind = obj.get("kind")
     if kind == "morphism1":
         return morphism1_from_json(obj)

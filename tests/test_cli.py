@@ -367,3 +367,39 @@ def test_unreadable_input_files_are_errors_naming_the_file(tmp_path, capsys, arg
     assert err.startswith("error: ")
     assert str(tmp_path / bad) in err
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "name, record",
+    [("list.json", [1, 2]), ("nokind.json", {"path": {}, "time": 0.0})],
+    ids=["not-an-object", "no-kind"],
+)
+def test_compose_names_the_file_of_a_non_morphism_record(tmp_path, capsys, name, record):
+    bad = tmp_path / name
+    bad.write_text(json.dumps(record))
+    assert cli.main(["compose", str(bad), str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: %s: " % bad)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "obj"])
+def test_worldsheet_formats_no_export_without_out(tmp_path, monkeypatch, capsys, fmt):
+    rows = ser._rows
+    slabs = []
+
+    def counting_rows(a, template, sep):
+        for piece in rows(a, template, sep):
+            slabs.append(a.size)
+            yield piece
+
+    monkeypatch.setattr(ser, "_rows", counting_rows)
+    argv = ["worldsheet", "--config", sphere_config(tmp_path), "--path", "eq", "--format", fmt]
+    assert cli.main(argv) == 0
+    # only the summary's scalars were formatted
+    assert slabs and max(slabs) == 1
+    summary = capsys.readouterr().out
+    del slabs[:]
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert max(slabs) > 1
+    assert capsys.readouterr().out == summary
+    assert sorted(os.listdir(out)) == sorted(["summary.json", "worldsheet." + fmt])

@@ -1,14 +1,15 @@
 """The array writers of ``serialize`` against the per-element writers they
-replaced (kept below as the reference), plus the finiteness check and
-copying ``from_json``."""
+replaced (kept below as the reference), their streamed pieces against
+their strings, plus the finiteness check and copying ``from_json``."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
 from pathgeo import category as cat
-from pathgeo import checks
+from pathgeo import checks, cli
 from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo import pathspace as ps
@@ -120,16 +121,39 @@ def model(request):
 # ---------------------------------------------------------------------------
 
 
-def test_records_match_the_per_element_writer(model):
-    spec, m1, by_s = model
-    records = [
+def records(m1, by_s):
+    """Every record kind: path, field, both morphisms, swept and identity sheets."""
+    return [
         m1.path.to_json(),
         m1.field.to_json(),
         ser.morphism1_to_json(m1),
         ser.morphism2_to_json(cat.morphism2(m1, (0.0, 0.5), S=3)),
         ser.morphism2_to_json(cat.identity2(m1)),
     ] + [sheet.to_json() for sheet in by_s.values()]
-    for record in records:
+
+
+def edge_record():
+    values = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.0 / 3.0, 0.1, 1e16, 123456789.0])
+    return {
+        "values": values,
+        "column": values[:, None],
+        "cube": np.arange(24.0).reshape(2, 3, 4) / 7.0,
+        "strided": np.arange(20.0).reshape(4, 5)[::2, ::-2] / 3.0,
+        "float32": values[[0, 5, 6]].astype(np.float32),
+        "empty": np.zeros(0),
+        "no_rows": np.zeros((0, 3)),
+        "no_columns": np.zeros((3, 0)),
+        "scalar": np.float64(0.25),
+        "zero_d": np.array(1.0 / 7.0),
+        "ints": np.arange(4).reshape(2, 2),
+        "bools": np.array([True, False]),
+        "nested": [values[:2], (1.5, 2)],
+    }
+
+
+def test_records_match_the_per_element_writer(model):
+    spec, m1, by_s = model
+    for record in records(m1, by_s):
         assert ser.dumps(record) == ref_dumps(listed(record))
 
 
@@ -160,23 +184,105 @@ def test_torus_tuple_parameters_match():
 
 
 def test_edge_values_and_shapes_match():
-    values = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1.0 / 3.0, 0.1, 1e16, 123456789.0])
-    record = {
-        "values": values,
-        "column": values[:, None],
-        "cube": np.arange(24.0).reshape(2, 3, 4) / 7.0,
-        "strided": np.arange(20.0).reshape(4, 5)[::2, ::-2] / 3.0,
-        "float32": values[[0, 5, 6]].astype(np.float32),
-        "empty": np.zeros(0),
-        "no_rows": np.zeros((0, 3)),
-        "no_columns": np.zeros((3, 0)),
-        "scalar": np.float64(0.25),
-        "zero_d": np.array(1.0 / 7.0),
-        "ints": np.arange(4).reshape(2, 2),
-        "bools": np.array([True, False]),
-        "nested": [values[:2], (1.5, 2)],
-    }
+    record = edge_record()
     assert ser.dumps(record) == ref_dumps(listed(record))
+
+
+# ---------------------------------------------------------------------------
+# streaming: the writers emit the same bytes one slab at a time
+# ---------------------------------------------------------------------------
+
+
+class WriteLog:
+    """A text sink that keeps what it was given and its largest write."""
+
+    def __init__(self, keep=True):
+        self.keep = keep
+        self.parts = []
+        self.largest = 0
+        self.writes = 0
+        self.size = 0
+
+    def write(self, piece):
+        self.largest = max(self.largest, len(piece))
+        self.writes += 1
+        self.size += len(piece)
+        if self.keep:
+            self.parts.append(piece)
+
+    def text(self):
+        return "".join(self.parts)
+
+
+def streamed(pieces, keep=True):
+    fh = WriteLog(keep)
+    for piece in pieces:
+        fh.write(piece)
+    return fh
+
+
+def test_dump_writes_what_dumps_returns(model):
+    spec, m1, by_s = model
+    for record in records(m1, by_s) + [edge_record()]:
+        fh = WriteLog()
+        ser.dump(record, fh)
+        assert fh.text() == ser.dumps(record) == ref_dumps(listed(record))
+        assert fh.writes > 1
+
+
+def test_streamed_csv_and_obj_match_their_strings(model):
+    spec, m1, by_s = model
+    assert streamed(ser.path_csv_pieces(m1.path)).text() == ser.path_to_csv(m1.path) == ref_path_to_csv(m1.path)
+    for sheet in by_s.values():
+        assert streamed(ser.sheet_csv_pieces(sheet)).text() == ser.sheet_to_csv(sheet) == ref_sheet_to_csv(sheet)
+        if spec.embedded_3d:
+            obj = streamed(ser.sheet_obj_pieces(sheet)).text()
+            assert obj == ser.sheet_to_obj(sheet) == ref_sheet_to_obj(sheet)
+    if not spec.embedded_3d:
+        with pytest.raises(DomainError):
+            ser.sheet_obj_pieces(by_s["S5"])
+
+
+def test_large_sheet_is_written_one_fiber_at_a_time():
+    # N = 4096, S = 64: 35 MB of JSON, 22 MB of CSV, 24 MB of OBJ; one fiber
+    # of points is about 0.3 MB of text
+    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=4096)
+    sheet = ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 64)
+    json_log = WriteLog(keep=False)
+    ser.dump(sheet.to_json(), json_log)
+    logs = {
+        "json": json_log,
+        "csv": streamed(ser.sheet_csv_pieces(sheet), keep=False),
+        "obj": streamed(ser.sheet_obj_pieces(sheet), keep=False),
+    }
+    for name, log in logs.items():
+        assert log.size > 20_000_000, name
+        assert log.largest <= 1 << 20, name
+
+
+def test_failed_export_leaves_no_partial_file(tmp_path):
+    sheet = sheets(mf.ManifoldSpec.sphere(1.0), SEED + 5)["S5"]
+    sheet.velocities[-1, -1, 0] = np.nan  # velocities are the last key written
+    drawn = []
+
+    def export():
+        for piece in ser.json_pieces(sheet.to_json()):
+            drawn.append(piece)
+            yield piece
+
+    with pytest.raises(DomainError, match="NaN"):
+        cli._write(str(tmp_path), "worldsheet.json", export())
+    assert "".join(drawn).count("[") > 100  # the points were written before the failure
+    assert os.listdir(tmp_path) == []
+    target = tmp_path / "worldsheet.json"
+    target.write_text("earlier export\n")
+    with pytest.raises(DomainError, match="NaN"):
+        cli._write(str(tmp_path), "worldsheet.json", export())
+    assert os.listdir(tmp_path) == ["worldsheet.json"]
+    assert target.read_text() == "earlier export\n"
+    assert cli._write(str(tmp_path), "worldsheet.json", ser.json_pieces({"a": 1.5})) == str(target)
+    assert target.read_text() == '{"a": 1.5}\n'
+    assert os.listdir(tmp_path) == ["worldsheet.json"]
 
 
 # ---------------------------------------------------------------------------
