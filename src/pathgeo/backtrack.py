@@ -1,11 +1,14 @@
 """Back-track detection, erasure, and canonical representatives.
 
-A path back-tracks over the window [T, T+sigma] when it exactly retraces
+A path back-tracks over the window [T, T+2*sigma] when it exactly retraces
 itself: gamma(T+u) = gamma(T+2*sigma-u) for u in [0, sigma]. Erasing the
-retraced portion yields an equivalent path; the equivalence generated by
-such erasures together with reparametrization is decided here through
-canonical representatives (leftmost-first erasure, then a collared
-constant-speed reparametrization on the standard grid).
+retraced portion yields an equivalent path. On samples, erasure is free
+reduction of a word, unique by Hambly & Lyons (Ann. Math. 2010), so one
+stack pass reduces a path (``_reduce``: a run of three equal samples
+erases, a pair does not, and a path within tol of its first sample reduces
+to that sample). The equivalence generated by erasures together with
+reparametrization is decided through canonical representatives: the
+reduced samples, collared and at constant speed on the standard grid.
 """
 
 from __future__ import annotations
@@ -38,12 +41,6 @@ class BackTrackWindow:
     @property
     def center(self):
         return self.start + self.half_width
-
-
-def _mirror_pairs(start, half_width):
-    """Index pairs (start + u, end - u), u = 0..half_width, of a window."""
-    u = np.arange(half_width + 1)
-    return start + u, start + 2 * half_width - u
 
 
 def _scan_windows(spec, samples, tol):
@@ -85,13 +82,13 @@ def detect_backtracks(gamma, tol=DETECT_TOL):
     ]
 
 
-def erase_backtrack(gamma, window, tol=DETECT_TOL):
+def erase_backtrack(gamma, window):
     """Delete the retraced portion and resample onto the canonical grid."""
     spec, samples = gamma.manifold, gamma.samples
     if window.end > gamma.n_segments:
         raise DomainError("window exceeds the grid")
-    i, j = _mirror_pairs(window.start, window.half_width)
-    if np.max(mf.dist(spec, samples[i], samples[j])) > tol:
+    span = samples[window.start : window.end + 1]
+    if np.max(mf.dist(spec, span, span[::-1])) > DETECT_TOL:
         raise DomainError("the given window is not a back-track of this path")
     kept = np.delete(samples, np.s_[window.start + 1 : window.end + 1], axis=0)
     return _canonical_reparametrize(spec, kept, gamma.n_segments)[0]
@@ -103,25 +100,31 @@ def erase_backtrack(gamma, window, tol=DETECT_TOL):
 
 
 def _reduce(spec, samples, tol):
-    """Leftmost-first erasure of back-tracks from a raw sample list.
+    """Free reduction of a raw sample list in one left-to-right stack pass.
 
-    Returns the indices of the kept samples (only the first one when the
-    path is constant within tol) and, for each erased window in erasure
-    order, its mirror index pairs; all indices number the input samples.
+    A sample within tol of the one below the top of the stack pops the top,
+    and the two form a mirror pair; any other sample is pushed. So a run of
+    three equal samples erases to one, and a pair stays. If every kept
+    sample lies within tol of the first, only the first is kept (the
+    constant path). Returns the kept indices and the mirror pairs as rows
+    (left, right) in pop order, all numbering the input samples.
     """
-    keep = np.arange(len(samples))
-    erased = []
-    while True:
-        cur = samples[keep]
-        if np.max(mf.dist(spec, cur, cur[0])) <= tol:
-            return keep[:1], erased
-        windows = _scan_windows(spec, cur, tol)
-        if not windows:
-            return keep, erased
-        T, s = windows[0]
-        i, j = _mirror_pairs(T, s)
-        erased.append((keep[i], keep[j]))
-        keep = np.delete(keep, np.s_[T + 1 : T + 2 * s + 1])
+    # samples two apart are measured up front; after a pop the one below
+    # the top is older, and measured on its own
+    near = mf.dist(spec, samples[:-2], samples[2:]) <= tol
+    keep, pairs = [], []
+    for i in range(len(samples)):
+        if len(keep) > 1:
+            a = keep[-2]
+            if (near[a] if keep[-1] == a + 1 == i - 1 else mf.dist(spec, samples[a], samples[i]) <= tol):
+                keep.pop()
+                pairs.append((a, i))
+                continue
+        keep.append(i)
+    keep = np.array(keep)
+    if np.max(mf.dist(spec, samples[keep], samples[0])) <= tol:
+        keep = keep[:1]
+    return keep, np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 def _canonical_nodes(spec, samples, n):
@@ -192,17 +195,6 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def _field_reflects(spec, samples, comps, i, j, tol):
-    """Does the field satisfy the reflection identity on the pairs (i, j)?
-
-    The reflected vector is parallel transported across the retraced
-    segment before comparison (componentwise comparison is chart dependent;
-    a flat chart keeps the components).
-    """
-    moved = spec.transport(samples[j], samples[i], comps[j])
-    return bool(np.max(np.abs(comps[i] - moved)) <= tol)
-
-
 def _interp_field_many(spec, samples, comps, idx, frac):
     """Field values between samples idx and idx+1 (vectorized): transport
     both neighbor vectors to the interpolated point and blend linearly."""
@@ -217,27 +209,31 @@ def _interp_field_many(spec, samples, comps, idx, frac):
     return out
 
 
-def field_canonical_form(field, tol=DETECT_TOL, n=None):
+def field_canonical_form(field, n=None):
     """Joint canonical form of (path, field) under back-track erasure.
 
-    Raises DomainError when the base has a back-track window on which the
-    field fails the reflection identity (the pair is then not a valid
-    element of the quotient tangent space). ``n`` overrides the output
-    grid (defaults to the input grid).
+    Raises DomainError when the field fails the reflection identity on a
+    mirror pair of the reduction: the right vector, parallel transported to
+    the left sample (a componentwise comparison is chart dependent), must
+    match the left one. The error names the window of the pair's retrace
+    run, the pops at consecutive samples. ``n`` overrides the output grid
+    (defaults to the input grid).
     """
     gamma = field.base
-    spec = gamma.manifold
-    comps = field.components
+    spec, samples, comps = gamma.manifold, gamma.samples, field.components
     n_out = gamma.n_segments if n is None else n
-    keep, erased = _reduce(spec, gamma.samples, tol)
-    for i, j in erased:
-        if not _field_reflects(spec, gamma.samples, comps, i, j, max(tol, 1e-9)):
-            raise DomainError(
-                "field violates the reflection identity on window [%d, %d]" % (i[0], j[0])
-            )
+    keep, (i, j) = _reduce(spec, samples, DETECT_TOL)
+    moved = spec.transport(samples[j], samples[i], comps[j])
+    bad = np.flatnonzero(np.max(np.abs(comps[i] - moved), axis=-1) > DETECT_TOL)
+    if bad.size:
+        ends = np.flatnonzero(np.diff(j, append=-1) != 1)
+        last = ends[np.searchsorted(ends, bad[0])]
+        raise DomainError(
+            "field violates the reflection identity on window [%d, %d]" % (i[last], j[last])
+        )
     if len(keep) == 1:
         base = pth.make_constant_path(gamma.start(), n_out)
         return PathTangentField(base, np.tile(comps[0], (n_out + 1, 1)))
-    samples, comps = gamma.samples[keep], comps[keep]
+    samples, comps = samples[keep], comps[keep]
     base, idx, frac = _canonical_reparametrize(spec, samples, n_out)
     return PathTangentField(base, _interp_field_many(spec, samples, comps, idx, frac))

@@ -110,8 +110,8 @@ def morphism1_equal(m1, m2, tol=1e-6):
     if m1.time != m2.time:
         return False
     n = max(m1.path.n_segments, m2.path.n_segments)
-    f1 = bt.field_canonical_form(m1.field, bt.DETECT_TOL, n)
-    f2 = bt.field_canonical_form(m2.field, bt.DETECT_TOL, n)
+    f1 = bt.field_canonical_form(m1.field, n)
+    f2 = bt.field_canonical_form(m2.field, n)
     spec = m1.path.manifold
     if np.max(mf.dist(spec, f1.base.samples, f2.base.samples)) > tol:
         return False
@@ -138,8 +138,8 @@ def identity2(seed):
 
 
 def _slice_morphism(F, j, time):
-    sheet = F.sheet
-    return GeodMorphism1(sheet.slice_path(j), sheet.slice_field(j), float(time))
+    field = F.sheet.slice_field(j)
+    return GeodMorphism1(field.base, field, float(time))
 
 
 def src2(F):
@@ -161,6 +161,13 @@ def _morphism1_gap(m1, m2):
     return max(dpath, dfield)
 
 
+def _seeded(seed, s_nodes):
+    """The geodesic worldsheet of ``seed`` over the s-nodes, as a 2-morphism."""
+    path = seed.path
+    sheet = ps.build_sheet(path.manifold, path.samples, seed.field.components, s_nodes, collar=path.collar)
+    return GeodMorphism2(seed, sheet)
+
+
 def compose2_vertical(G, F, tol=SEED_TOL):
     """Extension in time: F over [a,b] followed by G over [b,c].
 
@@ -175,16 +182,7 @@ def compose2_vertical(G, F, tol=SEED_TOL):
     gap = _morphism1_gap(src2(G), tgt2(F))
     if gap > tol:
         raise CompositionError("segments are not one geodesic (seed gap %.3g)" % gap)
-    s_nodes = np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]])
-    seed = F.seed
-    sheet = ps.build_sheet(
-        seed.path.manifold,
-        seed.path.samples,
-        seed.field.components,
-        s_nodes,
-        collar=seed.path.collar,
-    )
-    return GeodMorphism2(seed, sheet)
+    return _seeded(F.seed, np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]]))
 
 
 def compose2_horizontal(F, G):
@@ -195,15 +193,7 @@ def compose2_horizontal(F, G):
     """
     if abs(F.interval[0] - G.interval[0]) > 1e-12 or abs(F.interval[1] - G.interval[1]) > 1e-12:
         raise CompositionError("horizontal composition needs equal intervals")
-    seed = compose1(G.seed, F.seed)  # F's path first, then G's
-    sheet = ps.build_sheet(
-        seed.path.manifold,
-        seed.path.samples,
-        seed.field.components,
-        F.sheet.s_nodes,
-        collar=seed.path.collar,
-    )
-    return GeodMorphism2(seed, sheet)
+    return _seeded(compose1(G.seed, F.seed), F.sheet.s_nodes)  # F's path first, then G's
 
 
 def sheet_discrepancy(A, B):

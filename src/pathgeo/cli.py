@@ -29,6 +29,15 @@ class ConfigError(DomainError):
     """Scenario configuration is missing or invalid."""
 
 
+def _only(kind, table, names):
+    """ConfigError naming every key of ``table`` that is not in ``names``."""
+    unknown = sorted(set(table) - set(names))
+    if unknown:
+        raise ConfigError(
+            "unknown %s %s (known: %s)" % (kind, ", ".join(map(repr, unknown)), ", ".join(names))
+        )
+
+
 def _read_json(filename, build):
     """``build`` of the JSON in ``filename``; an unreadable file, text that is
     not JSON, a record missing a key, or a record ``build`` rejects is a
@@ -57,9 +66,11 @@ class ScenarioConfig:
         self.fields = dict(data.get("fields", {}))
         self.interval = tuple(float(v) for v in data.get("interval", (0.0, 1.0)))
         res = dict(data.get("resolution", {}))
+        _only("resolution key", res, ("N", "S"))
         self.N = int(res.get("N", pth.DEFAULT_GRID))
         self.S = int(res.get("S", 16))
         self.tolerances = {k: float(v) for k, v in data.get("tolerances", {}).items()}
+        _only("tolerance", self.tolerances, ("distance",))
         self._validate()
         self._path_cache = {}
 
@@ -311,15 +322,6 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="scenario config (JSON)")
     common.add_argument("--out", metavar="DIR", help="output directory")
-    common.add_argument(
-        "--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed (default 42)"
-    )
-    common.add_argument(
-        "--format",
-        choices=("csv", "json", "obj"),
-        default="json",
-        help="export format for grid data (default json)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="pathgeo",
@@ -330,6 +332,12 @@ def build_parser():
     p = sub.add_parser("worldsheet", parents=[common], help="generate and export a geodesic worldsheet")
     p.add_argument("--path", help="seed path name in the config")
     p.add_argument("--field", help="seed field name in the config")
+    p.add_argument(
+        "--format",
+        choices=("csv", "json", "obj"),
+        default="json",
+        help="export format for grid data (default json)",
+    )
     p.set_defaults(func=cmd_worldsheet)
 
     p = sub.add_parser("distance", parents=[common], help="path-space distance between two config paths")
@@ -359,6 +367,7 @@ def build_parser():
     p = sub.add_parser("check", parents=[common], help="run a property suite")
     p.add_argument("--suite", required=True, choices=checks.SUITES, help="suite to run")
     p.add_argument("--cases", type=int, default=10, help="random cases per property")
+    p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed (default 42)")
     p.set_defaults(func=cmd_check)
 
     return parser

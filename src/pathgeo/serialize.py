@@ -5,7 +5,8 @@ digits, which round-trips IEEE doubles exactly, and JSON object keys are
 sorted, so identical inputs produce byte-identical files. One row
 formatter, ``_rows``, writes every array: each 2-d slab along axis 0 goes
 through one %-format call of a repeated row template (JSON, CSV, OBJ vertex
-or face), after one finiteness check per array.
+or face), after one finiteness check per array (per fiber for a sheet's
+CSV rows).
 
 Each format is one generator of text pieces (``json_pieces``,
 ``path_csv_pieces``, ``sheet_csv_pieces``, ``sheet_obj_pieces``) that
@@ -123,16 +124,17 @@ def dumps(obj):
 # ---------------------------------------------------------------------------
 
 
-def _csv(head, table):
-    """Header ``head``,x1,...,xd, then a line per row of ``table`` (2-d or 3-d)."""
-    names = head + ["x%d" % (k + 1) for k in range(table.shape[-1] - len(head))]
+def _csv(head, dim, slabs):
+    """Header ``head``,x1,...,x``dim``, then a line per row of each 2-d slab."""
+    names = head + ["x%d" % (k + 1) for k in range(dim)]
     template = ",".join([_FLOAT] * len(names))
-    return _joined([_rows(_finite(table), template, "\n")], "", ",".join(names) + "\n", "\n")
+    rows = (_rows(_finite(slab), template, "\n") for slab in slabs)
+    return _joined(rows, "\n", ",".join(names) + "\n", "\n")
 
 
 def path_csv_pieces(gamma):
     """Pieces of ``path_to_csv(gamma)``."""
-    return _csv(["t"], np.column_stack([gamma.grid, gamma.samples]))
+    return _csv(["t"], gamma.manifold.point_dim, [np.column_stack([gamma.grid, gamma.samples])])
 
 
 def path_to_csv(gamma):
@@ -141,10 +143,12 @@ def path_to_csv(gamma):
 
 
 def sheet_csv_pieces(sheet):
-    """Pieces of ``sheet_to_csv(sheet)``, one fiber at a time."""
+    """Pieces of ``sheet_to_csv(sheet)``, one fiber at a time: the s,t,x
+    rows of a fiber are built only when its piece is drawn."""
     n = sheet.n_t_segments
-    s, t = np.meshgrid(sheet.s_nodes, np.arange(n + 1) / n, indexing="ij")
-    return _csv(["s", "t"], np.dstack([s, t, sheet.points]))
+    t = np.arange(n + 1) / n
+    fibers = (np.column_stack([np.full(n + 1, s), t, x]) for s, x in zip(sheet.s_nodes, sheet.points))
+    return _csv(["s", "t"], sheet.manifold.point_dim, fibers)
 
 
 def sheet_to_csv(sheet):
@@ -154,14 +158,16 @@ def sheet_to_csv(sheet):
 
 def sheet_obj_pieces(sheet):
     """Pieces of ``sheet_to_obj(sheet)``, one fiber (or one strip of faces)
-    at a time."""
+    at a time: the face indices of a strip are built only when its piece
+    is drawn."""
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     n = sheet.n_t_segments
-    a = np.arange(sheet.n_s_segments)[:, None] * (n + 1) + np.arange(n) + 1  # OBJ indices are 1-based
-    faces = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
+    a = np.arange(n) + 1  # OBJ indices are 1-based
+    strip = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
+    faces = (_rows(strip + j * (n + 1), "f %d %d %d %d", "\n") for j in range(sheet.n_s_segments))
     vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
-    parts = [vertices, _rows(faces, "f %d %d %d %d", "\n")] if faces.size else [vertices]
+    parts = [vertices, _joined(faces, "\n")] if sheet.n_s_segments else [vertices]
     return _joined(parts, "\n", "", "\n")
 
 

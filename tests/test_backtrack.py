@@ -72,6 +72,62 @@ def shaped_paths(spec, rng):
     ]
 
 
+def reduce_oracle(spec, samples, tol=bt.DETECT_TOL):
+    """Reference reduction: erase the leftmost maximal window, rescan what
+    is left, and repeat until no window remains or the path is constant
+    within tol. Returns the kept indices and, per erased window, its mirror
+    index pairs, all numbering the input samples."""
+    keep = np.arange(len(samples))
+    erased = []
+    while True:
+        cur = samples[keep]
+        if np.max(mf.dist(spec, cur, cur[0])) <= tol:
+            return keep[:1], erased
+        windows = bt._scan_windows(spec, cur, tol)
+        if not windows:
+            return keep, erased
+        T, s = windows[0]
+        u = np.arange(s + 1)
+        erased.append((keep[T + u], keep[T + 2 * s - u]))
+        keep = np.delete(keep, np.s_[T + 1 : T + 2 * s + 1])
+
+
+def lattice_walk(rng, steps, moves=((1, 0), (-1, 0), (0, 1), (0, -1))):
+    """A random walk on the integer lattice of the plane, from the origin."""
+    moves = np.array(moves, dtype=float)
+    return np.cumsum(np.vstack([[0.0, 0.0], moves[rng.integers(0, len(moves), steps)]]), axis=0)
+
+
+def three_spur_paths(rng, n):
+    """A great-circle arc on the unit sphere and a line in the plane, each
+    with three retraced spurs of n // 16 samples, one per third of the
+    n-grid."""
+    k = n // 16
+    sphere, plane = mf.ManifoldSpec.sphere(1.0), mf.ManifoldSpec.euclidean(2)
+    a, b = (x / np.linalg.norm(x) for x in rng.standard_normal((2, 3)))
+    clean = [
+        pth.make_great_circle_arc(sphere, a, b, n=n, collar=0.0),
+        pth.make_line(plane, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2) + 2.0, n=n, collar=0.0),
+    ]
+    width = (n - k - 2) // 3
+    out = []
+    for gamma in clean:
+        samples = gamma.samples
+        for t in (2, 1, 0):  # right to left, so the earlier starts keep their index
+            samples = insert_spur(samples, 1 + t * width + int(rng.integers(0, width - k - 1)), k)
+        out.append((gamma.manifold, samples))
+    return out
+
+
+def assert_reduces_like_oracle(spec, samples, same_indices=True):
+    keep, (i, j) = bt._reduce(spec, samples, bt.DETECT_TOL)
+    want, _ = reduce_oracle(spec, samples)
+    assert np.array_equal(samples[keep], samples[want])
+    if same_indices:
+        assert np.array_equal(keep, want)
+    assert np.all(mf.dist(spec, samples[i], samples[j]) <= bt.DETECT_TOL)
+
+
 def abcba_path(spec=None):
     spec = spec or mf.ManifoldSpec.euclidean(2)
     A, B, C = [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]
@@ -110,6 +166,45 @@ def test_detection_matches_brute_force():
             got = [(w.start, w.half_width) for w in bt.detect_backtracks(gamma)]
             assert got == brute_force_windows(spec, samples)
             assert got
+
+
+def test_reduce_matches_oracle_on_shaped_paths():
+    for seed in range(30):
+        rng = np.random.default_rng(SEED + 100 + seed)
+        for spec in specs():
+            for samples in shaped_paths(spec, rng):
+                assert_reduces_like_oracle(spec, samples)
+
+
+def test_reduce_matches_oracle_on_lattice_walks_with_plateaus():
+    rng = np.random.default_rng(SEED + 9)
+    spec = mf.ManifoldSpec.euclidean(2)
+    moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (0, 0))
+    for _ in range(2000):
+        samples = lattice_walk(rng, int(rng.integers(2, 41)), moves)
+        # a lattice walk revisits points, so an equal point may be kept at
+        # another index
+        assert_reduces_like_oracle(spec, samples, same_indices=False)
+    for n in (256, 1024, 4096):
+        assert_reduces_like_oracle(spec, lattice_walk(rng, n), same_indices=False)
+
+
+def test_reduce_matches_oracle_on_three_spur_paths():
+    rng = np.random.default_rng(SEED + 10)
+    for n in (256, 1024, 4096):
+        for spec, samples in three_spur_paths(rng, n):
+            assert_reduces_like_oracle(spec, samples)
+            assert len(bt._reduce(spec, samples, bt.DETECT_TOL)[0]) == n + 1
+
+
+def test_reduce_erases_a_run_of_three_equal_samples_but_not_a_pair():
+    spec = mf.ManifoldSpec.euclidean(1)
+    keep, pairs = bt._reduce(spec, np.array([[0.0], [1.0], [1.0], [2.0]]), bt.DETECT_TOL)
+    assert keep.tolist() == [0, 1, 2, 3] and pairs.size == 0
+    keep, pairs = bt._reduce(spec, np.array([[0.0], [1.0], [1.0], [1.0], [2.0]]), bt.DETECT_TOL)
+    assert keep.tolist() == [0, 1, 4] and pairs.T.tolist() == [[1, 3]]
+    keep, _ = bt._reduce(spec, np.array([[0.0], [1.0], [0.0], [0.0]]), bt.DETECT_TOL)
+    assert keep.tolist() == [0]
 
 
 def test_erase_backtrack_index_deletion_oracle():
@@ -243,6 +338,19 @@ def test_field_canonical_form_names_the_failing_window_in_input_numbering():
     field = pth.PathTangentField(spurred, comps)
     with pytest.raises(mf.DomainError, match=r"window \[18, 24\]"):
         bt.field_canonical_form(field)
+
+
+@pytest.mark.parametrize("broken, window", [(11, (8, 12)), (17, (6, 20))])
+def test_field_canonical_form_names_the_window_of_a_broken_nested_pair(broken, window):
+    spec = mf.ManifoldSpec.euclidean(2)
+    line = pth.make_line(spec, [0, 0], [1, 0.5], n=24, collar=0.0)
+    # spur [6, 20] holds spur [8, 12] and the pairs (13, 17), (14, 16)
+    spurred = pth.DiscretePath(spec, insert_spur(insert_spur(line.samples, 6, 5), 8, 2), 0.0)
+    comps = np.tile([1.0, 0.0], (len(spurred.samples), 1))
+    bt.field_canonical_form(pth.PathTangentField(spurred, comps))
+    comps[broken] = [0.0, 1.0]
+    with pytest.raises(mf.DomainError, match=r"window \[%d, %d\]" % window):
+        bt.field_canonical_form(pth.PathTangentField(spurred, comps))
 
 
 def test_window_validation():

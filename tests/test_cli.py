@@ -32,7 +32,7 @@ def flat_config(tmp_path):
                 "none": {"generator": "zero", "path": "base"},
             },
             "interval": [0, 1],
-            "resolution": {"N": 64, "S": 8, "steps_per_unit": 1000},
+            "resolution": {"N": 64, "S": 8},
         },
     )
 
@@ -312,6 +312,43 @@ def test_config_validation_errors(tmp_path, capsys):
     code = cli.main(["energy", "--config", cfg2])
     assert code == 1
     assert "unknown path" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"resolution": {"N": 16, "steps_per_unit": 1000}}, "unknown resolution key 'steps_per_unit'"),
+        ({"tolerances": {"distance": 1e-4, "energy": 1e-6}}, "unknown tolerance 'energy'"),
+    ],
+    ids=["resolution-key", "tolerance-name"],
+)
+def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
+    cfg = write_config(tmp_path, dict({"manifold": {"kind": "euclidean", "dim": 2}}, **entry))
+    assert cli.main(["energy", "--config", cfg]) == 1
+    assert needle in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["worldsheet", "--config", "c.json", "--seed", "1"],
+        ["distance", "--config", "c.json", "--seed", "1"],
+        ["energy", "--config", "c.json", "--seed", "1"],
+        ["backtrack", "--input", "p.json", "--seed", "1"],
+        ["compose", "f.json", "g.json", "--seed", "1"],
+        ["distance", "--config", "c.json", "--format", "csv"],
+        ["energy", "--config", "c.json", "--format", "csv"],
+        ["backtrack", "--input", "p.json", "--format", "csv"],
+        ["compose", "f.json", "g.json", "--format", "csv"],
+        ["check", "--suite", "manifold", "--format", "csv"],
+    ],
+    ids=lambda argv: "%s%s" % (argv[0], argv[-2]),
+)
+def test_seed_and_format_only_where_they_act(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -17,23 +17,9 @@ def builtin_specs():
     ]
 
 
-def random_point(spec, rng):
-    if spec.kind == mf.EUCLIDEAN:
-        return rng.uniform(-2.0, 2.0, spec.point_dim)
-    if spec.kind == mf.SPHERE:
-        x = rng.standard_normal(3)
-        return spec.radius * x / np.linalg.norm(x)
-    if spec.kind == mf.HALF_PLANE:
-        return np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])
-    L = np.asarray(spec.circumferences)
-    return rng.uniform(0.0, 1.0, len(L)) * L
-
-
 def random_tangent(spec, x, rng, max_norm=1.0):
-    v = rng.standard_normal(spec.point_dim)
-    if spec.kind == mf.SPHERE:
-        xhat = x / spec.radius
-        v = v - np.dot(v, xhat) * xhat
+    """A random tangent vector at x of norm exactly ``max_norm``."""
+    v = spec.random_vector(x, rng)
     n = mf.norm(spec, x, v)
     return v * (max_norm / n) if n > 0 else v
 
@@ -57,7 +43,7 @@ def test_inner_matches_chart_metric():
         if spec.kind == mf.SPHERE:
             continue
         for _ in range(20):
-            x = random_point(spec, rng)
+            x = spec.random_point(rng)
             u = rng.standard_normal(spec.point_dim)
             v = rng.standard_normal(spec.point_dim)
             expected = u @ metric_matrix(spec, x) @ v
@@ -97,7 +83,7 @@ def test_christoffel_matches_finite_differences():
         if spec.kind == mf.SPHERE:
             continue  # embedded coordinates are not a chart
         for _ in range(10):
-            x = random_point(spec, rng)
+            x = spec.random_point(rng)
             got = mf.christoffel_array(spec, x)
             want = christoffel_fd(spec, x)
             assert np.max(np.abs(got - want)) < 1e-7
@@ -115,7 +101,7 @@ def test_gamma_quad_consistent_with_array():
     rng = np.random.default_rng(SEED + 2)
     for spec in builtin_specs():
         for _ in range(10):
-            x = random_point(spec, rng)
+            x = spec.random_point(rng)
             a = rng.standard_normal(spec.point_dim)
             b = rng.standard_normal(spec.point_dim)
             g = mf.christoffel_array(spec, x)
@@ -131,7 +117,7 @@ def test_gamma_quad_consistent_with_array():
 def test_rk4_matches_closed_form_flow():
     rng = np.random.default_rng(SEED + 3)
     for spec in builtin_specs():
-        xs = np.stack([random_point(spec, rng) for _ in range(20)])
+        xs = np.stack([spec.random_point(rng) for _ in range(20)])
         vs = np.stack([random_tangent(spec, x, rng, max_norm=1.5) for x in xs])
         got, gotv = mf.integrate_batch(spec, xs, vs, 1.0, 1000)
         want, wantv = mf.flow(spec, xs, vs, 1.0)
@@ -160,7 +146,7 @@ def test_vertical_ray_is_half_plane_geodesic():
 def test_geodesics_have_constant_speed():
     rng = np.random.default_rng(SEED + 4)
     for spec in builtin_specs():
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=1.2)
         xs, vs = mf.integrate_batch(spec, x, v, 1.0, 500)
         speeds = mf.norm(spec, xs, vs)
@@ -170,7 +156,7 @@ def test_geodesics_have_constant_speed():
 def test_flow_at_zero_is_identity():
     rng = np.random.default_rng(SEED + 5)
     for spec in builtin_specs():
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng)
         got, gotv = mf.flow(spec, x, v, 0.0)
         assert np.max(mf.dist(spec, got, x)) < 1e-15
@@ -194,8 +180,8 @@ def test_sphere_distance_closed_form():
     spec = mf.ManifoldSpec.sphere(2.0)
     rng = np.random.default_rng(SEED + 6)
     for _ in range(20):
-        x = random_point(spec, rng)
-        y = random_point(spec, rng)
+        x = spec.random_point(rng)
+        y = spec.random_point(rng)
         want = 2.0 * math.acos(np.clip(np.dot(x, y) / 4.0, -1.0, 1.0))
         assert mf.dist(spec, x, y) == pytest.approx(want, abs=1e-9)
 
@@ -209,8 +195,8 @@ def test_half_plane_distance_closed_form():
     # standard formula via arcosh
     rng = np.random.default_rng(SEED + 7)
     for _ in range(20):
-        p = random_point(spec, rng)
-        q = random_point(spec, rng)
+        p = spec.random_point(rng)
+        q = spec.random_point(rng)
         arg = 1.0 + ((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2) / (2 * p[1] * q[1])
         want = math.acosh(arg)
         assert mf.dist(spec, p, q) == pytest.approx(want, abs=1e-10)
@@ -228,7 +214,7 @@ def test_exp_log_roundtrip():
         inj = spec.injectivity_radius()
         cap = 0.9 * inj if math.isfinite(inj) else 2.0
         for _ in range(25):
-            x = random_point(spec, rng)
+            x = spec.random_point(rng)
             v = random_tangent(spec, x, rng, max_norm=cap * rng.uniform(0.1, 1.0))
             p = mf.point(spec, x)
             q = mf.exp_map(p, mf.tangent(p, v))
@@ -240,7 +226,7 @@ def test_log_norm_equals_distance():
     rng = np.random.default_rng(SEED + 9)
     for spec in builtin_specs():
         for _ in range(15):
-            x = random_point(spec, rng)
+            x = spec.random_point(rng)
             v = random_tangent(spec, x, rng, max_norm=0.3)
             p = mf.point(spec, x)
             q = mf.exp_map(p, mf.tangent(p, v))
@@ -253,7 +239,7 @@ def test_log_norm_equals_distance():
 def test_shooting_log_matches_closed_form():
     rng = np.random.default_rng(SEED + 10)
     for spec in builtin_specs():
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=0.4)
         p = mf.point(spec, x)
         q = mf.exp_map(p, mf.tangent(p, v))
@@ -277,7 +263,7 @@ def test_log_beyond_injectivity_radius_raises():
 def test_transport_preserves_inner_products():
     rng = np.random.default_rng(SEED + 11)
     for spec in builtin_specs():
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=1.0)
         w1 = random_tangent(spec, x, rng, max_norm=1.0)
         w2 = random_tangent(spec, x, rng, max_norm=1.0)
@@ -293,7 +279,7 @@ def test_transport_along_geodesic_keeps_velocity():
     # the velocity of a geodesic is parallel along it
     rng = np.random.default_rng(SEED + 12)
     for spec in builtin_specs():
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=0.8)
         ss = np.linspace(0, 1, 65)
         pts, vels = mf.flow(spec, x[None], v[None], ss[:, None])
@@ -325,7 +311,7 @@ def test_closed_form_transport_matches_rk4_oracle():
     rng = np.random.default_rng(SEED + 13)
     for spec in builtin_specs():
         for _ in range(5):
-            x = random_point(spec, rng)
+            x = spec.random_point(rng)
             v = random_tangent(spec, x, rng, max_norm=1.0)
             w = random_tangent(spec, x, rng, max_norm=1.0)
             pts, _ = mf.flow(spec, x[None], v[None], np.linspace(0, 1, 33)[:, None])
