@@ -6,13 +6,17 @@ retraced portion yields an equivalent path. On samples, erasure is free
 reduction of a word, unique by Hambly & Lyons (Ann. Math. 2010), so one
 stack pass reduces a path (``_reduce``: a run of three equal samples
 erases, a pair does not, and a path within tol of its first sample reduces
-to that sample). The equivalence generated by erasures together with
-reparametrization is decided through canonical representatives: the
-reduced samples, collared and at constant speed on the standard grid.
+to that sample). A retrace run, in the pass as in the window scan, is
+measured in doubling blocks of sample pairs with one vectorized distance
+per block, so it costs O(log run) distance calls.
+The equivalence generated by erasures together with reparametrization is
+decided through canonical representatives: the reduced samples, collared
+and at constant speed on the standard grid.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +27,11 @@ from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
 
 DETECT_TOL = 1e-9
+# a retrace run pops its first _FIRST_BLOCK samples one pair at a time and
+# then doubles with every vectorized dist call. On a random lattice walk
+# three runs in four stop after one pop, so blocks started sooner would
+# mostly measure pairs past the end of a run
+_FIRST_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -43,20 +52,36 @@ class BackTrackWindow:
         return self.start + self.half_width
 
 
+def _prefix(spec, samples, a, b, tol):
+    """Per row of the sample indices ``a`` and ``b`` (index arrays or slices
+    of equal shape, the last axis a block of pairs), how many leading pairs
+    name samples within tol of each other; one ``dist`` measures the whole
+    block."""
+    near = mf.dist(spec, samples[a], samples[b]) <= tol
+    return np.logical_and.accumulate(near, axis=-1).sum(axis=-1)
+
+
 def _scan_windows(spec, samples, tol):
     """Maximal reflection windows in a raw sample list, left to right,
     greedily disjoint."""
     n = len(samples) - 1
-    # grow every center's reflection radius one offset at a time, measuring
-    # only the centers that still reflect
+    # grow every center's reflection radius by a block of offsets
+    # u .. u+w-1, w doubling, measuring only the centers that still reflect;
+    # a radius stops at the center's reach, its distance to the nearer end.
+    # A block measures at most about n pairs, as the first one does, so a
+    # long plateau, where every center reflects far, needs no more memory
     sigma = np.zeros(n + 1, dtype=int)
     live = np.arange(1, n)
-    u = 1
+    u = w = 1
     while live.size:
-        live = live[mf.dist(spec, samples[live - u], samples[live + u]) <= tol]
-        sigma[live] = u
-        u += 1
-        live = live[(live >= u) & (live <= n - u)]
+        w = min(w, max(n // live.size, 1))
+        reach = np.minimum(live, n - live)
+        off = np.minimum(u + np.arange(w), reach[:, None])
+        run = np.minimum(_prefix(spec, samples, live[:, None] - off, live[:, None] + off, tol), reach - u + 1)
+        sigma[live] = u - 1 + run
+        u += w
+        live = live[(run == w) & (reach >= u)]
+        w *= 2
     centers = np.flatnonzero(sigma)
     cand = sorted(zip(centers - sigma[centers], sigma[centers]), key=lambda w: (w[0], -w[1]))
     # by start, widest first: a candidate lies inside another exactly when an
@@ -72,10 +97,15 @@ def _scan_windows(spec, samples, tol):
     return windows
 
 
+def _require_tol(tol):
+    """DomainError unless tol is a nonnegative number (NaN is rejected)."""
+    if not tol >= 0:
+        raise DomainError("tolerance must be a nonnegative number (got %r)" % (tol,))
+
+
 def detect_backtracks(gamma, tol=DETECT_TOL):
     """All maximal back-track windows of the path, disjoint, left to right."""
-    if tol < 0:
-        raise DomainError("tolerance must be nonnegative")
+    _require_tol(tol)
     return [
         BackTrackWindow(T, s)
         for (T, s) in _scan_windows(gamma.manifold, gamma.samples, tol)
@@ -109,22 +139,56 @@ def _reduce(spec, samples, tol):
     constant path). Returns the kept indices and the mirror pairs as rows
     (left, right) in pop order, all numbering the input samples.
     """
-    # samples two apart are measured up front; after a pop the one below
-    # the top is older, and measured on its own
-    near = mf.dist(spec, samples[:-2], samples[2:]) <= tol
-    keep, pairs = [], []
-    for i in range(len(samples)):
-        if len(keep) > 1:
-            a = keep[-2]
-            if (near[a] if keep[-1] == a + 1 == i - 1 else mf.dist(spec, samples[a], samples[i]) <= tol):
-                keep.pop()
-                pairs.append((a, i))
-                continue
-        keep.append(i)
+    n = len(samples)
+    # a turn j retraces its predecessor: samples j-2 and j are within tol.
+    # Those distances are measured up front, so while the top two entries
+    # are i-2, i-1 every sample before the next turn (n if none) is pushed
+    # unmeasured
+    turns = (np.flatnonzero(mf.dist(spec, samples[:-2], samples[2:]) <= tol) + 2).tolist() + [n]
+    keep, left, right = [], [], []
+    i = 0
+    while i < n:
+        if len(keep) > 1 and keep[-1] == keep[-2] + 1 == i - 1:
+            i = turns[bisect_left(turns, i)]
+            keep += range(keep[-1] + 1, i)
+            if i == n:
+                break
+        elif len(keep) < 2 or not mf.dist(spec, samples[keep[-2]], samples[i]) <= tol:
+            keep.append(i)
+            i += 1
+            continue
+        keep.pop()
+        left.append(keep[-1])
+        right.append(i)
+        i += 1
+        if len(right) < _FIRST_BLOCK or right[-_FIRST_BLOCK] != i - _FIRST_BLOCK:
+            continue
+        # a retrace run has popped _FIRST_BLOCK samples in a row. The
+        # samples after it are measured against the stack below the top,
+        # read downwards, in blocks as long as the run so far, one dist per
+        # block. The matching prefix pops, and the first sample that fails
+        # is pushed
+        m = min(n - i, len(keep) - 1)
+        run, w = 0, _FIRST_BLOCK
+        while run < m:
+            w = min(w, m - run)
+            top = len(keep) - 1 - run  # the top once the run so far is popped
+            got = int(_prefix(spec, samples, slice(i + run, i + run + w), keep[top - w : top][::-1], tol))
+            run += got
+            if got < w:
+                break
+            w *= 2
+        if run:
+            left += keep[-1 - run : -1][::-1]
+            right += range(i, i + run)
+            del keep[-run:]
+        if i + run < n:
+            keep.append(i + run)
+        i += run + 1
     keep = np.array(keep)
     if np.max(mf.dist(spec, samples[keep], samples[0])) <= tol:
         keep = keep[:1]
-    return keep, np.array(pairs, dtype=int).reshape(-1, 2).T
+    return keep, np.array([left, right], dtype=int)
 
 
 def _canonical_nodes(spec, samples, n):
@@ -167,6 +231,7 @@ def canonical_form(gamma, tol=DETECT_TOL, n=None):
     new chords (a latitude circle at N = 256 moves by about 3.5e-8).
     ``n`` overrides the output grid (defaults to the input grid).
     """
+    _require_tol(tol)
     spec = gamma.manifold
     n = gamma.n_segments if n is None else n
     keep, _ = _reduce(spec, gamma.samples, tol)
@@ -182,6 +247,7 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
     k comparisons is only guaranteed within k * tol, documented as the
     3*tol bound for the usual three-path arguments).
     """
+    _require_tol(tol)
     if gamma1.manifold != gamma2.manifold:
         raise DomainError("paths live on different manifolds")
     n = max(gamma1.n_segments, gamma2.n_segments)

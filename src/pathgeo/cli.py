@@ -81,6 +81,9 @@ class ScenarioConfig:
             raise ConfigError("resolution N must be a power of two (got %d)" % self.N)
         if len(self.interval) != 2 or self.interval[0] > self.interval[1]:
             raise ConfigError("interval must be a pair (a, b) with a <= b")
+        for name, tol in self.tolerances.items():
+            if not 0.0 <= tol < np.inf:
+                raise ConfigError("tolerance %r must be finite and nonnegative (got %r)" % (name, tol))
         for name, d in self.fields.items():
             ref = d.get("path")
             if ref is not None and ref not in self.paths:
@@ -320,8 +323,9 @@ def cmd_check(args):
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="FILE", help="scenario config (JSON)")
     common.add_argument("--out", metavar="DIR", help="output directory")
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", metavar="FILE", help="scenario config (JSON)")
 
     parser = argparse.ArgumentParser(
         prog="pathgeo",
@@ -329,7 +333,7 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("worldsheet", parents=[common], help="generate and export a geodesic worldsheet")
+    p = sub.add_parser("worldsheet", parents=[common, scenario], help="generate and export a geodesic worldsheet")
     p.add_argument("--path", help="seed path name in the config")
     p.add_argument("--field", help="seed field name in the config")
     p.add_argument(
@@ -340,17 +344,19 @@ def build_parser():
     )
     p.set_defaults(func=cmd_worldsheet)
 
-    p = sub.add_parser("distance", parents=[common], help="path-space distance between two config paths")
+    p = sub.add_parser("distance", parents=[common, scenario], help="path-space distance between two config paths")
     p.add_argument("--path1", default="path1", help="first path name (default path1)")
     p.add_argument("--path2", default="path2", help="second path name (default path2)")
     p.set_defaults(func=cmd_distance)
 
-    p = sub.add_parser("energy", parents=[common], help="energy and arc length of config paths")
+    p = sub.add_parser("energy", parents=[common, scenario], help="energy and arc length of config paths")
     p.add_argument("--path", help="path name (default: all)")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("backtrack", parents=[common], help="back-track windows or canonical form of a path")
-    p.add_argument("--input", metavar="FILE", help="path JSON file (instead of --config)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", metavar="FILE", help="path JSON file")
+    source.add_argument("--config", metavar="FILE", help="scenario config (JSON)")
     p.add_argument("--path", help="path name in the config")
     p.add_argument("--tol", type=float, default=bt.DETECT_TOL, help="detection tolerance")
     group = p.add_mutually_exclusive_group()
@@ -364,7 +370,7 @@ def build_parser():
     p.add_argument("--tol", type=float, default=1e-9, help="exchange tolerance")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("check", parents=[common], help="run a property suite")
+    p = sub.add_parser("check", parents=[common, scenario], help="run a property suite")
     p.add_argument("--suite", required=True, choices=checks.SUITES, help="suite to run")
     p.add_argument("--cases", type=int, default=10, help="random cases per property")
     p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed (default 42)")

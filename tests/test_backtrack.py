@@ -72,6 +72,32 @@ def shaped_paths(spec, rng):
     ]
 
 
+def scan_oracle(spec, samples, tol=bt.DETECT_TOL):
+    """Reference window scan: grow every center's reflection radius one
+    offset at a time, measuring only the centers that still reflect; then
+    keep the maximal windows, greedily disjoint left to right."""
+    n = len(samples) - 1
+    sigma = np.zeros(n + 1, dtype=int)
+    live = np.arange(1, n)
+    u = 1
+    while live.size:
+        live = live[mf.dist(spec, samples[live - u], samples[live + u]) <= tol]
+        sigma[live] = u
+        u += 1
+        live = live[(live >= u) & (live <= n - u)]
+    centers = np.flatnonzero(sigma)
+    cand = sorted(zip(centers - sigma[centers], sigma[centers]), key=lambda w: (w[0], -w[1]))
+    windows = []
+    reach = last_end = -1
+    for T, s in cand:
+        if T + 2 * s > reach:
+            reach = T + 2 * s
+            if T > last_end:
+                windows.append((int(T), int(s)))
+                last_end = reach
+    return windows
+
+
 def reduce_oracle(spec, samples, tol=bt.DETECT_TOL):
     """Reference reduction: erase the leftmost maximal window, rescan what
     is left, and repeat until no window remains or the path is constant
@@ -83,13 +109,31 @@ def reduce_oracle(spec, samples, tol=bt.DETECT_TOL):
         cur = samples[keep]
         if np.max(mf.dist(spec, cur, cur[0])) <= tol:
             return keep[:1], erased
-        windows = bt._scan_windows(spec, cur, tol)
+        windows = scan_oracle(spec, cur, tol)
         if not windows:
             return keep, erased
         T, s = windows[0]
         u = np.arange(s + 1)
         erased.append((keep[T + u], keep[T + 2 * s - u]))
         keep = np.delete(keep, np.s_[T + 1 : T + 2 * s + 1])
+
+
+def stack_oracle(spec, samples, tol=bt.DETECT_TOL):
+    """Reference stack pass, one sample and one distance at a time: a sample
+    within tol of the one below the top pops the top, any other is pushed.
+    Returns the kept indices and the mirror pairs as rows (left, right) in
+    pop order, like ``_reduce``."""
+    keep, pairs = [], []
+    for i in range(len(samples)):
+        if len(keep) > 1 and mf.dist(spec, samples[keep[-2]], samples[i]) <= tol:
+            keep.pop()
+            pairs.append((keep[-1], i))
+        else:
+            keep.append(i)
+    keep = np.array(keep)
+    if np.max(mf.dist(spec, samples[keep], samples[0])) <= tol:
+        keep = keep[:1]
+    return keep, np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
 def lattice_walk(rng, steps, moves=((1, 0), (-1, 0), (0, 1), (0, -1))):
@@ -120,12 +164,16 @@ def three_spur_paths(rng, n):
 
 
 def assert_reduces_like_oracle(spec, samples, same_indices=True):
-    keep, (i, j) = bt._reduce(spec, samples, bt.DETECT_TOL)
+    keep, pairs = bt._reduce(spec, samples, bt.DETECT_TOL)
+    stack_keep, stack_pairs = stack_oracle(spec, samples)
+    assert np.array_equal(keep, stack_keep) and np.array_equal(pairs, stack_pairs)
     want, _ = reduce_oracle(spec, samples)
     assert np.array_equal(samples[keep], samples[want])
     if same_indices:
         assert np.array_equal(keep, want)
+    i, j = pairs
     assert np.all(mf.dist(spec, samples[i], samples[j]) <= bt.DETECT_TOL)
+    assert bt._scan_windows(spec, samples, bt.DETECT_TOL) == scan_oracle(spec, samples)
 
 
 def abcba_path(spec=None):
@@ -195,6 +243,72 @@ def test_reduce_matches_oracle_on_three_spur_paths():
         for spec, samples in three_spur_paths(rng, n):
             assert_reduces_like_oracle(spec, samples)
             assert len(bt._reduce(spec, samples, bt.DETECT_TOL)[0]) == n + 1
+
+
+def block_edge_paths(spec, rng, k):
+    """Spurs of half width k: interior; retracing to the path start; coming
+    from before the path start, so the retrace run empties the stack down
+    to its bottom; reaching the path end; nested in a spur of half width
+    k + 2; with a run of three equal samples at the apex and a pair at the
+    foot; and with a pair at the apex, which stops the retrace."""
+    s = checks.random_collared_path(spec, rng, n=k + 8, collar=0.0).samples
+    interior = insert_spur(s, 3, k)
+    plateaus = np.ones(len(interior), dtype=int)
+    plateaus[[3, 3 + k]] = 2, 3
+    apex_pair = np.ones(len(interior), dtype=int)
+    apex_pair[3 + k] = 2
+    return [
+        interior,
+        insert_spur(s, 0, k),
+        np.concatenate([s[1 : k + 1][::-1], s]),
+        np.concatenate([s, s[-2 : -k - 2 : -1]]),
+        insert_spur(insert_spur(s, 1, k + 2), 3, k),
+        np.repeat(interior, plateaus, axis=0),
+        np.repeat(interior, apex_pair, axis=0),
+    ]
+
+
+# A retrace run pops its first four samples one pair at a time and then
+# measures blocks of 4, 8, 16, ... pairs, so it has popped 4, 8, 16, ...
+# samples at each block edge; a reflection radius grows by blocks of offsets
+# 1, 2-3, 4-7, ...: half widths 8, 16 and 64 end a run exactly at a block
+# edge, 1, 3, 7, 15 and 63 a radius, and their neighbours one pair before or
+# after.
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65])
+def test_reduce_and_scan_match_oracles_at_block_edges(k):
+    rng = np.random.default_rng(SEED + 12 + k)
+    for spec in specs():
+        for samples in block_edge_paths(spec, rng, k):
+            assert_reduces_like_oracle(spec, samples, same_indices=False)
+            gamma = pth.DiscretePath(spec, samples, 0.0)
+            got = [(w.start, w.half_width) for w in bt.detect_backtracks(gamma)]
+            assert got == brute_force_windows(spec, samples)
+
+
+def test_a_retrace_run_costs_logarithmically_many_dist_calls(monkeypatch):
+    spec, samples = three_spur_paths(np.random.default_rng(SEED + 11), 4096)[0]
+    assert spec == mf.ManifoldSpec.sphere(1.0)
+    calls = []
+    dist = mf.dist
+    monkeypatch.setattr(mf, "dist", lambda *args: calls.append(1) or dist(*args))
+    # three spurs of 256 samples: one dist call per pop or per offset would
+    # be 773 and 257 calls
+    for reduce, most in ((bt._reduce, 40), (bt._scan_windows, 16)):
+        calls.clear()
+        reduce(spec, samples, bt.DETECT_TOL)
+        assert len(calls) <= most, reduce.__name__
+
+
+def test_scan_blocks_measure_at_most_n_pairs_on_a_plateau(monkeypatch):
+    samples = np.tile([0.0, 0.0, 1.0], (1025, 1))
+    spec = mf.ManifoldSpec.sphere(1.0)
+    want = scan_oracle(spec, samples)
+    assert want == [(0, 512)]
+    pairs = []
+    dist = mf.dist
+    monkeypatch.setattr(mf, "dist", lambda spec, x, y: pairs.append(x.size // 3) or dist(spec, x, y))
+    assert bt._scan_windows(spec, samples, bt.DETECT_TOL) == want
+    assert max(pairs) <= 1024
 
 
 def test_reduce_erases_a_run_of_three_equal_samples_but_not_a_pair():
@@ -351,6 +465,17 @@ def test_field_canonical_form_names_the_window_of_a_broken_nested_pair(broken, w
     comps[broken] = [0.0, 1.0]
     with pytest.raises(mf.DomainError, match=r"window \[%d, %d\]" % window):
         bt.field_canonical_form(pth.PathTangentField(spurred, comps))
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")], ids=["negative", "nan"])
+@pytest.mark.parametrize(
+    "call",
+    [bt.detect_backtracks, bt.canonical_form, lambda gamma, tol: bt.bt_equivalent(gamma, gamma, tol)],
+    ids=["detect_backtracks", "canonical_form", "bt_equivalent"],
+)
+def test_a_bad_tolerance_is_rejected(call, tol):
+    with pytest.raises(mf.DomainError, match="tolerance must be a nonnegative number"):
+        call(abcba_path(), tol)
 
 
 def test_window_validation():

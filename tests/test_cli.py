@@ -216,6 +216,17 @@ def test_backtrack_subcommand_windows_and_canonical(tmp_path, capsys):
     assert len(canon["samples"]) == len(spurred.samples)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-0.5"])
+def test_backtrack_rejects_a_bad_tolerance(tmp_path, capsys, tol):
+    spec = mf.ManifoldSpec.euclidean(2)
+    spurred, _, _ = checks._spur_path(spec, np.random.default_rng(3), n=16)
+    pfile = tmp_path / "spur.json"
+    pfile.write_text(ser.dumps(spurred.to_json()))
+    for mode in ("--windows", "--canonical"):
+        assert cli.main(["backtrack", "--input", str(pfile), mode, "--tol", tol]) == 1
+        assert capsys.readouterr().err.startswith("error: tolerance must be a nonnegative number")
+
+
 def test_compose_subcommand_roundtrip(tmp_path, capsys):
     spec = mf.ManifoldSpec.euclidean(2)
     m1, m2, _ = checks._composable_triple(spec, np.random.default_rng(4), n=16)
@@ -349,6 +360,31 @@ def test_seed_and_format_only_where_they_act(capsys, argv):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments: %s" % argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-4], ids=["nan", "inf", "negative"])
+def test_config_rejects_a_bad_distance_tolerance(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path, {"manifold": {"kind": "euclidean", "dim": 2}, "tolerances": {"distance": tol}})
+    assert cli.main(["energy", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % cfg)
+    assert "tolerance 'distance' must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["compose", "f.json", "g.json", "--config", "c.json"], "unrecognized arguments: --config c.json"),
+        (["backtrack", "--input", "p.json", "--config", "c.json"], "argument --config: not allowed with argument --input"),
+        (["backtrack", "--windows"], "one of the arguments --input --config is required"),
+    ],
+    ids=["compose", "backtrack-input", "backtrack-neither"],
+)
+def test_config_only_where_it_is_read(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert needle in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
