@@ -60,10 +60,6 @@ class PropertyResult:
 # ---------------------------------------------------------------------------
 
 
-def random_point(spec, rng):
-    return spec.random_point(rng)
-
-
 def random_tangent(spec, x, rng, max_norm=2.0):
     v = spec.random_vector(x, rng)
     nrm = mf.norm(spec, x, v)
@@ -80,7 +76,7 @@ def _speed_cap(spec, requested):
 
 def random_collared_path(spec, rng, n=64, collar=pth.DEFAULT_COLLAR, max_speed=1.0):
     """A collar-warped geodesic arc between two random nearby points."""
-    x = random_point(spec, rng)
+    x = spec.random_point(rng)
     v = random_tangent(spec, x, rng, max_norm=_speed_cap(spec, max_speed))
     p = mf.ManifoldPoint(spec, x)
     q = mf.exp_map(p, mf.TangentVector(p, v))
@@ -122,7 +118,7 @@ def nearby_path(gamma, rng, scale=0.2):
 
 
 def _prop_geodesic_oracle(spec, rng, cases):
-    xs = np.stack([random_point(spec, rng) for _ in range(cases)])
+    xs = np.stack([spec.random_point(rng) for _ in range(cases)])
     vs = np.stack([random_tangent(spec, x, rng) for x in xs])
     pts, _ = mf.integrate_batch(spec, xs, vs, 1.0, 1000)
     ref, _ = mf.flow(spec, xs, vs, 1.0)
@@ -135,7 +131,7 @@ def _prop_exp_log(spec, rng, cases):
     cap = 0.9 * inj if np.isfinite(inj) else 2.0
     worst = 0.0
     for _ in range(cases):
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=cap)
         p = mf.ManifoldPoint(spec, x)
         q = mf.exp_map(p, mf.TangentVector(p, v))
@@ -147,7 +143,7 @@ def _prop_exp_log(spec, rng, cases):
 def _prop_distance_axioms(spec, rng, cases):
     worst = 0.0
     for _ in range(cases):
-        x, y, z = (random_point(spec, rng) for _ in range(3))
+        x, y, z = (spec.random_point(rng) for _ in range(3))
         dxy = mf.dist(spec, x, y)
         worst = max(worst, abs(float(dxy - mf.dist(spec, y, x))))
         slack = float(dxy + mf.dist(spec, y, z) - mf.dist(spec, x, z))
@@ -158,7 +154,7 @@ def _prop_distance_axioms(spec, rng, cases):
 def _prop_transport_isometry(spec, rng, cases):
     draws = []
     for _ in range(cases):
-        x = random_point(spec, rng)
+        x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=1.0)
         draws.append((x, v, random_tangent(spec, x, rng, max_norm=1.0)))
     x, v, w = (np.stack(c) for c in zip(*draws))  # cases on axis 0
@@ -324,7 +320,7 @@ def _prop_config_field(config, fname):
 
 def _composable_triple(spec, rng, n=32):
     """Three head-to-tail morphisms sharing a constant-in-chart field value."""
-    pts = [random_point(spec, rng)]
+    pts = [spec.random_point(rng)]
     for _ in range(3):
         p = mf.ManifoldPoint(spec, pts[-1])
         v = random_tangent(spec, pts[-1], rng, max_norm=_speed_cap(spec, 0.8))

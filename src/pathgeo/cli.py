@@ -40,8 +40,8 @@ def _only(kind, table, names):
 
 def _read_json(filename, build):
     """``build`` of the JSON in ``filename``; an unreadable file, text that is
-    not JSON, a record missing a key, or a record ``build`` rejects is a
-    ConfigError naming the file."""
+    not JSON, a record missing a key or holding a value of the wrong type, or
+    a record ``build`` rejects is a ConfigError naming the file."""
     try:
         with open(filename) as fh:
             return build(json.load(fh))
@@ -49,7 +49,7 @@ def _read_json(filename, build):
         raise ConfigError("cannot read %s: %s" % (filename, err)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError("%s is not valid JSON: %s" % (filename, err)) from None
-    except (KeyError, TypeError) as err:
+    except (KeyError, TypeError, ValueError) as err:
         raise ConfigError("%s: bad record (%s: %s)" % (filename, type(err).__name__, err)) from None
     except DomainError as err:
         raise ConfigError("%s: %s" % (filename, err)) from None
@@ -79,11 +79,15 @@ class ScenarioConfig:
             raise ConfigError("resolution values must be positive")
         if self.N & (self.N - 1) != 0:
             raise ConfigError("resolution N must be a power of two (got %d)" % self.N)
-        if len(self.interval) != 2 or self.interval[0] > self.interval[1]:
-            raise ConfigError("interval must be a pair (a, b) with a <= b")
+        if len(self.interval) != 2 or not -np.inf < self.interval[0] <= self.interval[1] < np.inf:
+            raise ConfigError("interval must be a finite pair (a, b) with a <= b")
         for name, tol in self.tolerances.items():
             if not 0.0 <= tol < np.inf:
                 raise ConfigError("tolerance %r must be finite and nonnegative (got %r)" % (name, tol))
+        for kind, table in (("path", self.paths), ("field", self.fields)):
+            for name, d in table.items():
+                if not isinstance(d, dict):
+                    raise ConfigError("%s %r must be a JSON object (got %r)" % (kind, name, d))
         for name, d in self.fields.items():
             ref = d.get("path")
             if ref is not None and ref not in self.paths:
@@ -120,8 +124,8 @@ class ScenarioConfig:
                     )
                 d.setdefault("n", self.N)
                 gamma = pth.GENERATORS[gen](self.manifold, **d)
-        except TypeError as err:
-            raise ConfigError("path %r: bad generator parameters (%s)" % (name, err))
+        except (TypeError, ValueError) as err:
+            raise ConfigError("path %r: bad parameters (%s)" % (name, err))
         except GeometryError as err:
             raise ConfigError("path %r: %s" % (name, err))
         self._path_cache[name] = gamma
@@ -147,8 +151,8 @@ class ScenarioConfig:
             if gen is None:
                 return pth.PathTangentField(gamma, np.asarray(d["components"], dtype=float))
             return pth.FIELD_GENERATORS[gen](gamma, **d)
-        except (TypeError, KeyError) as err:
-            raise ConfigError("field %r: bad generator parameters (%s)" % (name, err))
+        except (TypeError, KeyError, ValueError) as err:
+            raise ConfigError("field %r: bad parameters (%s)" % (name, err))
         except GeometryError as err:
             raise ConfigError("field %r: %s" % (name, err))
 

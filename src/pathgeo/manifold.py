@@ -11,15 +11,16 @@ every numerical routine has an analytic counterpart:
 * ``flat_torus(circumferences)`` -- R^d modulo a rectangular lattice.
 
 Each model is one frozen dataclass subclass of ``ManifoldSpec``:
-``Euclidean``, ``Sphere``, ``HalfPlane`` and ``FlatTorus``. The subclass
-holds everything about its model: parameter checks, point validation,
-chart arithmetic, metric, Christoffel symbols, the closed-form flow, dist,
-log and parallel transport, and the check suite's random cases.
-``ManifoldSpec`` itself implements a flat chart (zero Christoffel symbols,
-straight geodesics, transport keeps components), so the curved models
-override more of it than the flat ones.
-``ManifoldSpec(kind, ...)``, the classmethod constructors and ``from_json``
-pick the subclass from the ``_MODELS`` table.
+``Euclidean(dim)``, ``Sphere(radius=1.0)``, ``HalfPlane()`` and
+``FlatTorus(circumferences)``. Its fields are exactly its parameters,
+checked in ``__post_init__``, and its class constant ``kind`` names it in
+JSON. The subclass holds everything about its model: point validation,
+chart arithmetic, metric, the Christoffel form ``gamma_quad``, the
+closed-form flow, dist, log and parallel transport, and the check suite's
+random cases. ``ManifoldSpec`` itself implements a flat chart and reads
+the ``christoffel`` array off ``gamma_quad``. The classmethods
+(``ManifoldSpec.sphere(1.0)``, ...) build their model, and ``from_json``
+builds one from its kind string through the ``_MODELS`` table.
 
 The module-level kernels (``flow``, ``dist``, ``log``, ``inner``, ...) keep
 the ``(spec, ...)`` signature and delegate to the spec. The other modules
@@ -31,7 +32,8 @@ small value types (ManifoldPoint, TangentVector).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +44,8 @@ FLAT_TORUS = "flat_torus"
 
 # chart-coordinate tolerance for "these two base points coincide"
 COINCIDENCE_TOL = 1e-9
+# relative tolerance of the tangency check of vectors and path fields
+TANGENT_RTOL = 1e-9
 
 
 class GeometryError(Exception):
@@ -76,60 +80,64 @@ def check_nodes(ok, label, why):
         raise DomainError("%s %s" % (label % tuple(int(i) for i in idx), why))
 
 
-def _model(kind):
-    model = _MODELS.get(kind) if isinstance(kind, str) else None
-    if model is None:
-        raise DomainError("unknown manifold kind: %r" % (kind,))
-    return model
+def _positive(model, name, value):
+    """``value`` as a float, or DomainError naming the parameter unless it
+    is a positive finite number."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf:
+        return float(value)
+    raise DomainError("%s %s must be a positive finite number (got %r)" % (model, name, value))
 
 
-@dataclass(frozen=True)
 class ManifoldSpec:
-    """Identifies one of the built-in manifolds together with its parameters.
+    """Base of the built-in models; use a subclass or a constructor below.
 
-    ``ManifoldSpec(kind, ...)`` returns the model subclass for ``kind``.
-    This base class implements the flat chart; the subclasses override
-    what differs. All kernels are vectorized over leading axes of (..., d).
+    Each model subclass is a frozen dataclass whose fields are exactly its
+    parameters, checked in its ``__post_init__``; its class constant
+    ``kind`` names it in JSON. This base class implements the flat chart
+    and the subclasses override what differs. All kernels are vectorized
+    over leading axes of (..., d).
     """
 
-    kind: str
-    dim: int = 0
-    radius: float = 0.0
-    circumferences: tuple = ()
-
-    # model parameters in JSON, each with its conversion on the way in
-    json_params = {}
     # the stored coordinates embed the manifold in 3-space
     embedded_3d = False
 
-    def __new__(cls, kind=None, *args, **kwargs):
-        if cls is ManifoldSpec:
-            cls = _model(kind)
-        return object.__new__(cls)
+    def __init__(self, *args, **kwargs):
+        raise DomainError("ManifoldSpec takes no kind: use a model class, constructor or from_json")
 
     @classmethod
     def euclidean(cls, dim):
-        return cls(EUCLIDEAN, dim=dim)
+        return Euclidean(dim)
 
     @classmethod
     def sphere(cls, radius=1.0):
-        return cls(SPHERE, radius=float(radius))
+        return Sphere(radius)
 
     @classmethod
     def hyperbolic_half_plane(cls):
-        return cls(HALF_PLANE)
+        return HalfPlane()
 
     @classmethod
     def flat_torus(cls, circumferences):
-        return cls(FLAT_TORUS, circumferences=tuple(float(c) for c in circumferences))
+        return FlatTorus(circumferences)
 
     @classmethod
     def from_json(cls, obj):
-        model = _model(obj["kind"])
-        return model(obj["kind"], **{k: conv(obj[k]) for k, conv in model.json_params.items()})
+        """The model named by ``obj["kind"]``, built from the other keys of
+        ``obj``, which must all be parameters of that model."""
+        if not isinstance(obj, dict):
+            raise DomainError("manifold must be a JSON object (got %r)" % (obj,))
+        params = dict(obj)
+        kind = params.pop("kind", None)
+        model = _MODELS.get(kind) if isinstance(kind, str) else None
+        if model is None:
+            raise DomainError("unknown manifold kind: %r" % (kind,))
+        unknown = sorted(set(params) - {f.name for f in fields(model)})
+        if unknown:
+            raise DomainError("%s has no parameter %s" % (kind, ", ".join(map(repr, unknown))))
+        return model(**params)
 
     def to_json(self):
-        return {"kind": self.kind, **{k: getattr(self, k) for k in self.json_params}}
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
     def injectivity_radius(self):
         return math.inf
@@ -139,9 +147,9 @@ class ManifoldSpec:
         ``label % index`` names the first bad one."""
         check_nodes(np.all(np.isfinite(x), axis=-1), label, "is not finite")
 
-    def check_tangent(self, x, v, label, rtol, floor=0.0):
-        """Raise DomainError unless each v is tangent at x, up to rtol
-        relative and floor absolute; every chart vector is tangent here."""
+    def check_tangent(self, x, v, label):
+        """Raise DomainError unless each v is tangent at x, up to
+        TANGENT_RTOL relative; every chart vector is tangent here."""
 
     def wrap(self, x):
         """Reduce coordinates into the fundamental domain (torus only)."""
@@ -164,9 +172,13 @@ class ManifoldSpec:
         return np.sum(u * v, axis=-1)
 
     def christoffel(self, x):
-        """Full Gamma^k_{ij} array at x, shape (..., d, d, d)."""
+        """Full Gamma^k_{ij} array at x, shape (..., d, d, d), read off
+        ``gamma_quad`` on every pair (e_i, e_j) of chart basis vectors."""
+        x = np.asarray(x, dtype=float)
         d = self.point_dim
-        return np.zeros(x.shape[:-1] + (d, d, d))
+        a = np.broadcast_to(np.eye(d)[:, None, :], x.shape[:-1] + (d, d, d))  # a[..., i, j] = e_i
+        g = self.gamma_quad(x[..., None, None, :], a, a.swapaxes(-3, -2))
+        return np.moveaxis(g, -1, -3)  # [..., i, j, k] -> [..., k, i, j]
 
     def gamma_quad(self, x, a, b):
         """The bilinear form Gamma^k_{ij} a^i b^j."""
@@ -230,11 +242,13 @@ class ManifoldSpec:
 class Euclidean(ManifoldSpec):
     """Flat R^d in the identity chart."""
 
-    json_params = {"dim": int}
+    dim: int
+    kind = EUCLIDEAN
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError("euclidean dim must be >= 1")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
+            raise DomainError("%s dim must be an integer >= 1 (got %r)" % (EUCLIDEAN, self.dim))
+        object.__setattr__(self, "dim", int(self.dim))
 
     @property
     def point_dim(self):
@@ -257,12 +271,12 @@ class Sphere(ManifoldSpec):
     are not the Levi-Civita symbols of any 3d metric).
     """
 
-    json_params = {"radius": float}
+    radius: float = 1.0
+    kind = SPHERE
     embedded_3d = True
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise DomainError("sphere radius must be > 0")
+        object.__setattr__(self, "radius", _positive(SPHERE, "radius", self.radius))
 
     @property
     def point_dim(self):
@@ -276,17 +290,14 @@ class Sphere(ManifoldSpec):
         off = np.abs(np.linalg.norm(x, axis=-1) - self.radius) > 1e-9 * self.radius
         check_nodes(~off, label, "is off the sphere (|x| != radius)")
 
-    def check_tangent(self, x, v, label, rtol, floor=0.0):
+    def check_tangent(self, x, v, label):
         ip = np.abs(np.sum(v * x, axis=-1))
-        bound = rtol * (np.linalg.norm(v, axis=-1) * self.radius + floor)
-        check_nodes(~(ip > np.maximum(bound, floor)), label, "is not tangent to the sphere")
+        bound = TANGENT_RTOL * (np.linalg.norm(v, axis=-1) * self.radius)
+        check_nodes(~(ip > bound), label, "is not tangent to the sphere")
 
     def project_tangent(self, x, v):
         xhat = x / self.radius
         return v - np.sum(v * xhat, axis=-1, keepdims=True) * xhat
-
-    def christoffel(self, x):
-        return x[..., :, None, None] * np.eye(3) / self.radius**2
 
     def gamma_quad(self, x, a, b):
         return x * (np.sum(a * b, axis=-1) / self.radius**2)[..., None]
@@ -312,7 +323,12 @@ class Sphere(ManifoldSpec):
     def dist(self, x, y):
         r = self.radius
         c = np.sum(x * y, axis=-1) / r**2
-        s = np.linalg.norm(np.cross(x, y), axis=-1) / r**2
+        # |x cross y|, the components written out in np.cross's order: on
+        # small arrays np.cross costs more in axis handling than in arithmetic
+        x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+        y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+        w = (x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0)
+        s = np.sqrt(w[0] * w[0] + w[1] * w[1] + w[2] * w[2]) / r**2
         return r * np.arctan2(s, c)
 
     def log(self, x, y):
@@ -405,6 +421,8 @@ class HalfPlane(ManifoldSpec):
     Flow, log and transport go through the hyperboloid model.
     """
 
+    kind = HALF_PLANE
+
     @property
     def point_dim(self):
         return 2
@@ -415,15 +433,6 @@ class HalfPlane(ManifoldSpec):
 
     def inner(self, x, u, v):
         return super().inner(x, u, v) / x[..., 1] ** 2
-
-    def christoffel(self, x):
-        out = super().christoffel(x)
-        y = x[..., 1]
-        out[..., 0, 0, 1] = -1.0 / y
-        out[..., 0, 1, 0] = -1.0 / y
-        out[..., 1, 0, 0] = 1.0 / y
-        out[..., 1, 1, 1] = -1.0 / y
-        return out
 
     def gamma_quad(self, x, a, b):
         y = x[..., 1]
@@ -486,11 +495,16 @@ class HalfPlane(ManifoldSpec):
 class FlatTorus(ManifoldSpec):
     """R^d modulo a rectangular lattice; coordinates are kept in [0, L)."""
 
-    json_params = {"circumferences": lambda cs: tuple(float(c) for c in cs)}
+    circumferences: tuple
+    kind = FLAT_TORUS
 
     def __post_init__(self):
-        if len(self.circumferences) < 1 or any(c <= 0 for c in self.circumferences):
-            raise DomainError("torus circumferences must be positive")
+        given = self.circumferences
+        cs = tuple(given) if np.iterable(given) and not isinstance(given, (str, bytes)) else ()
+        if not cs:
+            raise DomainError("flat_torus circumferences must be a nonempty list (got %r)" % (given,))
+        cs = tuple(_positive(FLAT_TORUS, "circumferences", c) for c in cs)
+        object.__setattr__(self, "circumferences", cs)
 
     @property
     def point_dim(self):
@@ -514,12 +528,7 @@ class FlatTorus(ManifoldSpec):
         return rng.uniform(0.0, 1.0, len(L)) * L
 
 
-_MODELS = {
-    EUCLIDEAN: Euclidean,
-    SPHERE: Sphere,
-    HALF_PLANE: HalfPlane,
-    FLAT_TORUS: FlatTorus,
-}
+_MODELS = {model.kind: model for model in (Euclidean, Sphere, HalfPlane, FlatTorus)}
 
 
 @dataclass(frozen=True)
@@ -549,7 +558,7 @@ class TangentVector:
         spec = self.base.manifold
         if comps.shape != (spec.point_dim,):
             raise DomainError("tangent components have wrong shape %r" % (comps.shape,))
-        spec.check_tangent(self.base.coords, comps, "vector", 1e-9)
+        spec.check_tangent(self.base.coords, comps, "vector")
 
     @property
     def manifold(self):
@@ -575,10 +584,6 @@ def inner(spec, x, u, v):
 
 def norm(spec, x, u):
     return np.sqrt(np.maximum(spec.inner(x, u, u), 0.0))
-
-
-def christoffel_array(spec, x):
-    return spec.christoffel(x)
 
 
 def gamma_quad(spec, x, a, b):
@@ -706,7 +711,7 @@ def metric_eval(p, u, v):
 
 def christoffel(p):
     """Gamma^k_{ij} at p as an array indexed [k, i, j]."""
-    return christoffel_array(p.manifold, p.coords)
+    return p.manifold.christoffel(p.coords)
 
 
 def geodesic_integrate(p, v, s_end, steps):
@@ -761,7 +766,8 @@ def log_map_shooting(p, q, max_iter=50, tol=1e-10, steps=200):
     _check_same_manifold(p, q)
     spec = p.manifold
     basis = spec.tangent_basis(p.coords)
-    a = _chart_components(spec, p.coords, log(spec, p.coords, q.coords), basis)
+    u = log(spec, p.coords, q.coords)
+    a = np.array([inner(spec, p.coords, u, b) for b in basis])  # u in the basis
 
     def endpoint(coeffs):
         v0 = coeffs @ basis
@@ -784,11 +790,6 @@ def log_map_shooting(p, q, max_iter=50, tol=1e-10, steps=200):
         delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
         a = a + delta
     return TangentVector(p, a @ basis)
-
-
-def _chart_components(spec, x, v, basis):
-    # coefficients of v in the given g-orthonormal basis
-    return np.array([inner(spec, x, v, b) for b in basis])
 
 
 def parallel_transport(curve, v0):

@@ -97,9 +97,7 @@ class PathTangentField:
         object.__setattr__(self, "components", comps)
         if comps.shape != self.base.samples.shape:
             raise DomainError("field shape must match the base path grid")
-        self.base.manifold.check_tangent(
-            self.base.samples, comps, "field at sample %d", 1e-8, 1e-12
-        )
+        self.base.manifold.check_tangent(self.base.samples, comps, "field at sample %d")
         if self.base.collar > 0:
             head, tail = self.base.collar_masks()
             head, tail = comps[head], comps[tail]

@@ -340,6 +340,45 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
 
 
 @pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"manifold": {"kind": "sphere", "radius": "abc"}},
+         "sphere radius must be a positive finite number (got 'abc')"),
+        ({"manifold": {"kind": "euclidean", "dim": 2.7}}, "euclidean dim must be an integer >= 1"),
+        ({"manifold": {"kind": "sphere", "radius": 1.0, "dim": 3}}, "sphere has no parameter 'dim'"),
+        ({"manifold": "sphere"}, "manifold must be a JSON object"),
+        ({"interval": ["a", 1]}, "bad record (ValueError"),
+        ({"interval": [0, float("nan")]}, "interval must be a finite pair"),
+        ({"resolution": {"N": "abc"}}, "bad record (ValueError"),
+        ({"tolerances": {"distance": "x"}}, "bad record (ValueError"),
+        ({"paths": "abc"}, "bad record (ValueError"),
+        ({"paths": {"a": 3}}, "path 'a' must be a JSON object"),
+        ({"fields": {"f": [1]}}, "field 'f' must be a JSON object"),
+    ],
+    ids=["string-radius", "fractional-dim", "foreign-parameter", "manifold-string",
+         "string-interval", "nan-interval", "string-N", "string-tolerance", "paths-string",
+         "path-number", "field-list"],
+)
+def test_config_bad_values_name_the_file(tmp_path, capsys, entry, needle):
+    cfg = write_config(tmp_path, dict({"manifold": {"kind": "euclidean", "dim": 2}}, **entry))
+    assert cli.main(["energy", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % cfg)
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "path",
+    [{"samples": [[0, 0], [1]]}, {"samples": "abc"}],
+    ids=["ragged-samples", "string-samples"],
+)
+def test_bad_path_values_name_the_path(tmp_path, capsys, path):
+    cfg = write_config(tmp_path, {"manifold": {"kind": "euclidean", "dim": 2}, "paths": {"a": path}})
+    assert cli.main(["energy", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("error: path 'a': bad parameters (")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["worldsheet", "--config", "c.json", "--seed", "1"],

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -84,7 +86,7 @@ def test_christoffel_matches_finite_differences():
             continue  # embedded coordinates are not a chart
         for _ in range(10):
             x = spec.random_point(rng)
-            got = mf.christoffel_array(spec, x)
+            got = spec.christoffel(x)
             want = christoffel_fd(spec, x)
             assert np.max(np.abs(got - want)) < 1e-7
 
@@ -92,9 +94,20 @@ def test_christoffel_matches_finite_differences():
 def test_sphere_christoffel_is_constraint_form():
     spec = mf.ManifoldSpec.sphere(2.0)
     x = np.array([0.0, 0.0, 2.0])
-    got = mf.christoffel_array(spec, x)
+    got = spec.christoffel(x)
     want = x[:, None, None] * np.eye(3) / 4.0
     assert np.max(np.abs(got - want)) == 0.0
+
+
+def test_christoffel_is_vectorized_over_points():
+    rng = np.random.default_rng(SEED + 14)
+    for spec in builtin_specs():
+        xs = np.stack([spec.random_point(rng) for _ in range(6)]).reshape(2, 3, -1)
+        got = spec.christoffel(xs)
+        d = spec.point_dim
+        assert got.shape == (2, 3, d, d, d)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(got[idx], spec.christoffel(xs[idx]))
 
 
 def test_gamma_quad_consistent_with_array():
@@ -104,7 +117,7 @@ def test_gamma_quad_consistent_with_array():
             x = spec.random_point(rng)
             a = rng.standard_normal(spec.point_dim)
             b = rng.standard_normal(spec.point_dim)
-            g = mf.christoffel_array(spec, x)
+            g = spec.christoffel(x)
             want = np.einsum("kij,i,j->k", g, a, b)
             assert np.max(np.abs(mf.gamma_quad(spec, x, a, b) - want)) < 1e-12
 
@@ -184,6 +197,29 @@ def test_sphere_distance_closed_form():
         y = spec.random_point(rng)
         want = 2.0 * math.acos(np.clip(np.dot(x, y) / 4.0, -1.0, 1.0))
         assert mf.dist(spec, x, y) == pytest.approx(want, abs=1e-9)
+
+
+def sphere_dist_with_np_cross(r, x, y):
+    """The sphere distance as written with np.cross: the bit-exact reference."""
+    c = np.sum(x * y, axis=-1) / r**2
+    s = np.linalg.norm(np.cross(x, y), axis=-1) / r**2
+    return r * np.arctan2(s, c)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (64, 3), (4097, 3), (5, 7, 3)])
+def test_sphere_distance_is_bit_identical_to_cross_product_form(shape):
+    rng = np.random.default_rng(SEED + 15)
+    for r in (1.0, 2.5):
+        spec = mf.ManifoldSpec.sphere(r)
+        x = spec.retract(rng.standard_normal(shape))
+        y = spec.retract(rng.standard_normal(shape))
+        # near-coincident and near-antipodal pairs as well as generic ones
+        for b in (y, spec.retract(x + 1e-9 * y), spec.retract(-x + 1e-7 * y), x):
+            got = mf.dist(spec, x, b)
+            assert np.array_equal(got, sphere_dist_with_np_cross(r, x, b))
+        # one point against many broadcasts like np.cross
+        one = x.reshape(-1, 3)[0]
+        assert np.array_equal(mf.dist(spec, one, y), sphere_dist_with_np_cross(r, one, y))
 
 
 def test_half_plane_distance_closed_form():
@@ -347,6 +383,88 @@ def test_manifold_spec_json_roundtrip():
         assert mf.ManifoldSpec.from_json(spec.to_json()) == spec
 
 
+def test_manifold_spec_json_bytes():
+    assert [json.dumps(spec.to_json()) for spec in builtin_specs()] == [
+        '{"kind": "euclidean", "dim": 2}',
+        '{"kind": "sphere", "radius": 1.0}',
+        '{"kind": "hyperbolic_half_plane"}',
+        '{"kind": "flat_torus", "circumferences": [1.0, 2.0]}',
+    ]
+
+
+def test_models_hold_only_their_parameters():
+    fields = {type(s): [f.name for f in dataclasses.fields(s)] for s in builtin_specs()}
+    assert fields == {
+        mf.Euclidean: ["dim"],
+        mf.Sphere: ["radius"],
+        mf.HalfPlane: [],
+        mf.FlatTorus: ["circumferences"],
+    }
+    assert [s.kind for s in builtin_specs()] == [
+        mf.EUCLIDEAN, mf.SPHERE, mf.HALF_PLANE, mf.FLAT_TORUS
+    ]
+    assert mf.Sphere.kind == mf.SPHERE and mf.Sphere() == mf.ManifoldSpec.sphere(1.0)
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda: mf.HalfPlane.sphere(1.0), lambda: mf.Sphere(1.0)),
+        (lambda: mf.Euclidean.flat_torus([1, 2]), lambda: mf.FlatTorus((1.0, 2.0))),
+        (lambda: mf.FlatTorus([1.0, 2]), lambda: mf.ManifoldSpec.flat_torus((1, 2.0))),
+        (lambda: mf.FlatTorus(np.array([1.0, 2.0])), lambda: mf.ManifoldSpec.flat_torus([1, 2])),
+        (lambda: mf.ManifoldSpec.flat_torus(c for c in (1, 2)), lambda: mf.FlatTorus([1, 2])),
+        (lambda: mf.Euclidean(np.int64(3)), lambda: mf.ManifoldSpec.euclidean(3)),
+        (lambda: mf.Sphere(2), lambda: mf.ManifoldSpec.sphere(2.0)),
+        (lambda: mf.ManifoldSpec.from_json({"kind": "sphere", "radius": 1}), lambda: mf.Sphere()),
+    ],
+    ids=["classmethod-on-other-model", "torus-classmethod-on-euclidean", "torus-list",
+         "torus-array", "torus-generator", "numpy-int-dim", "int-radius", "json-int-radius"],
+)
+def test_equal_specs_are_equal_and_hashable(build, want):
+    spec, want = build(), want()
+    assert type(spec) is type(want) and spec == want and hash(spec) == hash(want)
+    assert mf.ManifoldSpec.from_json(spec.to_json()) == spec
+    assert {spec: 1}[want] == 1
+
+
+@pytest.mark.parametrize(
+    "build, needle",
+    [
+        (lambda: mf.ManifoldSpec("sphere", radius=1.0, dim=5), "ManifoldSpec takes no kind"),
+        (lambda: mf.ManifoldSpec("flat_torus", circumferences=[1.0, 2.0]), "takes no kind"),
+        (lambda: mf.Sphere("euclidean"), "sphere radius must be a positive finite number"),
+        (lambda: mf.Euclidean(2.7), "euclidean dim must be an integer >= 1 (got 2.7)"),
+        (lambda: mf.Euclidean(True), "euclidean dim must be an integer >= 1 (got True)"),
+        (lambda: mf.Euclidean(2.0), "euclidean dim must be an integer >= 1 (got 2.0)"),
+        (lambda: mf.Euclidean("2"), "euclidean dim must be an integer >= 1 (got '2')"),
+        (lambda: mf.Sphere("abc"), "sphere radius must be a positive finite number (got 'abc')"),
+        (lambda: mf.Sphere(float("nan")), "radius must be a positive finite number (got nan)"),
+        (lambda: mf.Sphere(float("inf")), "radius must be a positive finite number (got inf)"),
+        (lambda: mf.FlatTorus(3.0), "flat_torus circumferences must be a nonempty list"),
+        (lambda: mf.FlatTorus("12"), "flat_torus circumferences must be a nonempty list"),
+        (lambda: mf.FlatTorus([]), "flat_torus circumferences must be a nonempty list"),
+        (lambda: mf.FlatTorus([1.0, float("nan")]), "flat_torus circumferences"),
+        (lambda: mf.ManifoldSpec.from_json({"kind": "sphere", "radius": "abc"}), "sphere radius"),
+        (lambda: mf.ManifoldSpec.from_json({"kind": "sphere", "radius": 1.0, "dim": 5}),
+         "sphere has no parameter 'dim'"),
+        (lambda: mf.ManifoldSpec.from_json({"kind": "hyperbolic_half_plane", "radius": 1.0}),
+         "hyperbolic_half_plane has no parameter 'radius'"),
+        (lambda: mf.ManifoldSpec.from_json({"dim": 2}), "unknown manifold kind: None"),
+        (lambda: mf.ManifoldSpec.from_json("sphere"), "manifold must be a JSON object"),
+    ],
+    ids=["kind-constructor", "kind-constructor-torus", "kind-as-radius", "fractional-dim",
+         "bool-dim", "float-dim", "string-dim", "string-radius", "nan-radius", "inf-radius",
+         "scalar-circumferences", "string-circumferences", "no-circumferences",
+         "nan-circumference", "json-string-radius", "json-foreign-parameter",
+         "json-parameter-of-another-model", "json-no-kind", "json-not-an-object"],
+)
+def test_misbuilt_specs_are_domain_errors(build, needle):
+    with pytest.raises(mf.DomainError) as exc:
+        build()
+    assert needle in str(exc.value)
+
+
 def test_invalid_specs_raise():
     with pytest.raises(mf.DomainError):
         mf.ManifoldSpec.euclidean(0)
@@ -355,7 +473,7 @@ def test_invalid_specs_raise():
     with pytest.raises(mf.DomainError):
         mf.ManifoldSpec.flat_torus([1.0, -2.0])
     with pytest.raises(mf.DomainError):
-        mf.ManifoldSpec("klein_bottle")
+        mf.ManifoldSpec.from_json({"kind": "klein_bottle"})
 
 
 def test_sphere_point_and_tangent_validation():

@@ -136,6 +136,27 @@ def test_field_validation():
     assert np.max(np.abs(np.sum(ok.components * gamma.samples, axis=1))) < 1e-12
 
 
+@pytest.mark.parametrize("radius", [1.0, 3.0])
+def test_fields_and_vectors_share_one_tangency_rule(radius):
+    # a normal part of 0.5e-9 relative is tangent and 5e-9 is not, for a
+    # single vector and for a path field alike
+    spec = mf.ManifoldSpec.sphere(radius)
+    gamma = pth.make_latitude_circle(spec, 1.0, n=16, collar=0.0)
+    along = pth.make_normal_field(gamma, 2.0).components
+    unit = gamma.samples / radius
+    for rel, tangent in ((5e-10, True), (5e-9, False)):
+        comps = along + rel * np.linalg.norm(along, axis=1, keepdims=True) * unit
+        if tangent:
+            pth.PathTangentField(gamma, comps)
+            mf.tangent(mf.point(spec, gamma.samples[3]), comps[3])
+            continue
+        with pytest.raises(mf.DomainError, match="field at sample 0 is not tangent"):
+            pth.PathTangentField(gamma, comps)
+        with pytest.raises(mf.DomainError, match="vector is not tangent"):
+            mf.tangent(mf.point(spec, gamma.samples[3]), comps[3])
+    pth.PathTangentField(gamma, np.zeros_like(along))
+
+
 def test_field_collar_constancy_enforced():
     spec = mf.ManifoldSpec.euclidean(2)
     gamma = pth.make_line(spec, [0, 0], [1, 0], n=32, collar=1.0 / 8)
