@@ -120,8 +120,8 @@ def erase_backtrack(gamma, window):
     span = samples[window.start : window.end + 1]
     if np.max(mf.dist(spec, span, span[::-1])) > DETECT_TOL:
         raise DomainError("the given window is not a back-track of this path")
-    kept = np.delete(samples, np.s_[window.start + 1 : window.end + 1], axis=0)
-    return _canonical_reparametrize(spec, kept, gamma.n_segments)[0]
+    keep = np.delete(np.arange(len(samples)), np.s_[window.start + 1 : window.end + 1])
+    return _canonical_reparametrize(spec, samples[keep], gamma.n_segments, keep)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +191,11 @@ def _reduce(spec, samples, tol):
     return keep, np.array([left, right], dtype=int)
 
 
-def _canonical_nodes(spec, samples, n):
+def _canonical_nodes(spec, samples, n, numbers=None):
     """Segment index and fraction of every node of the collared
-    constant-speed n-grid, by arc length along the samples; also the total
-    arc length."""
-    arcs = np.concatenate([[0.0], np.cumsum(mf.dist(spec, samples[:-1], samples[1:]))])
+    constant-speed n-grid, by arc length along the samples (numbered by
+    ``numbers`` in a chord error); also the total arc length."""
+    arcs = np.concatenate([[0.0], np.cumsum(pth.segment_lengths(spec, samples, numbers))])
     target = pth.collar_ramp(np.arange(n + 1) / n, pth.DEFAULT_COLLAR) * arcs[-1]
     idx = np.clip(np.searchsorted(arcs, target, side="right") - 1, 0, len(arcs) - 2)
     seg = arcs[idx + 1] - arcs[idx]
@@ -203,27 +203,27 @@ def _canonical_nodes(spec, samples, n):
     return idx, np.clip(frac, 0.0, 1.0), arcs[-1]
 
 
-def _canonical_reparametrize(spec, samples, n):
+def _canonical_reparametrize(spec, samples, n, numbers):
     """Collared constant-speed representative on the uniform n-grid.
 
     Constant on both collars, constant speed in between; the canonical
     parametrization every equivalence check compares against. Also returns
     the node locations, so a field can be resampled alongside.
     """
-    idx, frac, total = _canonical_nodes(spec, samples, n)
+    idx, frac, total = _canonical_nodes(spec, samples, n, numbers)
     if total <= 1e-15:
         out = np.tile(samples[0], (n + 1, 1))
     else:
-        u = mf.log(spec, samples[idx], samples[idx + 1])
-        out, _ = mf.flow(spec, samples[idx], u, frac)
-        out = np.where((frac == 0.0)[:, None], samples[idx], out)
-        out = np.where((frac == 1.0)[:, None], samples[idx + 1], out)
+        out = pth.chord_points(spec, samples, idx, frac)
     return DiscretePath(spec, out, pth.DEFAULT_COLLAR), idx, frac
 
 
 def canonical_form(gamma, tol=DETECT_TOL, n=None):
     """Erase back-tracks until none remain, then reparametrize canonically.
 
+    The reduced samples are read as chords (``path.segment_lengths``,
+    ``path.chord_points``): one at or beyond the injectivity radius raises
+    NormalNeighborhoodError, naming its two samples by input number.
     Idempotent within 1e-9 only on piecewise-geodesic paths: the collared
     constant-speed representative has only trivial (plateau) windows, which
     erase and re-ramp to themselves. Elsewhere the resampled nodes sit on
@@ -237,7 +237,7 @@ def canonical_form(gamma, tol=DETECT_TOL, n=None):
     keep, _ = _reduce(spec, gamma.samples, tol)
     if len(keep) == 1:
         return pth.make_constant_path(gamma.start(), n)
-    return _canonical_reparametrize(spec, gamma.samples[keep], n)[0]
+    return _canonical_reparametrize(spec, gamma.samples[keep], n, keep)[0]
 
 
 def bt_equivalent(gamma1, gamma2, tol=1e-6):
@@ -261,14 +261,11 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
 # ---------------------------------------------------------------------------
 
 
-def _interp_field_many(spec, samples, comps, idx, frac):
-    """Field values between samples idx and idx+1 (vectorized): transport
-    both neighbor vectors to the interpolated point and blend linearly."""
-    p0, p1 = samples[idx], samples[idx + 1]
-    u = mf.log(spec, p0, p1)
-    x, _ = mf.flow(spec, p0, u, frac)
-    a = spec.transport(p0, x, comps[idx])
-    b = spec.transport(p1, x, comps[idx + 1])
+def _interp_field_many(spec, samples, comps, idx, frac, x):
+    """Field values at the points x between samples idx and idx+1: transport
+    both neighbor vectors to x and blend linearly."""
+    a = spec.transport(samples[idx], x, comps[idx])
+    b = spec.transport(samples[idx + 1], x, comps[idx + 1])
     out = spec.project_tangent(x, (1 - frac)[..., None] * a + frac[..., None] * b)
     out = np.where((frac == 0.0)[..., None], comps[idx], out)
     out = np.where((frac == 1.0)[..., None], comps[idx + 1], out)
@@ -301,5 +298,5 @@ def field_canonical_form(field, n=None):
         base = pth.make_constant_path(gamma.start(), n_out)
         return PathTangentField(base, np.tile(comps[0], (n_out + 1, 1)))
     samples, comps = samples[keep], comps[keep]
-    base, idx, frac = _canonical_reparametrize(spec, samples, n_out)
-    return PathTangentField(base, _interp_field_many(spec, samples, comps, idx, frac))
+    base, idx, frac = _canonical_reparametrize(spec, samples, n_out, keep)
+    return PathTangentField(base, _interp_field_many(spec, samples, comps, idx, frac, base.samples))

@@ -64,19 +64,20 @@ class ScenarioConfig:
         self.manifold = mf.ManifoldSpec.from_json(data["manifold"])
         self.paths = dict(data.get("paths", {}))
         self.fields = dict(data.get("fields", {}))
-        self.interval = tuple(float(v) for v in data.get("interval", (0.0, 1.0)))
+        # a value of the wrong type is a bad record (ValueError) naming its key
+        interval = data.get("interval", (0.0, 1.0))
+        self.interval = tuple(mf.as_number("interval", v, error=ValueError) for v in interval)
         res = dict(data.get("resolution", {}))
         _only("resolution key", res, ("N", "S"))
-        self.N = int(res.get("N", pth.DEFAULT_GRID))
-        self.S = int(res.get("S", 16))
-        self.tolerances = {k: float(v) for k, v in data.get("tolerances", {}).items()}
-        _only("tolerance", self.tolerances, ("distance",))
+        self.N = mf.as_integer("resolution N", res.get("N", pth.DEFAULT_GRID), error=ValueError)
+        self.S = mf.as_integer("resolution S", res.get("S", 16), error=ValueError)
+        tols = dict(data.get("tolerances", {}))
+        _only("tolerance", tols, ("distance",))
+        self.tolerances = {k: mf.as_number("tolerance %r" % k, v, error=ValueError) for k, v in tols.items()}
         self._validate()
         self._path_cache = {}
 
     def _validate(self):
-        if self.N <= 0 or self.S <= 0:
-            raise ConfigError("resolution values must be positive")
         if self.N & (self.N - 1) != 0:
             raise ConfigError("resolution N must be a power of two (got %d)" % self.N)
         if len(self.interval) != 2 or not -np.inf < self.interval[0] <= self.interval[1] < np.inf:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -80,12 +80,23 @@ def check_nodes(ok, label, why):
         raise DomainError("%s %s" % (label % tuple(int(i) for i in idx), why))
 
 
-def _positive(model, name, value):
-    """``value`` as a float, or DomainError naming the parameter unless it
-    is a positive finite number."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf:
-        return float(value)
-    raise DomainError("%s %s must be a positive finite number (got %r)" % (model, name, value))
+def as_integer(label, value, error=DomainError):
+    """``value`` as an int; ``error`` naming ``label`` unless it is an
+    integer >= 1. The one integer rule: an int or numpy integer, while a
+    bool, a float such as 2.0 and a string are rejected."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
+        return int(value)
+    raise error("%s must be an integer >= 1 (got %r)" % (label, value))
+
+
+def as_number(label, value, positive=False, error=DomainError):
+    """``value`` as a float; ``error`` naming ``label`` unless it is a
+    number, and a positive finite one if ``positive``. The one number rule:
+    an int or float, numpy's too, while a bool and a string are rejected."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if not positive or 0 < value < math.inf:
+            return float(value)
+    raise error("%s must be a %snumber (got %r)" % (label, "positive finite " if positive else "", value))
 
 
 class ManifoldSpec:
@@ -134,6 +145,9 @@ class ManifoldSpec:
         unknown = sorted(set(params) - {f.name for f in fields(model)})
         if unknown:
             raise DomainError("%s has no parameter %s" % (kind, ", ".join(map(repr, unknown))))
+        missing = [f.name for f in fields(model) if f.default is MISSING and f.name not in params]
+        if missing:
+            raise DomainError("%s needs the parameter %s" % (kind, ", ".join(map(repr, missing))))
         return model(**params)
 
     def to_json(self):
@@ -158,10 +172,6 @@ class ManifoldSpec:
     def chart_diff(self, a, b):
         """Chart difference a - b, taken to the nearest periodic image."""
         return a - b
-
-    def second_diff(self, prev, mid, nxt):
-        """Chart second difference of three consecutive samples."""
-        return nxt - 2 * mid + prev
 
     def project_tangent(self, x, v):
         """Remove the component of v normal to the manifold at x."""
@@ -246,9 +256,7 @@ class Euclidean(ManifoldSpec):
     kind = EUCLIDEAN
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral) or self.dim < 1:
-            raise DomainError("%s dim must be an integer >= 1 (got %r)" % (EUCLIDEAN, self.dim))
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", as_integer(EUCLIDEAN + " dim", self.dim))
 
     @property
     def point_dim(self):
@@ -276,7 +284,7 @@ class Sphere(ManifoldSpec):
     embedded_3d = True
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", _positive(SPHERE, "radius", self.radius))
+        object.__setattr__(self, "radius", as_number(SPHERE + " radius", self.radius, positive=True))
 
     @property
     def point_dim(self):
@@ -503,7 +511,7 @@ class FlatTorus(ManifoldSpec):
         cs = tuple(given) if np.iterable(given) and not isinstance(given, (str, bytes)) else ()
         if not cs:
             raise DomainError("flat_torus circumferences must be a nonempty list (got %r)" % (given,))
-        cs = tuple(_positive(FLAT_TORUS, "circumferences", c) for c in cs)
+        cs = tuple(as_number(FLAT_TORUS + " circumferences", c, positive=True) for c in cs)
         object.__setattr__(self, "circumferences", cs)
 
     @property
@@ -519,9 +527,6 @@ class FlatTorus(ManifoldSpec):
     def chart_diff(self, a, b):
         L = np.asarray(self.circumferences)
         return np.mod(a - b + L / 2, L) - L / 2
-
-    def second_diff(self, prev, mid, nxt):
-        return self.chart_diff(nxt, mid) + self.chart_diff(prev, mid)
 
     def random_point(self, rng):
         L = np.asarray(self.circumferences)

@@ -126,33 +126,37 @@ class PathTangentField:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_many(gamma, ts):
-    """Sample positions at parameters ts (array-like in [0,1]).
+def chord_points(spec, samples, idx, frac):
+    """The one chord evaluator: points at fractions ``frac`` of the chords
+    samples[idx] -> samples[idx + 1], by log then flow; 0 and 1 are exact."""
+    p0, p1 = samples[idx], samples[idx + 1]
+    x = np.where((frac == 0.0)[..., None], p0, mf.flow(spec, p0, mf.log(spec, p0, p1), frac)[0])
+    return np.where((frac == 1.0)[..., None], p1, x)
 
-    On-grid parameters return the stored samples exactly; in between,
-    neighbors are joined by the connecting geodesic (log/exp interpolation).
-    """
+
+def evaluate_many(gamma, ts):
+    """Positions at parameters ts (array-like in [0,1]) on the chords
+    between consecutive samples; within 1e-12 of a grid node, its sample.
+    The chords from the first to the last segment read off the grid must
+    pass ``segment_lengths``."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < -1e-12) or np.any(ts > 1 + 1e-12):
         raise DomainError("parameter outside [0, 1]")
-    n = gamma.n_segments
+    spec, samples, n = gamma.manifold, gamma.samples, gamma.n_segments
     u = np.clip(ts, 0.0, 1.0) * n
     idx = np.minimum(u.astype(int), n - 1)
     frac = u - idx
-    spec = gamma.manifold
-    p0 = gamma.samples[idx]
-    p1 = gamma.samples[idx + 1]
-    vel = mf.log(spec, p0, p1)
-    pts, _ = mf.flow(spec, p0, vel, frac)
-    on_grid = np.abs(frac - np.round(frac)) < 1e-12
-    snap = gamma.samples[np.clip(np.round(u).astype(int), 0, n)]
-    return np.where(on_grid[..., None], snap, pts)
+    frac = np.where(np.abs(frac - np.round(frac)) < 1e-12, np.round(frac), frac)
+    read = idx[(frac > 0) & (frac < 1)]
+    if read.size:
+        lo, hi = read.min(), read.max() + 2
+        segment_lengths(spec, samples[lo:hi], range(lo, hi))
+    return chord_points(spec, samples, idx, frac)
 
 
 def evaluate(gamma, t):
     """gamma(t) as a ManifoldPoint."""
-    x = evaluate_many(gamma, np.asarray([t]))[0]
-    return mf.ManifoldPoint(gamma.manifold, x)
+    return mf.ManifoldPoint(gamma.manifold, evaluate_many(gamma, [t])[0])
 
 
 def resample(gamma, n, collar=None):
@@ -241,19 +245,24 @@ def path_energy(gamma):
     return 0.5 * _trapezoid(g, 1.0 / gamma.n_segments)
 
 
-def segment_lengths(gamma):
-    spec = gamma.manifold
-    d = mf.dist(spec, gamma.samples[:-1], gamma.samples[1:])
-    if np.any(d >= spec.injectivity_radius()):
-        raise NormalNeighborhoodError(
-            "adjacent samples farther apart than the injectivity radius; refine the grid"
-        )
+def segment_lengths(spec, samples, numbers=None):
+    """The one chord measurer: lengths of the geodesic chords between
+    consecutive samples. A chord at or beyond the injectivity radius is not
+    unique, so it raises NormalNeighborhoodError naming its two samples, by
+    position or, for samples picked out of a path, by ``numbers``."""
+    d = mf.dist(spec, samples[:-1], samples[1:])
+    bad = np.flatnonzero(~(d < spec.injectivity_radius()))
+    if bad.size:
+        i = bad[0]
+        a, b = (i, i + 1) if numbers is None else numbers[i : i + 2]
+        raise NormalNeighborhoodError("samples %d and %d are %.6g apart, at or beyond the "
+                                      "injectivity radius; refine the grid" % (a, b, d[i]))
     return d
 
 
 def arc_length(gamma):
-    """Sum of geodesic segment lengths between consecutive samples."""
-    return float(np.sum(segment_lengths(gamma)))
+    """Sum of the geodesic chord lengths between consecutive samples."""
+    return float(np.sum(segment_lengths(gamma.manifold, gamma.samples)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +277,14 @@ def collar_ramp(ts, collar):
     return np.clip((np.asarray(ts, dtype=float) - collar) / (1 - 2 * collar), 0.0, 1.0)
 
 
+def _ramp(n, collar):
+    """The checked grid size and collar, and the collar-warped grid."""
+    n, collar = mf.as_integer("n", n), mf.as_number("collar", collar)
+    return n, collar, collar_ramp(np.arange(n + 1) / n, collar)
+
+
 def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
+    n, collar, _ = _ramp(n, collar)
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
@@ -276,7 +292,7 @@ def make_line(spec, start, end, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     """Chart-straight segment (euclidean / flat torus)."""
     start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    phi = collar_ramp(np.arange(n + 1) / n, collar)
+    n, collar, phi = _ramp(n, collar)
     return DiscretePath(spec, start + phi[:, None] * (end - start), collar)
 
 
@@ -284,7 +300,7 @@ def make_geodesic_arc(p, q, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     """The minimizing geodesic from p to q, collar-warped; any manifold."""
     spec = p.manifold
     v = mf.log_map(p, q)
-    phi = collar_ramp(np.arange(n + 1) / n, collar)
+    n, collar, phi = _ramp(n, collar)
     pts, _ = mf.flow(spec, p.coords, v.components, phi)
     return DiscretePath(spec, pts, collar)
 
@@ -302,8 +318,9 @@ def make_latitude_circle(
     if not isinstance(spec, mf.Sphere):
         raise DomainError("latitude_circle requires a sphere")
     r = spec.radius
-    phi = collar_ramp(np.arange(n + 1) / n, collar)
-    ang = phase + 2 * np.pi * fraction * phi
+    n, collar, phi = _ramp(n, collar)
+    ang = mf.as_number("phase", phase) + 2 * np.pi * mf.as_number("fraction", fraction) * phi
+    colatitude = mf.as_number("colatitude", colatitude)
     st, ct = np.sin(colatitude), np.cos(colatitude)
     pts = r * np.stack([st * np.cos(ang), st * np.sin(ang), ct * np.ones_like(ang)], axis=-1)
     return DiscretePath(spec, pts, collar)
@@ -313,9 +330,10 @@ def make_vertical_ray(spec, x, y_start, y_end, n=DEFAULT_GRID, collar=DEFAULT_CO
     """Vertical geodesic x = const in the half plane, constant hyperbolic speed."""
     if not isinstance(spec, mf.HalfPlane):
         raise DomainError("vertical_ray requires the hyperbolic half plane")
-    phi = collar_ramp(np.arange(n + 1) / n, collar)
-    ys = y_start * (y_end / y_start) ** phi
-    pts = np.stack([np.full_like(ys, float(x)), ys], axis=-1)
+    n, collar, phi = _ramp(n, collar)
+    y_start = mf.as_number("y_start", y_start, positive=True)
+    ys = y_start * (mf.as_number("y_end", y_end, positive=True) / y_start) ** phi
+    pts = np.stack([np.full_like(ys, mf.as_number("x", x)), ys], axis=-1)
     return DiscretePath(spec, pts, collar)
 
 
@@ -350,6 +368,7 @@ def make_normal_field(gamma, scale=1.0):
     neighbor, searched forward first, then backward; each search step
     advances only the samples still without one.
     """
+    scale = mf.as_number("scale", scale)
     spec, x = gamma.manifold, gamma.samples
     n = gamma.n_segments
     partner = np.full(n + 1, -1)

@@ -291,7 +291,7 @@ def transverse_residual(sheet):
     a, b = sheet.interval
     ds = (b - a) / S
     p = sheet.points
-    acc = spec.second_diff(p[:-2], p[1:-1], p[2:]) / ds**2
+    acc = (spec.chart_diff(p[2:], p[1:-1]) + spec.chart_diff(p[:-2], p[1:-1])) / ds**2
     v = sheet.velocities[1:-1]
     res = acc + mf.gamma_quad(spec, p[1:-1], v, v)
     # remove the normal part: on the sphere the second difference picks up

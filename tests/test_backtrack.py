@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from pathgeo import backtrack as bt
 from pathgeo import checks
+from pathgeo import cli
 from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo import pathspace as ps
@@ -68,7 +71,7 @@ def shaped_paths(spec, rng):
         plateaus,
         np.concatenate([s[1:4][::-1], s]),
         np.concatenate([s, s[-4:-1][::-1]]),
-        np.concatenate([s[1:4][::-1], plateaus, plateaus[-4:-1][::-1]]),
+        np.concatenate([plateaus[5:8][::-1], plateaus, plateaus[-4:-1][::-1]]),
     ]
 
 
@@ -485,3 +488,76 @@ def test_window_validation():
         bt.BackTrackWindow(0, 0)
     with pytest.raises(mf.DomainError):
         bt.detect_backtracks(abcba_path(), tol=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# chords at the injectivity radius
+# ---------------------------------------------------------------------------
+
+
+def old_join(spec, rng):
+    """The last ``shaped_paths`` case as it first stood: a spur cut from one
+    random path, joined to the start of another, collared one."""
+    s = checks.random_collared_path(spec, rng, n=24, collar=0.0).samples
+    collared = checks.random_collared_path(spec, rng, n=32, collar=0.125)
+    plateaus = insert_spur(collared.samples, 12, 4)
+    return np.concatenate([s[1:4][::-1], plateaus, plateaus[-4:-1][::-1]])
+
+
+def test_old_join_of_two_paths_is_rejected():
+    # the draws of test_canonical_nodes_match_per_node_search: on the flat
+    # torus the join of samples 2 and 3 is longer than the injectivity
+    # radius, so it has no unique chord
+    rng = np.random.default_rng(SEED + 8)
+    joins = {spec: old_join(spec, rng) for spec in specs()}
+    spec = mf.ManifoldSpec.flat_torus([1.0, 2.0])
+    samples = joins[spec]
+    assert mf.dist(spec, samples[2], samples[3]) >= spec.injectivity_radius()
+    with pytest.raises(mf.NormalNeighborhoodError, match="samples 2 and 3 "):
+        bt._canonical_nodes(spec, samples, 40)
+    with pytest.raises(mf.NormalNeighborhoodError, match="samples 2 and 3 "):
+        bt.canonical_form(pth.DiscretePath(spec, samples, 0.0))
+
+
+def defect_path(kind):
+    """Five samples whose chord from sample 3 to 4 reaches the injectivity
+    radius: antipodal samples on the unit sphere, or a jump of half a
+    circumference on the flat torus; every other chord is short."""
+    if kind == "sphere":
+        c, s = np.cos(0.5), np.sin(0.5)
+        samples = [[1, 0, 0], [c, s, 0], [c * c - s * s, 2 * s * c, 0], [0, 0, 1], [0, 0, -1]]
+        return mf.ManifoldSpec.sphere(1.0), np.array(samples, dtype=float)
+    samples = [[0.1, 0.5], [0.15, 0.5], [0.2, 0.5], [0.25, 0.5], [0.75, 0.5]]
+    return mf.ManifoldSpec.flat_torus([1.0, 2.0]), np.array(samples)
+
+
+@pytest.mark.parametrize("spur", [False, True], ids=["plain", "spur"])
+@pytest.mark.parametrize("kind", ["sphere", "flat_torus"])
+def test_a_chord_at_the_injectivity_radius_is_rejected(tmp_path, capsys, kind, spur):
+    spec, samples = defect_path(kind)
+    # a retraced spur at sample 2 moves the bad chord to input samples 5
+    # and 6, and an error after its erasure must name those
+    bad = 3
+    if spur:
+        samples, bad = insert_spur(samples, 2, 1), 5
+    gamma = pth.DiscretePath(spec, samples, 0.0)
+    field = pth.make_zero_field(gamma)
+    ops = {
+        "canonical_form": lambda: bt.canonical_form(gamma),
+        "canonical_form n=16": lambda: bt.canonical_form(gamma, n=16),
+        "bt_equivalent": lambda: bt.bt_equivalent(gamma, gamma),
+        "field_canonical_form": lambda: bt.field_canonical_form(field),
+        "evaluate_many": lambda: pth.evaluate_many(gamma, [(bad + 0.5) / gamma.n_segments]),
+        "arc_length": lambda: pth.arc_length(gamma),
+    }
+    if spur:
+        ops["erase_backtrack"] = lambda: bt.erase_backtrack(gamma, bt.BackTrackWindow(2, 1))
+    for name, op in ops.items():
+        with pytest.raises(mf.NormalNeighborhoodError, match="^samples %d and %d " % (bad, bad + 1)):
+            op()
+    # a chord that is read only where it is short, or not at all, is fine
+    pth.evaluate_many(gamma, np.concatenate([[0.5 / gamma.n_segments], gamma.grid]))
+    path_file = tmp_path / "path.json"
+    path_file.write_text(json.dumps({"manifold": spec.to_json(), "samples": samples.tolist()}))
+    assert cli.main(["backtrack", "--input", str(path_file), "--canonical"]) == 1
+    assert capsys.readouterr().err.startswith("error: samples %d and %d " % (bad, bad + 1))

@@ -515,3 +515,44 @@ def test_worldsheet_formats_no_export_without_out(tmp_path, monkeypatch, capsys,
     assert max(slabs) > 1
     assert capsys.readouterr().out == summary
     assert sorted(os.listdir(out)) == sorted(["summary.json", "worldsheet." + fmt])
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"resolution": {"N": 16, "S": 2.5}}, "resolution S must be an integer >= 1 (got 2.5)"),
+        ({"resolution": {"N": 16.5}}, "resolution N must be an integer >= 1 (got 16.5)"),
+        ({"resolution": {"N": 1e300}}, "resolution N must be an integer >= 1 (got 1e+300)"),
+        ({"resolution": {"S": 0}}, "resolution S must be an integer >= 1 (got 0)"),
+        ({"interval": [0, "1"]}, "interval must be a number (got '1')"),
+        ({"interval": [False, 1]}, "interval must be a number (got False)"),
+        ({"tolerances": {"distance": "1e-4"}}, "tolerance 'distance' must be a number (got '1e-4')"),
+        ({"manifold": {"kind": "euclidean"}}, "euclidean needs the parameter 'dim'"),
+    ],
+    ids=["fractional-S", "fractional-N", "huge-N", "zero-S", "string-interval-end", "bool-interval",
+         "string-tolerance", "missing-dim"],
+)
+def test_config_numbers_name_the_file_and_the_key(tmp_path, capsys, entry, needle):
+    cfg = write_config(tmp_path, dict({"manifold": {"kind": "euclidean", "dim": 2}}, **entry))
+    assert cli.main(["energy", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % cfg)
+    assert needle in err
+
+
+@pytest.mark.parametrize(
+    "paths, fields, needle",
+    [
+        ({"a": {"generator": "latitude_circle", "colatitude": "x"}}, {},
+         "path 'a': colatitude must be a number (got 'x')"),
+        ({"a": {"generator": "latitude_circle", "colatitude": 1.0}},
+         {"f": {"generator": "normal_to_path", "path": "a", "scale": "x"}},
+         "field 'f': scale must be a number (got 'x')"),
+    ],
+    ids=["colatitude", "scale"],
+)
+def test_generator_parameters_name_themselves(tmp_path, capsys, paths, fields, needle):
+    cfg = write_config(tmp_path, {"manifold": {"kind": "sphere"}, "paths": paths, "fields": fields,
+                                  "resolution": {"N": 16, "S": 2}})
+    assert cli.main(["worldsheet", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % needle

@@ -465,6 +465,41 @@ def test_misbuilt_specs_are_domain_errors(build, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "record, needle",
+    [
+        ({"kind": "euclidean"}, "euclidean needs the parameter 'dim'"),
+        ({"kind": "flat_torus"}, "flat_torus needs the parameter 'circumferences'"),
+    ],
+    ids=["euclidean", "flat_torus"],
+)
+def test_a_record_missing_a_parameter_names_it(record, needle):
+    with pytest.raises(mf.DomainError, match=needle):
+        mf.ManifoldSpec.from_json(record)
+    # a parameter with a default may be left out
+    assert mf.ManifoldSpec.from_json({"kind": "sphere"}) == mf.Sphere(1.0)
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2)], ids=["int", "numpy-int"])
+def test_the_integer_rule_keeps_integers(value):
+    assert mf.as_integer("n", value) == 2 and type(mf.as_integer("n", value)) is int
+
+
+@pytest.mark.parametrize("value", [0, -3, 2.5, 2.0, 1e300, True, "2", None], ids=repr)
+def test_the_integer_rule_rejects_everything_else(value):
+    with pytest.raises(mf.DomainError, match=r"^n must be an integer >= 1 \(got "):
+        mf.as_integer("n", value)
+    with pytest.raises(ValueError, match="^n must be"):
+        mf.as_integer("n", value, ValueError)
+
+
+@pytest.mark.parametrize("value", ["1", True, None, [1.0]], ids=repr)
+def test_the_number_rule_rejects_what_is_not_a_number(value):
+    with pytest.raises(mf.DomainError, match=r"^x must be a number \(got "):
+        mf.as_number("x", value)
+    assert mf.as_number("x", np.float32(0.5)) == 0.5 and mf.as_number("x", -3) == -3.0
+
+
 def test_invalid_specs_raise():
     with pytest.raises(mf.DomainError):
         mf.ManifoldSpec.euclidean(0)

@@ -286,3 +286,29 @@ def test_invalid_samples_are_rejected_where_they_enter(build, message):
     with pytest.raises(mf.DomainError) as err:
         build()
     assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda sphere, plane: pth.make_latitude_circle(sphere, "x"), "colatitude"),
+        (lambda sphere, plane: pth.make_latitude_circle(sphere, 1.0, fraction="x"), "fraction"),
+        (lambda sphere, plane: pth.make_latitude_circle(sphere, 1.0, phase=None), "phase"),
+        (lambda sphere, plane: pth.make_latitude_circle(sphere, 1.0, n=16.5), "n"),
+        (lambda sphere, plane: pth.make_latitude_circle(sphere, 1.0, collar="0"), "collar"),
+        (lambda sphere, plane: pth.make_vertical_ray(plane, "x", 1.0, 2.0), "x"),
+        (lambda sphere, plane: pth.make_vertical_ray(plane, 0.0, 0.0, 2.0), "y_start"),
+        (lambda sphere, plane: pth.make_vertical_ray(plane, 0.0, 1.0, "2"), "y_end"),
+        (lambda sphere, plane: pth.make_line(plane, [0, 1], [1, 1], n=True), "n"),
+        (lambda sphere, plane: pth.make_great_circle_arc(sphere, [1, 0, 0], [0, 1, 0], n=0), "n"),
+        (lambda sphere, plane: pth.make_constant_path(mf.point(sphere, [0, 0, 1]), collar="x"), "collar"),
+        (lambda sphere, plane: pth.make_normal_field(pth.make_latitude_circle(sphere, 1.0, n=16), "x"),
+         "scale"),
+    ],
+    ids=["colatitude", "fraction", "phase", "n-float", "collar-string", "x", "y_start-zero",
+         "y_end-string", "n-bool", "n-zero", "constant-collar", "scale"],
+)
+def test_generator_parameters_are_checked_where_they_enter(build, name):
+    sphere, plane = mf.ManifoldSpec.sphere(1.0), mf.ManifoldSpec.hyperbolic_half_plane()
+    with pytest.raises(mf.DomainError, match="^%s must be " % name):
+        build(sphere, plane)
