@@ -211,10 +211,7 @@ def _canonical_reparametrize(spec, samples, n, numbers):
     the node locations, so a field can be resampled alongside.
     """
     idx, frac, total = _canonical_nodes(spec, samples, n, numbers)
-    if total <= 1e-15:
-        out = np.tile(samples[0], (n + 1, 1))
-    else:
-        out = pth.chord_points(spec, samples, idx, frac)
+    out = np.tile(samples[0], (n + 1, 1)) if total <= 1e-15 else pth.chord_points(spec, samples, idx, frac)
     return DiscretePath(spec, out, pth.DEFAULT_COLLAR), idx, frac
 
 
@@ -268,8 +265,7 @@ def _interp_field_many(spec, samples, comps, idx, frac, x):
     b = spec.transport(samples[idx + 1], x, comps[idx + 1])
     out = spec.project_tangent(x, (1 - frac)[..., None] * a + frac[..., None] * b)
     out = np.where((frac == 0.0)[..., None], comps[idx], out)
-    out = np.where((frac == 1.0)[..., None], comps[idx + 1], out)
-    return out
+    return np.where((frac == 1.0)[..., None], comps[idx + 1], out)
 
 
 def field_canonical_form(field, n=None):

@@ -64,16 +64,15 @@ class ScenarioConfig:
         self.manifold = mf.ManifoldSpec.from_json(data["manifold"])
         self.paths = dict(data.get("paths", {}))
         self.fields = dict(data.get("fields", {}))
-        # a value of the wrong type is a bad record (ValueError) naming its key
         interval = data.get("interval", (0.0, 1.0))
-        self.interval = tuple(mf.as_number("interval", v, error=ValueError) for v in interval)
+        self.interval = tuple(mf.as_number("interval", v) for v in interval)
         res = dict(data.get("resolution", {}))
         _only("resolution key", res, ("N", "S"))
-        self.N = mf.as_integer("resolution N", res.get("N", pth.DEFAULT_GRID), error=ValueError)
-        self.S = mf.as_integer("resolution S", res.get("S", 16), error=ValueError)
+        self.N = mf.as_integer("resolution N", res.get("N", pth.DEFAULT_GRID))
+        self.S = mf.as_integer("resolution S", res.get("S", 16))
         tols = dict(data.get("tolerances", {}))
         _only("tolerance", tols, ("distance",))
-        self.tolerances = {k: mf.as_number("tolerance %r" % k, v, error=ValueError) for k, v in tols.items()}
+        self.tolerances = {k: mf.as_number("tolerance %r" % k, v) for k, v in tols.items()}
         self._validate()
         self._path_cache = {}
 

@@ -80,23 +80,23 @@ def check_nodes(ok, label, why):
         raise DomainError("%s %s" % (label % tuple(int(i) for i in idx), why))
 
 
-def as_integer(label, value, error=DomainError):
-    """``value`` as an int; ``error`` naming ``label`` unless it is an
+def as_integer(label, value):
+    """``value`` as an int; DomainError naming ``label`` unless it is an
     integer >= 1. The one integer rule: an int or numpy integer, while a
     bool, a float such as 2.0 and a string are rejected."""
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1:
         return int(value)
-    raise error("%s must be an integer >= 1 (got %r)" % (label, value))
+    raise DomainError("%s must be an integer >= 1 (got %r)" % (label, value))
 
 
-def as_number(label, value, positive=False, error=DomainError):
-    """``value`` as a float; ``error`` naming ``label`` unless it is a
+def as_number(label, value, positive=False):
+    """``value`` as a float; DomainError naming ``label`` unless it is a
     number, and a positive finite one if ``positive``. The one number rule:
     an int or float, numpy's too, while a bool and a string are rejected."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         if not positive or 0 < value < math.inf:
             return float(value)
-    raise error("%s must be a %snumber (got %r)" % (label, "positive finite " if positive else "", value))
+    raise DomainError("%s must be a %snumber (got %r)" % (label, "positive finite " if positive else "", value))
 
 
 class ManifoldSpec:

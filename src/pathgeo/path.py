@@ -137,8 +137,8 @@ def chord_points(spec, samples, idx, frac):
 def evaluate_many(gamma, ts):
     """Positions at parameters ts (array-like in [0,1]) on the chords
     between consecutive samples; within 1e-12 of a grid node, its sample.
-    The chords from the first to the last segment read off the grid must
-    pass ``segment_lengths``."""
+    Each chord read off the grid must lie within the injectivity radius
+    (``segment_lengths``); the chords it does not read are not checked."""
     ts = np.asarray(ts, dtype=float)
     if np.any(ts < -1e-12) or np.any(ts > 1 + 1e-12):
         raise DomainError("parameter outside [0, 1]")
@@ -147,10 +147,9 @@ def evaluate_many(gamma, ts):
     idx = np.minimum(u.astype(int), n - 1)
     frac = u - idx
     frac = np.where(np.abs(frac - np.round(frac)) < 1e-12, np.round(frac), frac)
-    read = idx[(frac > 0) & (frac < 1)]
+    read = np.unique(idx[(frac > 0) & (frac < 1)])
     if read.size:
-        lo, hi = read.min(), read.max() + 2
-        segment_lengths(spec, samples[lo:hi], range(lo, hi))
+        _within_radius(spec, mf.dist(spec, samples[read], samples[read + 1]), read, read + 1)
     return chord_points(spec, samples, idx, frac)
 
 
@@ -248,15 +247,19 @@ def path_energy(gamma):
 def segment_lengths(spec, samples, numbers=None):
     """The one chord measurer: lengths of the geodesic chords between
     consecutive samples. A chord at or beyond the injectivity radius is not
-    unique, so it raises NormalNeighborhoodError naming its two samples, by
-    position or, for samples picked out of a path, by ``numbers``."""
-    d = mf.dist(spec, samples[:-1], samples[1:])
+    unique: NormalNeighborhoodError names its samples, by ``numbers`` if given."""
+    numbers = range(len(samples)) if numbers is None else numbers
+    return _within_radius(spec, mf.dist(spec, samples[:-1], samples[1:]), numbers[:-1], numbers[1:])
+
+
+def _within_radius(spec, d, first, second):
+    """Chord lengths ``d``; chord k at or beyond the injectivity radius raises,
+    naming its samples first[k] and second[k]."""
     bad = np.flatnonzero(~(d < spec.injectivity_radius()))
     if bad.size:
-        i = bad[0]
-        a, b = (i, i + 1) if numbers is None else numbers[i : i + 2]
+        k = bad[0]
         raise NormalNeighborhoodError("samples %d and %d are %.6g apart, at or beyond the "
-                                      "injectivity radius; refine the grid" % (a, b, d[i]))
+                                      "injectivity radius; refine the grid" % (first[k], second[k], d[k]))
     return d
 
 
@@ -284,7 +287,7 @@ def _ramp(n, collar):
 
 
 def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
-    n, collar, _ = _ramp(n, collar)
+    n, collar = mf.as_integer("n", n), mf.as_number("collar", collar)
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
@@ -317,12 +320,11 @@ def make_latitude_circle(
     """Latitude circle at the given colatitude (sphere), constant angular speed."""
     if not isinstance(spec, mf.Sphere):
         raise DomainError("latitude_circle requires a sphere")
-    r = spec.radius
     n, collar, phi = _ramp(n, collar)
     ang = mf.as_number("phase", phase) + 2 * np.pi * mf.as_number("fraction", fraction) * phi
     colatitude = mf.as_number("colatitude", colatitude)
     st, ct = np.sin(colatitude), np.cos(colatitude)
-    pts = r * np.stack([st * np.cos(ang), st * np.sin(ang), ct * np.ones_like(ang)], axis=-1)
+    pts = spec.radius * np.stack([st * np.cos(ang), st * np.sin(ang), ct * np.ones_like(ang)], axis=-1)
     return DiscretePath(spec, pts, collar)
 
 

@@ -347,10 +347,10 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"manifold": {"kind": "euclidean", "dim": 2.7}}, "euclidean dim must be an integer >= 1"),
         ({"manifold": {"kind": "sphere", "radius": 1.0, "dim": 3}}, "sphere has no parameter 'dim'"),
         ({"manifold": "sphere"}, "manifold must be a JSON object"),
-        ({"interval": ["a", 1]}, "bad record (ValueError"),
+        ({"interval": ["a", 1]}, "interval must be a number (got 'a')"),
         ({"interval": [0, float("nan")]}, "interval must be a finite pair"),
-        ({"resolution": {"N": "abc"}}, "bad record (ValueError"),
-        ({"tolerances": {"distance": "x"}}, "bad record (ValueError"),
+        ({"resolution": {"N": "abc"}}, "resolution N must be an integer >= 1 (got 'abc')"),
+        ({"tolerances": {"distance": "x"}}, "tolerance 'distance' must be a number (got 'x')"),
         ({"paths": "abc"}, "bad record (ValueError"),
         ({"paths": {"a": 3}}, "path 'a' must be a JSON object"),
         ({"fields": {"f": [1]}}, "field 'f' must be a JSON object"),

@@ -489,8 +489,6 @@ def test_the_integer_rule_keeps_integers(value):
 def test_the_integer_rule_rejects_everything_else(value):
     with pytest.raises(mf.DomainError, match=r"^n must be an integer >= 1 \(got "):
         mf.as_integer("n", value)
-    with pytest.raises(ValueError, match="^n must be"):
-        mf.as_integer("n", value, ValueError)
 
 
 @pytest.mark.parametrize("value", ["1", True, None, [1.0]], ids=repr)

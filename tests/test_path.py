@@ -312,3 +312,15 @@ def test_generator_parameters_are_checked_where_they_enter(build, name):
     sphere, plane = mf.ManifoldSpec.sphere(1.0), mf.ManifoldSpec.hyperbolic_half_plane()
     with pytest.raises(mf.DomainError, match="^%s must be " % name):
         build(sphere, plane)
+
+
+def test_evaluation_checks_only_the_chords_it_reads():
+    # the chord from sample 2 to 3 is half a circumference long
+    spec = mf.ManifoldSpec.flat_torus([1.0, 2.0])
+    xs = [0.1, 0.15, 0.2, 0.7, 0.75, 0.8]
+    gamma = pth.DiscretePath(spec, np.array([[x, 0.5] for x in xs]), 0.0)
+    both = pth.evaluate_many(gamma, [0.1, 0.9])
+    assert np.array_equal(both, [pth.evaluate(gamma, 0.1).coords, pth.evaluate(gamma, 0.9).coords])
+    assert np.array_equal(pth.evaluate_many(gamma, [0.4, 0.6]), gamma.samples[2:4])
+    with pytest.raises(mf.NormalNeighborhoodError, match="^samples 2 and 3 are 0.5 apart"):
+        pth.evaluate_many(gamma, [0.1, 0.5, 0.9])
