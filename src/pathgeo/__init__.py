@@ -8,17 +8,10 @@ from .manifold import (
     ManifoldSpec,
     NormalNeighborhoodError,
     TangentVector,
-    christoffel,
     distance,
     exp_map,
-    geodesic_flow,
-    geodesic_integrate,
     log_map,
-    log_map_shooting,
-    metric_eval,
     parallel_transport,
-    point,
-    tangent,
 )
 from .path import (
     DiscretePath,
@@ -28,7 +21,6 @@ from .path import (
     evaluate,
     path_energy,
     reverse,
-    velocity_field,
 )
 from .pathspace import (
     Worldsheet,

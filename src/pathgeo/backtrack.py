@@ -47,10 +47,6 @@ class BackTrackWindow:
     def end(self):
         return self.start + 2 * self.half_width
 
-    @property
-    def center(self):
-        return self.start + self.half_width
-
 
 def _prefix(spec, samples, a, b, tol):
     """Per row of the sample indices ``a`` and ``b`` (index arrays or slices

@@ -25,8 +25,13 @@ builds one from its kind string through the ``_MODELS`` table.
 The module-level kernels (``flow``, ``dist``, ``log``, ``inner``, ...) keep
 the ``(spec, ...)`` signature and delegate to the spec. The other modules
 call them, so each kernel can be timed by wrapping one module attribute.
-All kernels are vectorized over leading axes; the public API wraps them in
-small value types (ManifoldPoint, TangentVector).
+All kernels are vectorized over leading axes; the public API (``exp_map``,
+``log_map``, ``distance``, ``parallel_transport``) wraps them in small value
+types (ManifoldPoint, TangentVector). ``integrate_batch`` and
+``transport_along_rk4`` solve the geodesic and transport equations by
+fixed-step RK4: the independent oracles of ``flow`` and ``transport_along``
+that the check report runs. The other oracles, the shooting log map and the
+integrated worldsheet, live in the tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -162,8 +167,10 @@ class ManifoldSpec:
         check_nodes(np.all(np.isfinite(x), axis=-1), label, "is not finite")
 
     def check_tangent(self, x, v, label):
-        """Raise DomainError unless each v is tangent at x, up to
-        TANGENT_RTOL relative; every chart vector is tangent here."""
+        """Raise DomainError unless each v is finite and tangent at x, up to
+        TANGENT_RTOL relative; ``label % index`` names the first bad one.
+        Every finite chart vector is tangent here."""
+        check_nodes(np.all(np.isfinite(v), axis=-1), label, "is not finite")
 
     def wrap(self, x):
         """Reduce coordinates into the fundamental domain (torus only)."""
@@ -224,11 +231,6 @@ class ManifoldSpec:
         """Parallel transport of X from x to y along the connecting geodesic,
         in closed form; a flat chart keeps the components."""
         return X
-
-    def tangent_basis(self, x):
-        """Orthonormal (w.r.t. g) basis of the tangent space at one point x,
-        rows = vectors."""
-        return np.eye(self.point_dim)
 
     def normal(self, x, u):
         """Normal to the unit direction u at x: a quarter turn in a 2d chart."""
@@ -299,9 +301,10 @@ class Sphere(ManifoldSpec):
         check_nodes(~off, label, "is off the sphere (|x| != radius)")
 
     def check_tangent(self, x, v, label):
+        super().check_tangent(x, v, label)
         ip = np.abs(np.sum(v * x, axis=-1))
         bound = TANGENT_RTOL * (np.linalg.norm(v, axis=-1) * self.radius)
-        check_nodes(~(ip > bound), label, "is not tangent to the sphere")
+        check_nodes(ip <= bound, label, "is not tangent to the sphere")
 
     def project_tangent(self, x, v):
         xhat = x / self.radius
@@ -353,15 +356,6 @@ class Sphere(ManifoldSpec):
         if np.any(denom <= 1e-12 * self.radius**2):
             raise NormalNeighborhoodError("transport between antipodal points is undefined")
         return X - (np.sum(y * X, axis=-1) / denom)[..., None] * (x + y)
-
-    def tangent_basis(self, x):
-        xhat = x / self.radius
-        a = np.zeros(3)
-        a[np.argmin(np.abs(xhat))] = 1.0
-        e1 = self.project_tangent(x, a)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(xhat, e1)
-        return np.stack([e1, e2])
 
     def normal(self, x, u):
         return np.cross(x / self.radius, u)
@@ -488,9 +482,6 @@ class HalfPlane(ManifoldSpec):
         W = W + (_mink(Q, W) / (1.0 - _mink(P, Q)))[..., None] * (P + Q)
         return _hyp_vec_to_uhp(Q, W)
 
-    def tangent_basis(self, x):
-        return np.eye(2) * x[1]
-
     def random_point(self, rng):
         return np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])
 
@@ -568,14 +559,6 @@ class TangentVector:
     @property
     def manifold(self):
         return self.base.manifold
-
-
-def point(spec, coords):
-    return ManifoldPoint(spec, np.asarray(coords, dtype=float))
-
-
-def tangent(p, components):
-    return TangentVector(p, np.asarray(components, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -708,40 +691,10 @@ def _check_same_manifold(p, q):
         raise DomainError("points live on different manifolds")
 
 
-def metric_eval(p, u, v):
-    """g_p(u, v) for tangent vectors u, v based at p."""
-    _check_same_base(p, u, v)
-    return float(inner(p.manifold, p.coords, u.components, v.components))
-
-
-def christoffel(p):
-    """Gamma^k_{ij} at p as an array indexed [k, i, j]."""
-    return p.manifold.christoffel(p.coords)
-
-
-def geodesic_integrate(p, v, s_end, steps):
-    """RK4 geodesic trajectory from (p, v); all steps, endpoints included."""
-    _check_same_base(p, v)
-    spec = p.manifold
-    xs, vs = integrate_batch(spec, p.coords, v.components, s_end, steps)
-    out = []
-    for x, w in zip(xs, vs):
-        pt = ManifoldPoint(spec, x)
-        out.append((pt, TangentVector(pt, w)))
-    return out
-
-
-def geodesic_flow(p, v, s):
-    """Closed-form geodesic state at arc parameter s."""
-    _check_same_base(p, v)
-    x, w = flow(p.manifold, p.coords, v.components, s)
-    pt = ManifoldPoint(p.manifold, x)
-    return pt, TangentVector(pt, w)
-
-
 def exp_map(p, v):
     """Endpoint of the geodesic seeded by (p, v) at parameter 1 (closed form)."""
-    return geodesic_flow(p, v, 1.0)[0]
+    _check_same_base(p, v)
+    return ManifoldPoint(p.manifold, flow(p.manifold, p.coords, v.components, 1.0)[0])
 
 
 def distance(p, q):
@@ -760,41 +713,6 @@ def log_map(p, q):
             % (d, spec.injectivity_radius())
         )
     return TangentVector(p, log(spec, p.coords, q.coords))
-
-
-def log_map_shooting(p, q, max_iter=50, tol=1e-10, steps=200):
-    """Riemannian logarithm via shooting: Newton on the RK4 endpoint residual.
-
-    Independent of the closed forms (the endpoint is integrated, not
-    evaluated); used as a boundary-value regression oracle.
-    """
-    _check_same_manifold(p, q)
-    spec = p.manifold
-    basis = spec.tangent_basis(p.coords)
-    u = log(spec, p.coords, q.coords)
-    a = np.array([inner(spec, p.coords, u, b) for b in basis])  # u in the basis
-
-    def endpoint(coeffs):
-        v0 = coeffs @ basis
-        xs, _ = integrate_batch(spec, p.coords, v0, 1.0, steps)
-        return xs[-1]
-
-    target = q.coords
-    for _ in range(max_iter):
-        r = spec.chart_diff(endpoint(a), target)
-        if np.linalg.norm(r) < tol:
-            break
-        J = np.empty((len(r), len(a)))
-        h = 1e-6
-        for j in range(len(a)):
-            ap = a.copy()
-            am = a.copy()
-            ap[j] += h
-            am[j] -= h
-            J[:, j] = spec.chart_diff(endpoint(ap), endpoint(am)) / (2 * h)
-        delta, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        a = a + delta
-    return TangentVector(p, a @ basis)
 
 
 def parallel_transport(curve, v0):

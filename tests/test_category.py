@@ -219,8 +219,8 @@ def test_morphism_json_roundtrip():
 
 def test_object_validation():
     spec = mf.ManifoldSpec.euclidean(2)
-    p = mf.point(spec, [0.0, 0.0])
-    q = mf.point(spec, [1.0, 0.0])
-    v = mf.tangent(q, [0.0, 1.0])
+    p = mf.ManifoldPoint(spec, [0.0, 0.0])
+    q = mf.ManifoldPoint(spec, [1.0, 0.0])
+    v = mf.TangentVector(q, [0.0, 1.0])
     with pytest.raises(mf.DomainError):
         cat.GeodObject(p, v, 0.0)

@@ -556,3 +556,23 @@ def test_generator_parameters_name_themselves(tmp_path, capsys, paths, fields, n
                                   "resolution": {"N": 16, "S": 2}})
     assert cli.main(["worldsheet", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: %s\n" % needle
+
+
+@pytest.mark.parametrize(
+    "manifold, path, needle",
+    [
+        ({"kind": "euclidean", "dim": 2}, {"generator": "line", "start": "x", "end": [1, 0]},
+         "start must be a list of 2 coordinates (got 'x')"),
+        ({"kind": "euclidean", "dim": 2}, {"generator": "line", "start": [0, 0, 0], "end": [1, 0]},
+         "start must be a list of 2 coordinates (got [0, 0, 0])"),
+        ({"kind": "sphere"}, {"generator": "great_circle_arc", "start": [1, 0, 0], "end": [0, "y", 1]},
+         "end coordinate must be a number (got 'y')"),
+        ({"kind": "sphere"}, {"generator": "great_circle_arc", "start": [1, 1, 0], "end": [0, 1, 0]},
+         "start is off the sphere (|x| != radius)"),
+    ],
+    ids=["line-string", "line-3-vector", "arc-string-coordinate", "arc-off-sphere"],
+)
+def test_point_parameters_name_themselves(tmp_path, capsys, manifold, path, needle):
+    cfg = write_config(tmp_path, {"manifold": manifold, "paths": {"a": path}})
+    assert cli.main(["energy", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: path 'a': %s\n" % needle

@@ -31,7 +31,7 @@ def test_energy_analytic_oracle_on_smooth_curve():
 
 def test_constant_path_has_zero_energy_and_length():
     spec = mf.ManifoldSpec.sphere(1.0)
-    gamma = pth.make_constant_path(mf.point(spec, [0.0, 0.0, 1.0]), n=32)
+    gamma = pth.make_constant_path(mf.ManifoldPoint(spec, [0.0, 0.0, 1.0]), n=32)
     assert pth.path_energy(gamma) == 0.0
     assert pth.arc_length(gamma) == 0.0
 
@@ -148,13 +148,25 @@ def test_fields_and_vectors_share_one_tangency_rule(radius):
         comps = along + rel * np.linalg.norm(along, axis=1, keepdims=True) * unit
         if tangent:
             pth.PathTangentField(gamma, comps)
-            mf.tangent(mf.point(spec, gamma.samples[3]), comps[3])
+            mf.TangentVector(mf.ManifoldPoint(spec, gamma.samples[3]), comps[3])
             continue
         with pytest.raises(mf.DomainError, match="field at sample 0 is not tangent"):
             pth.PathTangentField(gamma, comps)
         with pytest.raises(mf.DomainError, match="vector is not tangent"):
-            mf.tangent(mf.point(spec, gamma.samples[3]), comps[3])
+            mf.TangentVector(mf.ManifoldPoint(spec, gamma.samples[3]), comps[3])
     pth.PathTangentField(gamma, np.zeros_like(along))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("spec", list(checks.builtin_manifolds().values()), ids=lambda spec: spec.kind)
+def test_non_finite_vectors_and_fields_are_rejected(spec, bad):
+    gamma = checks.random_collared_path(spec, np.random.default_rng(SEED), n=8, collar=0.0)
+    comps = np.zeros_like(gamma.samples)
+    comps[5, -1] = bad
+    with pytest.raises(mf.DomainError, match="^field at sample 5 is not finite$"):
+        pth.PathTangentField(gamma, comps)
+    with pytest.raises(mf.DomainError, match="^vector is not finite$"):
+        mf.TangentVector(gamma.start(), comps[5])
 
 
 def test_field_collar_constancy_enforced():
@@ -259,9 +271,9 @@ def _nan_velocity():
             "sample 1 is off the sphere",
         ),
         (lambda: pth.DiscretePath(E2, [[0, 0], [np.nan, 0], [1, 0]]), "sample 1 is not finite"),
-        (lambda: mf.point(S2, [np.nan, 0, 0]), "point is not finite"),
-        (lambda: mf.point(S2, [np.inf, 0, 0]), "point is not finite"),
-        (lambda: mf.point(E2, [np.inf, 0]), "point is not finite"),
+        (lambda: mf.ManifoldPoint(S2, [np.nan, 0, 0]), "point is not finite"),
+        (lambda: mf.ManifoldPoint(S2, [np.inf, 0, 0]), "point is not finite"),
+        (lambda: mf.ManifoldPoint(E2, [np.inf, 0]), "point is not finite"),
         (
             lambda: _sheet(H2, [[[0, 1], [1, 1], [2, 1]], [[0, 1], [1, 1], [2, -1]]]),
             "node (s=1, t=2) needs y > 0",
@@ -301,12 +313,14 @@ def test_invalid_samples_are_rejected_where_they_enter(build, message):
         (lambda sphere, plane: pth.make_vertical_ray(plane, 0.0, 1.0, "2"), "y_end"),
         (lambda sphere, plane: pth.make_line(plane, [0, 1], [1, 1], n=True), "n"),
         (lambda sphere, plane: pth.make_great_circle_arc(sphere, [1, 0, 0], [0, 1, 0], n=0), "n"),
-        (lambda sphere, plane: pth.make_constant_path(mf.point(sphere, [0, 0, 1]), collar="x"), "collar"),
+        (lambda sphere, plane: pth.make_line(plane, "x", [1, 1]), "start"),
+        (lambda sphere, plane: pth.make_line(plane, [0, 1], [1, 1, 1]), "end"),
+        (lambda sphere, plane: pth.make_constant_path(mf.ManifoldPoint(sphere, [0, 0, 1]), collar="x"), "collar"),
         (lambda sphere, plane: pth.make_normal_field(pth.make_latitude_circle(sphere, 1.0, n=16), "x"),
          "scale"),
     ],
     ids=["colatitude", "fraction", "phase", "n-float", "collar-string", "x", "y_start-zero",
-         "y_end-string", "n-bool", "n-zero", "constant-collar", "scale"],
+         "y_end-string", "n-bool", "n-zero", "start-string", "end-shape", "constant-collar", "scale"],
 )
 def test_generator_parameters_are_checked_where_they_enter(build, name):
     sphere, plane = mf.ManifoldSpec.sphere(1.0), mf.ManifoldSpec.hyperbolic_half_plane()
