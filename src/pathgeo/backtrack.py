@@ -241,12 +241,10 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
     3*tol bound for the usual three-path arguments).
     """
     _require_tol(tol)
-    if gamma1.manifold != gamma2.manifold:
-        raise DomainError("paths live on different manifolds")
     n = max(gamma1.n_segments, gamma2.n_segments)
     c1 = canonical_form(gamma1, DETECT_TOL, n)
     c2 = canonical_form(gamma2, DETECT_TOL, n)
-    return bool(np.max(mf.dist(gamma1.manifold, c1.samples, c2.samples)) <= tol)
+    return bool(np.max(pth.node_gaps((c1.manifold, c1.samples), (c2.manifold, c2.samples))) <= tol)
 
 
 # ---------------------------------------------------------------------------

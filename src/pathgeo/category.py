@@ -24,11 +24,28 @@ from .path import DiscretePath, PathTangentField
 from .pathspace import Worldsheet
 
 SEED_TOL = 1e-6  # "same seed" tolerance for vertical composability
-JOIN_TOL = 1e-9  # endpoint / field-endpoint tolerance for 1-composition
 
 
 class CompositionError(DomainError):
     """Morphisms do not satisfy the composability conditions."""
+
+
+def _gaps(first, second):
+    """``path.node_gaps``; a manifold or grid mismatch is a CompositionError."""
+    try:
+        return pth.node_gaps(first, second)
+    except DomainError as err:
+        raise CompositionError(str(err)) from None
+
+
+def _field_nodes(field, i=slice(None)):
+    """Node i of a path tangent field (all nodes by default) for ``_gaps``."""
+    return field.manifold, field.base.samples[i], field.components[i]
+
+
+def _sheet_nodes(sheet, j=slice(None)):
+    """The s-slice j of a sheet (all of it by default) for ``_gaps``."""
+    return sheet.manifold, sheet.points[j], sheet.velocities[j]
 
 
 @dataclass(frozen=True)
@@ -38,8 +55,7 @@ class GeodObject:
     time: float
 
     def __post_init__(self):
-        if np.max(np.abs(self.vector.base.coords - self.point.coords)) > 1e-9:
-            raise DomainError("object vector must be based at the object point")
+        mf._check_same_base(self.point, self.vector)
 
 
 @dataclass(frozen=True)
@@ -49,9 +65,8 @@ class GeodMorphism1:
     time: float
 
     def __post_init__(self):
-        if self.field.base is not self.path and not np.array_equal(
-            self.field.base.samples, self.path.samples
-        ):
+        base, path = self.field.base, self.path
+        if base is not path and np.any(_gaps((base.manifold, base.samples), (path.manifold, path.samples))):
             raise DomainError("field must be based on the morphism path")
 
 
@@ -92,13 +107,9 @@ def compose1(g, f):
     """
     if f.time != g.time:
         raise CompositionError("time labels differ: %r vs %r" % (f.time, g.time))
-    spec = f.path.manifold
-    gap = float(mf.dist(spec, f.path.samples[-1], g.path.samples[0]))
-    if gap > JOIN_TOL:
-        raise CompositionError("path endpoints do not meet (gap %.3g)" % gap)
-    fgap = float(np.max(np.abs(f.field.components[-1] - g.field.components[0])))
-    if fgap > JOIN_TOL:
-        raise CompositionError("field endpoints do not meet (gap %.3g)" % fgap)
+    gap = float(_gaps(_field_nodes(f.field, -1), _field_nodes(g.field, 0)))
+    if gap > mf.COINCIDENCE_TOL:
+        raise CompositionError("endpoints and their field values do not meet (gap %.3g)" % gap)
     joined = pth.concatenate(f.path, g.path)
     comps = np.concatenate([f.field.components, g.field.components[1:]])
     return GeodMorphism1(joined, PathTangentField(joined, comps), f.time)
@@ -112,10 +123,7 @@ def morphism1_equal(m1, m2, tol=1e-6):
     n = max(m1.path.n_segments, m2.path.n_segments)
     f1 = bt.field_canonical_form(m1.field, n)
     f2 = bt.field_canonical_form(m2.field, n)
-    spec = m1.path.manifold
-    if np.max(mf.dist(spec, f1.base.samples, f2.base.samples)) > tol:
-        return False
-    return bool(np.max(np.abs(f1.components - f2.components)) <= tol)
+    return bool(np.max(_gaps(_field_nodes(f1), _field_nodes(f2))) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +160,6 @@ def tgt2(F):
     return _slice_morphism(F, -1, b)
 
 
-def _morphism1_gap(m1, m2):
-    if m1.path.samples.shape != m2.path.samples.shape:
-        raise CompositionError("morphism grids differ")
-    spec = m1.path.manifold
-    dpath = float(np.max(mf.dist(spec, m1.path.samples, m2.path.samples)))
-    dfield = float(np.max(np.abs(m1.field.components - m2.field.components)))
-    return max(dpath, dfield)
-
-
 def _seeded(seed, s_nodes):
     """The geodesic worldsheet of ``seed`` over the s-nodes, as a 2-morphism."""
     path = seed.path
@@ -168,7 +167,7 @@ def _seeded(seed, s_nodes):
     return GeodMorphism2(seed, sheet)
 
 
-def compose2_vertical(G, F, tol=SEED_TOL):
+def compose2_vertical(G, F):
     """Extension in time: F over [a,b] followed by G over [b,c].
 
     Composability (src2(G) = tgt2(F)) forces the two segments to belong to
@@ -179,8 +178,8 @@ def compose2_vertical(G, F, tol=SEED_TOL):
     b2, c = G.interval
     if abs(b2 - b) > 1e-12:
         raise CompositionError("intervals do not abut: [%g,%g] then [%g,%g]" % (a, b, b2, c))
-    gap = _morphism1_gap(src2(G), tgt2(F))
-    if gap > tol:
+    gap = float(np.max(_gaps(_sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1))))
+    if gap > SEED_TOL:
         raise CompositionError("segments are not one geodesic (seed gap %.3g)" % gap)
     return _seeded(F.seed, np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]]))
 
@@ -201,13 +200,7 @@ def sheet_discrepancy(A, B):
 
     Returns (value, (j, i)) with the worst s/t node indices.
     """
-    sa, sb = A.sheet, B.sheet
-    if sa.points.shape != sb.points.shape:
-        raise CompositionError("sheets live on different grids")
-    spec = sa.manifold
-    dp = mf.dist(spec, sa.points, sb.points)
-    dv = np.max(np.abs(sa.velocities - sb.velocities), axis=-1)
-    gaps = np.maximum(dp, dv)
+    gaps = _gaps(_sheet_nodes(A.sheet), _sheet_nodes(B.sheet))
     j, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     return float(gaps[j, i]), (int(j), int(i))
 
@@ -228,7 +221,7 @@ class ExchangeReport:
         }
 
 
-def check_exchange(F1, G1, F2, G2, tol=1e-9):
+def check_exchange(F1, G1, F2, G2, tol=mf.COINCIDENCE_TOL):
     """Both evaluation orders of (G1*F1) x (G2*F2); reports the worst node.
 
     F1, F2 live over [a,b] and G1, G2 over [b,c]; 1 and 2 index the two

@@ -74,10 +74,10 @@ def _speed_cap(spec, requested):
     return min(requested, 0.7 * inj) if np.isfinite(inj) else requested
 
 
-def random_collared_path(spec, rng, n=64, collar=pth.DEFAULT_COLLAR, max_speed=1.0):
+def random_collared_path(spec, rng, n=64, collar=pth.DEFAULT_COLLAR):
     """A collar-warped geodesic arc between two random nearby points."""
     x = spec.random_point(rng)
-    v = random_tangent(spec, x, rng, max_norm=_speed_cap(spec, max_speed))
+    v = random_tangent(spec, x, rng, max_norm=_speed_cap(spec, 1.0))
     p = mf.ManifoldPoint(spec, x)
     q = mf.exp_map(p, mf.TangentVector(p, v))
     return pth.make_geodesic_arc(p, q, n=n, collar=collar)

@@ -113,7 +113,7 @@ class ScenarioConfig:
                 gamma = pth.DiscretePath(
                     self.manifold,
                     np.asarray(d["samples"], dtype=float),
-                    float(d.get("collar", 0.0)),
+                    mf.as_number("collar", d.get("collar", 0.0)),
                 )
             else:
                 gen = d.pop("generator", None)

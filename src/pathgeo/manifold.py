@@ -47,10 +47,12 @@ SPHERE = "sphere"
 HALF_PLANE = "hyperbolic_half_plane"
 FLAT_TORUS = "flat_torus"
 
-# chart-coordinate tolerance for "these two base points coincide"
+# tolerance of "these two nodes coincide", on point distances and components
 COINCIDENCE_TOL = 1e-9
-# relative tolerance of the tangency check of vectors and path fields
+# relative tolerance of the tangency check of vectors, fields and sheet velocities
 TANGENT_RTOL = 1e-9
+# RK4 steps per segment of the transport oracle ``transport_along_rk4``
+RK4_SUBSTEPS = 8
 
 
 class GeometryError(Exception):
@@ -640,15 +642,15 @@ def transport_along(spec, points, X0):
     return out
 
 
-def transport_along_rk4(spec, points, X0, substeps=8):
-    """``transport_along`` by RK4 on the transport equation, ``substeps``
+def transport_along_rk4(spec, points, X0):
+    """``transport_along`` by RK4 on the transport equation, ``RK4_SUBSTEPS``
     per segment along the closed-form connecting geodesic (zero-length
     segments transport by identity): the independent oracle."""
     points = np.asarray(points, dtype=float)
     X = np.array(X0, dtype=float)
     out = np.empty_like(points)
     out[0] = X
-    h = 1.0 / substeps
+    h = 1.0 / RK4_SUBSTEPS
     for i in range(points.shape[0] - 1):
         p0, p1 = points[i], points[i + 1]
         seg = dist(spec, p0, p1)
@@ -661,7 +663,7 @@ def transport_along_rk4(spec, points, X0, substeps=8):
             xc, wc = flow(spec, p0, u, tau)
             return -gamma_quad(spec, xc, wc, Xc)
 
-        for k in range(substeps):
+        for k in range(RK4_SUBSTEPS):
             t0 = k * h
             k1 = rhs(t0, X)
             k2 = rhs(t0 + 0.5 * h, X + 0.5 * h * k1)

@@ -48,9 +48,9 @@ class DiscretePath:
         head, tail = self.collar_masks()
         head, tail = self.samples[head], self.samples[tail]
         spec = self.manifold
-        if len(head) and np.max(mf.dist(spec, head, head[0])) > 1e-9:
+        if len(head) and np.max(mf.dist(spec, head, head[0])) > mf.COINCIDENCE_TOL:
             raise DomainError("samples inside the start collar must coincide")
-        if len(tail) and np.max(mf.dist(spec, tail, tail[-1])) > 1e-9:
+        if len(tail) and np.max(mf.dist(spec, tail, tail[-1])) > mf.COINCIDENCE_TOL:
             raise DomainError("samples inside the end collar must coincide")
 
     @property
@@ -83,7 +83,7 @@ class DiscretePath:
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
             np.array(obj["samples"], dtype=float),
-            float(obj.get("collar", 0.0)),
+            mf.as_number("collar", obj.get("collar", 0.0)),
         )
 
 
@@ -101,9 +101,9 @@ class PathTangentField:
         if self.base.collar > 0:
             head, tail = self.base.collar_masks()
             head, tail = comps[head], comps[tail]
-            if len(head) and np.max(np.abs(head - head[0])) > 1e-9:
+            if len(head) and np.max(np.abs(head - head[0])) > mf.COINCIDENCE_TOL:
                 raise DomainError("field must be constant on the start collar")
-            if len(tail) and np.max(np.abs(tail - tail[-1])) > 1e-9:
+            if len(tail) and np.max(np.abs(tail - tail[-1])) > mf.COINCIDENCE_TOL:
                 raise DomainError("field must be constant on the end collar")
 
     @property
@@ -119,6 +119,22 @@ class PathTangentField:
     @classmethod
     def from_json(cls, obj):
         return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
+
+
+def node_gaps(first, second):
+    """The one node-wise comparison of two ``(manifold, points)`` or
+    ``(manifold, points, vectors)`` tuples: per node, the distance between the
+    points, or the larger of it and the largest vector-component difference.
+    DomainError unless both share one manifold and one grid shape."""
+    (spec, x, *u), (other, y, *v) = first, second
+    if spec != other:
+        raise DomainError("the compared objects live on different manifolds (%r vs %r)" % (spec, other))
+    if x.shape != y.shape:
+        raise DomainError("the compared grids differ (shape %r vs %r)" % (x.shape, y.shape))
+    gaps = mf.dist(spec, x, y)
+    if u:
+        gaps = np.maximum(gaps, np.max(np.abs(u[0] - v[0]), axis=-1))
+    return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +204,15 @@ def concatenate(gamma1, gamma2):
     Requires matching endpoints and strictly positive collars on both
     halves, so the join point is an honest constant plateau.
     """
-    if gamma1.manifold != gamma2.manifold:
-        raise DomainError("cannot concatenate paths on different manifolds")
     spec = gamma1.manifold
-    gap = float(mf.dist(spec, gamma1.samples[-1], gamma2.samples[0]))
-    if gap > 1e-9:
+    gap = float(node_gaps((spec, gamma1.samples[-1:]), (gamma2.manifold, gamma2.samples[:1]))[0])
+    if gap > mf.COINCIDENCE_TOL:
         raise DomainError("paths are not composable: endpoint gap %.3g" % gap)
     if gamma1.collar <= 0 or gamma2.collar <= 0:
         raise DomainError("concatenation needs positive collars on both paths")
     samples = np.concatenate([gamma1.samples, gamma2.samples[1:]])
-    # collar width in node counts survives; re-express it on the joint grid
+    # collar width in node counts survives (1e-9 absorbs the rounding of
+    # collar * n); re-express it on the joint grid
     n1, n2 = gamma1.n_segments, gamma2.n_segments
     head = np.floor(gamma1.collar * n1 + 1e-9)
     tail = np.floor(gamma2.collar * n2 + 1e-9)

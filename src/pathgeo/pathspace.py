@@ -35,11 +35,7 @@ class Worldsheet:
         if self.points.shape[0] != self.s_nodes.shape[0]:
             raise DomainError("s grid does not match the sheet")
         self.manifold.validate(self.points, "node (s=%d, t=%d)")
-        mf.check_nodes(
-            np.all(np.isfinite(self.velocities), axis=-1),
-            "velocity at node (s=%d, t=%d)",
-            "is not finite",
-        )
+        self.manifold.check_tangent(self.points, self.velocities, "velocity at node (s=%d, t=%d)")
 
     @property
     def interval(self):
@@ -77,16 +73,12 @@ class Worldsheet:
             np.array(obj["s_nodes"], dtype=float),
             np.array(obj["points"], dtype=float),
             np.array(obj["velocities"], dtype=float),
-            float(obj.get("collar", 0.0)),
+            mf.as_number("collar", obj.get("collar", 0.0)),
         )
 
 
 def _check_field_on(gamma, field):
-    if field.base.manifold != gamma.manifold:
-        raise DomainError("field lives on a different manifold")
-    if field.base.samples.shape != gamma.samples.shape:
-        raise DomainError("field grid does not match the path")
-    if np.max(mf.dist(gamma.manifold, field.base.samples, gamma.samples)) > 1e-9:
+    if np.max(_pointwise_distances(field.base, gamma)) > mf.COINCIDENCE_TOL:
         raise DomainError("field is based on a different path")
 
 
@@ -185,11 +177,7 @@ def sheet_length(sheet):
 
 
 def _pointwise_distances(gamma1, gamma2):
-    if gamma1.manifold != gamma2.manifold:
-        raise DomainError("paths live on different manifolds")
-    if gamma1.samples.shape != gamma2.samples.shape:
-        raise DomainError("paths must share a grid")
-    return mf.dist(gamma1.manifold, gamma1.samples, gamma2.samples)
+    return pth.node_gaps((gamma1.manifold, gamma1.samples), (gamma2.manifold, gamma2.samples))
 
 
 def in_normal_neighborhood(gamma0, gamma):

@@ -24,6 +24,7 @@ import json
 import numpy as np
 
 from . import category as cat
+from . import manifold as mf
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
 from .pathspace import Worldsheet
@@ -197,7 +198,7 @@ def morphism1_to_json(m):
 def morphism1_from_json(obj):
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
-    return cat.GeodMorphism1(base, field, float(obj["time"]))
+    return cat.GeodMorphism1(base, field, mf.as_number("time", obj["time"]))
 
 
 def morphism2_to_json(F):

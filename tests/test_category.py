@@ -5,6 +5,7 @@ from pathgeo import category as cat
 from pathgeo import checks
 from pathgeo import manifold as mf
 from pathgeo import path as pth
+from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
 
 SEED = 14142
@@ -224,3 +225,73 @@ def test_object_validation():
     v = mf.TangentVector(q, [0.0, 1.0])
     with pytest.raises(mf.DomainError):
         cat.GeodObject(p, v, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# node-wise comparison: one manifold and one grid, or a CompositionError
+# ---------------------------------------------------------------------------
+
+SPHERE, FLAT3 = mf.ManifoldSpec.sphere(1.0), mf.ManifoldSpec.euclidean(3)
+
+
+def on(spec, m):
+    """The 1-morphism m with the same coordinates on another manifold."""
+    path = pth.DiscretePath(spec, m.path.samples, m.path.collar)
+    return cat.GeodMorphism1(path, pth.PathTangentField(path, m.field.components), m.time)
+
+
+def flat_copy(F):
+    """The 2-morphism F with the same seed and sheet arrays on euclidean(3)."""
+    sheet = ps.Worldsheet(FLAT3, F.sheet.s_nodes, F.sheet.points, F.sheet.velocities, F.sheet.collar)
+    return cat.GeodMorphism2(on(FLAT3, F.seed), sheet)
+
+
+def compose_across_dimensions():
+    plane = triple(mf.ManifoldSpec.euclidean(2), SEED + 20)[0]
+    cat.compose1(triple(SPHERE, SEED + 21)[0], plane)
+
+
+def equal_across_manifolds():
+    m = triple(SPHERE, SEED + 22)[0]
+    cat.morphism1_equal(m, on(FLAT3, m))
+
+
+def discrepancy_across_manifolds():
+    F = cat.morphism2(triple(SPHERE, SEED + 23)[0], (0.0, 1.0), S=2)
+    cat.sheet_discrepancy(F, flat_copy(F))
+
+
+def field_on_another_manifold():
+    m = triple(SPHERE, SEED + 24)[0]
+    cat.GeodMorphism1(m.path, on(FLAT3, m).field, m.time)
+
+
+def field_on_another_grid():
+    m = triple(SPHERE, SEED + 25, n=16)[0]
+    finer = pth.resample(m.path, 32)
+    cat.GeodMorphism1(m.path, pth.make_zero_field(finer), m.time)
+
+
+@pytest.mark.parametrize(
+    "call, needle",
+    [
+        (compose_across_dimensions, "different manifolds"),
+        (equal_across_manifolds, "different manifolds"),
+        (discrepancy_across_manifolds, "different manifolds"),
+        (field_on_another_manifold, "different manifolds"),
+        (field_on_another_grid, "grids differ"),
+    ],
+    ids=["compose1", "morphism1_equal", "sheet_discrepancy", "morphism1-field", "morphism1-field-grid"],
+)
+def test_comparisons_reject_another_manifold_or_grid(call, needle):
+    with pytest.raises(cat.CompositionError, match=needle):
+        call()
+
+
+def test_exchange_reports_morphisms_on_another_manifold():
+    m1, m2, _ = triple(SPHERE, SEED + 26, n=16)
+    F1, G1 = cat.morphism2(m1, (0.0, 0.5), S=2), cat.morphism2(m1, (0.5, 1.0), S=2)
+    F2, G2 = cat.morphism2(m2, (0.0, 0.5), S=2), cat.morphism2(m2, (0.5, 1.0), S=2)
+    rep = cat.check_exchange(F1, G1, flat_copy(F2), flat_copy(G2))
+    assert not rep.passed and rep.failing_node is None
+    assert "different manifolds" in rep.error

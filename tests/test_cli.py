@@ -7,6 +7,7 @@ import pytest
 
 from pathgeo import checks, cli
 from pathgeo import manifold as mf
+from pathgeo import path as pth
 from pathgeo import serialize as ser
 from pathgeo import category as cat
 
@@ -576,3 +577,51 @@ def test_point_parameters_name_themselves(tmp_path, capsys, manifold, path, need
     cfg = write_config(tmp_path, {"manifold": manifold, "paths": {"a": path}})
     assert cli.main(["energy", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: path 'a': %s\n" % needle
+
+
+def test_compose_across_manifolds_is_an_error(tmp_path, capsys):
+    plane = checks._composable_triple(mf.ManifoldSpec.euclidean(2), np.random.default_rng(6), n=16)[0]
+    ball = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(7), n=16)[0]
+    g, f = tmp_path / "g.json", tmp_path / "f.json"
+    g.write_text(ser.dumps(ser.morphism1_to_json(ball)))
+    f.write_text(ser.dumps(ser.morphism1_to_json(plane)))
+    assert cli.main(["compose", str(g), str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "different manifolds" in err
+    assert "Traceback" not in err
+
+
+def _compose_argv(tmp_path, records):
+    """``pathgeo compose`` on the given morphism records, written to files."""
+    files = [tmp_path / name for name in ("g.json", "f.json")]
+    for file, record in zip(files, records):
+        file.write_text(ser.dumps(record))
+    return ["compose"] + [str(f) for f in files]
+
+
+@pytest.mark.parametrize("where", ["path record", "inline samples", "sheet collar", "morphism time"])
+def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
+    spec = mf.ManifoldSpec.euclidean(2)
+    line = pth.make_line(spec, [0, 0], [1, 0], n=16)
+    m1, m2, _ = checks._composable_triple(spec, np.random.default_rng(8), n=8)
+    if where == "path record":
+        record = json.loads(ser.dumps(line.to_json()))
+        record["collar"] = "0.0625"
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(record))
+        argv, needle = ["backtrack", "--input", str(pfile), "--canonical"], "collar must be a number (got '0.0625')"
+    elif where == "inline samples":
+        path = {"samples": line.samples.tolist(), "collar": "0.0625"}
+        argv = ["energy", "--config", write_config(tmp_path, {"manifold": spec.to_json(), "paths": {"a": path}})]
+        needle = "path 'a': collar must be a number (got '0.0625')"
+    elif where == "sheet collar":
+        records = [ser.morphism2_to_json(cat.morphism2(m1, ab, S=2)) for ab in ((0.5, 1.0), (0.0, 0.5))]
+        records[0]["sheet"]["collar"] = "0"
+        argv, needle = _compose_argv(tmp_path, records), "collar must be a number (got '0')"
+    else:
+        records = [ser.morphism1_to_json(m) for m in (m2, m1)]
+        records[0]["time"] = "0"
+        argv, needle = _compose_argv(tmp_path, records), "time must be a number (got '0')"
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and needle in err

@@ -256,6 +256,10 @@ def _sheet(spec, points, velocities=None):
     return Worldsheet(spec, np.linspace(0, 1, len(points)), points, vels)
 
 
+# unit-sphere nodes whose velocities are the radial vectors, normal to the sphere
+_RADIAL = np.tile(np.eye(3), (2, 1, 1))
+
+
 def _nan_velocity():
     vels = np.zeros((2, 3, 2))
     vels[0, 1, 0] = np.nan
@@ -282,6 +286,11 @@ def _nan_velocity():
             lambda: _sheet(E2, np.zeros((2, 3, 2)), _nan_velocity()),
             "velocity at node (s=0, t=1) is not finite",
         ),
+        (lambda: _sheet(S2, _RADIAL, _RADIAL), "velocity at node (s=0, t=0) is not tangent to the sphere"),
+        (
+            lambda: Worldsheet.from_json(dict(_sheet(S2, _RADIAL).to_json(), velocities=_RADIAL.tolist())),
+            "velocity at node (s=0, t=0) is not tangent to the sphere",
+        ),
     ],
     ids=[
         "path-half-plane-below-axis",
@@ -292,6 +301,8 @@ def _nan_velocity():
         "point-euclidean-inf",
         "sheet-half-plane-below-axis",
         "sheet-nan-velocity",
+        "sheet-radial-velocity",
+        "sheet-record-radial-velocity",
     ],
 )
 def test_invalid_samples_are_rejected_where_they_enter(build, message):

@@ -1,6 +1,7 @@
-"""Refactor gate: the deterministic report of ``pathgeo check --suite all
---seed 42`` and the exports of one fixed worldsheet must not change. A
-change that alters them on purpose updates the digests below and says why."""
+"""Refactor gate: the deterministic reports of ``pathgeo check --suite all``
+at seeds 42, 1, 3, 7 and 1234 and the exports of one fixed worldsheet must
+not change. A change that alters them on purpose updates the digests below
+and says why."""
 
 import hashlib
 
@@ -13,6 +14,13 @@ from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
 
 REPORT_SHA256 = "301e6a50f19f0e7e28a6b27d8b93d68ff47ed5adac3dbdcdd09580cd2dec5ee0"
+# the same report at four more seeds
+OTHER_SEED_SHA256 = {
+    1: "4ebcf425d848774d50cb054208d90ce43af88fbb13bcb52f17a5776b9a103fb9",
+    3: "b60e2c73d2c783095c44f4a68b1539272a5c9d054e736dbbb9687f33fe29a40f",
+    7: "0f8e621b79f85e743098d3433d19c05e869be21bb0a8d8206b2722580f6c3e79",
+    1234: "cd2e7f3f9afe8ebc22f0531c54804c2a88173791587e3d92a4ad447a8ccf8655",
+}
 
 # sphere latitude circle at colatitude 1, N = 64 (default collar), swept
 # for s in [0, 1] with S = 8 by its normal field scaled by 0.5
@@ -30,6 +38,11 @@ def sha256(text):
 
 def test_seed_42_report_is_byte_identical():
     assert sha256(ser.dumps(checks.run_checks("all", seed=42))) == REPORT_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(OTHER_SEED_SHA256))
+def test_other_seed_reports_are_byte_identical(seed):
+    assert sha256(ser.dumps(checks.run_checks("all", seed=seed))) == OTHER_SEED_SHA256[seed]
 
 
 @pytest.fixture(scope="module")
