@@ -1,17 +1,18 @@
 """Worldsheet morphisms and their two compositions.
 
-Objects are (point, tangent vector, time) triples; 1-morphisms carry a
-path with a tangent field and a time label; 2-morphisms are geodesic
-worldsheet segments over an interval, determined by their seed. Vertical
-composition extends a geodesic segment in time; horizontal composition
-joins the seeds end to end. The composition of 1-morphisms keeps the
-appended-sample representative (strictly associative on the nose);
-equality of 1-morphisms is always decided through canonical forms.
+Objects are (point, tangent vector, time) triples. Each morphism stores
+only what determines it: a 1-morphism is a tangent field along a path
+(its base) with a time label, and a 2-morphism is its seed 1-morphism and
+its s-nodes, from which its geodesic worldsheet segment is built.
+Vertical composition extends a geodesic segment in time; horizontal
+composition joins the seeds end to end. The composition of 1-morphisms
+keeps the appended-sample representative (strictly associative on the
+nose); equality of 1-morphisms is always decided through canonical forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,21 +31,23 @@ class CompositionError(DomainError):
     """Morphisms do not satisfy the composability conditions."""
 
 
-def _gaps(first, second):
-    """``path.node_gaps``; a manifold or grid mismatch is a CompositionError."""
+def _composing(check, *args):
+    """``check(*args)`` (``path.node_gaps`` or the field base rule), with a
+    DomainError it raises (a manifold or grid mismatch, or a field off its
+    path) raised as a CompositionError."""
     try:
-        return pth.node_gaps(first, second)
+        return check(*args)
     except DomainError as err:
         raise CompositionError(str(err)) from None
 
 
 def _field_nodes(field, i=slice(None)):
-    """Node i of a path tangent field (all nodes by default) for ``_gaps``."""
+    """Node i of a path tangent field (all nodes by default) for ``node_gaps``."""
     return field.manifold, field.base.samples[i], field.components[i]
 
 
 def _sheet_nodes(sheet, j=slice(None)):
-    """The s-slice j of a sheet (all of it by default) for ``_gaps``."""
+    """The s-slice j of a sheet (all of it by default) for ``node_gaps``."""
     return sheet.manifold, sheet.points[j], sheet.velocities[j]
 
 
@@ -60,20 +63,24 @@ class GeodObject:
 
 @dataclass(frozen=True)
 class GeodMorphism1:
-    path: DiscretePath
     field: PathTangentField
     time: float
 
-    def __post_init__(self):
-        base, path = self.field.base, self.path
-        if base is not path and np.any(_gaps((base.manifold, base.samples), (path.manifold, path.samples))):
-            raise DomainError("field must be based on the morphism path")
+    @property
+    def path(self) -> DiscretePath:
+        return self.field.base
 
 
 @dataclass(frozen=True)
 class GeodMorphism2:
     seed: GeodMorphism1
-    sheet: Worldsheet
+    s_nodes: np.ndarray
+    sheet: Worldsheet = field(init=False, repr=False)  # the seed's geodesic over the s-nodes
+
+    def __post_init__(self):
+        path, comps = self.seed.path, self.seed.field.components
+        sheet = ps.build_sheet(path.manifold, path.samples, comps, self.s_nodes, path.collar)
+        object.__setattr__(self, "sheet", sheet)
 
     @property
     def interval(self):
@@ -81,14 +88,16 @@ class GeodMorphism2:
 
 
 def morphism1(path, field, time):
-    return GeodMorphism1(path, field, float(time))
+    """The 1-morphism of ``field`` at ``time``; ``field`` must be based on ``path``."""
+    _composing(ps._check_field_on, path, field)
+    return GeodMorphism1(field, float(time))
 
 
 def identity1(obj, n=pth.DEFAULT_GRID):
     """The constant-path morphism at an object."""
     base = pth.make_constant_path(obj.point, n)
     comps = np.tile(obj.vector.components, (n + 1, 1))
-    return GeodMorphism1(base, PathTangentField(base, comps), obj.time)
+    return GeodMorphism1(PathTangentField(base, comps), obj.time)
 
 
 def src1(m):
@@ -107,23 +116,22 @@ def compose1(g, f):
     """
     if f.time != g.time:
         raise CompositionError("time labels differ: %r vs %r" % (f.time, g.time))
-    gap = float(_gaps(_field_nodes(f.field, -1), _field_nodes(g.field, 0)))
+    gap = float(_composing(pth.node_gaps, _field_nodes(f.field, -1), _field_nodes(g.field, 0)))
     if gap > mf.COINCIDENCE_TOL:
         raise CompositionError("endpoints and their field values do not meet (gap %.3g)" % gap)
     joined = pth.concatenate(f.path, g.path)
     comps = np.concatenate([f.field.components, g.field.components[1:]])
-    return GeodMorphism1(joined, PathTangentField(joined, comps), f.time)
+    return GeodMorphism1(PathTangentField(joined, comps), f.time)
 
 
 def morphism1_equal(m1, m2, tol=1e-6):
     """Equality in the quotient: canonical forms built on a common grid
     agree node-wise and the time labels match exactly."""
-    if m1.time != m2.time:
-        return False
     n = max(m1.path.n_segments, m2.path.n_segments)
     f1 = bt.field_canonical_form(m1.field, n)
     f2 = bt.field_canonical_form(m2.field, n)
-    return bool(np.max(_gaps(_field_nodes(f1), _field_nodes(f2))) <= tol)
+    gap = np.max(_composing(pth.node_gaps, _field_nodes(f1), _field_nodes(f2)))
+    return bool(gap <= tol and m1.time == m2.time)
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +141,7 @@ def morphism1_equal(m1, m2, tol=1e-6):
 
 def morphism2(seed, interval, S=16):
     """Geodesic worldsheet segment over the interval, seeded at s = 0."""
-    a, b = float(interval[0]), float(interval[1])
-    if a > b:
-        raise DomainError("interval must satisfy a <= b")
-    sheet = ps.pathspace_geodesic(seed.path, seed.field, (a, b), S if b > a else 0)
-    return GeodMorphism2(seed, sheet)
+    return GeodMorphism2(seed, ps.s_grid(interval, S))
 
 
 def identity2(seed):
@@ -146,8 +150,7 @@ def identity2(seed):
 
 
 def _slice_morphism(F, j, time):
-    field = F.sheet.slice_field(j)
-    return GeodMorphism1(field.base, field, float(time))
+    return GeodMorphism1(F.sheet.slice_field(j), float(time))
 
 
 def src2(F):
@@ -158,13 +161,6 @@ def src2(F):
 def tgt2(F):
     _, b = F.interval
     return _slice_morphism(F, -1, b)
-
-
-def _seeded(seed, s_nodes):
-    """The geodesic worldsheet of ``seed`` over the s-nodes, as a 2-morphism."""
-    path = seed.path
-    sheet = ps.build_sheet(path.manifold, path.samples, seed.field.components, s_nodes, collar=path.collar)
-    return GeodMorphism2(seed, sheet)
 
 
 def compose2_vertical(G, F):
@@ -178,10 +174,10 @@ def compose2_vertical(G, F):
     b2, c = G.interval
     if abs(b2 - b) > 1e-12:
         raise CompositionError("intervals do not abut: [%g,%g] then [%g,%g]" % (a, b, b2, c))
-    gap = float(np.max(_gaps(_sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1))))
+    gap = float(np.max(_composing(pth.node_gaps, _sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1))))
     if gap > SEED_TOL:
         raise CompositionError("segments are not one geodesic (seed gap %.3g)" % gap)
-    return _seeded(F.seed, np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]]))
+    return GeodMorphism2(F.seed, np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]]))
 
 
 def compose2_horizontal(F, G):
@@ -192,7 +188,7 @@ def compose2_horizontal(F, G):
     """
     if abs(F.interval[0] - G.interval[0]) > 1e-12 or abs(F.interval[1] - G.interval[1]) > 1e-12:
         raise CompositionError("horizontal composition needs equal intervals")
-    return _seeded(compose1(G.seed, F.seed), F.sheet.s_nodes)  # F's path first, then G's
+    return GeodMorphism2(compose1(G.seed, F.seed), F.sheet.s_nodes)  # F's path first, then G's
 
 
 def sheet_discrepancy(A, B):
@@ -200,7 +196,7 @@ def sheet_discrepancy(A, B):
 
     Returns (value, (j, i)) with the worst s/t node indices.
     """
-    gaps = _gaps(_sheet_nodes(A.sheet), _sheet_nodes(B.sheet))
+    gaps = _composing(pth.node_gaps, _sheet_nodes(A.sheet), _sheet_nodes(B.sheet))
     j, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
     return float(gaps[j, i]), (int(j), int(i))
 

@@ -180,9 +180,7 @@ def _prop_fubini(spec, rng, cases, n=64, S=16):
         sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), S)
         E = ps.sheet_energy(sheet)
         et = ps.transverse_energies(sheet)
-        wt = np.ones(n + 1) / n
-        wt[0] = wt[-1] = 0.5 / n
-        resummed = float(np.sum(wt * et))
+        resummed = float(np.sum(pth.trapezoid_weights(n) / n * et))
         worst = max(worst, abs(E - resummed) / (1.0 + abs(E)))
     return worst
 

@@ -30,10 +30,14 @@ class Worldsheet:
         object.__setattr__(self, "s_nodes", np.asarray(self.s_nodes, dtype=float))
         object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
         object.__setattr__(self, "velocities", np.asarray(self.velocities, dtype=float))
-        if self.points.shape != self.velocities.shape:
+        s = self.s_nodes
+        if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
+            raise DomainError("s_nodes must be one or more finite, strictly increasing numbers")
+        shape = self.points.shape
+        if len(shape) != 3 or shape[::2] != (len(s), self.manifold.point_dim) or shape[1] < 3:
+            raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
+        if shape != self.velocities.shape:
             raise DomainError("points and velocities must share a grid")
-        if self.points.shape[0] != self.s_nodes.shape[0]:
-            raise DomainError("s grid does not match the sheet")
         self.manifold.validate(self.points, "node (s=%d, t=%d)")
         self.manifold.check_tangent(self.points, self.velocities, "velocity at node (s=%d, t=%d)")
 
@@ -118,15 +122,19 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     return Worldsheet(spec, s_nodes, points, vels, collar)
 
 
+def s_grid(interval, S):
+    """S+1 uniform s-nodes over the interval [a, b]; the one node a if b = a."""
+    a, b = float(interval[0]), float(interval[1])
+    if a > b:
+        raise DomainError("interval must satisfy a <= b")
+    return np.linspace(a, b, S + 1) if b > a else np.asarray([a])
+
+
 def pathspace_geodesic(gamma, field, interval, S):
     """The unique path-space geodesic with Gamma(0) = gamma, dGamma/ds(0) = field,
     sampled on S+1 uniform nodes over the interval."""
     _check_field_on(gamma, field)
-    a, b = float(interval[0]), float(interval[1])
-    if a > b:
-        raise DomainError("interval must satisfy a <= b")
-    s_nodes = np.linspace(a, b, S + 1) if b > a else np.asarray([a])
-    return build_sheet(gamma.manifold, gamma.samples, field.components, s_nodes, gamma.collar)
+    return build_sheet(gamma.manifold, gamma.samples, field.components, s_grid(interval, S), gamma.collar)
 
 
 def pathspace_exp(gamma, field):
@@ -152,14 +160,11 @@ def pathspace_transport(sheet, field):
 
 
 def transverse_energies(sheet):
-    """Energy of each transverse curve Gamma_t, from the stored velocities."""
-    spec = sheet.manifold
-    g = mf.inner(spec, sheet.points, sheet.velocities, sheet.velocities)
-    S = sheet.n_s_segments
-    if S == 0:
-        return np.zeros(sheet.n_t_segments + 1)
-    a, b = sheet.interval
-    ws = pth.trapezoid_weights(S) * ((b - a) / S)
+    """Energy of each transverse curve Gamma_t, from the stored velocities
+    by the trapezoid rule on the s-nodes."""
+    g = mf.inner(sheet.manifold, sheet.points, sheet.velocities, sheet.velocities)
+    h = np.diff(sheet.s_nodes)
+    ws = 0.5 * (np.append(h, 0.0) + np.append(0.0, h))
     return 0.5 * np.sum(ws[:, None] * g, axis=0)
 
 
@@ -238,14 +243,14 @@ def sheet_from_grid(spec, s_nodes, points, collar=0.0):
 def transverse_residual(sheet):
     """Max norm of the discrete geodesic-equation residual over all
     transverse curves; zero for exact geodesic sheets up to step error."""
-    S = sheet.n_s_segments
-    if S < 2:
+    if sheet.n_s_segments < 2:
         return 0.0
     spec = sheet.manifold
-    a, b = sheet.interval
-    ds = (b - a) / S
+    h = np.diff(sheet.s_nodes)[:, None, None]
+    h1, h2 = h[:-1], h[1:]  # s-spacings behind and ahead of each interior node
     p = sheet.points
-    acc = (spec.chart_diff(p[2:], p[1:-1]) + spec.chart_diff(p[:-2], p[1:-1])) / ds**2
+    acc = spec.chart_diff(p[2:], p[1:-1]) * (2.0 / (h2 * (h1 + h2)))
+    acc += spec.chart_diff(p[:-2], p[1:-1]) * (2.0 / (h1 * (h1 + h2)))
     v = sheet.velocities[1:-1]
     res = acc + mf.gamma_quad(spec, p[1:-1], v, v)
     # remove the normal part: on the sphere the second difference picks up

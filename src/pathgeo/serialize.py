@@ -25,6 +25,7 @@ import numpy as np
 
 from . import category as cat
 from . import manifold as mf
+from . import path as pth
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
 from .pathspace import Worldsheet
@@ -198,7 +199,7 @@ def morphism1_to_json(m):
 def morphism1_from_json(obj):
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
-    return cat.GeodMorphism1(base, field, mf.as_number("time", obj["time"]))
+    return cat.GeodMorphism1(field, mf.as_number("time", obj["time"]))
 
 
 def morphism2_to_json(F):
@@ -210,7 +211,15 @@ def morphism2_to_json(F):
 
 
 def morphism2_from_json(obj):
-    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), Worldsheet.from_json(obj["sheet"]))
+    """The 2-morphism of the record's seed over its sheet's s-nodes; the
+    record's sheet must be that geodesic, node for node."""
+    sheet = Worldsheet.from_json(obj["sheet"])
+    F = cat.GeodMorphism2(morphism1_from_json(obj["seed"]), sheet.s_nodes)
+    off = pth.node_gaps(cat._sheet_nodes(F.sheet), cat._sheet_nodes(sheet)) > mf.COINCIDENCE_TOL
+    if np.any(off):
+        j, i = np.unravel_index(np.argmax(off), off.shape)
+        raise DomainError("sheet node (s=%d, t=%d) is not on the geodesic of the seed" % (j, i))
+    return F
 
 
 def morphism_from_json(obj):

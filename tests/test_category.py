@@ -39,16 +39,12 @@ def test_compose1_grid_gluing_oracle():
 def test_compose1_rejects_mismatches():
     spec = mf.ManifoldSpec.euclidean(2)
     m1, m2, _ = triple(spec, SEED + 1)
-    far = cat.GeodMorphism1(m2.path, m2.field, m2.time + 1.0)
+    far = cat.GeodMorphism1(m2.field, m2.time + 1.0)
     with pytest.raises(cat.CompositionError):
         cat.compose1(far, m1)  # time labels differ
     with pytest.raises(cat.CompositionError):
         cat.compose1(m1, m2)  # endpoints do not meet (wrong order)
-    bad_field = cat.GeodMorphism1(
-        m2.path,
-        pth.PathTangentField(m2.path, m2.field.components + 1.0),
-        m2.time,
-    )
+    bad_field = cat.GeodMorphism1(pth.PathTangentField(m2.path, m2.field.components + 1.0), m2.time)
     with pytest.raises(cat.CompositionError):
         cat.compose1(bad_field, m1)  # field values jump at the join
 
@@ -83,11 +79,7 @@ def test_morphism1_equality_quotients_backtracks():
     spec = mf.ManifoldSpec.euclidean(2)
     m1, m2, _ = triple(spec, SEED + 5)
     # going there and back and there again equals going there once
-    back = cat.GeodMorphism1(
-        pth.reverse(m1.path),
-        pth.PathTangentField(pth.reverse(m1.path), m1.field.components[::-1].copy()),
-        m1.time,
-    )
+    back = cat.GeodMorphism1(pth.PathTangentField(pth.reverse(m1.path), m1.field.components[::-1].copy()), m1.time)
     wiggle = cat.compose1(m1, cat.compose1(back, m1))
     assert cat.morphism1_equal(wiggle, m1, 1e-6)
     assert not cat.morphism1_equal(m1, m2, 1e-6)
@@ -96,7 +88,7 @@ def test_morphism1_equality_quotients_backtracks():
 def test_morphism1_equality_needs_equal_times():
     spec = mf.ManifoldSpec.euclidean(2)
     m1, _, _ = triple(spec, SEED + 6)
-    shifted = cat.GeodMorphism1(m1.path, m1.field, m1.time + 0.5)
+    shifted = cat.GeodMorphism1(m1.field, m1.time + 0.5)
     assert not cat.morphism1_equal(m1, shifted, 1e-6)
 
 
@@ -143,6 +135,19 @@ def test_vertical_associativity():
         rhs = cat.compose2_vertical(cat.compose2_vertical(H, G), F)
         gap, _ = cat.sheet_discrepancy(lhs, rhs)
         assert gap <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "spec", [mf.ManifoldSpec.euclidean(2), mf.ManifoldSpec.flat_torus([1.0, 2.0])], ids=["euclidean", "flat_torus"]
+)
+def test_vertical_composite_on_uneven_s_nodes_is_a_geodesic(spec):
+    # s-spacing 0.1 on [0, 0.3], then 0.175 on [0.3, 1]: sheets read their
+    # own spacings, so the composite's residual is rounding only
+    m1, _, _ = triple(spec, SEED + 17)
+    V = cat.compose2_vertical(cat.morphism2(m1, (0.3, 1.0), S=4), cat.morphism2(m1, (0.0, 0.3), S=3))
+    assert ps.transverse_residual(V.sheet) <= 1e-12
+    whole = cat.morphism2(m1, (0.0, 1.0), S=7).sheet
+    assert ps.sheet_energy(V.sheet) == pytest.approx(ps.sheet_energy(whole), rel=1e-12)
 
 
 def test_horizontal_composition_seed_and_boundaries():
@@ -237,13 +242,12 @@ SPHERE, FLAT3 = mf.ManifoldSpec.sphere(1.0), mf.ManifoldSpec.euclidean(3)
 def on(spec, m):
     """The 1-morphism m with the same coordinates on another manifold."""
     path = pth.DiscretePath(spec, m.path.samples, m.path.collar)
-    return cat.GeodMorphism1(path, pth.PathTangentField(path, m.field.components), m.time)
+    return cat.morphism1(path, pth.PathTangentField(path, m.field.components), m.time)
 
 
 def flat_copy(F):
-    """The 2-morphism F with the same seed and sheet arrays on euclidean(3)."""
-    sheet = ps.Worldsheet(FLAT3, F.sheet.s_nodes, F.sheet.points, F.sheet.velocities, F.sheet.collar)
-    return cat.GeodMorphism2(on(FLAT3, F.seed), sheet)
+    """The 2-morphism of F's seed coordinates on euclidean(3), over F's s-nodes."""
+    return cat.GeodMorphism2(on(FLAT3, F.seed), F.s_nodes)
 
 
 def compose_across_dimensions():
@@ -256,6 +260,12 @@ def equal_across_manifolds():
     cat.morphism1_equal(m, on(FLAT3, m))
 
 
+def equal_across_manifolds_and_times():
+    m = triple(SPHERE, SEED + 22)[0]
+    flat = on(FLAT3, m)
+    cat.morphism1_equal(m, cat.morphism1(flat.path, flat.field, m.time + 1.0))
+
+
 def discrepancy_across_manifolds():
     F = cat.morphism2(triple(SPHERE, SEED + 23)[0], (0.0, 1.0), S=2)
     cat.sheet_discrepancy(F, flat_copy(F))
@@ -263,13 +273,13 @@ def discrepancy_across_manifolds():
 
 def field_on_another_manifold():
     m = triple(SPHERE, SEED + 24)[0]
-    cat.GeodMorphism1(m.path, on(FLAT3, m).field, m.time)
+    cat.morphism1(m.path, on(FLAT3, m).field, m.time)
 
 
 def field_on_another_grid():
     m = triple(SPHERE, SEED + 25, n=16)[0]
     finer = pth.resample(m.path, 32)
-    cat.GeodMorphism1(m.path, pth.make_zero_field(finer), m.time)
+    cat.morphism1(m.path, pth.make_zero_field(finer), m.time)
 
 
 @pytest.mark.parametrize(
@@ -277,11 +287,12 @@ def field_on_another_grid():
     [
         (compose_across_dimensions, "different manifolds"),
         (equal_across_manifolds, "different manifolds"),
+        (equal_across_manifolds_and_times, "different manifolds"),
         (discrepancy_across_manifolds, "different manifolds"),
         (field_on_another_manifold, "different manifolds"),
         (field_on_another_grid, "grids differ"),
     ],
-    ids=["compose1", "morphism1_equal", "sheet_discrepancy", "morphism1-field", "morphism1-field-grid"],
+    ids=["compose1", "morphism1_equal", "morphism1_equal-times", "sheet_discrepancy", "morphism1-field", "morphism1-field-grid"],
 )
 def test_comparisons_reject_another_manifold_or_grid(call, needle):
     with pytest.raises(cat.CompositionError, match=needle):

@@ -599,6 +599,16 @@ def _compose_argv(tmp_path, records):
     return ["compose"] + [str(f) for f in files]
 
 
+def test_compose_rejects_a_sheet_off_the_seed_geodesic(tmp_path, capsys):
+    m1, m2, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
+    bad = ser.morphism2_to_json(cat.morphism2(m1, (0.0, 0.5), S=2))
+    bad["seed"] = ser.morphism1_to_json(m2)  # the sheet stays m1's geodesic
+    argv = _compose_argv(tmp_path, [ser.morphism2_to_json(cat.morphism2(m1, (0.5, 1.0), S=2)), bad])
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: %s: sheet node (s=0, t=0) is not on the geodesic of the seed\n" % argv[2]
+
+
 @pytest.mark.parametrize("where", ["path record", "inline samples", "sheet collar", "morphism time"])
 def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
     spec = mf.ManifoldSpec.euclidean(2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,43 @@ def test_pathspace_transport_preserves_l2_norm():
         for m in moved[1:]:
             g = ps.l2_metric(m.base, m, m)
             assert abs(g - g0) <= 1e-5 * max(abs(g0), 1e-9)
+
+
+FLAT3 = mf.ManifoldSpec.euclidean(3)
+
+
+def faulty_grid(fault):
+    """Sheet arrays on euclidean(3) with one grid fault."""
+    sheet = random_sheet(FLAT3, np.random.default_rng(SEED + 11), n=8, S=4)
+    s, x, v = sheet.s_nodes.copy(), sheet.points, sheet.velocities
+    if fault == "decreasing":
+        s = s[::-1].copy()
+    elif fault == "nan":
+        s[2] = np.nan
+    elif fault == "planar":  # 2-d points on a 3d model
+        x, v = x[..., :2], v[..., :2]
+    elif fault == "one t-segment":
+        x, v = x[:, :2], v[:, :2]
+    return s, x, v
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ("decreasing", "s_nodes must be one or more finite, strictly increasing numbers"),
+        ("nan", "s_nodes must be one or more finite, strictly increasing numbers"),
+        ("planar", "points must have shape (S+1, N+1, point_dim)"),
+        ("one t-segment", "with N >= 2"),
+    ],
+    ids=["decreasing", "nan", "planar", "one-t-segment"],
+)
+def test_worldsheet_checks_its_grid(fault, needle):
+    s, x, v = faulty_grid(fault)
+    with pytest.raises(mf.DomainError, match=re.escape(needle)):
+        ps.Worldsheet(FLAT3, s, x, v)
+    record = {"manifold": FLAT3.to_json(), "s_nodes": s, "points": x, "velocities": v}
+    with pytest.raises(mf.DomainError, match=re.escape(needle)):
+        ps.Worldsheet.from_json(record)
 
 
 def test_worldsheet_json_roundtrip():

@@ -101,7 +101,7 @@ MODELS = dict(checks.builtin_manifolds(), euclidean3=mf.ManifoldSpec.euclidean(3
 def seed_morphism(spec, seed, n=16):
     rng = np.random.default_rng(seed)
     gamma = checks.random_collared_path(spec, rng, n=n)
-    return cat.GeodMorphism1(gamma, checks.random_collared_field(gamma, rng), 0.0)
+    return cat.GeodMorphism1(checks.random_collared_field(gamma, rng), 0.0)
 
 
 def sheets(spec, seed):
