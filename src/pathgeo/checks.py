@@ -4,11 +4,17 @@ Each suite runs a fixed list of properties; every property draws its own
 random cases from a seed derived deterministically from the run seed, so
 reports are byte-identical for identical inputs regardless of execution
 order. Failures are report content, never exceptions.
+
+``run_checks`` runs the properties in worker processes, one per CPU this
+process may run on, and collects their results in suite order, so the
+report is byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -429,10 +435,17 @@ def _run_property(name, fn, tol, cases):
 
 
 def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
-    """Run a named suite; returns a JSON-ready deterministic report."""
+    """Run a named suite; returns a JSON-ready deterministic report.
+
+    Each property runs in a worker process (see the module docstring); a
+    worker that dies raises ``BrokenProcessPool``.
+    """
     if suite not in SUITES:
         raise mf.DomainError("unknown suite %r (choose from %s)" % (suite, ", ".join(SUITES)))
-    results = []
+    cases = mf.as_integer("cases", cases)
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64):
+        raise mf.DomainError("seed must be an integer in [0, 2**64) (got %r)" % (seed,))
+    tasks = []
     for name, (base, first, halve, table) in PROPERTY_TABLES.items():
         if suite not in (name, "all"):
             continue
@@ -440,12 +453,21 @@ def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
         for idx, (mname, spec) in enumerate(builtin_manifolds().items()):
             for off, (label, prop, tol) in enumerate(table, first):
                 rng = np.random.default_rng(seed + base + 1000 * idx + off)
-                fn = functools.partial(prop, spec, rng, n)
-                results.append(_run_property(label + "/" + mname, fn, tol, n))
+                tasks.append((label + "/" + mname, functools.partial(prop, spec, rng, n), tol, n))
         if name == "backtrack" and config is not None:
             for fname in sorted(config.fields):
                 fn = functools.partial(_prop_config_field, config, fname)
-                results.append(_run_property("config_field_reflection/" + fname, fn, 1e-9, 1))
+                tasks.append(("config_field_reflection/" + fname, fn, 1e-9, 1))
+    # imported here, not at module level: ``import pathgeo`` would pay for
+    # the executor machinery (about 25 ms) in every command. ``fork`` starts
+    # each worker from this process's memory, where ``spawn`` would import
+    # numpy and pathgeo again in every worker.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        results = list(pool.map(_run_property, *zip(*tasks)))
     return {
         "suite": suite,
         "seed": int(seed),

@@ -376,7 +376,13 @@ def build_parser():
 
     p = sub.add_parser("check", parents=[common, scenario], help="run a property suite")
     p.add_argument("--suite", required=True, choices=checks.SUITES, help="suite to run")
-    p.add_argument("--cases", type=int, default=10, help="random cases per property")
+    p.add_argument(
+        "--cases",
+        type=int,
+        default=10,
+        help="random cases per property (default 10); the pathspace, backtrack and category "
+        "suites use max(3, cases // 2)",
+    )
     p.add_argument("--seed", type=int, default=checks.DEFAULT_SEED, help="RNG seed (default 42)")
     p.set_defaults(func=cmd_check)
 

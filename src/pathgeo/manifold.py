@@ -651,26 +651,28 @@ def transport_along_rk4(spec, points, X0):
     out = np.empty_like(points)
     out[0] = X
     h = 1.0 / RK4_SUBSTEPS
+    p0, p1 = points[:-1], points[1:]
+    still = np.all(dist(spec, p0, p1) <= 1e-15, axis=tuple(range(1, points.ndim - 1)))
+    # every segment's geodesic at stage j, time j h / 2: k1 of substep k
+    # reads stage 2k, k2 and k3 stage 2k + 1, k4 stage 2k + 2 (exact, as h
+    # is a power of two)
+    tau = np.arange(2 * RK4_SUBSTEPS + 1) * (0.5 * h)
+    xs, ws = flow(spec, p0, log(spec, p0, p1), tau.reshape((-1,) + (1,) * (points.ndim - 1)))
     for i in range(points.shape[0] - 1):
-        p0, p1 = points[i], points[i + 1]
-        seg = dist(spec, p0, p1)
-        if np.all(seg <= 1e-15):
+        if still[i]:
             out[i + 1] = X
             continue
-        u = log(spec, p0, p1)
 
-        def rhs(tau, Xc):
-            xc, wc = flow(spec, p0, u, tau)
-            return -gamma_quad(spec, xc, wc, Xc)
+        def rhs(j, Xc):
+            return -gamma_quad(spec, xs[j, i], ws[j, i], Xc)
 
         for k in range(RK4_SUBSTEPS):
-            t0 = k * h
-            k1 = rhs(t0, X)
-            k2 = rhs(t0 + 0.5 * h, X + 0.5 * h * k1)
-            k3 = rhs(t0 + 0.5 * h, X + 0.5 * h * k2)
-            k4 = rhs(t0 + h, X + h * k3)
+            k1 = rhs(2 * k, X)
+            k2 = rhs(2 * k + 1, X + 0.5 * h * k1)
+            k3 = rhs(2 * k + 1, X + 0.5 * h * k2)
+            k4 = rhs(2 * k + 2, X + h * k3)
             X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        X = spec.project_tangent(p1, X)
+        X = spec.project_tangent(p1[i], X)
         out[i + 1] = X
     return out
 

@@ -298,6 +298,21 @@ def test_check_negative_control_fails(tmp_path, capsys):
     assert any(p["name"].startswith("config_field_reflection") for p in failing)
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "-5", "seed must be an integer in [0, 2**64) (got -5)"),
+        ("--seed", str(2**64), "seed must be an integer in [0, 2**64) (got %d)" % 2**64),
+        ("--cases", "0", "cases must be an integer >= 1 (got 0)"),
+        ("--cases", "-2", "cases must be an integer >= 1 (got -2)"),
+    ],
+)
+def test_check_rejects_a_bad_seed_or_cases(capsys, flag, value, message):
+    assert cli.main(["check", "--suite", "manifold", flag, value]) == 1
+    out = capsys.readouterr()
+    assert out.err == "error: %s\n" % message and out.out == ""
+
+
 def test_check_requires_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["check"])

@@ -4,6 +4,7 @@ records of three fixed composites must not change. A change that alters
 them on purpose updates the digests below and says why."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
@@ -54,6 +55,11 @@ def test_seed_42_report_is_byte_identical():
 @pytest.mark.parametrize("seed", sorted(OTHER_SEED_SHA256))
 def test_other_seed_reports_are_byte_identical(seed):
     assert sha256(ser.dumps(checks.run_checks("all", seed=seed))) == OTHER_SEED_SHA256[seed]
+
+
+def test_one_worker_report_is_byte_identical(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert sha256(ser.dumps(checks.run_checks("all", seed=1))) == OTHER_SEED_SHA256[1]
 
 
 @pytest.fixture(scope="module")
