@@ -93,15 +93,9 @@ def _scan_windows(spec, samples, tol):
     return windows
 
 
-def _require_tol(tol):
-    """DomainError unless tol is a nonnegative number (NaN is rejected)."""
-    if not tol >= 0:
-        raise DomainError("tolerance must be a nonnegative number (got %r)" % (tol,))
-
-
 def detect_backtracks(gamma, tol=DETECT_TOL):
     """All maximal back-track windows of the path, disjoint, left to right."""
-    _require_tol(tol)
+    mf._require_tol(tol)
     return [
         BackTrackWindow(T, s)
         for (T, s) in _scan_windows(gamma.manifold, gamma.samples, tol)
@@ -224,7 +218,7 @@ def canonical_form(gamma, tol=DETECT_TOL, n=None):
     new chords (a latitude circle at N = 256 moves by about 3.5e-8).
     ``n`` overrides the output grid (defaults to the input grid).
     """
-    _require_tol(tol)
+    mf._require_tol(tol)
     spec = gamma.manifold
     n = gamma.n_segments if n is None else n
     keep, _ = _reduce(spec, gamma.samples, tol)
@@ -240,7 +234,7 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
     k comparisons is only guaranteed within k * tol, documented as the
     3*tol bound for the usual three-path arguments).
     """
-    _require_tol(tol)
+    mf._require_tol(tol)
     n = max(gamma1.n_segments, gamma2.n_segments)
     c1 = canonical_form(gamma1, DETECT_TOL, n)
     c2 = canonical_form(gamma2, DETECT_TOL, n)

@@ -25,6 +25,7 @@ from .path import DiscretePath, PathTangentField
 from .pathspace import Worldsheet
 
 SEED_TOL = 1e-6  # "same seed" tolerance for vertical composability
+INTERVAL_TOL = 1e-12  # interval ends closer than this are equal
 
 
 class CompositionError(DomainError):
@@ -127,6 +128,7 @@ def compose1(g, f):
 def morphism1_equal(m1, m2, tol=1e-6):
     """Equality in the quotient: canonical forms built on a common grid
     agree node-wise and the time labels match exactly."""
+    mf._require_tol(tol)
     n = max(m1.path.n_segments, m2.path.n_segments)
     f1 = bt.field_canonical_form(m1.field, n)
     f2 = bt.field_canonical_form(m2.field, n)
@@ -172,11 +174,11 @@ def compose2_vertical(G, F):
     """
     a, b = F.interval
     b2, c = G.interval
-    if abs(b2 - b) > 1e-12:
+    if abs(b2 - b) > INTERVAL_TOL:
         raise CompositionError("intervals do not abut: [%g,%g] then [%g,%g]" % (a, b, b2, c))
-    gap = float(np.max(_composing(pth.node_gaps, _sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1))))
+    gap, i = pth.worst_node(_composing(pth.node_gaps, _sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1)))
     if gap > SEED_TOL:
-        raise CompositionError("segments are not one geodesic (seed gap %.3g)" % gap)
+        raise CompositionError("segments are not one geodesic (seed gap %.3g at t-node %d)" % (gap, i))
     return GeodMorphism2(F.seed, np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]]))
 
 
@@ -186,7 +188,8 @@ def compose2_horizontal(F, G):
     The composite is the geodesic segment seeded by the composed
     1-morphism; its boundary fibers agree with the shared fiber of F and G.
     """
-    if abs(F.interval[0] - G.interval[0]) > 1e-12 or abs(F.interval[1] - G.interval[1]) > 1e-12:
+    (a, b), (c, d) = F.interval, G.interval
+    if abs(a - c) > INTERVAL_TOL or abs(b - d) > INTERVAL_TOL:
         raise CompositionError("horizontal composition needs equal intervals")
     return GeodMorphism2(compose1(G.seed, F.seed), F.sheet.s_nodes)  # F's path first, then G's
 
@@ -196,9 +199,7 @@ def sheet_discrepancy(A, B):
 
     Returns (value, (j, i)) with the worst s/t node indices.
     """
-    gaps = _composing(pth.node_gaps, _sheet_nodes(A.sheet), _sheet_nodes(B.sheet))
-    j, i = np.unravel_index(int(np.argmax(gaps)), gaps.shape)
-    return float(gaps[j, i]), (int(j), int(i))
+    return pth.worst_node(_composing(pth.node_gaps, _sheet_nodes(A.sheet), _sheet_nodes(B.sheet)))
 
 
 @dataclass(frozen=True)
@@ -222,8 +223,9 @@ def check_exchange(F1, G1, F2, G2, tol=mf.COINCIDENCE_TOL):
 
     F1, F2 live over [a,b] and G1, G2 over [b,c]; 1 and 2 index the two
     horizontally composable seeds. Composability failures are reported,
-    not raised.
+    not raised; a bad ``tol`` is.
     """
+    mf._require_tol(tol)
     try:
         lhs = compose2_horizontal(compose2_vertical(G1, F1), compose2_vertical(G2, F2))
         rhs = compose2_vertical(compose2_horizontal(G1, G2), compose2_horizontal(F1, F2))

@@ -6,15 +6,15 @@ reports are byte-identical for identical inputs regardless of execution
 order. Failures are report content, never exceptions.
 
 ``run_checks`` runs the properties in worker processes, one per CPU this
-process may run on, and collects their results in suite order, so the
-report is byte-identical to a serial run.
+process may run on, through the ordered fork map ``_forkmap.fork_map``
+that large sheet exports share, and collects their results in suite order,
+so the report is byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +24,7 @@ from . import category as cat
 from . import manifold as mf
 from . import path as pth
 from . import pathspace as ps
+from ._forkmap import fork_map
 
 DEFAULT_SEED = 42
 
@@ -458,16 +459,7 @@ def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
             for fname in sorted(config.fields):
                 fn = functools.partial(_prop_config_field, config, fname)
                 tasks.append(("config_field_reflection/" + fname, fn, 1e-9, 1))
-    # imported here, not at module level: ``import pathgeo`` would pay for
-    # the executor machinery (about 25 ms) in every command. ``fork`` starts
-    # each worker from this process's memory, where ``spawn`` would import
-    # numpy and pathgeo again in every worker.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        results = list(pool.map(_run_property, *zip(*tasks)))
+    results = list(fork_map(lambda i: _run_property(*tasks[i]), len(tasks)))
     return {
         "suite": suite,
         "seed": int(seed),

@@ -106,6 +106,14 @@ def as_number(label, value, positive=False):
     raise DomainError("%s must be a %snumber (got %r)" % (label, "positive finite " if positive else "", value))
 
 
+def _require_tol(tol):
+    """DomainError unless ``tol`` is a nonnegative number. The one tolerance
+    rule, applied where a tolerance enters: NaN, a bool and a string are
+    rejected."""
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool) and tol >= 0):
+        raise DomainError("tolerance must be a nonnegative number (got %r)" % (tol,))
+
+
 class ManifoldSpec:
     """Base of the built-in models; use a subclass or a constructor below.
 

@@ -137,6 +137,16 @@ def node_gaps(first, second):
     return gaps
 
 
+def worst_node(gaps):
+    """The largest entry of ``gaps`` (``node_gaps`` output, or a test of it)
+    and its node: an int for a path's gaps, an (s, t) pair for a sheet's.
+    A NaN counts as largest and ties go to the first node, so on a boolean
+    array the node is the first True."""
+    k = int(np.argmax(gaps))
+    node = tuple(int(i) for i in np.unravel_index(k, gaps.shape))
+    return gaps.flat[k].item(), node[0] if len(node) == 1 else node
+
+
 # ---------------------------------------------------------------------------
 # evaluation and resampling
 # ---------------------------------------------------------------------------

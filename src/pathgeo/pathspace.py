@@ -82,8 +82,11 @@ class Worldsheet:
 
 
 def _check_field_on(gamma, field):
-    if np.max(_pointwise_distances(field.base, gamma)) > mf.COINCIDENCE_TOL:
-        raise DomainError("field is based on a different path")
+    """DomainError naming the first sample of the field's base off ``gamma``."""
+    d = _pointwise_distances(field.base, gamma)
+    off, i = pth.worst_node(d > mf.COINCIDENCE_TOL)
+    if off:
+        raise DomainError("field is based on a different path (its sample %d is %.3g away)" % (i, d[i]))
 
 
 def l2_metric(gamma, field1, field2):
@@ -194,11 +197,11 @@ def in_normal_neighborhood(gamma0, gamma):
 def _require_normal(gamma1, gamma2):
     d = _pointwise_distances(gamma1, gamma2)
     inj = gamma1.manifold.injectivity_radius()
-    if not np.max(d) < inj:
-        worst = int(np.argmax(d))
+    worst, i = pth.worst_node(d)
+    if not worst < inj:
         raise NormalNeighborhoodError(
             "fibers leave the normal neighborhood; worst at t=%g (distance %.6g >= %.6g)"
-            % (worst / gamma1.n_segments, float(d[worst]), inj)
+            % (i / gamma1.n_segments, worst, inj)
         )
     return d
 

@@ -306,3 +306,51 @@ def test_exchange_reports_morphisms_on_another_manifold():
     rep = cat.check_exchange(F1, G1, flat_copy(F2), flat_copy(G2))
     assert not rep.passed and rep.failing_node is None
     assert "different manifolds" in rep.error
+
+
+# ---------------------------------------------------------------------------
+# tolerances and the node an error names
+# ---------------------------------------------------------------------------
+
+
+def exchange_quad(seed):
+    m1, m2, _ = triple(SPHERE, seed, n=16)
+    return [cat.morphism2(m, ab, S=2) for m in (m1, m2) for ab in ((0.0, 0.5), (0.5, 1.0))]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, True, "1e-9"], ids=["nan", "negative", "bool", "string"])
+@pytest.mark.parametrize("where", ["morphism1_equal", "check_exchange"])
+def test_a_bad_tolerance_is_rejected(where, tol):
+    with pytest.raises(mf.DomainError, match="tolerance must be a nonnegative number"):
+        if where == "morphism1_equal":
+            m = triple(SPHERE, SEED + 30, n=16)[0]
+            cat.morphism1_equal(m, m, tol=tol)
+        else:
+            cat.check_exchange(*exchange_quad(SEED + 31), tol=tol)
+
+
+def test_a_zero_tolerance_is_accepted():
+    m = triple(SPHERE, SEED + 30, n=16)[0]
+    assert cat.morphism1_equal(m, m, tol=0)
+    assert cat.check_exchange(*exchange_quad(SEED + 31), tol=0.0).error is None
+
+
+def test_vertical_composition_names_the_t_node_of_the_seed_gap():
+    spec = mf.ManifoldSpec.euclidean(2)
+    m1, _, _ = triple(spec, SEED + 32, n=8)
+    F = cat.morphism2(m1, (0.0, 0.5), S=2)
+    field = m1.field.components.copy()
+    field[5] += [0.0, 1e-3]  # G's seed leaves F's end fiber at t-node 5 only
+    G = cat.morphism2(cat.morphism1(m1.path, pth.PathTangentField(m1.path, field), m1.time), (0.5, 1.0), S=2)
+    with pytest.raises(cat.CompositionError, match=r"segments are not one geodesic \(seed gap .* at t-node 5\)"):
+        cat.compose2_vertical(G, F)
+
+
+def test_a_field_on_another_path_names_its_first_sample_off_it():
+    spec = mf.ManifoldSpec.euclidean(2)
+    gamma = pth.make_line(spec, [0.0, 0.0], [1.0, 0.0], n=8, collar=0.0)
+    samples = gamma.samples.copy()
+    samples[3:6, 1] += [1e-3, 2e-3, 1e-3]
+    other = pth.DiscretePath(spec, samples, 0.0)
+    with pytest.raises(cat.CompositionError, match=r"different path \(its sample 3 is 0.001 away\)"):
+        cat.morphism1(gamma, pth.make_zero_field(other), 0.0)

@@ -261,6 +261,26 @@ def test_compose_exchange_report(tmp_path, capsys):
     assert report["passed"] and report["max_discrepancy"] <= 1e-9
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1.0"])
+def test_compose_rejects_a_bad_exchange_tolerance(tmp_path, capsys, tol):
+    m1, m2, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(5), n=16)
+    files = []
+    for name, M in [
+        ("F1", cat.morphism2(m1, (0.0, 0.5), S=2)),
+        ("G1", cat.morphism2(m1, (0.5, 1.0), S=2)),
+        ("F2", cat.morphism2(m2, (0.0, 0.5), S=2)),
+        ("G2", cat.morphism2(m2, (0.5, 1.0), S=2)),
+    ]:
+        f = tmp_path / (name + ".json")
+        f.write_text(ser.dumps(ser.morphism2_to_json(M)))
+        files.append(str(f))
+    out = tmp_path / "out"
+    assert cli.main(["compose"] + files + ["--tol", tol, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: tolerance must be a nonnegative number (got %r)\n" % float(tol)
+    assert captured.out == "" and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Refactor gate: the deterministic reports of ``pathgeo check --suite all``
-at seeds 42, 1, 3, 7 and 1234, the exports of one fixed worldsheet and the
-records of three fixed composites must not change. A change that alters
-them on purpose updates the digests below and says why."""
+at seeds 42, 1, 3, 7 and 1234, the exports of one fixed worldsheet at two
+sizes and the records of three fixed composites must not change. A change
+that alters them on purpose updates the digests below and says why."""
 
+import concurrent.futures
 import hashlib
 import os
 
@@ -34,6 +35,14 @@ EXPORT_SHA256 = {
     "path_csv": "1e2e9f14203fa7706f281580cf018d311a90808f1d0915d3066f32c8988967f8",
 }
 
+# the same circle and field at N = 4096, swept with S = 64: 798,915 floats
+# per rank-3 array, so its slabs are formatted in worker processes
+LARGE_EXPORT_SHA256 = {
+    "sheet_json": "63c51ac4b9eed98ff4f3371d5930ab81d6231f5187c6aa79c87917ace21ef6dc",
+    "sheet_csv": "047e6e4c6b62c2714aefe10103b0025c04fc5edf781fcbd805d46539312ff621",
+    "sheet_obj": "8f63c1564f6e5c6a9d234ce5018f48275654638698b4520be140f4c38275a552",
+}
+
 # composites of the sphere triple checks._composable_triple(rng seed 2718,
 # n = 16): m1 over [0, 1/2] then [1/2, 1] with S = 4 (vertical), m1 beside
 # m2 over [0, 1] with S = 4 (horizontal), and m2 after m1
@@ -62,21 +71,71 @@ def test_one_worker_report_is_byte_identical(monkeypatch):
     assert sha256(ser.dumps(checks.run_checks("all", seed=1))) == OTHER_SEED_SHA256[1]
 
 
-@pytest.fixture(scope="module")
-def exports():
-    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=64)
-    sheet = ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 8)
+def fixed_sheet(n, S):
+    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=n)
+    return circle, ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), S)
+
+
+def sheet_exports(sheet):
     return {
         "sheet_json": ser.dumps(sheet.to_json()),
         "sheet_csv": ser.sheet_to_csv(sheet),
         "sheet_obj": ser.sheet_to_obj(sheet),
-        "path_csv": ser.path_to_csv(circle),
     }
+
+
+@pytest.fixture(scope="module")
+def exports():
+    circle, sheet = fixed_sheet(64, 8)
+    return dict(sheet_exports(sheet), path_csv=ser.path_to_csv(circle))
 
 
 @pytest.mark.parametrize("name", sorted(EXPORT_SHA256))
 def test_fixed_sheet_exports_are_byte_identical(exports, name):
     assert sha256(exports[name]) == EXPORT_SHA256[name]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started while it is active."""
+    started = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def counting(max_workers, **kwargs):
+        started.append(max_workers)
+        return executor(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    return started
+
+
+@pytest.fixture(scope="module")
+def large_sheet():
+    return fixed_sheet(4096, 64)[1]
+
+
+def test_large_sheet_exports_are_byte_identical(large_sheet, pools):
+    digests = {name: sha256(text) for name, text in sheet_exports(large_sheet).items()}
+    assert digests == LARGE_EXPORT_SHA256
+    # JSON: points and velocities; CSV: the fibers; OBJ: the vertices
+    assert pools == [min(len(os.sched_getaffinity(0)), 65)] * 4
+
+
+def test_one_worker_large_exports_are_byte_identical(large_sheet, pools, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    digests = {name: sha256(text) for name, text in sheet_exports(large_sheet).items()}
+    assert digests == LARGE_EXPORT_SHA256
+    assert pools == [1] * 4
+
+
+def test_small_exports_start_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a small export started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    circle, sheet = fixed_sheet(64, 8)
+    exports = dict(sheet_exports(sheet), path_csv=ser.path_to_csv(circle))
+    assert {name: sha256(text) for name, text in exports.items()} == EXPORT_SHA256
 
 
 @pytest.fixture(scope="module")
