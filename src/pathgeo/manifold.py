@@ -32,6 +32,18 @@ types (ManifoldPoint, TangentVector). ``integrate_batch`` and
 fixed-step RK4: the independent oracles of ``flow`` and ``transport_along``
 that the check report runs. The other oracles, the shooting log map and the
 integrated worldsheet, live in the tests (``tests/oracles.py``).
+
+The kernel rule: a sheet holds (S+1)(N+1) nodes of only d = 2 or 3
+coordinates, and numpy reduces so short a last axis several times slower
+than it adds whole arrays. So every sum over the coordinate axis goes
+through ``_dot`` and ``_norm``, one component at a time and bit-equal to
+``np.sum(..., axis=-1)`` and ``np.linalg.norm(..., axis=-1)`` (pinned by
+``tests/test_kernel_source.py``), and the half-plane formulas work on the
+hyperboloid per component. Checks (``validate``, ``check_tangent``, the
+sphere's antipodal guard) first test the whole array at once; only on
+failure do they build a per-node mask such as "every coordinate of this
+node is finite" and let ``check_nodes`` find the first bad node, so every
+error still names the same node.
 """
 
 from __future__ import annotations
@@ -75,8 +87,9 @@ class NormalNeighborhoodError(GeometryError):
     """The target point lies at or beyond the injectivity radius."""
 
 
-def check_nodes(ok, label, why):
-    """Raise DomainError unless the mask ``ok`` holds everywhere.
+def check_nodes(ok, label, why, error=DomainError):
+    """Raise ``error`` (DomainError by default) unless the mask ``ok`` holds
+    everywhere.
 
     The message names the first failing index through ``label % index``,
     e.g. ``"sample %d"`` or ``"node (s=%d, t=%d)"``; a 0-d mask uses
@@ -84,7 +97,38 @@ def check_nodes(ok, label, why):
     """
     if not np.all(ok):
         idx = np.unravel_index(np.argmin(ok), np.shape(ok))
-        raise DomainError("%s %s" % (label % tuple(int(i) for i in idx), why))
+        raise error("%s %s" % (label % tuple(int(i) for i in idx), why))
+
+
+def _dot(a, b):
+    """sum_i a[..., i] * b[..., i], added left to right one coordinate at a
+    time. Below 8 coordinates this is bit-equal to ``np.sum(a * b,
+    axis=-1)``, which reduces that short axis far more slowly; from 8 on
+    numpy sums pairwise, so ``np.sum`` is kept there."""
+    d = a.shape[-1]
+    if d >= 8:
+        return np.sum(a * b, axis=-1)
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, d):
+        out += a[..., i] * b[..., i]
+    # np.sum starts from +0.0, so a sum of products that are all -0.0 is +0.0
+    out += 0.0
+    return out
+
+
+def _norm(a):
+    """Euclidean length over the last axis, bit-equal to
+    ``np.linalg.norm(a, axis=-1)`` (which is the square root of that sum)."""
+    return np.sqrt(_dot(a, a))
+
+
+def _check_finite(a, label):
+    """DomainError naming the first node of ``a`` (..., d) with a NaN or
+    infinite coordinate. The whole array is tested first; the per-node mask
+    is built only on failure."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        check_nodes(finite.all(axis=-1), label, "is not finite")
 
 
 def as_integer(label, value):
@@ -96,14 +140,16 @@ def as_integer(label, value):
     raise DomainError("%s must be an integer >= 1 (got %r)" % (label, value))
 
 
-def as_number(label, value, positive=False):
+def as_number(label, value, positive=False, finite=False):
     """``value`` as a float; DomainError naming ``label`` unless it is a
-    number, and a positive finite one if ``positive``. The one number rule:
-    an int or float, numpy's too, while a bool and a string are rejected."""
+    number, a finite one if ``finite`` and a positive finite one if
+    ``positive``. The one number rule: an int or float, numpy's too, while a
+    bool and a string are rejected."""
+    kind = "positive finite " if positive else "finite " if finite else ""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not positive or 0 < value < math.inf:
+        if not kind or (0 if positive else -math.inf) < value < math.inf:
             return float(value)
-    raise DomainError("%s must be a %snumber (got %r)" % (label, "positive finite " if positive else "", value))
+    raise DomainError("%s must be a %snumber (got %r)" % (label, kind, value))
 
 
 def _require_tol(tol):
@@ -174,13 +220,13 @@ class ManifoldSpec:
     def validate(self, x, label="point"):
         """Raise DomainError unless every point of x lies on the manifold;
         ``label % index`` names the first bad one."""
-        check_nodes(np.all(np.isfinite(x), axis=-1), label, "is not finite")
+        _check_finite(x, label)
 
     def check_tangent(self, x, v, label):
         """Raise DomainError unless each v is finite and tangent at x, up to
         TANGENT_RTOL relative; ``label % index`` names the first bad one.
         Every finite chart vector is tangent here."""
-        check_nodes(np.all(np.isfinite(v), axis=-1), label, "is not finite")
+        _check_finite(v, label)
 
     def wrap(self, x):
         """Reduce coordinates into the fundamental domain (torus only)."""
@@ -196,7 +242,7 @@ class ManifoldSpec:
 
     def inner(self, x, u, v):
         """Riemannian inner product g_x(u, v)."""
-        return np.sum(u * v, axis=-1)
+        return _dot(u, v)
 
     def christoffel(self, x):
         """Full Gamma^k_{ij} array at x, shape (..., d, d, d), read off
@@ -227,7 +273,7 @@ class ManifoldSpec:
 
     def dist(self, x, y):
         """Riemannian distance."""
-        return np.linalg.norm(self.chart_diff(y, x), axis=-1)
+        return _norm(self.chart_diff(y, x))
 
     def log(self, x, y):
         """Initial velocity of the unit-time geodesic from x to y.
@@ -307,43 +353,43 @@ class Sphere(ManifoldSpec):
 
     def validate(self, x, label="point"):
         super().validate(x, label)
-        off = np.abs(np.linalg.norm(x, axis=-1) - self.radius) > 1e-9 * self.radius
-        check_nodes(~off, label, "is off the sphere (|x| != radius)")
+        # finite here, so "not off" is "within the tolerance"
+        on = np.abs(_norm(x) - self.radius) <= 1e-9 * self.radius
+        check_nodes(on, label, "is off the sphere (|x| != radius)")
 
     def check_tangent(self, x, v, label):
         super().check_tangent(x, v, label)
-        ip = np.abs(np.sum(v * x, axis=-1))
-        bound = TANGENT_RTOL * (np.linalg.norm(v, axis=-1) * self.radius)
-        check_nodes(ip <= bound, label, "is not tangent to the sphere")
+        ok = np.abs(_dot(v, x)) <= TANGENT_RTOL * (_norm(v) * self.radius)
+        check_nodes(ok, label, "is not tangent to the sphere")
 
     def project_tangent(self, x, v):
         xhat = x / self.radius
-        return v - np.sum(v * xhat, axis=-1, keepdims=True) * xhat
+        return v - _dot(v, xhat)[..., None] * xhat
 
     def gamma_quad(self, x, a, b):
-        return x * (np.sum(a * b, axis=-1) / self.radius**2)[..., None]
+        return x * (_dot(a, b) / self.radius**2)[..., None]
 
     def project_state(self, x, v):
-        nrm = np.linalg.norm(x, axis=-1, keepdims=True)
-        x = x * (self.radius / nrm)
+        x = x * (self.radius / _norm(x)[..., None])
         return x, self.project_tangent(x, v)
 
     def flow(self, x, v, s):
         s = np.asarray(s, dtype=float)[..., None]
         r = self.radius
-        speed = np.linalg.norm(v, axis=-1, keepdims=True)
-        safe = np.where(speed > 0, speed, 1.0)
-        vdir = v / safe
+        speed = _norm(v)[..., None]
         theta = s * speed / r
-        pt = np.cos(theta) * x + np.sin(theta) * r * vdir
-        vel = np.cos(theta) * v - np.sin(theta) * speed * x / r
-        pt = np.where(speed > 0, pt, x + 0 * theta)
-        vel = np.where(speed > 0, vel, v + 0 * theta)
+        cos, sin = np.cos(theta), np.sin(theta)
+        moving = speed > 0
+        if moving.all():
+            return cos * x + sin * r * (v / speed), cos * v - sin * speed * x / r
+        vdir = v / np.where(moving, speed, 1.0)
+        pt = np.where(moving, cos * x + sin * r * vdir, x + 0 * theta)
+        vel = np.where(moving, cos * v - sin * speed * x / r, v + 0 * theta)
         return pt, vel
 
     def dist(self, x, y):
         r = self.radius
-        c = np.sum(x * y, axis=-1) / r**2
+        c = _dot(x, y) / r**2
         # |x cross y|, the components written out in np.cross's order: on
         # small arrays np.cross costs more in axis handling than in arithmetic
         x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
@@ -355,17 +401,23 @@ class Sphere(ManifoldSpec):
     def log(self, x, y):
         r = self.radius
         ang = dist(self, x, y)[..., None] / r
-        w = y - np.sum(x * y, axis=-1)[..., None] * x / r**2
-        wn = np.linalg.norm(w, axis=-1, keepdims=True)
-        safe = np.where(wn > 0, wn, 1.0)
-        return np.where(wn > 0, ang * r * w / safe, np.zeros_like(x))
+        w = y - _dot(x, y)[..., None] * x / r**2
+        wn = _norm(w)[..., None]
+        apart = wn > 0
+        if apart.all():
+            return ang * r * w / wn
+        return np.where(apart, ang * r * w / np.where(apart, wn, 1.0), np.zeros_like(x))
 
     def transport(self, x, y, X):
         # the rotation of the x-y plane that takes x to y, fixing its normal
-        denom = self.radius**2 + np.sum(x * y, axis=-1)
-        if np.any(denom <= 1e-12 * self.radius**2):
-            raise NormalNeighborhoodError("transport between antipodal points is undefined")
-        return X - (np.sum(y * X, axis=-1) / denom)[..., None] * (x + y)
+        denom = self.radius**2 + _dot(x, y)
+        bad = denom <= 1e-12 * self.radius**2
+        if bad.any():
+            # a pair on leading axes is named by its node, counted in C order
+            label = "transport at node %d" if bad.ndim else "transport"
+            ok = ~bad.ravel() if bad.ndim else ~bad
+            check_nodes(ok, label, "between antipodal points is undefined", NormalNeighborhoodError)
+        return X - (_dot(y, X) / denom)[..., None] * (x + y)
 
     def normal(self, x, u):
         return np.cross(x / self.radius, u)
@@ -382,7 +434,7 @@ class Sphere(ManifoldSpec):
         return v - np.dot(v, xhat) * xhat
 
     def retract(self, x):
-        return self.radius * x / np.linalg.norm(x, axis=-1, keepdims=True)
+        return self.radius * x / _norm(x)[..., None]
 
 
 # -- hyperboloid model helpers for the half plane ---------------------------
@@ -390,40 +442,40 @@ class Sphere(ManifoldSpec):
 # (x, y) maps to P = ((x^2+y^2+1)/2y, x/y, (x^2+y^2-1)/2y) on the hyperboloid
 # <P,P> = -1 in Minkowski signature (-,+,+); geodesics there are cosh/sinh
 # combinations, which avoids the semicircle-center degeneracy of the chart.
+# A hyperboloid point or vector is a tuple of its three component arrays:
+# the formulas act per component, and only the chart result is stacked.
 
 
 def _uhp_to_hyp(x):
     a, y = x[..., 0], x[..., 1]
     q = a * a + y * y
-    return np.stack([(q + 1) / (2 * y), a / y, (q - 1) / (2 * y)], axis=-1)
+    return (q + 1) / (2 * y), a / y, (q - 1) / (2 * y)
 
 
 def _uhp_vec_to_hyp(x, v):
     a, y = x[..., 0], x[..., 1]
     vx, vy = v[..., 0], v[..., 1]
-    dPdx = np.stack([a / y, 1 / y, a / y], axis=-1)
-    dPdy = np.stack(
-        [(y * y - a * a - 1) / (2 * y * y), -a / (y * y), (y * y - a * a + 1) / (2 * y * y)],
-        axis=-1,
-    )
-    return dPdx * vx[..., None] + dPdy * vy[..., None]
+    ay = a / y
+    dPdx = (ay, 1 / y, ay)
+    dPdy = ((y * y - a * a - 1) / (2 * y * y), -a / (y * y), (y * y - a * a + 1) / (2 * y * y))
+    return tuple(p * vx + q * vy for p, q in zip(dPdx, dPdy))
 
 
 def _hyp_to_uhp(P):
-    t = P[..., 0] - P[..., 2]
-    return np.stack([P[..., 1] / t, 1.0 / t], axis=-1)
+    t = P[0] - P[2]
+    return np.stack([P[1] / t, 1.0 / t], axis=-1)
 
 
 def _hyp_vec_to_uhp(P, U):
-    t = P[..., 0] - P[..., 2]
-    dt = U[..., 0] - U[..., 2]
-    vx = U[..., 1] / t - P[..., 1] * dt / (t * t)
+    t = P[0] - P[2]
+    dt = U[0] - U[2]
+    vx = U[1] / t - P[1] * dt / (t * t)
     vy = -dt / (t * t)
     return np.stack([vx, vy], axis=-1)
 
 
 def _mink(A, B):
-    return -A[..., 0] * B[..., 0] + A[..., 1] * B[..., 1] + A[..., 2] * B[..., 2]
+    return -A[0] * B[0] + A[1] * B[1] + A[2] * B[2]
 
 
 @dataclass(frozen=True)
@@ -459,21 +511,25 @@ class HalfPlane(ManifoldSpec):
         return x, v
 
     def flow(self, x, v, s):
-        s = np.asarray(s, dtype=float)[..., None]
+        s = np.asarray(s, dtype=float)
         P = _uhp_to_hyp(x)
         U = _uhp_vec_to_hyp(x, v)
-        sigma = np.sqrt(np.maximum(_mink(U, U), 0.0))[..., None]
-        safe = np.where(sigma > 0, sigma, 1.0)
-        Uh = U / safe
-        Ph = np.cosh(s * sigma) * P + np.sinh(s * sigma) * Uh
-        Vh = sigma * (np.sinh(s * sigma) * P + np.cosh(s * sigma) * Uh)
-        pt = np.where(sigma > 0, _hyp_to_uhp(Ph), x + 0 * s)
-        vel = np.where(sigma > 0, _hyp_vec_to_uhp(Ph, Vh), v + 0 * s)
-        return pt, vel
+        sigma = np.sqrt(np.maximum(_mink(U, U), 0.0))
+        moving = sigma > 0
+        safe = sigma if moving.all() else np.where(moving, sigma, 1.0)
+        cosh, sinh = np.cosh(s * sigma), np.sinh(s * sigma)
+        Uh = [u / safe for u in U]
+        Ph = [cosh * p + sinh * u for p, u in zip(P, Uh)]
+        Vh = [sigma * (sinh * p + cosh * u) for p, u in zip(P, Uh)]
+        pt, vel = _hyp_to_uhp(Ph), _hyp_vec_to_uhp(Ph, Vh)
+        if moving.all():
+            return pt, vel
+        s, moving = s[..., None], moving[..., None]
+        return np.where(moving, pt, x + 0 * s), np.where(moving, vel, v + 0 * s)
 
     def dist(self, x, y):
         # 2 asinh(|dq| / (2 sqrt(y1 y2))), stable for close points
-        dq = np.linalg.norm(y - x, axis=-1)
+        dq = _norm(y - x)
         return 2.0 * np.arcsinh(dq / (2.0 * np.sqrt(x[..., 1] * y[..., 1])))
 
     def log(self, x, y):
@@ -481,16 +537,15 @@ class HalfPlane(ManifoldSpec):
         Q = _uhp_to_hyp(y)
         alpha = -_mink(P, Q)
         d = dist(self, x, y)
-        w = Q - alpha[..., None] * P
         sinh_d = np.sinh(d)
         scale = np.where(sinh_d > 0, d / np.where(sinh_d > 0, sinh_d, 1.0), 0.0)
-        return _hyp_vec_to_uhp(P, w * scale[..., None])
+        return _hyp_vec_to_uhp(P, [(q - alpha * p) * scale for p, q in zip(P, Q)])
 
     def transport(self, x, y, X):
         P, Q, W = _uhp_to_hyp(x), _uhp_to_hyp(y), _uhp_vec_to_hyp(x, X)
         # 1 - <P,Q> = 1 + cosh d >= 2: no cut locus to guard
-        W = W + (_mink(Q, W) / (1.0 - _mink(P, Q)))[..., None] * (P + Q)
-        return _hyp_vec_to_uhp(Q, W)
+        c = _mink(Q, W) / (1.0 - _mink(P, Q))
+        return _hyp_vec_to_uhp(Q, [w + c * (p + q) for p, q, w in zip(P, Q, W)])
 
     def random_point(self, rng):
         return np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])

@@ -126,8 +126,11 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
 
 
 def s_grid(interval, S):
-    """S+1 uniform s-nodes over the interval [a, b]; the one node a if b = a."""
-    a, b = float(interval[0]), float(interval[1])
+    """S+1 uniform s-nodes over the interval [a, b]; the one node a if b = a.
+    DomainError naming ``interval`` or ``S`` unless a and b are finite
+    numbers and S is an integer >= 1."""
+    a, b = (mf.as_number("interval", end, finite=True) for end in (interval[0], interval[1]))
+    S = mf.as_integer("S", S)
     if a > b:
         raise DomainError("interval must satisfy a <= b")
     return np.linspace(a, b, S + 1) if b > a else np.asarray([a])
@@ -221,7 +224,7 @@ def connecting_geodesic(gamma1, gamma2, S=64):
     collar = 0.0
     if gamma1.collar > 0 and gamma2.collar > 0:
         collar = min(gamma1.collar, gamma2.collar)
-    return build_sheet(spec, gamma1.samples, vcomps, np.linspace(0, 1, S + 1), collar)
+    return build_sheet(spec, gamma1.samples, vcomps, s_grid((0, 1), S), collar)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,21 @@ def sphere_dist_with_np_cross(r, x, y):
     return r * np.arctan2(s, c)
 
 
+@pytest.mark.parametrize("lead", [(), (5,), (4, 7)], ids=["0-axes", "1-axis", "2-axes"])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_coordinate_sums_are_bit_identical_to_numpy_reductions(d, lead):
+    rng = np.random.default_rng(SEED + 16)
+    # mixed magnitudes so that the order of the additions shows in the bits
+    a = rng.standard_normal(lead + (d,)) * 10.0 ** rng.integers(-8, 9, lead + (d,))
+    b = rng.standard_normal(lead + (d,))
+    # signed zeros: a node whose products are all -0.0, and one lone -0.0
+    a[(0,) * len(lead)], b[(0,) * len(lead)] = -0.0, np.abs(b[(0,) * len(lead)])
+    b.flat[-1] = -0.0
+    for u, w in ((a, b), (a, a), (b[..., ::-1], a)):
+        assert mf._dot(u, w).tobytes() == np.sum(u * w, axis=-1).tobytes()
+        assert mf._norm(u).tobytes() == np.linalg.norm(u, axis=-1).tobytes()
+
+
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (64, 3), (4097, 3), (5, 7, 3)])
 def test_sphere_distance_is_bit_identical_to_cross_product_form(shape):
     rng = np.random.default_rng(SEED + 15)
@@ -497,6 +512,14 @@ def test_the_number_rule_rejects_what_is_not_a_number(value):
     with pytest.raises(mf.DomainError, match=r"^x must be a number \(got "):
         mf.as_number("x", value)
     assert mf.as_number("x", np.float32(0.5)) == 0.5 and mf.as_number("x", -3) == -3.0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")], ids=repr)
+def test_the_finite_number_rule_rejects_nan_and_inf(value):
+    assert not math.isfinite(mf.as_number("x", value))  # the plain rule takes them
+    with pytest.raises(mf.DomainError, match=r"^x must be a finite number \(got "):
+        mf.as_number("x", value, finite=True)
+    assert mf.as_number("x", -3, finite=True) == -3.0
 
 
 def test_invalid_specs_raise():

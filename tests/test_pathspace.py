@@ -278,3 +278,81 @@ def test_worldsheet_json_roundtrip():
     assert np.array_equal(back.points, sheet.points)
     assert np.array_equal(back.velocities, sheet.velocities)
     assert back.manifold == sheet.manifold
+
+
+# ---------------------------------------------------------------------------
+# s-grids and node-naming errors
+# ---------------------------------------------------------------------------
+
+
+def collared_circle_and_field(n=32):
+    spec = mf.ManifoldSpec.sphere(1.0)
+    gamma = pth.make_latitude_circle(spec, 1.0, n=n)
+    return gamma, pth.make_normal_field(gamma, 0.5)
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf], ids=repr)
+def test_s_grid_rejects_interval_ends_that_are_not_finite(end):
+    gamma, field = collared_circle_and_field()
+    for interval in ((0.0, end), (end, 1.0)):
+        with pytest.raises(mf.DomainError, match=r"^interval must be a finite number \(got "):
+            ps.pathspace_geodesic(gamma, field, interval, 4)
+
+
+@pytest.mark.parametrize("S", [2.5, 2.0, 0, -1, True, "4"], ids=repr)
+def test_s_grid_rejects_an_s_count_that_is_not_a_positive_integer(S):
+    gamma, field = collared_circle_and_field()
+    needle = r"^S must be an integer >= 1 \(got "
+    with pytest.raises(mf.DomainError, match=needle):
+        ps.pathspace_geodesic(gamma, field, (0.0, 1.0), S)
+    with pytest.raises(mf.DomainError, match=needle):
+        ps.connecting_geodesic(gamma, gamma, S=S)
+
+
+def test_connecting_geodesic_uses_the_s_grid():
+    gamma, _ = collared_circle_and_field()
+    sheet = ps.connecting_geodesic(gamma, gamma, S=4)
+    assert sheet.s_nodes.tobytes() == ps.s_grid((0.0, 1.0), 4).tobytes()
+    assert sheet.s_nodes.tobytes() == np.linspace(0, 1, 5).tobytes()
+
+
+@pytest.fixture(scope="module")
+def wide_sphere_sheet():
+    """A 65 x 4097 sphere sheet, as the worldsheet export builds it."""
+    gamma, field = collared_circle_and_field(n=4096)
+    return ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ("nan point", "node (s=3, t=7) is not finite"),
+        ("off-sphere point", "node (s=3, t=7) is off the sphere"),
+        ("radial velocity", "velocity at node (s=3, t=7) is not tangent to the sphere"),
+    ],
+    ids=["nan", "off-sphere", "not-tangent"],
+)
+def test_a_wide_sheet_names_its_first_bad_node(wide_sphere_sheet, fault, needle):
+    sheet = wide_sphere_sheet
+    x, v = sheet.points.copy(), sheet.velocities.copy()
+    # the same fault at a later node: the error names the first in s, t order
+    for node in ((3, 7), (3, 4000), (10, 2)):
+        if fault == "nan point":
+            x[node][1] = np.nan
+        elif fault == "off-sphere point":
+            x[node] *= 1.5
+        else:
+            v[node] = x[node]
+    with pytest.raises(mf.DomainError, match=re.escape(needle)):
+        ps.Worldsheet(sheet.manifold, sheet.s_nodes, x, v)
+
+
+def test_transport_names_the_antipodal_node_of_a_sheet():
+    spec = mf.ManifoldSpec.sphere(1.0)
+    gamma = pth.make_great_circle_arc(spec, [1, 0, 0], [0, 1, 0], n=8, collar=0.0)
+    points = np.stack([gamma.samples, gamma.samples])
+    points[1, 2] = -points[0, 2]  # s-segment 0 crosses to the antipode at t-node 2
+    velocities = np.zeros_like(points)
+    sheet = ps.Worldsheet(spec, [0.0, 1.0], points, velocities)
+    with pytest.raises(mf.NormalNeighborhoodError, match=r"^segment 0: transport at node 2 between antipodal"):
+        ps.pathspace_transport(sheet, pth.make_zero_field(gamma))
