@@ -146,10 +146,16 @@ def as_number(label, value, positive=False, finite=False):
     ``positive``. The one number rule: an int or float, numpy's too, while a
     bool and a string are rejected."""
     kind = "positive finite " if positive else "finite " if finite else ""
+    got = None
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if not kind or (0 if positive else -math.inf) < value < math.inf:
-            return float(value)
-    raise DomainError("%s must be a %snumber (got %r)" % (label, kind, value))
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the float range
+            got = "a value beyond the float range"
+        else:
+            if not kind or (0 if positive else -math.inf) < x < math.inf:
+                return x
+    raise DomainError("%s must be a %snumber (got %s)" % (label, kind, got or repr(value)))
 
 
 def _require_tol(tol):

@@ -1,12 +1,14 @@
 """Deterministic serialization: JSON, CSV, and OBJ export, streamed.
 
 All floating-point values are written in decimal with 17 significant
-digits, which round-trips IEEE doubles exactly, and JSON object keys are
-sorted, so identical inputs produce byte-identical files. One row
-formatter, ``_rows``, writes every array: each 2-d slab along axis 0 goes
-through one %-format call of a repeated row template (JSON, CSV, OBJ vertex
-or face), after one finiteness check per array (per fiber for a sheet's
-CSV rows).
+digits (``%.17g``), which round-trips IEEE doubles exactly, and JSON object
+keys are sorted, so identical inputs produce byte-identical files. One row
+formatter, ``_rows``, writes every float array: each 2-d slab along axis 0
+goes through ``_float_rows``, which formats a whole slab in numpy and
+returns exactly the text of one %-format call of a repeated row template
+(JSON, CSV or OBJ vertex), after one finiteness check per array (per fiber
+for a sheet's CSV rows). A scalar is formatted by ``format_float``, and
+OBJ face indices by ``%d``.
 
 Each format is one generator of text pieces (``json_pieces``,
 ``path_csv_pieces``, ``sheet_csv_pieces``, ``sheet_obj_pieces``) that
@@ -25,8 +27,10 @@ serial run; smaller arrays and records are formatted here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import math
 
 import numpy as np
 
@@ -41,24 +45,158 @@ from ._forkmap import fork_map
 _FLOAT = "%.17g"
 # A rank-3 array of at least this many floats is formatted in worker
 # processes. Measured on 2 vCPU, writing the JSON, CSV and OBJ exports of a
-# sphere sheet with S = 64 to a file (median of 6, serial -> pooled): at
-# 50k floats (N = 256) the pool is slower (JSON 0.073 -> 0.125 s), from
-# 100k to 150k it breaks even, at 200k (N = 1024) it wins for every format
-# (JSON 0.32 -> 0.24 s), and at 800k (N = 4096) JSON takes 1.11 -> 0.65 s.
-_POOL_FLOATS = 150_000
+# sphere sheet with S = 64 to a file (12 alternating pairs, pooled faster
+# in how many; JSON medians serial vs pooled): at 200k floats (N = 1024)
+# 0, 1 and 0 of 12 for JSON, CSV and OBJ (0.097 vs 0.139 s), at 600k
+# (N = 3072) 1, 7 and 2 (0.233 vs 0.240 s), at 800k (N = 4096) 6, 7 and 5
+# (0.295 vs 0.300 s), and at 1.2M (N = 6144) 11, 12 and 5 (0.470 vs
+# 0.440 s). The crossover is near 800k; a sheet with S = 64 pools from
+# N = 4096 on.
+_POOL_FLOATS = 700_000
 
 
 def format_float(x):
     """Decimal representation with 17 significant digits (exact round-trip)."""
-    return "".join(_rows(_finite(np.array([[float(x)]])), _FLOAT, ""))
+    x = float(x)
+    if not math.isfinite(x):
+        raise _non_finite(x)
+    return _FLOAT % x
+
+
+def _non_finite(x):
+    return DomainError("cannot serialize NaN" if math.isnan(x) else "cannot serialize infinity")
 
 
 def _finite(a):
-    """``a``, after one check that every entry is finite."""
-    bad = a[~np.isfinite(a)]
-    if bad.size:
-        raise DomainError("cannot serialize NaN" if np.isnan(bad[0]) else "cannot serialize infinity")
+    """``a``, after one check that every entry is finite; the error names
+    the first entry that is not, in C order."""
+    if not np.isfinite(a).all():
+        raise _non_finite(a[~np.isfinite(a)][0])
     return a
+
+
+# ---------------------------------------------------------------------------
+# %.17g over a whole slab
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _digit_tables():
+    """The tables of ``_float_rows``, built on first use.
+
+    ``groups`` holds the text of every digit group as one NUL-padded uint32,
+    in sections of 1000 entries indexed by the group's value; each section
+    is followed by its variant with the trailing fraction zeros stripped
+    (and the decimal point too, if no digit follows it). A value's 17
+    digits d0..d16 form group 0 (d0 d1, after the zeros of ``0.000`` that
+    the head does not hold) and groups 1-5 (three digits each). For each
+    exponent X in -4..15, ``sections[X + 4]`` gives the section of each
+    group: integer digits, fraction digits, or digits with the point before
+    digit k; ``heads[2 * (X + 4) + negative]`` is the sign and the start of
+    ``0.`` or ``0.0``.
+    """
+    d2 = ["%02d" % v for v in range(100)]
+    d3 = ["%03d" % v for v in range(1000)]
+    texts, start = [], {}
+
+    def section(name, full, stripped):
+        start[name] = len(texts)
+        texts.extend(full + [""] * (1000 - len(full)) + stripped + [""] * (1000 - len(stripped)))
+
+    def point(s, k):
+        # digits s with a point before digit k, trailing fraction zeros
+        # and a point with nothing after it removed
+        frac = s[k:].rstrip("0")
+        return s[:k] + ("." + frac if frac else "")
+
+    section("g0.int", d2, d2)
+    section("g0.point", [s[0] + "." + s[1] for s in d2], [point(s, 1) for s in d2])
+    for z in range(3):
+        section("g0.frac%d" % z, ["0" * z + s for s in d2], ["0" * z + s.rstrip("0") for s in d2])
+    section("int", d3, d3)
+    section("frac", d3, [s.rstrip("0") for s in d3])
+    for k in range(3):
+        section("point%d" % k, [s[:k] + "." + s[k:] for s in d3], [point(s, k) for s in d3])
+    sections, heads = [], []
+    for X in range(-4, 16):
+        g0 = "g0.frac%d" % max(-X - 2, 0) if X < 0 else "g0.point" if X == 0 else "g0.int"
+        # group m holds digits 3m-1..3m+1; the point goes before digit X+1,
+        # which is digit k = X+2-3m of the group
+        ks = [X + 2 - 3 * m for m in range(1, 6)]
+        rest = ["frac" if k < 0 else "int" if k > 2 else "point%d" % k for k in ks]
+        sections.append([start[name] for name in [g0] + rest])
+        head = "0." + "0" * min(-X - 1, 1) if X < 0 else ""
+        heads += [head, "-" + head]
+    return (_uint32s(texts), np.array(sections, dtype=np.intp), _uint32s(heads),
+            np.array([10.0**p for p in range(23)]))
+
+
+def _uint32s(texts, width=1):
+    """Each ASCII text (at most ``4 * width`` bytes) as ``width`` uint32
+    units, NUL-padded."""
+    return np.frombuffer("".join(t.ljust(4 * width, "\0") for t in texts).encode(), dtype=np.uint32)
+
+
+def _halves(a):
+    """Veltkamp's split of ``a`` into two doubles of at most 26 bits each."""
+    t = a * 134217729.0  # 2**27 + 1
+    high = t - (t - a)
+    return high, a - high
+
+
+def _float_rows(a, template, sep):
+    """``sep.join([template] * len(a)) % tuple(a.ravel())``, byte for byte,
+    for a 2-d array ``a`` of finite floats and a row ``template`` of
+    ``%.17g`` slots in literal text without ``%``.
+
+    Each value fills a fixed slot of uint32 units: the literal before it,
+    its head (sign, ``0.`` or ``0.0``) and its six digit groups, read from
+    ``_digit_tables``; unused bytes are NUL, and one ``bytes.translate``
+    removes them. A value with 1e-4 <= |x| < 1e16 has X = floor(log10|x|)
+    and 17 digits D = round-half-even(|x| 10^(16-X)): 10^(16-X) is an exact
+    double, so the product is exactly hi + lo (Dekker), and hi >= 2^53 is
+    an even integer, so ``rint(lo)`` rounds D correctly. It is checked
+    exactly that 1e16 <= hi + lo and D < 1e17; a value that fails (log10
+    off by one), and every value outside that range but zero, is formatted
+    by ``%.17g`` itself. Zero is ``0`` or ``-0``.
+    """
+    rows, cols = a.shape
+    if not a.size:
+        return sep.join([template] * rows)
+    groups, sections, heads, pow10 = _digit_tables()
+    lits = template.split(_FLOAT)
+    row_start = lits[-1] + sep + lits[0]
+    w = -(-max(map(len, lits + [row_start])) // 4)  # units per literal
+    x = np.asarray(a, dtype=float).ravel()
+    ax = np.abs(x)
+    with np.errstate(divide="ignore"):
+        e = np.floor(np.log10(ax))
+    fast = (e >= -4) & (e <= 15)
+    ax[~fast] = 0.0  # digits 0: zero, or formatted by %.17g below
+    k = np.where(fast, e, 0).astype(np.intp) + 4
+    p = pow10[20 - k]
+    hi = ax * p
+    a1, a2 = _halves(ax)
+    p1, p2 = _halves(p)
+    lo = ((a1 * p1 - hi) + a1 * p2 + a2 * p1) + a2 * p2
+    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exact = ((hi > 1e16) | ((hi == 1e16) & (lo >= 0))) & (digits < 10**17)
+    index = sections[k]
+    rest = digits
+    for m, scale in enumerate((10**15, 10**12, 10**9, 10**6, 10**3, 1)):
+        group = rest // scale
+        rest = rest - group * scale
+        index[:, m] += group + 1000 * (rest == 0)
+    slots = np.empty((rows, cols, w + 7), dtype=np.uint32)
+    slots[..., w + 1 :] = groups[index].reshape(rows, cols, 6)
+    slots[..., w] = heads[2 * k + np.signbit(x)].reshape(rows, cols)
+    slots[..., :w] = _uint32s(lits[:cols], w).reshape(cols, w)
+    slots[1:, 0, :w] = _uint32s([row_start], w)
+    slots = slots.reshape(-1, w + 7)
+    other = np.flatnonzero(~exact & (x != 0))
+    if other.size:
+        slots[other, w:] = _uint32s([_FLOAT % v for v in x[other].tolist()], 7).reshape(-1, 7)
+    return slots.tobytes().translate(None, b"\0").decode("ascii") + lits[-1]
 
 
 def _joined(parts, sep, open_="", close=""):
@@ -79,6 +217,7 @@ def _slabs(pieces, n, pooled):
     pieces are drawn here."""
     if not pooled:
         return map(pieces, range(n))
+    _digit_tables()  # built once here, not in every worker
     return ([text] for text in fork_map(lambda j: "".join(pieces(j)), n))
 
 
@@ -89,12 +228,13 @@ def _pooled(a):
 
 
 def _rows(a, template, sep):
-    """Rows of ``a`` through ``template`` (one slot per column), joined by
-    ``sep``: one piece, from one format call, per 2-d slab along axis 0."""
+    """Rows of the float array ``a`` through ``template`` (one ``%.17g``
+    slot per column), joined by ``sep``: one piece, from ``_float_rows``,
+    per 2-d slab along axis 0."""
     if a.ndim > 2:
         yield from _joined(_slabs(lambda j: _rows(a[j], template, sep), len(a), _pooled(a)), sep)
     else:
-        yield sep.join([template] * len(a)) % tuple(a.ravel())
+        yield _float_rows(a, template, sep)
 
 
 def _json_floats(a):
@@ -202,9 +342,13 @@ def sheet_obj_pieces(sheet):
     n = sheet.n_t_segments
     a = np.arange(n) + 1  # OBJ indices are 1-based
     strip = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
-    faces = (_rows(strip + j * (n + 1), "f %d %d %d %d", "\n") for j in range(sheet.n_s_segments))
+
+    def faces(j):  # the one piece of strip j; indices are integers, written with %d
+        return ["\n".join(["f %d %d %d %d"] * n) % tuple((strip + j * (n + 1)).ravel())]
+
     vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
-    parts = [vertices, _joined(faces, "\n")] if sheet.n_s_segments else [vertices]
+    S = sheet.n_s_segments
+    parts = [vertices, _joined(map(faces, range(S)), "\n")] if S else [vertices]
     return _joined(parts, "\n", "", "\n")
 
 

@@ -542,10 +542,9 @@ def test_worldsheet_formats_no_export_without_out(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(ser, "_rows", counting_rows)
     argv = ["worldsheet", "--config", sphere_config(tmp_path), "--path", "eq", "--format", fmt]
     assert cli.main(argv) == 0
-    # only the summary's scalars were formatted
-    assert slabs and max(slabs) == 1
+    # the summary holds only scalars, which format_float writes; no array was formatted
+    assert slabs == []
     summary = capsys.readouterr().out
-    del slabs[:]
     out = tmp_path / "out"
     assert cli.main(argv + ["--out", str(out)]) == 0
     assert max(slabs) > 1
@@ -574,6 +573,23 @@ def test_config_numbers_name_the_file_and_the_key(tmp_path, capsys, entry, needl
     err = capsys.readouterr().err
     assert err.startswith("error: %s: " % cfg)
     assert needle in err
+
+
+@pytest.mark.parametrize(
+    "entry, needle",
+    [
+        ({"manifold": {"kind": "sphere", "radius": 10**400}},
+         "sphere radius must be a positive finite number (got a value beyond the float range)"),
+        ({"interval": [0, 10**400]}, "interval must be a number (got a value beyond the float range)"),
+    ],
+    ids=["radius", "interval-end"],
+)
+def test_a_config_number_beyond_the_float_range_is_an_error(tmp_path, capsys, entry, needle):
+    cfg = write_config(tmp_path, dict({"manifold": {"kind": "euclidean", "dim": 2}}, **entry))
+    assert cli.main(["energy", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s: " % cfg) and needle in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

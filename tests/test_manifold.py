@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pathgeo import manifold as mf
+from pathgeo import pathspace as ps
 
 from oracles import log_map_shooting
 
@@ -520,6 +521,24 @@ def test_the_finite_number_rule_rejects_nan_and_inf(value):
     with pytest.raises(mf.DomainError, match=r"^x must be a finite number \(got "):
         mf.as_number("x", value, finite=True)
     assert mf.as_number("x", -3, finite=True) == -3.0
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["1e400", "-1e400"])
+@pytest.mark.parametrize("rule", ["plain", "finite", "positive"])
+def test_the_number_rule_rejects_an_int_beyond_the_float_range(value, rule):
+    kind = {"plain": "", "finite": "finite ", "positive": "positive finite "}[rule]
+    with pytest.raises(mf.DomainError, match=r"^radius must be a %snumber \(got a value beyond the float range\)$" % kind):
+        mf.as_number("radius", value, finite=rule == "finite", positive=rule == "positive")
+
+
+def test_parameters_and_intervals_beyond_the_float_range_are_domain_errors():
+    with pytest.raises(mf.DomainError, match=r"^sphere radius must be a positive finite number \(got a value beyond"):
+        mf.ManifoldSpec.sphere(10**400)
+    with pytest.raises(mf.DomainError, match=r"^flat_torus circumferences must be a positive finite number"):
+        mf.ManifoldSpec.flat_torus([1.0, 10**400])
+    for interval in ((0, 10**400), (-(10**400), 0)):
+        with pytest.raises(mf.DomainError, match=r"^interval must be a finite number \(got a value beyond"):
+            ps.s_grid(interval, 4)
 
 
 def test_invalid_specs_raise():

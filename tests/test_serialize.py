@@ -2,6 +2,7 @@
 replaced (kept below as the reference), their streamed pieces against
 their strings, plus the finiteness check and copying ``from_json``."""
 
+import fractions
 import json
 import math
 import os
@@ -10,6 +11,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgeo import category as cat
 from pathgeo import checks, cli
@@ -345,8 +348,137 @@ def test_a_pooled_csv_export_stops_at_the_same_fiber(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the slab formatter against %.17g, one value at a time
+# ---------------------------------------------------------------------------
+
+ROW_TEMPLATES = {
+    "json": ("[%.17g, %.17g, %.17g]", ", "),
+    "csv": ("%.17g,%.17g,%.17g", "\n"),
+    "obj": ("v %.17g %.17g %.17g", "\n"),
+}
+
+
+def per_value(a, template, sep):
+    """The reference: each value through ``"%.17g" % v`` on its own, in the
+    literal text of the row template."""
+    texts = template.split("%.17g")
+    rows = np.asarray(a, dtype=float).reshape(len(a), -1).tolist()
+    return sep.join("".join(t + "%.17g" % v for t, v in zip(texts, row)) + texts[-1] for row in rows)
+
+
+def dyadic_ties():
+    """For each exponent X in -4..15, values n / 2**(17 - X) with n odd: their
+    17th significant digit is followed by exactly 5, so %.17g rounds half to
+    even."""
+    ties = []
+    for X in range(-4, 16):
+        p = 16 - X
+        n = math.ceil(10.0**X * 2 ** (p + 1)) | 1
+        ties += [m / 2 ** (p + 1) for m in (n, n + 2, n + 2 * (n // 3))]
+    return ties
+
+
+def edge_values():
+    powers = [10.0**p for p in range(-6, 18)]
+    values = [0.0, 5e-324, 1e-320, 2.225073858507201e-308, 2.2250738585072014e-308, 1e-5, 1e-4, 1e308,
+              1.7976931348623157e308, 1234567890123456.75, 0.1, 1.0 / 3.0, 2.5, 99999999999999999.0]
+    values += powers + [float(np.nextafter(p, d)) for p in powers for d in (0.0, np.inf)] + dyadic_ties()
+    return values + [-v for v in values]
+
+
+def test_dyadic_ties_are_ties():
+    for v in dyadic_ties():
+        X = math.floor(math.log10(v))
+        scaled = fractions.Fraction(v) * 10 ** (16 - X)
+        assert scaled.denominator == 2 and 10**16 <= scaled < 10**17, v
+
+
+@pytest.mark.parametrize("name", sorted(ROW_TEMPLATES))
+def test_edge_values_format_as_percent_g(name):
+    template, sep = ROW_TEMPLATES[name]
+    values = edge_values()
+    a = np.array(values[: len(values) // 3 * 3]).reshape(-1, 3)
+    assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
+    assert "".join(ser._rows(a[None], template, sep)) == per_value(a, template, sep)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=90),
+       st.sampled_from(sorted(ROW_TEMPLATES)))
+def test_hypothesis_floats_format_as_percent_g(values, name):
+    template, sep = ROW_TEMPLATES[name]
+    a = np.array(values + [0.0] * (-len(values) % 3)).reshape(-1, 3)
+    assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=300))
+def test_hypothesis_bit_patterns_format_as_percent_g(words):
+    a = np.array(words, dtype=np.uint64).view(np.float64)
+    a = a[np.isfinite(a)]
+    a = a[: len(a) // 3 * 3].reshape(-1, 3)
+    for template, sep in ROW_TEMPLATES.values():
+        assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
+
+
+def test_random_values_of_every_exponent_format_as_percent_g():
+    rng = np.random.default_rng(SEED)
+    a = rng.uniform(-1.0, 1.0, 60_000) * 10.0 ** rng.integers(-8, 20, 60_000)
+    a = np.concatenate([a, np.round(a, 3), np.round(a, -2)]).reshape(-1, 3)
+    for template, sep in ROW_TEMPLATES.values():
+        assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
+
+
+def test_float32_strided_and_wide_slabs_format_as_percent_g():
+    rng = np.random.default_rng(SEED + 6)
+    base = rng.standard_normal((40, 6))
+    cases = [
+        (base.astype(np.float32)[:, :3], ROW_TEMPLATES["csv"]),
+        (base[::3, ::-2], ROW_TEMPLATES["json"]),
+        (base[:, 1:4], ROW_TEMPLATES["obj"]),
+        # a sheet's s-nodes: one row of 65
+        (np.linspace(0.0, 1.0, 65)[None], ("[" + ", ".join(["%.17g"] * 65) + "]", ", ")),
+        # literals longer than one 4-byte unit
+        (base[:, :2], ("<<%.17g>>--<<%.17g>>", " | ")),
+    ]
+    for a, (template, sep) in cases:
+        assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
+    s_nodes = np.linspace(0.0, 1.0, 65)
+    assert ser.dumps(s_nodes) == ref_dumps(s_nodes.tolist())
+
+
+def test_format_float_formats_its_scalar_directly(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a scalar went through the slab formatter")
+
+    monkeypatch.setattr(ser, "_rows", no_rows)
+    monkeypatch.setattr(ser, "_float_rows", no_rows)
+    for v in edge_values():
+        assert ser.format_float(v) == "%.17g" % v
+    assert ser.format_float(np.float32(0.1)) == "%.17g" % float(np.float32(0.1))
+    assert ser.dumps({"a": 0.5, "b": [1.5, -0.0]}) == '{"a": 0.5, "b": [1.5, -0]}\n'
+    for bad, message in [(math.nan, "NaN"), (math.inf, "infinity"), (-math.inf, "infinity")]:
+        with pytest.raises(DomainError, match="^cannot serialize %s$" % message):
+            ser.format_float(bad)
+
+
+# ---------------------------------------------------------------------------
 # finiteness
 # ---------------------------------------------------------------------------
+
+
+def test_the_first_non_finite_value_in_c_order_names_the_error():
+    a = np.zeros((3, 4))
+    a[1, 2], a[2, 0] = np.inf, np.nan
+    with pytest.raises(DomainError, match="^cannot serialize infinity$"):
+        ser.dumps(a)
+    a[1, 2], a[2, 0] = np.nan, -np.inf
+    with pytest.raises(DomainError, match="^cannot serialize NaN$"):
+        ser.dumps(a)
+    with pytest.raises(DomainError, match="^cannot serialize infinity$"):
+        ser.dumps(a.T)  # C order of the array as given: -inf at (0, 2) comes first
+    ok = np.ones((2, 3))
+    assert ser._finite(ok) is ok
 
 
 @pytest.mark.parametrize("bad, message", [(np.nan, "NaN"), (np.inf, "infinity"), (-np.inf, "infinity")])
