@@ -1,6 +1,5 @@
-"""One ordered map over forked worker processes, shared by the property
-runner (``checks.run_checks``) and the export of large sheet arrays
-(``serialize``).
+"""One ordered map over forked worker processes, for the property runner
+(``checks.run_checks``).
 
 A worker is started with ``fork``, so it already holds everything the
 parent held when the pool started: ``fork_map`` sends it a task index, not
@@ -20,8 +19,7 @@ _TOKENS = itertools.count()
 # yielded. A slow task at the head of the order stalls the window, so a
 # small one idles workers: on 2 vCPU, ``pathgeo check --suite all`` (56
 # properties of 5-76 ms) took 0.62 s with 2 per worker, 0.52 s with 3 or 4
-# and 0.54 s with no bound; a worldsheet export's slabs take equal time,
-# and 4 slabs per worker hold about 2.4 MB of text at N = 4096.
+# and 0.54 s with no bound.
 _PER_WORKER = 4
 
 

@@ -6,9 +6,9 @@ reports are byte-identical for identical inputs regardless of execution
 order. Failures are report content, never exceptions.
 
 ``run_checks`` runs the properties in worker processes, one per CPU this
-process may run on, through the ordered fork map ``_forkmap.fork_map``
-that large sheet exports share, and collects their results in suite order,
-so the report is byte-identical to a serial run.
+process may run on, through the ordered fork map ``_forkmap.fork_map``,
+and collects their results in suite order, so the report is byte-identical
+to a serial run.
 """
 
 from __future__ import annotations

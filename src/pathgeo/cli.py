@@ -29,15 +29,6 @@ class ConfigError(DomainError):
     """Scenario configuration is missing or invalid."""
 
 
-def _only(kind, table, names):
-    """ConfigError naming every key of ``table`` that is not in ``names``."""
-    unknown = sorted(set(table) - set(names))
-    if unknown:
-        raise ConfigError(
-            "unknown %s %s (known: %s)" % (kind, ", ".join(map(repr, unknown)), ", ".join(names))
-        )
-
-
 def _read_json(filename, build):
     """``build`` of the JSON in ``filename``; an unreadable file, text that is
     not JSON, a record missing a key or holding a value of the wrong type, or
@@ -67,11 +58,11 @@ class ScenarioConfig:
         interval = data.get("interval", (0.0, 1.0))
         self.interval = tuple(mf.as_number("interval", v) for v in interval)
         res = dict(data.get("resolution", {}))
-        _only("resolution key", res, ("N", "S"))
+        mf.only_keys("resolution key", res, ("N", "S"))
         self.N = mf.as_integer("resolution N", res.get("N", pth.DEFAULT_GRID))
         self.S = mf.as_integer("resolution S", res.get("S", 16))
         tols = dict(data.get("tolerances", {}))
-        _only("tolerance", tols, ("distance",))
+        mf.only_keys("tolerance", tols, ("distance",))
         self.tolerances = {k: mf.as_number("tolerance %r" % k, v) for k, v in tols.items()}
         self._validate()
         self._path_cache = {}
@@ -79,8 +70,7 @@ class ScenarioConfig:
     def _validate(self):
         if self.N & (self.N - 1) != 0:
             raise ConfigError("resolution N must be a power of two (got %d)" % self.N)
-        if len(self.interval) != 2 or not -np.inf < self.interval[0] <= self.interval[1] < np.inf:
-            raise ConfigError("interval must be a finite pair (a, b) with a <= b")
+        ps.s_grid(self.interval, self.S)  # the interval and S rule of every s-grid
         for name, tol in self.tolerances.items():
             if not 0.0 <= tol < np.inf:
                 raise ConfigError("tolerance %r must be finite and nonnegative (got %r)" % (name, tol))

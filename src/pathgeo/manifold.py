@@ -140,6 +140,16 @@ def as_integer(label, value):
     raise DomainError("%s must be an integer >= 1 (got %r)" % (label, value))
 
 
+def only_keys(kind, table, names):
+    """DomainError naming every key of ``table`` that is not in ``names``:
+    the one unknown-key rule of configs and records."""
+    unknown = sorted(set(table) - set(names))
+    if unknown:
+        raise DomainError(
+            "unknown %s %s (known: %s)" % (kind, ", ".join(map(repr, unknown)), ", ".join(names))
+        )
+
+
 def as_number(label, value, positive=False, finite=False):
     """``value`` as a float; DomainError naming ``label`` unless it is a
     number, a finite one if ``finite`` and a positive finite one if

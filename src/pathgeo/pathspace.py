@@ -127,9 +127,12 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
 
 def s_grid(interval, S):
     """S+1 uniform s-nodes over the interval [a, b]; the one node a if b = a.
-    DomainError naming ``interval`` or ``S`` unless a and b are finite
-    numbers and S is an integer >= 1."""
-    a, b = (mf.as_number("interval", end, finite=True) for end in (interval[0], interval[1]))
+    DomainError naming ``interval`` or ``S`` unless the interval is a pair
+    of finite numbers a <= b and S is an integer >= 1. The one interval
+    rule, for library callers and configs alike."""
+    if len(interval) != 2:
+        raise DomainError("interval must be a pair (a, b) (got %d values)" % len(interval))
+    a, b = (mf.as_number("interval", end, finite=True) for end in interval)
     S = mf.as_integer("S", S)
     if a > b:
         raise DomainError("interval must satisfy a <= b")

@@ -15,14 +15,8 @@ Each format is one generator of text pieces (``json_pieces``,
 yields at most one formatted slab at a time, so a sheet is written fiber by
 fiber and its whole text never exists in memory: ``dump(obj, fh)`` writes
 the JSON pieces to a file, and ``dumps``, ``path_to_csv``, ``sheet_to_csv``
-and ``sheet_to_obj`` join the same pieces into one string.
-
-A large sheet export (a rank-3 array of at least ``_POOL_FLOATS`` floats:
-the points and velocities of a sheet's JSON, its OBJ vertices, the fibers
-of its CSV) formats its slabs in worker processes, one per CPU this process
-may run on, through the ordered fork map ``_forkmap.fork_map``. The slabs
-come back in order, one piece each, so the text is byte-identical to a
-serial run; smaller arrays and records are formatted here.
+and ``sheet_to_obj`` join the same pieces into one string. Every export is
+formatted in the calling process.
 """
 
 from __future__ import annotations
@@ -36,23 +30,10 @@ import numpy as np
 
 from . import category as cat
 from . import manifold as mf
-from . import path as pth
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
-from .pathspace import Worldsheet
-from ._forkmap import fork_map
 
 _FLOAT = "%.17g"
-# A rank-3 array of at least this many floats is formatted in worker
-# processes. Measured on 2 vCPU, writing the JSON, CSV and OBJ exports of a
-# sphere sheet with S = 64 to a file (12 alternating pairs, pooled faster
-# in how many; JSON medians serial vs pooled): at 200k floats (N = 1024)
-# 0, 1 and 0 of 12 for JSON, CSV and OBJ (0.097 vs 0.139 s), at 600k
-# (N = 3072) 1, 7 and 2 (0.233 vs 0.240 s), at 800k (N = 4096) 6, 7 and 5
-# (0.295 vs 0.300 s), and at 1.2M (N = 6144) 11, 12 and 5 (0.470 vs
-# 0.440 s). The crossover is near 800k; a sheet with S = 64 pools from
-# N = 4096 on.
-_POOL_FLOATS = 700_000
 
 
 def format_float(x):
@@ -210,29 +191,12 @@ def _joined(parts, sep, open_="", close=""):
     yield close
 
 
-def _slabs(pieces, n, pooled):
-    """``pieces(j)``, an iterable of text pieces, for each j < ``n``, in
-    order. If ``pooled``, each is joined into one piece in a worker process
-    (``_forkmap.fork_map``, which sends a worker only ``j``), else its
-    pieces are drawn here."""
-    if not pooled:
-        return map(pieces, range(n))
-    _digit_tables()  # built once here, not in every worker
-    return ([text] for text in fork_map(lambda j: "".join(pieces(j)), n))
-
-
-def _pooled(a):
-    """Whether the 2-d slabs of ``a`` are formatted in worker processes: a
-    rank-3 array of at least ``_POOL_FLOATS`` floats."""
-    return a.ndim == 3 and a.size >= _POOL_FLOATS
-
-
 def _rows(a, template, sep):
     """Rows of the float array ``a`` through ``template`` (one ``%.17g``
     slot per column), joined by ``sep``: one piece, from ``_float_rows``,
     per 2-d slab along axis 0."""
     if a.ndim > 2:
-        yield from _joined(_slabs(lambda j: _rows(a[j], template, sep), len(a), _pooled(a)), sep)
+        yield from _joined((_rows(slab, template, sep) for slab in a), sep)
     else:
         yield _float_rows(a, template, sep)
 
@@ -240,7 +204,7 @@ def _rows(a, template, sep):
 def _json_floats(a):
     """Pieces of the nested JSON lists of a finite float array of rank >= 1."""
     if a.ndim > 2:
-        yield from _joined(_slabs(lambda j: _json_floats(a[j]), len(a), _pooled(a)), ", ", "[", "]")
+        yield from _joined(map(_json_floats, a), ", ", "[", "]")
         return
     rows = _rows(np.atleast_2d(a), "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]", ", ")
     yield from rows if a.ndim == 1 else _joined([rows], "", "[", "]")
@@ -297,18 +261,18 @@ def dumps(obj):
 # ---------------------------------------------------------------------------
 
 
-def _csv(head, dim, slab, n, pooled=False):
+def _csv(head, dim, slabs):
     """Header ``head``,x1,...,x``dim``, then a line per row of each 2-d slab
-    ``slab(j)``, j < ``n`` (see ``_slabs`` for ``pooled``)."""
+    in ``slabs``, formatted when it is drawn."""
     names = head + ["x%d" % (k + 1) for k in range(dim)]
     template = ",".join([_FLOAT] * len(names))
-    rows = _slabs(lambda j: _rows(_finite(slab(j)), template, "\n"), n, pooled)
+    rows = (_rows(_finite(slab), template, "\n") for slab in slabs)
     return _joined(rows, "\n", ",".join(names) + "\n", "\n")
 
 
 def path_csv_pieces(gamma):
     """Pieces of ``path_to_csv(gamma)``."""
-    return _csv(["t"], gamma.manifold.point_dim, lambda j: np.column_stack([gamma.grid, gamma.samples]), 1)
+    return _csv(["t"], gamma.manifold.point_dim, [np.column_stack([gamma.grid, gamma.samples])])
 
 
 def path_to_csv(gamma):
@@ -321,11 +285,8 @@ def sheet_csv_pieces(sheet):
     rows of a fiber are built only when its piece is formatted."""
     n = sheet.n_t_segments
     t = np.arange(n + 1) / n
-
-    def fiber(j):
-        return np.column_stack([np.full(n + 1, sheet.s_nodes[j]), t, sheet.points[j]])
-
-    return _csv(["s", "t"], sheet.manifold.point_dim, fiber, len(sheet.s_nodes), _pooled(sheet.points))
+    fibers = (np.column_stack([np.full(n + 1, s), t, x]) for s, x in zip(sheet.s_nodes, sheet.points))
+    return _csv(["s", "t"], sheet.manifold.point_dim, fibers)
 
 
 def sheet_to_csv(sheet):
@@ -382,23 +343,21 @@ def morphism1_from_json(obj):
 
 
 def morphism2_to_json(F):
+    """The record of ``F``: its seed and s-nodes, which determine its sheet."""
     return {
         "kind": "morphism2",
         "seed": morphism1_to_json(F.seed),
-        "sheet": F.sheet.to_json(),
+        "s_nodes": F.sheet.s_nodes,
     }
 
 
 def morphism2_from_json(obj):
-    """The 2-morphism of the record's seed over its sheet's s-nodes; the
-    record's sheet must be that geodesic, node for node."""
-    sheet = Worldsheet.from_json(obj["sheet"])
-    F = cat.GeodMorphism2(morphism1_from_json(obj["seed"]), sheet.s_nodes)
-    gaps = pth.node_gaps(cat._sheet_nodes(F.sheet), cat._sheet_nodes(sheet))
-    off, (j, i) = pth.worst_node(gaps > mf.COINCIDENCE_TOL)
-    if off:
-        raise DomainError("sheet node (s=%d, t=%d) is not on the geodesic of the seed" % (j, i))
-    return F
+    """The 2-morphism of the record's seed over its s-nodes. A key other than
+    ``kind``, ``seed`` and ``s_nodes`` (such as a stored ``sheet``) is an
+    error naming it."""
+    mf.only_keys("morphism2 key", obj, ("kind", "seed", "s_nodes"))
+    s_nodes = np.array([mf.as_number("s_nodes", s, finite=True) for s in obj["s_nodes"]])
+    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), s_nodes)
 
 
 def morphism_from_json(obj):

@@ -384,7 +384,8 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"manifold": {"kind": "sphere", "radius": 1.0, "dim": 3}}, "sphere has no parameter 'dim'"),
         ({"manifold": "sphere"}, "manifold must be a JSON object"),
         ({"interval": ["a", 1]}, "interval must be a number (got 'a')"),
-        ({"interval": [0, float("nan")]}, "interval must be a finite pair"),
+        ({"interval": [0, float("nan")]}, "interval must be a finite number (got nan)"),
+        ({"interval": [0, 1, 2]}, "interval must be a pair (a, b) (got 3 values)"),
         ({"resolution": {"N": "abc"}}, "resolution N must be an integer >= 1 (got 'abc')"),
         ({"tolerances": {"distance": "x"}}, "tolerance 'distance' must be a number (got 'x')"),
         ({"paths": "abc"}, "bad record (ValueError"),
@@ -392,7 +393,7 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"fields": {"f": [1]}}, "field 'f' must be a JSON object"),
     ],
     ids=["string-radius", "fractional-dim", "foreign-parameter", "manifold-string",
-         "string-interval", "nan-interval", "string-N", "string-tolerance", "paths-string",
+         "string-interval", "nan-interval", "triple-interval", "string-N", "string-tolerance", "paths-string",
          "path-number", "field-list"],
 )
 def test_config_bad_values_name_the_file(tmp_path, capsys, entry, needle):
@@ -650,17 +651,31 @@ def _compose_argv(tmp_path, records):
     return ["compose"] + [str(f) for f in files]
 
 
-def test_compose_rejects_a_sheet_off_the_seed_geodesic(tmp_path, capsys):
-    m1, m2, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
-    bad = ser.morphism2_to_json(cat.morphism2(m1, (0.0, 0.5), S=2))
-    bad["seed"] = ser.morphism1_to_json(m2)  # the sheet stays m1's geodesic
+def test_compose_rejects_a_morphism2_record_with_a_sheet(tmp_path, capsys):
+    m1, _, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
+    F = cat.morphism2(m1, (0.0, 0.5), S=2)
+    bad = dict(ser.morphism2_to_json(F), sheet=F.sheet.to_json())
     argv = _compose_argv(tmp_path, [ser.morphism2_to_json(cat.morphism2(m1, (0.5, 1.0), S=2)), bad])
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err == "error: %s: sheet node (s=0, t=0) is not on the geodesic of the seed\n" % argv[2]
+    assert err == "error: %s: unknown morphism2 key 'sheet' (known: kind, seed, s_nodes)\n" % argv[2]
 
 
-@pytest.mark.parametrize("where", ["path record", "inline samples", "sheet collar", "morphism time"])
+def test_a_composite_record_round_trips_bit_equal(tmp_path, capsys):
+    m1, _, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
+    F, G = cat.morphism2(m1, (0.0, 0.5), S=2), cat.morphism2(m1, (0.5, 1.0), S=2)
+    assert cli.main(_compose_argv(tmp_path, [ser.morphism2_to_json(G), ser.morphism2_to_json(F)])) == 0
+    text = capsys.readouterr().out
+    record = json.loads(text)
+    assert sorted(record) == ["kind", "s_nodes", "seed"]
+    back = ser.morphism2_from_json(record)
+    assert ser.dumps(ser.morphism2_to_json(back)) == text
+    expected = cat.compose2_vertical(G, F).sheet
+    for name in ("s_nodes", "points", "velocities"):
+        assert getattr(back.sheet, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.parametrize("where", ["path record", "inline samples", "s-node", "morphism time"])
 def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
     spec = mf.ManifoldSpec.euclidean(2)
     line = pth.make_line(spec, [0, 0], [1, 0], n=16)
@@ -675,10 +690,11 @@ def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
         path = {"samples": line.samples.tolist(), "collar": "0.0625"}
         argv = ["energy", "--config", write_config(tmp_path, {"manifold": spec.to_json(), "paths": {"a": path}})]
         needle = "path 'a': collar must be a number (got '0.0625')"
-    elif where == "sheet collar":
-        records = [ser.morphism2_to_json(cat.morphism2(m1, ab, S=2)) for ab in ((0.5, 1.0), (0.0, 0.5))]
-        records[0]["sheet"]["collar"] = "0"
-        argv, needle = _compose_argv(tmp_path, records), "collar must be a number (got '0')"
+    elif where == "s-node":
+        records = [json.loads(ser.dumps(ser.morphism2_to_json(cat.morphism2(m1, ab, S=2))))
+                   for ab in ((0.5, 1.0), (0.0, 0.5))]
+        records[0]["s_nodes"][1] = "0.75"
+        argv, needle = _compose_argv(tmp_path, records), "s_nodes must be a finite number (got '0.75')"
     else:
         records = [ser.morphism1_to_json(m) for m in (m2, m1)]
         records[0]["time"] = "0"

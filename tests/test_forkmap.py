@@ -1,4 +1,4 @@
-"""The ordered fork map that the property runner and large exports share."""
+"""The ordered fork map of the property runner."""
 
 import os
 import time

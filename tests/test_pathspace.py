@@ -299,6 +299,12 @@ def test_s_grid_rejects_interval_ends_that_are_not_finite(end):
             ps.pathspace_geodesic(gamma, field, interval, 4)
 
 
+@pytest.mark.parametrize("interval", [(0.0,), (0.0, 0.5, 1.0)], ids=len)
+def test_s_grid_rejects_an_interval_that_is_not_a_pair(interval):
+    with pytest.raises(mf.DomainError, match=r"^interval must be a pair \(a, b\) \(got %d values\)$" % len(interval)):
+        ps.s_grid(interval, 4)
+
+
 @pytest.mark.parametrize("S", [2.5, 2.0, 0, -1, True, "4"], ids=repr)
 def test_s_grid_rejects_an_s_count_that_is_not_a_positive_integer(S):
     gamma, field = collared_circle_and_field()

@@ -36,7 +36,7 @@ EXPORT_SHA256 = {
 }
 
 # the same circle and field at N = 4096, swept with S = 64: 798,915 floats
-# per rank-3 array, so its slabs are formatted in worker processes
+# per rank-3 array
 LARGE_EXPORT_SHA256 = {
     "sheet_json": "63c51ac4b9eed98ff4f3371d5930ab81d6231f5187c6aa79c87917ace21ef6dc",
     "sheet_csv": "047e6e4c6b62c2714aefe10103b0025c04fc5edf781fcbd805d46539312ff621",
@@ -45,10 +45,11 @@ LARGE_EXPORT_SHA256 = {
 
 # composites of the sphere triple checks._composable_triple(rng seed 2718,
 # n = 16): m1 over [0, 1/2] then [1/2, 1] with S = 4 (vertical), m1 beside
-# m2 over [0, 1] with S = 4 (horizontal), and m2 after m1
+# m2 over [0, 1] with S = 4 (horizontal), and m2 after m1; a 2-morphism
+# record holds its seed and s-nodes
 COMPOSITE_SHA256 = {
-    "vertical": "015e02077c1183c9f9aff45b9afcbf5bdc545a394578acbaff13b53da1c9306c",
-    "horizontal": "4a0a53c1f6fb35ead7a5441910e78ae571aab0302c2a526cbb7e78c36c19d639",
+    "vertical": "0c0f47edd59a32aec67b1dd0f7a118b7f33a4b38e8c246a6aea7d62ce83492b5",
+    "horizontal": "f0bf42c3ab48299c6decd67abb5594bf9f008eba83621658bc686ac63941534f",
     "morphism1": "ab6a1f9dbfb80407fc1c98816d015e0907b8e913cdf1f9da4b103f0f68de7f29",
 }
 
@@ -117,25 +118,10 @@ def large_sheet():
 def test_large_sheet_exports_are_byte_identical(large_sheet, pools):
     digests = {name: sha256(text) for name, text in sheet_exports(large_sheet).items()}
     assert digests == LARGE_EXPORT_SHA256
-    # JSON: points and velocities; CSV: the fibers; OBJ: the vertices
-    assert pools == [min(len(os.sched_getaffinity(0)), 65)] * 4
-
-
-def test_one_worker_large_exports_are_byte_identical(large_sheet, pools, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    digests = {name: sha256(text) for name, text in sheet_exports(large_sheet).items()}
-    assert digests == LARGE_EXPORT_SHA256
-    assert pools == [1] * 4
-
-
-def test_small_exports_start_no_pool(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a small export started a process pool")
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     circle, sheet = fixed_sheet(64, 8)
     exports = dict(sheet_exports(sheet), path_csv=ser.path_to_csv(circle))
     assert {name: sha256(text) for name, text in exports.items()} == EXPORT_SHA256
+    assert pools == []  # every export, large or small, is formatted in this process
 
 
 @pytest.fixture(scope="module")

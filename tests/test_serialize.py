@@ -6,8 +6,6 @@ import fractions
 import json
 import math
 import os
-import signal
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -292,59 +290,19 @@ def test_failed_export_leaves_no_partial_file(tmp_path):
 
 
 def large_sheet():
-    """N = 4096, S = 64: its rank-3 arrays are formatted in worker processes."""
+    """N = 4096, S = 64: 798,915 floats per rank-3 array."""
     circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=4096)
     return ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 64)
 
 
-def _timeout(signum, frame):
-    raise TimeoutError("the export did not return")
-
-
-def test_a_dead_export_worker_raises_and_leaves_no_partial_file(tmp_path, monkeypatch):
-    parent, child_calls = os.getpid(), []
-    rows = ser._rows
-
-    def dying_rows(a, template, sep):
-        if os.getpid() != parent:
-            child_calls.append(1)
-            if len(child_calls) == 5:  # each worker dies on its fifth slab
-                os._exit(3)
-        return rows(a, template, sep)
-
-    monkeypatch.setattr(ser, "_rows", dying_rows)
-    drawn = []
-
-    def export():
-        for piece in ser.json_pieces(large_sheet().to_json()):
-            drawn.append(piece)
-            yield piece
-
-    previous = signal.signal(signal.SIGALRM, _timeout)
-    signal.alarm(60)
-    try:
-        with pytest.raises(BrokenProcessPool):
-            cli._write(str(tmp_path), "worldsheet.json", export())
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert max(map(len, drawn)) > 100_000  # a slab came back before the worker died
-    assert os.listdir(tmp_path) == []
-
-
-def test_a_pooled_csv_export_stops_at_the_same_fiber(monkeypatch):
+def test_a_pooled_csv_export_stops_at_the_same_fiber():
     sheet = large_sheet()
     sheet.points[40, 7, 0] = np.nan
-    drawn = []
-    for limit in (ser._POOL_FLOATS, math.inf):  # pooled, then in-process
-        monkeypatch.setattr(ser, "_POOL_FLOATS", limit)
-        pieces = []
-        with pytest.raises(DomainError, match="cannot serialize NaN"):
-            pieces.extend(ser.sheet_csv_pieces(sheet))
-        drawn.append("".join(pieces))
+    pieces = []
+    with pytest.raises(DomainError, match="cannot serialize NaN"):
+        pieces.extend(ser.sheet_csv_pieces(sheet))
     # the header and fibers 0 to 39, of 4097 rows each
-    assert drawn[0].count("\n") == 1 + 40 * 4097 - 1
-    assert drawn[0] == drawn[1]
+    assert "".join(pieces).count("\n") == 1 + 40 * 4097 - 1
 
 
 # ---------------------------------------------------------------------------
