@@ -118,10 +118,14 @@ def large_sheet():
 def test_large_sheet_exports_are_byte_identical(large_sheet, pools):
     digests = {name: sha256(text) for name, text in sheet_exports(large_sheet).items()}
     assert digests == LARGE_EXPORT_SHA256
+    assert pools == []  # a large export is formatted in this process too
+
+
+def test_small_exports_start_no_pool(pools):
     circle, sheet = fixed_sheet(64, 8)
     exports = dict(sheet_exports(sheet), path_csv=ser.path_to_csv(circle))
     assert {name: sha256(text) for name, text in exports.items()} == EXPORT_SHA256
-    assert pools == []  # every export, large or small, is formatted in this process
+    assert pools == []
 
 
 @pytest.fixture(scope="module")
