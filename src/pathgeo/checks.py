@@ -5,16 +5,16 @@ random cases from a seed derived deterministically from the run seed, so
 reports are byte-identical for identical inputs regardless of execution
 order. Failures are report content, never exceptions.
 
-``run_checks`` runs the properties in worker processes, one per CPU this
-process may run on, through the ordered fork map ``_forkmap.fork_map``,
-and collects their results in suite order, so the report is byte-identical
-to a serial run.
+``run_checks`` runs the properties on a pool of forked worker processes,
+one per CPU this process may run on, and collects their results in suite
+order, so the report is byte-identical to a serial run.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ from . import category as cat
 from . import manifold as mf
 from . import path as pth
 from . import pathspace as ps
-from ._forkmap import fork_map
 
 DEFAULT_SEED = 42
 
@@ -384,10 +383,8 @@ def _prop_cat2_laws(spec, rng, cases, n=32, S=8):
         if rep.error is not None:
             return float("inf")
         worst = max(worst, rep.max_discrepancy)
-        ids = cat.identity2(m1)
-        V2 = cat.compose2_vertical(F1, ids) if a == ids.interval[0] else None
-        if V2 is not None:
-            worst = max(worst, float(np.max(np.abs(V2.sheet.points - F1.sheet.points))))
+        V2 = cat.compose2_vertical(F1, cat.identity2(m1))
+        worst = max(worst, float(np.max(np.abs(V2.sheet.points - F1.sheet.points))))
     return worst
 
 
@@ -435,12 +432,24 @@ def _run_property(name, fn, tol, cases):
     return PropertyResult(name, worst <= tol, worst, tol, cases)
 
 
+# the task list of the running ``run_checks``, inherited by its forked workers
+_TASKS = ()
+
+
+def _run_task(i):
+    """The result of task ``i``, run in a worker: only the index and the
+    ``PropertyResult`` cross the process boundary."""
+    return _run_property(*_TASKS[i])
+
+
 def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
     """Run a named suite; returns a JSON-ready deterministic report.
 
-    Each property runs in a worker process (see the module docstring); a
+    Each property runs in a worker process forked from this one, with one
+    worker per CPU this process may run on, at most one per property; a
     worker that dies raises ``BrokenProcessPool``.
     """
+    global _TASKS
     if suite not in SUITES:
         raise mf.DomainError("unknown suite %r (choose from %s)" % (suite, ", ".join(SUITES)))
     cases = mf.as_integer("cases", cases)
@@ -459,7 +468,20 @@ def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
             for fname in sorted(config.fields):
                 fn = functools.partial(_prop_config_field, config, fname)
                 tasks.append(("config_field_reflection/" + fname, fn, 1e-9, 1))
-    results = list(fork_map(lambda i: _run_property(*tasks[i]), len(tasks)))
+    # imported here, not at module level: ``import pathgeo`` would pay for
+    # the executor machinery (about 25 ms) in every command. ``fork`` starts
+    # each worker from this process's memory, with ``_TASKS`` set, where
+    # ``spawn`` would import numpy and pathgeo again in every worker.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    _TASKS = tasks
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_run_task, range(len(tasks))))
+    finally:
+        _TASKS = ()
     return {
         "suite": suite,
         "seed": int(seed),

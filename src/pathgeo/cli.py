@@ -52,6 +52,7 @@ class ScenarioConfig:
     def __init__(self, data):
         if "manifold" not in data:
             raise ConfigError("config needs a 'manifold' entry")
+        mf.only_keys("config key", data, ("manifold", "paths", "fields", "interval", "resolution", "tolerances"))
         self.manifold = mf.ManifoldSpec.from_json(data["manifold"])
         self.paths = dict(data.get("paths", {}))
         self.fields = dict(data.get("fields", {}))

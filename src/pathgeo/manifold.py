@@ -143,10 +143,12 @@ def as_integer(label, value):
 def only_keys(kind, table, names):
     """DomainError naming every key of ``table`` that is not in ``names``:
     the one unknown-key rule of configs and records."""
+    if not isinstance(table, dict):
+        raise DomainError("%ss must be given as a JSON object (got %s)" % (kind, type(table).__name__))
     unknown = sorted(set(table) - set(names))
     if unknown:
         raise DomainError(
-            "unknown %s %s (known: %s)" % (kind, ", ".join(map(repr, unknown)), ", ".join(names))
+            "unknown %s %s (known: %s)" % (kind, ", ".join(map(repr, unknown)), ", ".join(names) or "none")
         )
 
 
@@ -219,9 +221,7 @@ class ManifoldSpec:
         model = _MODELS.get(kind) if isinstance(kind, str) else None
         if model is None:
             raise DomainError("unknown manifold kind: %r" % (kind,))
-        unknown = sorted(set(params) - {f.name for f in fields(model)})
-        if unknown:
-            raise DomainError("%s has no parameter %s" % (kind, ", ".join(map(repr, unknown))))
+        only_keys("%s parameter" % kind, params, [f.name for f in fields(model)])
         missing = [f.name for f in fields(model) if f.default is MISSING and f.name not in params]
         if missing:
             raise DomainError("%s needs the parameter %s" % (kind, ", ".join(map(repr, missing))))

@@ -72,6 +72,7 @@ class Worldsheet:
 
     @classmethod
     def from_json(cls, obj):
+        mf.only_keys("worldsheet key", obj, ("manifold", "s_nodes", "points", "velocities", "collar"))
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
             np.array(obj["s_nodes"], dtype=float),

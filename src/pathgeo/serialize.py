@@ -337,6 +337,7 @@ def morphism1_to_json(m):
 
 
 def morphism1_from_json(obj):
+    mf.only_keys("morphism1 key", obj, ("kind", "path", "field", "time"))
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
     return cat.GeodMorphism1(field, mf.as_number("time", obj["time"]))

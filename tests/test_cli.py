@@ -366,8 +366,9 @@ def test_config_validation_errors(tmp_path, capsys):
     [
         ({"resolution": {"N": 16, "steps_per_unit": 1000}}, "unknown resolution key 'steps_per_unit'"),
         ({"tolerances": {"distance": 1e-4, "energy": 1e-6}}, "unknown tolerance 'energy'"),
+        ({"resoltion": {"N": 8}}, "unknown config key 'resoltion'"),
     ],
-    ids=["resolution-key", "tolerance-name"],
+    ids=["resolution-key", "tolerance-name", "config-key"],
 )
 def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
     cfg = write_config(tmp_path, dict({"manifold": {"kind": "euclidean", "dim": 2}}, **entry))
@@ -381,7 +382,7 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"manifold": {"kind": "sphere", "radius": "abc"}},
          "sphere radius must be a positive finite number (got 'abc')"),
         ({"manifold": {"kind": "euclidean", "dim": 2.7}}, "euclidean dim must be an integer >= 1"),
-        ({"manifold": {"kind": "sphere", "radius": 1.0, "dim": 3}}, "sphere has no parameter 'dim'"),
+        ({"manifold": {"kind": "sphere", "radius": 1.0, "dim": 3}}, "unknown sphere parameter 'dim' (known: radius)"),
         ({"manifold": "sphere"}, "manifold must be a JSON object"),
         ({"interval": ["a", 1]}, "interval must be a number (got 'a')"),
         ({"interval": [0, float("nan")]}, "interval must be a finite number (got nan)"),

@@ -464,9 +464,9 @@ def test_equal_specs_are_equal_and_hashable(build, want):
         (lambda: mf.FlatTorus([1.0, float("nan")]), "flat_torus circumferences"),
         (lambda: mf.ManifoldSpec.from_json({"kind": "sphere", "radius": "abc"}), "sphere radius"),
         (lambda: mf.ManifoldSpec.from_json({"kind": "sphere", "radius": 1.0, "dim": 5}),
-         "sphere has no parameter 'dim'"),
+         "unknown sphere parameter 'dim' (known: radius)"),
         (lambda: mf.ManifoldSpec.from_json({"kind": "hyperbolic_half_plane", "radius": 1.0}),
-         "hyperbolic_half_plane has no parameter 'radius'"),
+         "unknown hyperbolic_half_plane parameter 'radius' (known: none)"),
         (lambda: mf.ManifoldSpec.from_json({"dim": 2}), "unknown manifold kind: None"),
         (lambda: mf.ManifoldSpec.from_json("sphere"), "manifold must be a JSON object"),
     ],

@@ -58,8 +58,9 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_seed_42_report_is_byte_identical():
+def test_seed_42_report_is_byte_identical(pools):
     assert sha256(ser.dumps(checks.run_checks("all", seed=42))) == REPORT_SHA256
+    assert pools == [min(len(os.sched_getaffinity(0)), 56)]  # one pool, one worker per CPU
 
 
 @pytest.mark.parametrize("seed", sorted(OTHER_SEED_SHA256))
@@ -67,9 +68,10 @@ def test_other_seed_reports_are_byte_identical(seed):
     assert sha256(ser.dumps(checks.run_checks("all", seed=seed))) == OTHER_SEED_SHA256[seed]
 
 
-def test_one_worker_report_is_byte_identical(monkeypatch):
+def test_one_worker_report_is_byte_identical(monkeypatch, pools):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert sha256(ser.dumps(checks.run_checks("all", seed=1))) == OTHER_SEED_SHA256[1]
+    assert pools == [1]
 
 
 def fixed_sheet(n, S):

@@ -1,6 +1,7 @@
 """The array writers of ``serialize`` against the per-element writers they
 replaced (kept below as the reference), their streamed pieces against
-their strings, plus the finiteness check and copying ``from_json``."""
+their strings, plus the finiteness check, copying ``from_json`` and its
+unknown-key rule."""
 
 import fractions
 import json
@@ -486,3 +487,38 @@ def test_round_trips_do_not_share_memory():
         assert not np.shares_memory(copy, source)
     m1_back = ser.morphism1_from_json(ser.morphism1_to_json(m1))
     assert not np.shares_memory(m1_back.field.components, m1.field.components)
+
+
+# ---------------------------------------------------------------------------
+# record readers: a key a reader does not know is an error naming it
+# ---------------------------------------------------------------------------
+
+
+def _misspelt(record, key, typo):
+    """``record`` with ``key`` written as ``typo``."""
+    record = dict(record)
+    record[typo] = record.pop(key)
+    return record
+
+
+@pytest.mark.parametrize(
+    "reader, bad, needle",
+    [
+        (pth.DiscretePath.from_json, lambda m1, sheet: _misspelt(m1.path.to_json(), "collar", "colar"),
+         "unknown path key 'colar' (known: manifold, collar, samples)"),
+        (pth.PathTangentField.from_json, lambda m1, sheet: dict(m1.field.to_json(), scale=2.0),
+         "unknown field key 'scale' (known: base, components)"),
+        (ps.Worldsheet.from_json, lambda m1, sheet: _misspelt(sheet.to_json(), "collar", "colar"),
+         "unknown worldsheet key 'colar'"),
+        (ser.morphism_from_json, lambda m1, sheet: dict(ser.morphism1_to_json(m1), tme=1.0),
+         "unknown morphism1 key 'tme' (known: kind, path, field, time)"),
+        (pth.DiscretePath.from_json, lambda m1, sheet: "abc", "path keys must be given as a JSON object (got str)"),
+    ],
+    ids=["path", "field", "worldsheet", "morphism1", "path-not-an-object"],
+)
+def test_a_record_with_an_unknown_key_is_rejected(reader, bad, needle):
+    # without the check, a misspelt optional key (collar) read back as its default
+    spec = mf.ManifoldSpec.sphere(1.0)
+    with pytest.raises(DomainError) as exc:
+        reader(bad(seed_morphism(spec, SEED), sheets(spec, SEED + 1)["S5"]))
+    assert needle in str(exc.value)
