@@ -35,7 +35,7 @@ def _read_json(filename, build):
     a record ``build`` rejects is a ConfigError naming the file."""
     try:
         with open(filename) as fh:
-            return build(json.load(fh))
+            return build(ser.loads(fh.read()))
     except OSError as err:
         raise ConfigError("cannot read %s: %s" % (filename, err)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:

@@ -140,9 +140,11 @@ def as_integer(label, value):
     raise DomainError("%s must be an integer >= 1 (got %r)" % (label, value))
 
 
-def only_keys(kind, table, names):
-    """DomainError naming every key of ``table`` that is not in ``names``:
-    the one unknown-key rule of configs and records."""
+def only_keys(kind, table, names, required=()):
+    """DomainError naming every key of ``table`` that is not in ``names``,
+    else every name in ``required`` that ``table`` lacks: the one key rule of
+    configs and records. ``kind`` is the owner and the noun, as in
+    ``"path key"`` or ``"sphere parameter"``."""
     if not isinstance(table, dict):
         raise DomainError("%ss must be given as a JSON object (got %s)" % (kind, type(table).__name__))
     unknown = sorted(set(table) - set(names))
@@ -150,6 +152,11 @@ def only_keys(kind, table, names):
         raise DomainError(
             "unknown %s %s (known: %s)" % (kind, ", ".join(map(repr, unknown)), ", ".join(names) or "none")
         )
+    missing = [name for name in required if name not in table]
+    if missing:
+        owner, _, noun = kind.rpartition(" ")
+        plural = "s" if len(missing) > 1 else ""
+        raise DomainError("%s needs the %s%s %s" % (owner, noun, plural, ", ".join(map(repr, missing))))
 
 
 def as_number(label, value, positive=False, finite=False):
@@ -221,10 +228,9 @@ class ManifoldSpec:
         model = _MODELS.get(kind) if isinstance(kind, str) else None
         if model is None:
             raise DomainError("unknown manifold kind: %r" % (kind,))
-        only_keys("%s parameter" % kind, params, [f.name for f in fields(model)])
-        missing = [f.name for f in fields(model) if f.default is MISSING and f.name not in params]
-        if missing:
-            raise DomainError("%s needs the parameter %s" % (kind, ", ".join(map(repr, missing))))
+        names = [f.name for f in fields(model)]
+        required = [f.name for f in fields(model) if f.default is MISSING]
+        only_keys("%s parameter" % kind, params, names, required)
         return model(**params)
 
     def to_json(self):

@@ -80,7 +80,7 @@ class DiscretePath:
 
     @classmethod
     def from_json(cls, obj):
-        mf.only_keys("path key", obj, ("manifold", "collar", "samples"))
+        mf.only_keys("path key", obj, ("manifold", "collar", "samples"), ("manifold", "samples"))
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
             np.array(obj["samples"], dtype=float),
@@ -119,7 +119,7 @@ class PathTangentField:
 
     @classmethod
     def from_json(cls, obj):
-        mf.only_keys("field key", obj, ("base", "components"))
+        mf.only_keys("field key", obj, ("base", "components"), ("base", "components"))
         return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
 
 

@@ -72,7 +72,8 @@ class Worldsheet:
 
     @classmethod
     def from_json(cls, obj):
-        mf.only_keys("worldsheet key", obj, ("manifold", "s_nodes", "points", "velocities", "collar"))
+        required = ("manifold", "s_nodes", "points", "velocities")
+        mf.only_keys("worldsheet key", obj, required + ("collar",), required)
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
             np.array(obj["s_nodes"], dtype=float),
@@ -102,24 +103,33 @@ def l2_metric(gamma, field1, field2):
 # worldsheet construction
 # ---------------------------------------------------------------------------
 
+# nodes per block of the sheet kernels (build_sheet, transverse_residual)
+_BLOCK_NODES = 4096
+
 
 def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     """Geodesic worldsheet from raw seed arrays; fibers evolve independently.
 
-    Evaluates the closed-form geodesic flow per node; nodes at s = 0
-    reproduce the seed bitwise. Its RK4 oracle, which integrates the fibers
-    node to node, lives in the tests (``tests/oracles.py``).
+    Evaluates the closed-form geodesic flow per node, one block of
+    ``max(1, _BLOCK_NODES // (N + 1))`` fibers at a time, into arrays
+    allocated up front; every flow kernel is elementwise per node, so the
+    blocks give the same bits as one call over the whole sheet. Nodes at
+    s = 0 reproduce the seed bitwise. Its RK4 oracle, which integrates the
+    fibers node to node, lives in the tests (``tests/oracles.py``).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
     vcomps = np.asarray(vcomps, dtype=float)
-    # copied into arrays allocated before the flow's temporaries: keeping the
-    # flow's own output raised the peak RSS of a 4096 x 64 JSON export by 13 MB
     shape = (len(s_nodes),) + samples.shape
     points = np.empty(shape)
     vels = np.empty(shape)
-    pts, vv = mf.flow(spec, samples[None, :, :], vcomps[None, :, :], s_nodes[:, None])
-    points[:], vels[:] = pts, vv
+    # blocks bound the flow's temporaries: over a whole N = 4096, S = 64
+    # sheet they are about eight 6.4 MB arrays, which set the peak RSS; a
+    # block's are about 100 KB, so they come from the heap and are reused
+    step = max(1, _BLOCK_NODES // len(samples))
+    for j in range(0, len(s_nodes), step):
+        block = slice(j, j + step)
+        points[block], vels[block] = mf.flow(spec, samples[None], vcomps[None], s_nodes[block, None])
     at_zero = s_nodes == 0.0
     points[at_zero] = samples
     vels[at_zero] = vcomps
@@ -252,18 +262,25 @@ def sheet_from_grid(spec, s_nodes, points, collar=0.0):
 
 def transverse_residual(sheet):
     """Max norm of the discrete geodesic-equation residual over all
-    transverse curves; zero for exact geodesic sheets up to step error."""
-    if sheet.n_s_segments < 2:
+    transverse curves; zero for exact geodesic sheets up to step error.
+    Evaluated in blocks of interior s-nodes, as ``build_sheet`` is."""
+    S = sheet.n_s_segments
+    if S < 2:
         return 0.0
     spec = sheet.manifold
     h = np.diff(sheet.s_nodes)[:, None, None]
-    h1, h2 = h[:-1], h[1:]  # s-spacings behind and ahead of each interior node
-    p = sheet.points
-    acc = spec.chart_diff(p[2:], p[1:-1]) * (2.0 / (h2 * (h1 + h2)))
-    acc += spec.chart_diff(p[:-2], p[1:-1]) * (2.0 / (h1 * (h1 + h2)))
-    v = sheet.velocities[1:-1]
-    res = acc + mf.gamma_quad(spec, p[1:-1], v, v)
-    # remove the normal part: on the sphere the second difference picks up
-    # the constraint curvature that the projected velocity already absorbs
-    res = spec.project_tangent(p[1:-1], res)
-    return float(np.max(np.abs(res)))
+    p, v = sheet.points, sheet.velocities
+    step = max(1, _BLOCK_NODES // p.shape[1])
+    worst = []
+    for j in range(1, S, step):
+        k = min(j + step, S)
+        h1, h2 = h[j - 1 : k - 1], h[j:k]  # s-spacings behind and ahead of each node
+        acc = spec.chart_diff(p[j + 1 : k + 1], p[j:k]) * (2.0 / (h2 * (h1 + h2)))
+        acc += spec.chart_diff(p[j - 1 : k - 1], p[j:k]) * (2.0 / (h1 * (h1 + h2)))
+        res = acc + mf.gamma_quad(spec, p[j:k], v[j:k], v[j:k])
+        # remove the normal part: on the sphere the second difference picks up
+        # the constraint curvature that the projected velocity already absorbs
+        res = spec.project_tangent(p[j:k], res)
+        worst.append(np.max(np.abs(res)))
+    # np.max, unlike Python's max, keeps a NaN of any block
+    return float(np.max(worst))

@@ -256,6 +256,17 @@ def dumps(obj):
     return "".join(json_pieces(obj))
 
 
+def _parse_int(text):
+    return -0.0 if text == "-0" else int(text)
+
+
+def loads(text):
+    """The record of the JSON ``text``, as ``json.loads`` reads it except
+    that ``-0``, which the writers write for the float -0.0, is -0.0 and not
+    the integer 0; so ``loads(dumps(r))`` keeps the sign of every zero."""
+    return json.loads(text, parse_int=_parse_int)
+
+
 # ---------------------------------------------------------------------------
 # CSV and OBJ
 # ---------------------------------------------------------------------------
@@ -337,7 +348,8 @@ def morphism1_to_json(m):
 
 
 def morphism1_from_json(obj):
-    mf.only_keys("morphism1 key", obj, ("kind", "path", "field", "time"))
+    keys = ("kind", "path", "field", "time")
+    mf.only_keys("morphism1 key", obj, keys, keys)
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
     return cat.GeodMorphism1(field, mf.as_number("time", obj["time"]))
@@ -355,8 +367,9 @@ def morphism2_to_json(F):
 def morphism2_from_json(obj):
     """The 2-morphism of the record's seed over its s-nodes. A key other than
     ``kind``, ``seed`` and ``s_nodes`` (such as a stored ``sheet``) is an
-    error naming it."""
-    mf.only_keys("morphism2 key", obj, ("kind", "seed", "s_nodes"))
+    error naming it, and so is a missing one of them."""
+    keys = ("kind", "seed", "s_nodes")
+    mf.only_keys("morphism2 key", obj, keys, keys)
     s_nodes = np.array([mf.as_number("s_nodes", s, finite=True) for s in obj["s_nodes"]])
     return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), s_nodes)
 

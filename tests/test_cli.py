@@ -501,9 +501,9 @@ def test_seventeen_digit_float_format():
     [
         (["backtrack", "--input", "missing.json"], "missing.json", "cannot read"),
         (["backtrack", "--input", "notjson.json"], "notjson.json", "is not valid JSON"),
-        (["backtrack", "--input", "nosamples.json"], "nosamples.json", "KeyError: 'samples'"),
+        (["backtrack", "--input", "nosamples.json"], "nosamples.json", "path needs the key 'samples'"),
         (["compose", "notjson.json", "x.json"], "notjson.json", "is not valid JSON"),
-        (["compose", "nopath.json", "nopath.json"], "nopath.json", "KeyError: 'path'"),
+        (["compose", "nopath.json", "nopath.json"], "nopath.json", "morphism1 needs the keys 'path', 'field', 'time'"),
     ],
     ids=["backtrack-missing", "backtrack-not-json", "backtrack-no-samples", "compose-not-json", "compose-no-path"],
 )

@@ -1,5 +1,7 @@
+import copy
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,3 +364,92 @@ def test_transport_names_the_antipodal_node_of_a_sheet():
     sheet = ps.Worldsheet(spec, [0.0, 1.0], points, velocities)
     with pytest.raises(mf.NormalNeighborhoodError, match=r"^segment 0: transport at node 2 between antipodal"):
         ps.pathspace_transport(sheet, pth.make_zero_field(gamma))
+
+
+# ---------------------------------------------------------------------------
+# blocks of fibers: the same bits as one whole-sheet evaluation, less memory
+# ---------------------------------------------------------------------------
+
+
+def wide_fields(spec, rng, n=4096):
+    """A random collared path at N = n with a field moving at every node and
+    the same field zeroed on both collars: the sphere and half-plane flows
+    take their ``moving.all()`` fast path on the first, ``np.where`` on the
+    second."""
+    gamma = checks.random_collared_path(spec, rng, n=n)
+    moving = checks.random_collared_field(gamma, rng)
+    comps = moving.components.copy()
+    head, tail = gamma.collar_masks()
+    comps[head | tail] = 0.0
+    return gamma, [moving, pth.PathTangentField(gamma, comps)]
+
+
+def whole_sheet_residual(sheet):
+    """``transverse_residual`` as one broadcast over every interior s-node."""
+    spec = sheet.manifold
+    h = np.diff(sheet.s_nodes)[:, None, None]
+    h1, h2 = h[:-1], h[1:]
+    p = sheet.points
+    acc = spec.chart_diff(p[2:], p[1:-1]) * (2.0 / (h2 * (h1 + h2)))
+    acc += spec.chart_diff(p[:-2], p[1:-1]) * (2.0 / (h1 * (h1 + h2)))
+    v = sheet.velocities[1:-1]
+    res = spec.project_tangent(p[1:-1], acc + mf.gamma_quad(spec, p[1:-1], v, v))
+    return float(np.max(np.abs(res)))
+
+
+@pytest.mark.parametrize("name", list(checks.builtin_manifolds()))
+def test_blocks_of_fibers_give_the_whole_sheet_bits(name, monkeypatch):
+    spec = checks.builtin_manifolds()[name]
+    gamma, fields = wide_fields(spec, np.random.default_rng(SEED + 11))
+    interval, S = (-0.5, 0.5), 64  # s = 0 is node 32, inside the sheet
+    s = ps.s_grid(interval, S)
+    flow, blocks = mf.flow, []
+    monkeypatch.setattr(mf, "flow", lambda *args: blocks.append(args[3].shape) or flow(*args))
+    for field in fields:
+        blocks.clear()
+        sheet = ps.pathspace_geodesic(gamma, field, interval, S)
+        assert blocks == [(1, 1)] * (S + 1)  # N + 1 > _BLOCK_NODES: one fiber a block
+        x, v = flow(spec, gamma.samples[None], field.components[None], s[:, None])
+        x[s == 0.0], v[s == 0.0] = gamma.samples, field.components
+        assert np.array_equal(sheet.points, x)
+        assert np.array_equal(sheet.velocities, v)
+        assert np.array_equal(sheet.points[32], gamma.samples)
+        assert ps.transverse_residual(sheet) == whole_sheet_residual(sheet)
+
+
+def test_transverse_residual_keeps_a_nan_of_any_block():
+    gamma, field = collared_circle_and_field(n=4096)
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)
+    # Python's max would keep a NaN only in the first block
+    for j in (1, 40, 63):
+        bad = copy.copy(sheet)
+        x = sheet.points.copy()
+        x[j, 5, 0] = np.nan
+        object.__setattr__(bad, "points", x)  # past the sheet's own finiteness check
+        assert math.isnan(ps.transverse_residual(bad))
+
+
+def traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, as tracemalloc (which numpy
+    reports to) sees them, and its result."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic_half_plane"])
+def test_a_wide_sheet_is_built_and_checked_in_blocks(name):
+    # one whole-sheet broadcast peaked at 3.2x (sphere) and 5.0x (half
+    # plane) the sheet's own bytes, its residual at 2.4x and 1.5x; in
+    # blocks they read 1.5x and 1.1x, and 0.04x
+    spec = checks.builtin_manifolds()[name]
+    gamma, (field, _) = wide_fields(spec, np.random.default_rng(SEED + 12))
+    peak, sheet = traced_peak(ps.pathspace_geodesic, gamma, field, (0.0, 1.0), 64)
+    own = sheet.points.nbytes + sheet.velocities.nbytes
+    assert peak <= 2 * own
+    peak, _ = traced_peak(ps.transverse_residual, sheet)
+    assert peak <= own / 4

@@ -7,6 +7,7 @@ import fractions
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -522,3 +523,116 @@ def test_a_record_with_an_unknown_key_is_rejected(reader, bad, needle):
     with pytest.raises(DomainError) as exc:
         reader(bad(seed_morphism(spec, SEED), sheets(spec, SEED + 1)["S5"]))
     assert needle in str(exc.value)
+
+
+def _without(record, key):
+    record = dict(record)
+    del record[key]
+    return record
+
+
+@pytest.mark.parametrize(
+    "reader, bad, needle",
+    [
+        (pth.DiscretePath.from_json, lambda m1, sheet: _without(m1.path.to_json(), "samples"),
+         "path needs the key 'samples'"),
+        (pth.PathTangentField.from_json, lambda m1, sheet: _without(m1.field.to_json(), "base"),
+         "field needs the key 'base'"),
+        (ps.Worldsheet.from_json, lambda m1, sheet: _without(sheet.to_json(), "velocities"),
+         "worldsheet needs the key 'velocities'"),
+        (ser.morphism_from_json, lambda m1, sheet: _without(ser.morphism1_to_json(m1), "time"),
+         "morphism1 needs the key 'time'"),
+        (ser.morphism_from_json,
+         lambda m1, sheet: _without(_without(ser.morphism2_to_json(cat.identity2(m1)), "seed"), "s_nodes"),
+         "morphism2 needs the keys 'seed', 's_nodes'"),
+    ],
+    ids=["path", "field", "worldsheet", "morphism1", "morphism2"],
+)
+def test_a_record_without_a_required_key_is_rejected(reader, bad, needle):
+    # without the check, each raised a bare KeyError naming only the key
+    spec = mf.ManifoldSpec.sphere(1.0)
+    with pytest.raises(DomainError) as exc:
+        reader(bad(seed_morphism(spec, SEED), sheets(spec, SEED + 1)["S5"]))
+    assert str(exc.value) == needle
+
+
+# ---------------------------------------------------------------------------
+# record round trips, fuzzed: bits back, unknown and missing keys named
+# ---------------------------------------------------------------------------
+
+# each record type: its object within a 2-morphism, its writer, its reader
+# and the keys its reader requires
+RECORDS = {
+    "path": (lambda m2: m2.seed.path, pth.DiscretePath.to_json, pth.DiscretePath.from_json,
+             ("manifold", "samples")),
+    "field": (lambda m2: m2.seed.field, pth.PathTangentField.to_json, pth.PathTangentField.from_json,
+              ("base", "components")),
+    "worldsheet": (lambda m2: m2.sheet, ps.Worldsheet.to_json, ps.Worldsheet.from_json,
+                   ("manifold", "s_nodes", "points", "velocities")),
+    "morphism1": (lambda m2: m2.seed, ser.morphism1_to_json, ser.morphism1_from_json,
+                  ("kind", "path", "field", "time")),
+    "morphism2": (lambda m2: m2, ser.morphism2_to_json, ser.morphism2_from_json, ("kind", "seed", "s_nodes")),
+}
+
+
+def bits(x):
+    """Everything a record object holds, with each float as its exact bits."""
+    if isinstance(x, (ps.Worldsheet, pth.DiscretePath, pth.PathTangentField, cat.GeodMorphism1, cat.GeodMorphism2)):
+        return type(x).__name__, bits(vars(x))
+    if isinstance(x, mf.ManifoldSpec):
+        return bits(x.to_json())
+    if isinstance(x, dict):
+        return tuple((k, bits(v)) for k, v in sorted(x.items()))
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    if isinstance(x, (list, tuple)):
+        return tuple(bits(v) for v in x)
+    if isinstance(x, float):
+        return float.hex(x)
+    return x
+
+
+def test_loads_reads_back_the_sign_of_a_zero():
+    # the writers write -0.0 as -0, which json.loads reads as the integer 0
+    text = ser.dumps({"a": np.array([[-0.0, 0.0, 1.0]]), "n": 2, "t": -0.0})
+    assert text == '{"a": [[-0, 0, 1]], "n": 2, "t": -0}\n'
+    assert json.loads(text)["t"] == 0 and type(json.loads(text)["t"]) is int
+    back = ser.loads(text)
+    assert type(back["n"]) is int and back["n"] == 2
+    assert float.hex(back["t"]) == "-0x0.0p+0"
+    assert np.signbit(np.array(back["a"])).tolist() == [[True, False, False]]
+
+
+@st.composite
+def morphisms2(draw):
+    """A 2-morphism of a random seed on a built-in manifold: its path, field,
+    sheet and seed are the other four record types. Zero fields (of either
+    sign, mixed by the random components) and a time of -0.0 are drawn
+    often, so that a record writes ``-0``."""
+    spec = draw(st.sampled_from(sorted(checks.builtin_manifolds().items())))[1]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    collar = draw(st.sampled_from([0.0, pth.DEFAULT_COLLAR]))
+    gamma = checks.random_collared_path(spec, rng, n=draw(st.sampled_from([4, 8, 16])), collar=collar)
+    scale = draw(st.sampled_from([1.0, 0.0, -0.0]))
+    field = pth.PathTangentField(gamma, scale * checks.random_collared_field(gamma, rng).components)
+    a = draw(st.one_of(st.just(-0.0), st.floats(-1.0, 1.0)))
+    b = draw(st.floats(a, 1.0))
+    seed = cat.GeodMorphism1(field, a)
+    return cat.morphism2(seed, (a, b), S=draw(st.integers(1, 6)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(morphisms2(), st.sampled_from(sorted(RECORDS)), st.data())
+def test_hypothesis_records_round_trip_and_name_bad_keys(m2, kind, data):
+    part, write, read, required = RECORDS[kind]
+    x = part(m2)
+    record = ser.loads(ser.dumps(write(x)))
+    assert bits(read(record)) == bits(x)
+
+    extra = data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in record), label="extra key")
+    with pytest.raises(DomainError, match=r"^unknown %s key %s \(known: " % (kind, re.escape(repr(extra)))):
+        read(dict(record, **{extra: 0.0}))
+
+    dropped = data.draw(st.sampled_from(required), label="dropped key")
+    with pytest.raises(DomainError, match=r"^%s needs the key %s$" % (kind, re.escape(repr(dropped)))):
+        read(_without(record, dropped))
