@@ -50,9 +50,8 @@ class ScenarioConfig:
     """Validated scenario: manifold, named paths/fields, interval, resolution."""
 
     def __init__(self, data):
-        if "manifold" not in data:
-            raise ConfigError("config needs a 'manifold' entry")
-        mf.only_keys("config key", data, ("manifold", "paths", "fields", "interval", "resolution", "tolerances"))
+        keys = ("manifold", "paths", "fields", "interval", "resolution", "tolerances")
+        mf.only_keys("config key", data, keys, ("manifold",))
         self.manifold = mf.ManifoldSpec.from_json(data["manifold"])
         self.paths = dict(data.get("paths", {}))
         self.fields = dict(data.get("fields", {}))

@@ -41,8 +41,7 @@ class DiscretePath:
 
     def collar_masks(self):
         """Boolean masks of the grid nodes on the start and end collars."""
-        t = self.grid
-        return t <= self.collar + 1e-12, t >= 1.0 - self.collar - 1e-12
+        return _collar_masks(self.n_segments, self.collar)
 
     def _check_collar(self):
         head, tail = self.collar_masks()
@@ -121,6 +120,13 @@ class PathTangentField:
     def from_json(cls, obj):
         mf.only_keys("field key", obj, ("base", "components"), ("base", "components"))
         return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
+
+
+def _collar_masks(n, collar):
+    """Boolean masks of the nodes of the uniform n-segment grid on the start
+    and end collars of width ``collar``."""
+    t = np.arange(n + 1) / n
+    return t <= collar + 1e-12, t >= 1.0 - collar - 1e-12
 
 
 def node_gaps(first, second):
@@ -408,9 +414,11 @@ def make_normal_field(gamma, scale=1.0):
     cross product with the radial direction on the sphere.
 
     The tangent direction at each sample points to its nearest distinct
-    neighbor, searched forward first, then backward; each search step
-    advances only the samples still without one. Every chord must lie
-    within the injectivity radius (``segment_lengths``).
+    neighbor, searched forward first, then backward. Each search step
+    measures the offsets k .. k+w-1 of the samples still without one in
+    one ``dist`` call, w doubling, and at most about n pairs per call, so
+    a plateau (a collar) costs O(log N) calls. Every chord must lie within
+    the injectivity radius (``segment_lengths``).
     """
     scale = mf.as_number("scale", scale)
     spec, x = gamma.manifold, gamma.samples
@@ -418,11 +426,16 @@ def make_normal_field(gamma, scale=1.0):
     segment_lengths(spec, x)
     partner = np.full(n + 1, -1)
     for step in (1, -1):
-        live, k = np.flatnonzero(partner < 0), step
-        while (live := live[(live + k >= 0) & (live + k <= n)]).size:
-            far = mf.dist(spec, x[live], x[live + k]) > 1e-12
-            partner[live[far]] = live[far] + k
-            live, k = live[~far], k + step
+        live, k, w = np.flatnonzero(partner < 0), 1, 1
+        while (live := live[(live + step * k >= 0) & (live + step * k <= n)]).size:
+            w = min(w, max(n // live.size, 1))
+            j = live[:, None] + step * (k + np.arange(w))
+            inside = (j >= 0) & (j <= n)
+            far = inside & (mf.dist(spec, x[live, None], x[np.clip(j, 0, n)]) > 1e-12)
+            found = far.any(axis=1)
+            # each row's first far offset
+            partner[live[found]] = j[found, np.argmax(far[found], axis=1)]
+            live, k, w = live[~found], k + w, 2 * w
     if np.any(partner < 0):
         raise DomainError("cannot orient a normal field on a constant path")
     u = mf.log(spec, x, x[partner])

@@ -17,9 +17,25 @@ from . import path as pth
 from .manifold import DomainError, NormalNeighborhoodError
 from .path import DiscretePath, PathTangentField
 
+# nodes per block of whole fibers: the sheet kernels (build_sheet,
+# transverse_residual), the sheet checks (_check_nodes) and the export of a
+# sheet's 3-d arrays (serialize._rows)
+_BLOCK_NODES = 4096
+
 
 @dataclass(frozen=True)
 class Worldsheet:
+    """An (S+1) x (N+1) grid of points on ``manifold`` with the fiber
+    velocity at every node; each slice at fixed s is a path with the
+    sheet's collar.
+
+    A sheet is checked once, where it is built: its grid, and then what
+    each slice's ``DiscretePath`` and the ``PathTangentField`` of its
+    velocities would check, one block of whole fibers at a time
+    (``_check_nodes``). So ``slice_path`` and ``slice_field`` check nothing
+    again, and an error names the failing node (s=j, t=i).
+    """
+
     manifold: mf.ManifoldSpec
     s_nodes: np.ndarray  # (S+1,)
     points: np.ndarray  # (S+1, N+1, d)
@@ -38,8 +54,9 @@ class Worldsheet:
             raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
         if shape != self.velocities.shape:
             raise DomainError("points and velocities must share a grid")
-        self.manifold.validate(self.points, "node (s=%d, t=%d)")
-        self.manifold.check_tangent(self.points, self.velocities, "velocity at node (s=%d, t=%d)")
+        if not (0.0 <= self.collar < 0.5):
+            raise DomainError("collar must lie in [0, 1/2)")
+        _check_nodes(self, self.velocities, "velocity at node (s=%d, t=%d)", points=True)
 
     @property
     def interval(self):
@@ -55,11 +72,11 @@ class Worldsheet:
 
     def slice_path(self, j):
         """Longitudinal slice Gamma^{s_j} as a DiscretePath."""
-        return DiscretePath(self.manifold, self.points[j].copy(), self.collar)
+        return _slice(self, j)
 
     def slice_field(self, j):
         """Fiber velocity at s_j as a tangent field on the slice."""
-        return PathTangentField(self.slice_path(j), self.velocities[j].copy())
+        return _slice(self, j, self.velocities[j].copy())
 
     def to_json(self):
         return {
@@ -83,6 +100,90 @@ class Worldsheet:
         )
 
 
+def _check_nodes(sheet, vectors, label, points=False):
+    """What the slices of ``sheet`` would check in their constructors,
+    checked once over the sheet. ``vectors``, one per node, are tangent
+    and, on each collar, equal to the vector at its end sample
+    (``PathTangentField``). With ``points``, the sheet's points are checked
+    too: they lie on the manifold and, on each collar, coincide with its
+    end sample (``DiscretePath``). Both within ``COINCIDENCE_TOL``, at the
+    wrapped points a slice holds. DomainError names the first failing node
+    through ``label``, or ``node (s=%d, t=%d)`` for a point.
+
+    Nodes are checked in blocks of whole fibers of at most ``_BLOCK_NODES``
+    nodes, collars in blocks of at most ``_BLOCK_NODES`` collar nodes; a
+    block is one fiber where a fiber holds more.
+    """
+    spec, n = sheet.manifold, sheet.n_t_segments
+    node = "node (s=%d, t=%d)"
+
+    def on_grid(block):
+        x = spec.wrap(sheet.points[block])
+        if points:
+            spec.validate(x, node)
+        spec.check_tangent(x, vectors[block], label)
+
+    _in_blocks(sheet, n + 1, on_grid)
+    if not sheet.collar > 0:
+        return
+    head, tail = (int(np.sum(mask)) for mask in pth._collar_masks(n, sheet.collar))
+    # the nodes of each collar but its end sample, which they must match
+    collars = [("start", slice(1, head), 0), ("end", slice(n + 1 - tail, n), n)]
+
+    def on_collars(block):
+        x, v = sheet.points[block], vectors[block]
+        for name, nodes, end in collars:
+            why = "is in the %s collar but %%s t=%d" % (name, end)
+            if points:
+                gaps = mf.dist(spec, spec.wrap(x[:, nodes]), spec.wrap(x[:, end, None]))
+                _all_near(gaps <= mf.COINCIDENCE_TOL, nodes, n, node, why % "does not coincide with")
+            near = (np.abs(v[:, nodes] - v[:, end, None]) <= mf.COINCIDENCE_TOL).all(axis=-1)
+            _all_near(near, nodes, n, label, why % "differs from the one at")
+
+    _in_blocks(sheet, head + tail, on_collars)
+
+
+def _all_near(near, nodes, n, label, why):
+    """DomainError naming the first node (s, t) of ``near``, a mask over a
+    block of fibers and their collar nodes ``nodes`` (a slice of 0..n),
+    that is False."""
+    if not near.all():
+        ok = np.ones((len(near), n + 1), dtype=bool)
+        ok[:, nodes] = near
+        mf.check_nodes(ok, label, why)
+
+
+def _in_blocks(sheet, width, check):
+    """``check(block)`` for each block of the sheet's fibers (a slice along
+    s) that spans at most ``_BLOCK_NODES // width`` fibers, or one. A check
+    names its first failing node through ``mf.check_nodes``; a failing
+    block is checked again with all the fibers before it, which pass, so
+    the error names the same node by its s in the whole sheet."""
+    step = max(1, _BLOCK_NODES // width)
+    for j in range(0, len(sheet.s_nodes), step):
+        try:
+            check(slice(j, j + step))
+        except DomainError:
+            check(slice(0, j + step))
+            raise
+
+
+def _slice(sheet, j, vectors=None):
+    """The slice of ``sheet`` at s_j as a DiscretePath, or with ``vectors``
+    the PathTangentField of them on it. Its samples are a wrapped copy, as
+    ``DiscretePath`` makes them, but neither constructor runs: the sheet
+    checked its points and velocities once (``_check_nodes``), and
+    ``pathspace_transport`` checks what it transports the same way."""
+    spec = sheet.manifold
+    path = object.__new__(DiscretePath)
+    vars(path).update(manifold=spec, samples=spec.wrap(sheet.points[j].copy()), collar=sheet.collar)
+    if vectors is None:
+        return path
+    field = object.__new__(PathTangentField)
+    vars(field).update(base=path, components=vectors)
+    return field
+
+
 def _check_field_on(gamma, field):
     """DomainError naming the first sample of the field's base off ``gamma``."""
     d = _pointwise_distances(field.base, gamma)
@@ -102,9 +203,6 @@ def l2_metric(gamma, field1, field2):
 # ---------------------------------------------------------------------------
 # worldsheet construction
 # ---------------------------------------------------------------------------
-
-# nodes per block of the sheet kernels (build_sheet, transverse_residual)
-_BLOCK_NODES = 4096
 
 
 def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
@@ -166,12 +264,15 @@ def pathspace_transport(sheet, field):
     """Parallel transport of a tangent field along the sheet, fiber by fiber.
 
     ``field`` must be based on the first longitudinal slice; returns one
-    PathTangentField per s node. Preserves the L2 norm up to rounding.
+    PathTangentField per s node. The transported vectors are checked once
+    over the sheet, in blocks of fibers, as each field's constructor would
+    check them: tangent, and constant on the collars. Preserves the L2 norm
+    up to rounding.
     """
-    base = sheet.slice_path(0)
-    _check_field_on(base, field)
+    _check_field_on(_slice(sheet, 0), field)
     out = mf.transport_along(sheet.manifold, sheet.points, field.components)
-    return [PathTangentField(sheet.slice_path(j), X) for j, X in enumerate(out)]
+    _check_nodes(sheet, out, "transported field at node (s=%d, t=%d)")
+    return [_slice(sheet, j, X) for j, X in enumerate(out)]
 
 
 # ---------------------------------------------------------------------------

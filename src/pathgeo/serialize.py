@@ -3,20 +3,22 @@
 All floating-point values are written in decimal with 17 significant
 digits (``%.17g``), which round-trips IEEE doubles exactly, and JSON object
 keys are sorted, so identical inputs produce byte-identical files. One row
-formatter, ``_rows``, writes every float array: each 2-d slab along axis 0
-goes through ``_float_rows``, which formats a whole slab in numpy and
-returns exactly the text of one %-format call of a repeated row template
-(JSON, CSV or OBJ vertex), after one finiteness check per array (per fiber
-for a sheet's CSV rows). A scalar is formatted by ``format_float``, and
-OBJ face indices by ``%d``.
+formatter, ``_rows``, writes every float array: each 2-d slab goes through
+``_float_rows``, which formats a whole slab in numpy and returns exactly
+the text of one %-format call of a repeated row template (JSON, CSV or OBJ
+vertex), after one finiteness check per array (per fiber for a sheet's CSV
+rows). A worldsheet's 3-d arrays (JSON ``points`` and ``velocities``, OBJ
+vertices) are formatted one block of ``max(1, _BLOCK_NODES // (N + 1))``
+whole fibers per call, the blocks of ``pathspace.build_sheet``. A scalar
+is formatted by ``format_float``, and OBJ face indices by ``%d``.
 
 Each format is one generator of text pieces (``json_pieces``,
 ``path_csv_pieces``, ``sheet_csv_pieces``, ``sheet_obj_pieces``) that
-yields at most one formatted slab at a time, so a sheet is written fiber by
-fiber and its whole text never exists in memory: ``dump(obj, fh)`` writes
-the JSON pieces to a file, and ``dumps``, ``path_to_csv``, ``sheet_to_csv``
-and ``sheet_to_obj`` join the same pieces into one string. Every export is
-formatted in the calling process.
+yields at most one formatted block at a time, so a sheet is written one
+block of fibers at a time and its whole text never exists in memory:
+``dump(obj, fh)`` writes the JSON pieces to a file, and ``dumps``,
+``path_to_csv``, ``sheet_to_csv`` and ``sheet_to_obj`` join the same pieces
+into one string. Every export is formatted in the calling process.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from . import category as cat
 from . import manifold as mf
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
+from .pathspace import _BLOCK_NODES
 
 _FLOAT = "%.17g"
 
@@ -125,10 +128,12 @@ def _halves(a):
     return high, a - high
 
 
-def _float_rows(a, template, sep):
+def _float_rows(a, template, sep, fiber=None):
     """``sep.join([template] * len(a)) % tuple(a.ravel())``, byte for byte,
     for a 2-d array ``a`` of finite floats and a row ``template`` of
-    ``%.17g`` slots in literal text without ``%``.
+    ``%.17g`` slots in literal text without ``%``. A nonempty ``a`` may hold
+    whole fibers of m rows each, with ``fiber = (m, fiber_sep)``: then
+    ``fiber_sep`` and not ``sep`` comes before every m-th row.
 
     Each value fills a fixed slot of uint32 units: the literal before it,
     its head (sign, ``0.`` or ``0.0``) and its six digit groups, read from
@@ -146,8 +151,12 @@ def _float_rows(a, template, sep):
         return sep.join([template] * rows)
     groups, sections, heads, pow10 = _digit_tables()
     lits = template.split(_FLOAT)
-    row_start = lits[-1] + sep + lits[0]
-    w = -(-max(map(len, lits + [row_start])) // 4)  # units per literal
+    starts = [lits[-1] + sep + lits[0]]  # the literals before a row's first value
+    if fiber and rows > fiber[0]:
+        starts.append(lits[-1] + fiber[1] + lits[0])
+    # units per literal, from the literals this slab uses: a slab of one
+    # fiber is as wide as without ``fiber``
+    w = -(-max(map(len, lits + starts)) // 4)
     x = np.asarray(a, dtype=float).ravel()
     ax = np.abs(x)
     with np.errstate(divide="ignore"):
@@ -172,7 +181,9 @@ def _float_rows(a, template, sep):
     slots[..., w + 1 :] = groups[index].reshape(rows, cols, 6)
     slots[..., w] = heads[2 * k + np.signbit(x)].reshape(rows, cols)
     slots[..., :w] = _uint32s(lits[:cols], w).reshape(cols, w)
-    slots[1:, 0, :w] = _uint32s([row_start], w)
+    slots[1:, 0, :w] = _uint32s(starts[:1], w)
+    if len(starts) > 1:
+        slots[fiber[0] :: fiber[0], 0, :w] = _uint32s(starts[1:], w)
     slots = slots.reshape(-1, w + 7)
     other = np.flatnonzero(~exact & (x != 0))
     if other.size:
@@ -194,19 +205,40 @@ def _joined(parts, sep, open_="", close=""):
 def _rows(a, template, sep):
     """Rows of the float array ``a`` through ``template`` (one ``%.17g``
     slot per column), joined by ``sep``: one piece, from ``_float_rows``,
-    per 2-d slab along axis 0."""
+    for a 2-d ``a``, and one per block of fibers for a 3-d ``a``
+    (``_fibers``)."""
     if a.ndim > 2:
-        yield from _joined((_rows(slab, template, sep) for slab in a), sep)
+        yield from _fibers(a, template, sep, sep)
     else:
         yield _float_rows(a, template, sep)
 
 
+def _fibers(a, template, sep, fiber_sep):
+    """Pieces of the rows of the fibers (2-d slabs along axis 0) of a
+    nonempty 3-d float array ``a``, rows joined by ``sep`` and fibers by
+    ``fiber_sep``: one piece, from ``_float_rows``, per block of
+    ``max(1, _BLOCK_NODES // m)`` whole fibers of m rows."""
+    m, cols = a.shape[1:]
+    step = max(1, _BLOCK_NODES // m)
+    fiber = None if fiber_sep == sep else (m, fiber_sep)
+    for j in range(0, len(a), step):
+        if j:
+            yield fiber_sep
+        yield _float_rows(a[j : j + step].reshape(-1, cols), template, sep, fiber)
+
+
 def _json_floats(a):
-    """Pieces of the nested JSON lists of a finite float array of rank >= 1."""
-    if a.ndim > 2:
+    """Pieces of the nested JSON lists of a finite float array of rank >= 1;
+    a nonempty 3-d array one block of whole fibers at a time, its fiber
+    boundary ``]], [[`` a second row literal of ``_float_rows``."""
+    if a.ndim > 3 or (a.ndim == 3 and not a.size):
         yield from _joined(map(_json_floats, a), ", ", "[", "]")
         return
-    rows = _rows(np.atleast_2d(a), "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]", ", ")
+    template = "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]"
+    if a.ndim == 3:
+        yield from _joined([_fibers(a, template, ", ", "], [")], "", "[[", "]]")
+        return
+    rows = _rows(np.atleast_2d(a), template, ", ")
     yield from rows if a.ndim == 1 else _joined([rows], "", "[", "]")
 
 
@@ -306,9 +338,9 @@ def sheet_to_csv(sheet):
 
 
 def sheet_obj_pieces(sheet):
-    """Pieces of ``sheet_to_obj(sheet)``, one fiber (or one strip of faces)
-    at a time: the face indices of a strip are built only when its piece
-    is drawn."""
+    """Pieces of ``sheet_to_obj(sheet)``, one block of fibers (or one strip
+    of faces) at a time: the face indices of a strip are built only when
+    its piece is drawn."""
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     n = sheet.n_t_segments
@@ -350,6 +382,8 @@ def morphism1_to_json(m):
 def morphism1_from_json(obj):
     keys = ("kind", "path", "field", "time")
     mf.only_keys("morphism1 key", obj, keys, keys)
+    if obj["kind"] != "morphism1":
+        raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
     return cat.GeodMorphism1(field, mf.as_number("time", obj["time"]))
@@ -370,7 +404,10 @@ def morphism2_from_json(obj):
     error naming it, and so is a missing one of them."""
     keys = ("kind", "seed", "s_nodes")
     mf.only_keys("morphism2 key", obj, keys, keys)
-    s_nodes = np.array([mf.as_number("s_nodes", s, finite=True) for s in obj["s_nodes"]])
+    given = obj["s_nodes"]
+    if not np.iterable(given) or isinstance(given, (str, bytes)):
+        raise DomainError("s_nodes must be a list of numbers (got %r)" % (given,))
+    s_nodes = np.array([mf.as_number("s_nodes", s, finite=True) for s in given])
     return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), s_nodes)
 
 

@@ -578,6 +578,22 @@ def test_config_numbers_name_the_file_and_the_key(tmp_path, capsys, entry, needl
 
 
 @pytest.mark.parametrize(
+    "data, needle",
+    [
+        ({"paths": {}}, "config needs the key 'manifold'"),
+        ([1], "config keys must be given as a JSON object (got list)"),
+    ],
+    ids=["no-manifold", "not-an-object"],
+)
+def test_a_config_without_its_manifold_is_named_by_the_key_rule(tmp_path, capsys, data, needle):
+    # the one key rule of records: a config that is not an object has no keys
+    # at all, so it does not lack only its manifold
+    cfg = write_config(tmp_path, data)
+    assert cli.main(["energy", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: %s: %s\n" % (cfg, needle)
+
+
+@pytest.mark.parametrize(
     "entry, needle",
     [
         ({"manifold": {"kind": "sphere", "radius": 10**400}},

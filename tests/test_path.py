@@ -220,6 +220,20 @@ def test_normal_field_matches_per_node_search():
             pth.make_normal_field(pth.make_constant_path(gamma.start(), 16))
 
 
+def test_a_collar_plateau_costs_few_dist_calls(monkeypatch):
+    # the default collar at N = 4096 is a plateau of 257 equal samples at each
+    # end: a search of one offset per dist call made 516 calls here
+    gamma = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=4096)
+    dist, calls = mf.dist, []
+    monkeypatch.setattr(mf, "dist", lambda *args: calls.append(1) or dist(*args))
+    field = pth.make_normal_field(gamma, 0.5)
+    assert len(calls) <= 40
+    head, tail = gamma.collar_masks()
+    # a plateau's partner is the first sample past it
+    assert np.array_equal(field.components[head], np.tile(field.components[0], (head.sum(), 1)))
+    assert np.array_equal(field.components[tail], np.tile(field.components[-1], (tail.sum(), 1)))
+
+
 def test_worst_node_names_the_largest_gap():
     assert pth.worst_node(np.array([0.1, 0.3, 0.2, 0.3])) == (0.3, 1)
     assert pth.worst_node(np.array([[0.0, 0.5], [0.7, 0.1]])) == (0.7, (1, 0))

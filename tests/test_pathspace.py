@@ -337,22 +337,29 @@ def wide_sphere_sheet():
         ("nan point", "node (s=3, t=7) is not finite"),
         ("off-sphere point", "node (s=3, t=7) is off the sphere"),
         ("radial velocity", "velocity at node (s=3, t=7) is not tangent to the sphere"),
+        ("collar point", "node (s=3, t=7) is in the start collar but does not coincide with t=0"),
+        ("collar velocity", "velocity at node (s=3, t=7) is in the start collar but differs from the one at t=0"),
     ],
-    ids=["nan", "off-sphere", "not-tangent"],
+    ids=["nan", "off-sphere", "not-tangent", "collar-point", "collar-velocity"],
 )
 def test_a_wide_sheet_names_its_first_bad_node(wide_sphere_sheet, fault, needle):
     sheet = wide_sphere_sheet
     x, v = sheet.points.copy(), sheet.velocities.copy()
-    # the same fault at a later node: the error names the first in s, t order
+    # the same fault at a later node: the error names the first in s, t order.
+    # Every node here is on a collar (t <= 256 or t >= 3840)
     for node in ((3, 7), (3, 4000), (10, 2)):
         if fault == "nan point":
             x[node][1] = np.nan
         elif fault == "off-sphere point":
             x[node] *= 1.5
-        else:
+        elif fault == "radial velocity":
             v[node] = x[node]
+        elif fault == "collar point":  # a ramp node's point and velocity
+            x[node], v[node] = x[node[0], 300], v[node[0], 300]
+        else:
+            v[node] *= 1.001
     with pytest.raises(mf.DomainError, match=re.escape(needle)):
-        ps.Worldsheet(sheet.manifold, sheet.s_nodes, x, v)
+        ps.Worldsheet(sheet.manifold, sheet.s_nodes, x, v, sheet.collar)
 
 
 def test_transport_names_the_antipodal_node_of_a_sheet():
@@ -364,6 +371,121 @@ def test_transport_names_the_antipodal_node_of_a_sheet():
     sheet = ps.Worldsheet(spec, [0.0, 1.0], points, velocities)
     with pytest.raises(mf.NormalNeighborhoodError, match=r"^segment 0: transport at node 2 between antipodal"):
         ps.pathspace_transport(sheet, pth.make_zero_field(gamma))
+
+
+# ---------------------------------------------------------------------------
+# a sheet is checked once: its slices are the checked paths and fields
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ("point", "node (s=2, t=1) is in the start collar but does not coincide with t=0"),
+        ("velocity", "velocity at node (s=2, t=31) is in the end collar but differs from the one at t=32"),
+        ("collar", "collar must lie in [0, 1/2)"),
+    ],
+)
+def test_a_sheet_whose_slice_leaves_its_collar_is_rejected(fault, needle):
+    # such a sheet was accepted, and failed only when sliced
+    gamma, field = collared_circle_and_field(n=32)  # collars: t <= 2 and t >= 30
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 4)
+    x, v, collar = sheet.points.copy(), sheet.velocities.copy(), sheet.collar
+    if fault == "point":  # a ramp node, with its own tangent velocity
+        x[2, 1], v[2, 1] = x[2, 3], v[2, 3]
+    elif fault == "velocity":
+        v[2, 31] *= 1.001
+    else:
+        collar = 0.5
+    with pytest.raises(mf.DomainError) as err:
+        ps.Worldsheet(sheet.manifold, sheet.s_nodes, x, v, collar)
+    assert str(err.value) == needle
+    record = dict(sheet.to_json(), points=x, velocities=v, collar=collar)
+    with pytest.raises(mf.DomainError) as err:
+        ps.Worldsheet.from_json(record)
+    assert str(err.value) == needle
+
+
+def transport_sheet(monkeypatch, fault):
+    """A collared sphere sheet (N = 32, S = 8) and the field to transport,
+    with ``spec.transport`` returning one bad vector at node (s=3, t=7)
+    (``radial``) or (s=3, t=2) (``collar``)."""
+    gamma, field = collared_circle_and_field(n=32)
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 8)
+    transport, calls = mf.Sphere.transport, []
+
+    def faulty(self, x, y, X):
+        out = transport(self, x, y, X)
+        calls.append(1)
+        if len(calls) == 3:  # segment 2, to s-node 3
+            if fault == "radial":
+                out[7] = y[7]
+            else:
+                out[2] *= 1.001  # still tangent
+        return out
+
+    monkeypatch.setattr(mf.Sphere, "transport", faulty)
+    return sheet, field
+
+
+@pytest.mark.parametrize(
+    "fault, needle",
+    [
+        ("radial", "transported field at node (s=3, t=7) is not tangent to the sphere"),
+        ("collar", "transported field at node (s=3, t=2) is in the start collar but differs from the one at t=0"),
+    ],
+)
+def test_transport_names_the_node_of_a_bad_transported_vector(monkeypatch, fault, needle):
+    sheet, field = transport_sheet(monkeypatch, fault)
+    with pytest.raises(mf.DomainError) as err:
+        ps.pathspace_transport(sheet, field)
+    assert str(err.value) == needle
+
+
+def same_bits(a, b):
+    """Two paths, or two fields, hold the same manifold, collar and bits."""
+    if isinstance(a, pth.PathTangentField):
+        return same_bits(a.base, b.base) and a.components.tobytes() == b.components.tobytes()
+    return (a.manifold, a.collar, a.samples.dtype, a.samples.shape) == (
+        b.manifold, b.collar, b.samples.dtype, b.samples.shape
+    ) and a.samples.tobytes() == b.samples.tobytes()
+
+
+def swept_sheets():
+    """Collared sheets on every built-in manifold (N = 32, S = 8), the torus
+    sheet again with its points moved off the fundamental domain by a
+    lattice vector, and the N = 256, S = 64 sphere sheet of a latitude
+    circle; each with a field on its first slice to transport."""
+    rng = np.random.default_rng(SEED + 13)
+    out = []
+    for spec in specs():
+        gamma = checks.random_collared_path(spec, rng, n=32)
+        field = checks.random_collared_field(gamma, rng, scale=1.0)
+        out.append((ps.pathspace_geodesic(gamma, field, (0.0, 3.0), 8), checks.random_collared_field(gamma, rng)))
+        if spec.kind == mf.FLAT_TORUS:  # the flow keeps its points in the domain
+            sheet = out[-1][0]
+            points = sheet.points + np.asarray(spec.circumferences)
+            out.append((ps.Worldsheet(spec, sheet.s_nodes, points, sheet.velocities, sheet.collar), out[-1][1]))
+    gamma, field = collared_circle_and_field(n=256)
+    out.append((ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64), field))
+    return out
+
+
+def test_slices_are_the_checked_paths_and_fields():
+    torus_wrapped = False
+    for sheet, field in swept_sheets():
+        spec = sheet.manifold
+        moved = ps.pathspace_transport(sheet, field)
+        transported = mf.transport_along(spec, sheet.points, field.components)
+        for j in range(len(sheet.s_nodes)):
+            path = pth.DiscretePath(spec, sheet.points[j], sheet.collar)
+            assert same_bits(sheet.slice_path(j), path)
+            assert same_bits(sheet.slice_field(j), pth.PathTangentField(path, sheet.velocities[j]))
+            assert same_bits(moved[j], pth.PathTangentField(path, transported[j]))
+            assert not np.shares_memory(sheet.slice_path(j).samples, sheet.points)
+            assert not np.shares_memory(sheet.slice_field(j).components, sheet.velocities)
+            torus_wrapped |= spec.kind == mf.FLAT_TORUS and not np.array_equal(path.samples, sheet.points[j])
+    assert torus_wrapped  # the slices wrap, as DiscretePath does
 
 
 # ---------------------------------------------------------------------------

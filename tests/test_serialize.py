@@ -249,21 +249,53 @@ def test_streamed_csv_and_obj_match_their_strings(model):
             ser.sheet_obj_pieces(by_s["S5"])
 
 
+def sphere_sheet(n):
+    """The S = 64 sheet of a latitude circle at N = n and its normal field."""
+    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=n)
+    return ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 64)
+
+
 def test_large_sheet_is_written_one_fiber_at_a_time():
     # N = 4096, S = 64: 35 MB of JSON, 22 MB of CSV, 24 MB of OBJ; one fiber
-    # of points is about 0.3 MB of text
-    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=4096)
-    sheet = ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 64)
-    json_log = WriteLog(keep=False)
-    ser.dump(sheet.to_json(), json_log)
-    logs = {
-        "json": json_log,
-        "csv": streamed(ser.sheet_csv_pieces(sheet), keep=False),
-        "obj": streamed(ser.sheet_obj_pieces(sheet), keep=False),
-    }
-    for name, log in logs.items():
-        assert log.size > 20_000_000, name
-        assert log.largest <= 1 << 20, name
+    # of points is about 0.3 MB of text. A block of fibers holds at most
+    # _BLOCK_NODES nodes, or one fiber: at N = 256 it is 15 fibers, about as
+    # much text as one fiber at N = 4096
+    for n, size in ((4096, 20_000_000), (256, 1_000_000)):
+        sheet = sphere_sheet(n)
+        json_log = WriteLog(keep=False)
+        ser.dump(sheet.to_json(), json_log)
+        logs = {
+            "json": json_log,
+            "csv": streamed(ser.sheet_csv_pieces(sheet), keep=False),
+            "obj": streamed(ser.sheet_obj_pieces(sheet), keep=False),
+        }
+        for name, log in logs.items():
+            assert log.size > size, (n, name)
+            assert log.largest <= 1 << 20, (n, name)
+
+
+def test_blocks_of_fibers_match_the_per_element_writer():
+    # N = 256, S = 64: blocks of 4096 // 257 = 15 fibers, so four full blocks
+    # and one of 5; the JSON block text holds the fiber boundary ]], [[
+    sheet = sphere_sheet(256)
+    assert ps._BLOCK_NODES // 257 == 15
+    record = sheet.to_json()
+    assert ser.dumps(record) == ref_dumps(listed(record))
+    assert ser.sheet_to_obj(sheet) == ref_sheet_to_obj(sheet)
+
+
+def test_a_sheet_export_formats_one_block_of_fibers_per_call(monkeypatch):
+    sheet = sphere_sheet(256)
+    rows, shapes = ser._float_rows, []
+    monkeypatch.setattr(ser, "_float_rows", lambda a, *args: shapes.append(a.shape) or rows(a, *args))
+    ser.dumps(sheet.to_json())
+    # points and velocities: five blocks each; s_nodes: one row. One call per
+    # fiber made 131
+    assert len(shapes) <= 11
+    assert sorted(shapes) == sorted([(1, 65)] + 2 * ([(15 * 257, 3)] * 4 + [(5 * 257, 3)]))
+    shapes.clear()
+    ser.sheet_to_obj(sheet)
+    assert shapes == [(15 * 257, 3)] * 4 + [(5 * 257, 3)]
 
 
 def test_failed_export_leaves_no_partial_file(tmp_path):
@@ -291,14 +323,8 @@ def test_failed_export_leaves_no_partial_file(tmp_path):
     assert os.listdir(tmp_path) == ["worldsheet.json"]
 
 
-def large_sheet():
-    """N = 4096, S = 64: 798,915 floats per rank-3 array."""
-    circle = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=4096)
-    return ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), 64)
-
-
 def test_a_pooled_csv_export_stops_at_the_same_fiber():
-    sheet = large_sheet()
+    sheet = sphere_sheet(4096)  # 798,915 floats per rank-3 array
     sheet.points[40, 7, 0] = np.nan
     pieces = []
     with pytest.raises(DomainError, match="cannot serialize NaN"):
@@ -553,6 +579,33 @@ def test_a_record_without_a_required_key_is_rejected(reader, bad, needle):
     spec = mf.ManifoldSpec.sphere(1.0)
     with pytest.raises(DomainError) as exc:
         reader(bad(seed_morphism(spec, SEED), sheets(spec, SEED + 1)["S5"]))
+    assert str(exc.value) == needle
+
+
+def _with_seed_kind(record, kind):
+    return dict(record, seed=dict(record["seed"], kind=kind))
+
+
+@pytest.mark.parametrize(
+    "reader, bad, needle",
+    [
+        (ser.morphism_from_json, lambda m2: dict(m2, s_nodes=3), "s_nodes must be a list of numbers (got 3)"),
+        (ser.morphism_from_json, lambda m2: dict(m2, s_nodes="0.5"),
+         "s_nodes must be a list of numbers (got '0.5')"),
+        (ser.morphism1_from_json, lambda m2: dict(m2["seed"], kind="morphism2"),
+         "morphism1 record kind must be 'morphism1' (got 'morphism2')"),
+        (ser.morphism_from_json, lambda m2: _with_seed_kind(m2, "morphism2"),
+         "morphism1 record kind must be 'morphism1' (got 'morphism2')"),
+        (ser.morphism_from_json, lambda m2: _with_seed_kind(m2, None),
+         "morphism1 record kind must be 'morphism1' (got None)"),
+    ],
+    ids=["s_nodes-number", "s_nodes-string", "morphism1-kind", "seed-kind", "seed-kind-null"],
+)
+def test_a_record_value_of_the_wrong_kind_is_rejected(reader, bad, needle):
+    # an s_nodes number was a bare TypeError, and a seed of any kind was read
+    m2 = ser.loads(ser.dumps(ser.morphism2_to_json(cat.identity2(seed_morphism(mf.ManifoldSpec.sphere(1.0), SEED)))))
+    with pytest.raises(DomainError) as exc:
+        reader(bad(m2))
     assert str(exc.value) == needle
 
 
