@@ -113,7 +113,7 @@ class ScenarioConfig:
                         % (name, ", ".join(sorted(pth.GENERATORS)))
                     )
                 d.setdefault("n", self.N)
-                gamma = pth.GENERATORS[gen](self.manifold, **d)
+                gamma = getattr(pth, pth.GENERATORS[gen])(self.manifold, **d)
         except (TypeError, ValueError) as err:
             raise ConfigError("path %r: bad parameters (%s)" % (name, err))
         except GeometryError as err:
@@ -140,7 +140,7 @@ class ScenarioConfig:
         try:
             if gen is None:
                 return pth.PathTangentField(gamma, np.asarray(d["components"], dtype=float))
-            return pth.FIELD_GENERATORS[gen](gamma, **d)
+            return getattr(pth, pth.FIELD_GENERATORS[gen])(gamma, **d)
         except (TypeError, KeyError, ValueError) as err:
             raise ConfigError("field %r: bad parameters (%s)" % (name, err))
         except GeometryError as err:
@@ -157,7 +157,8 @@ def _write(outdir, filename, pieces):
     without ``outdir``, return None and draw no piece. The pieces go to a
     temporary file beside the target that replaces it only once the last
     piece is written, so an export that fails part-way leaves no partial
-    file and an earlier file as it was."""
+    file and an earlier file as it was. A generator of ``pieces`` is closed
+    on the way out, so an export helper it forked ends with it."""
     if not outdir:
         return None
     os.makedirs(outdir, exist_ok=True)
@@ -169,6 +170,8 @@ def _write(outdir, filename, pieces):
                 fh.write(piece)
         os.replace(tmp, full)
     finally:
+        if hasattr(pieces, "close"):
+            pieces.close()
         if os.path.exists(tmp):
             os.remove(tmp)
     return full

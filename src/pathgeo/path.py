@@ -386,11 +386,13 @@ def make_vertical_ray(spec, x, y_start, y_end, n=DEFAULT_GRID, collar=DEFAULT_CO
     return DiscretePath(spec, pts, collar)
 
 
+# the path generators of a scenario config, by name; each names its
+# function in this module, which the config looks up when it builds a path
 GENERATORS = {
-    "line": make_line,
-    "great_circle_arc": make_great_circle_arc,
-    "latitude_circle": make_latitude_circle,
-    "vertical_ray": make_vertical_ray,
+    "line": "make_line",
+    "great_circle_arc": "make_great_circle_arc",
+    "latitude_circle": "make_latitude_circle",
+    "vertical_ray": "make_vertical_ray",
 }
 
 
@@ -443,8 +445,9 @@ def make_normal_field(gamma, scale=1.0):
     return PathTangentField(gamma, scale * spec.normal(x, u))
 
 
+# the field generators of a scenario config, named as ``GENERATORS`` are
 FIELD_GENERATORS = {
-    "constant_in_chart": make_constant_field,
-    "normal_to_path": make_normal_field,
-    "zero": make_zero_field,
+    "constant_in_chart": "make_constant_field",
+    "normal_to_path": "make_normal_field",
+    "zero": "make_zero_field",
 }

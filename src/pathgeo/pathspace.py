@@ -33,7 +33,9 @@ class Worldsheet:
     each slice's ``DiscretePath`` and the ``PathTangentField`` of its
     velocities would check, one block of whole fibers at a time
     (``_check_nodes``). So ``slice_path`` and ``slice_field`` check nothing
-    again, and an error names the failing node (s=j, t=i).
+    again, and an error names the failing node (s=j, t=i). The sheet holds
+    ``s_nodes``, ``points`` and ``velocities`` as read-only views of the
+    arrays it was given, so what it checked cannot change under it.
     """
 
     manifold: mf.ManifoldSpec
@@ -43,9 +45,12 @@ class Worldsheet:
     collar: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "s_nodes", np.asarray(self.s_nodes, dtype=float))
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
-        object.__setattr__(self, "velocities", np.asarray(self.velocities, dtype=float))
+        for name in ("s_nodes", "points", "velocities"):
+            # a read-only view: the caller's array keeps its flags, and a
+            # write through the sheet cannot reach the slices unchecked
+            view = np.asarray(getattr(self, name), dtype=float).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         s = self.s_nodes
         if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
             raise DomainError("s_nodes must be one or more finite, strictly increasing numbers")

@@ -18,15 +18,31 @@ yields at most one formatted block at a time, so a sheet is written one
 block of fibers at a time and its whole text never exists in memory:
 ``dump(obj, fh)`` writes the JSON pieces to a file, and ``dumps``,
 ``path_to_csv``, ``sheet_to_csv`` and ``sheet_to_obj`` join the same pieces
-into one string. Every export is formatted in the calling process.
+into one string.
+
+The format generators do not format a slab themselves: they yield it as a
+deferred ``_float_rows`` call, and one function, ``_text``, turns that
+stream into the text pieces, in order. When the stream reaches a worldsheet
+array of more than one block of fibers (JSON ``points`` and
+``velocities``, CSV rows, OBJ vertices) and this process may run on more
+than one CPU, ``_text`` forks one helper process, which formats every other
+slab from there on (an OBJ strip of faces is deferred as a slab is) and
+sends its bytes back through a pipe while this process formats the rest;
+the text is the same byte for byte. Check
+reports, path and morphism records and a sheet of one block are formatted
+in the calling process, and so is everything on one CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import functools
 import itertools
 import json
 import math
+import os
+import signal
 
 import numpy as np
 
@@ -202,29 +218,122 @@ def _joined(parts, sep, open_="", close=""):
     yield close
 
 
+# ---------------------------------------------------------------------------
+# the text of a stream of pieces, on one or two CPUs
+# ---------------------------------------------------------------------------
+
+# comes before the deferred slabs of a worldsheet array of more than one block
+_WIDE = object()
+_LENGTH = 8  # bytes of the length that comes before each slab the helper sends
+# the helper's pipe holds about four N = 4096 slabs of JSON, so the helper
+# formats on while this process has yet to read them; with the default 64 KB
+# it waits for each read, and an N = 4096 JSON export took 1.6 times as long
+# (2 vCPUs)
+_PIPE_BYTES = 1 << 20
+
+
+def _text(pieces):
+    """The text of ``pieces``, in order, one piece at a time. A piece is
+    text, ``_WIDE``, or a deferred slab: a ``functools.partial`` that
+    returns text, of ``_float_rows`` or of the faces of an OBJ strip.
+
+    At the first ``_WIDE``, if this process may run on more than one CPU,
+    one helper process is forked. It inherits the state of the stream,
+    draws the same pieces and formats every other slab from there on (the
+    2nd, 4th, ...), sending the bytes of each through one pipe after their
+    length (``_help``). This process formats the other slabs and yields
+    every piece in order. The helper is killed and reaped when the stream
+    ends, fails or is closed; a helper that exits before it has sent a slab
+    this process needs is a ChildProcessError. Without a helper (one CPU,
+    no ``_WIDE``, or a failed fork) every slab is formatted here.
+    """
+    pieces = iter(pieces)
+    helper, k = None, 0  # (pid, read end of its pipe); slabs since the fork
+    try:
+        for piece in pieces:
+            if isinstance(piece, str):
+                yield piece
+            elif piece is _WIDE:
+                if helper is None and len(os.sched_getaffinity(0)) > 1:
+                    r, w = os.pipe()
+                    with contextlib.suppress(OSError):  # where the limit allows: slabs in flight
+                        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        os.close(r)
+                        os.close(w)
+                        continue
+                    if not pid:
+                        _help(pieces, r, w)
+                    helper, k = (pid, os.fdopen(r, "rb")), 0
+                    os.close(w)
+            else:
+                k += 1
+                yield _received(helper[1]) if helper and k % 2 == 0 else piece()
+    finally:
+        if helper:
+            pid, fh = helper
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _help(pieces, r, w):
+    """The helper of ``_text``, in the forked process: formats every other
+    deferred slab of ``pieces`` (the 2nd, 4th, ...) and writes each to the
+    pipe end ``w``. It never returns: it leaves by ``os._exit``, so no
+    buffer it inherited is flushed twice and no cleanup of its parent runs."""
+    status = 1
+    try:
+        os.close(r)
+        with os.fdopen(w, "wb") as out:
+            for k, slab in enumerate((p for p in pieces if callable(p)), 1):
+                if k % 2 == 0:
+                    data = slab().encode()
+                    out.write(len(data).to_bytes(_LENGTH, "little"))
+                    out.write(data)
+                    out.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received(fh):
+    """The text of the next slab the helper sent through ``fh``."""
+    head = fh.read(_LENGTH)
+    size = int.from_bytes(head, "little")
+    data = fh.read(size)
+    if len(head) + len(data) < _LENGTH + size:
+        raise ChildProcessError("the export helper exited before it sent a slab")
+    return data.decode()
+
+
 def _rows(a, template, sep):
     """Rows of the float array ``a`` through ``template`` (one ``%.17g``
-    slot per column), joined by ``sep``: one piece, from ``_float_rows``,
-    for a 2-d ``a``, and one per block of fibers for a 3-d ``a``
-    (``_fibers``)."""
+    slot per column), joined by ``sep``: one deferred slab for a 2-d ``a``,
+    and one per block of fibers for a 3-d ``a`` (``_fibers``)."""
     if a.ndim > 2:
         yield from _fibers(a, template, sep, sep)
     else:
-        yield _float_rows(a, template, sep)
+        yield functools.partial(_float_rows, a, template, sep)
 
 
 def _fibers(a, template, sep, fiber_sep):
     """Pieces of the rows of the fibers (2-d slabs along axis 0) of a
     nonempty 3-d float array ``a``, rows joined by ``sep`` and fibers by
-    ``fiber_sep``: one piece, from ``_float_rows``, per block of
-    ``max(1, _BLOCK_NODES // m)`` whole fibers of m rows."""
+    ``fiber_sep``: one deferred slab per block of ``max(1, _BLOCK_NODES //
+    m)`` whole fibers of m rows, after ``_WIDE`` if there is more than one
+    block."""
     m, cols = a.shape[1:]
     step = max(1, _BLOCK_NODES // m)
     fiber = None if fiber_sep == sep else (m, fiber_sep)
+    if len(a) > step:
+        yield _WIDE
     for j in range(0, len(a), step):
         if j:
             yield fiber_sep
-        yield _float_rows(a[j : j + step].reshape(-1, cols), template, sep, fiber)
+        yield functools.partial(_float_rows, a[j : j + step].reshape(-1, cols), template, sep, fiber)
 
 
 def _json_floats(a):
@@ -272,15 +381,16 @@ def _json(obj):
 def json_pieces(obj):
     """Pieces of the deterministic JSON text of ``obj`` (sorted keys,
     17-significant-digit floats, final newline)."""
-    yield from _json(obj)
-    yield "\n"
+    return _text(itertools.chain(_json(obj), ["\n"]))
 
 
 def dump(obj, fh):
     """Write the JSON text of ``obj`` to the text file ``fh``, one piece at
-    a time; the file receives exactly ``dumps(obj)``."""
-    for piece in json_pieces(obj):
-        fh.write(piece)
+    a time; the file receives exactly ``dumps(obj)``. The pieces are closed
+    on the way out, so an export helper ends with a failed write too."""
+    with contextlib.closing(json_pieces(obj)) as pieces:
+        for piece in pieces:
+            fh.write(piece)
 
 
 def dumps(obj):
@@ -315,7 +425,7 @@ def _csv(head, dim, slabs):
 
 def path_csv_pieces(gamma):
     """Pieces of ``path_to_csv(gamma)``."""
-    return _csv(["t"], gamma.manifold.point_dim, [np.column_stack([gamma.grid, gamma.samples])])
+    return _text(_csv(["t"], gamma.manifold.point_dim, [np.column_stack([gamma.grid, gamma.samples])]))
 
 
 def path_to_csv(gamma):
@@ -325,11 +435,13 @@ def path_to_csv(gamma):
 
 def sheet_csv_pieces(sheet):
     """Pieces of ``sheet_to_csv(sheet)``, one fiber at a time: the s,t,x
-    rows of a fiber are built only when its piece is formatted."""
+    rows of a fiber are built only when its piece is drawn."""
     n = sheet.n_t_segments
     t = np.arange(n + 1) / n
     fibers = (np.column_stack([np.full(n + 1, s), t, x]) for s, x in zip(sheet.s_nodes, sheet.points))
-    return _csv(["s", "t"], sheet.manifold.point_dim, fibers)
+    # a sheet of more than one block of fibers is wide, as in ``_fibers``
+    wide = len(sheet.s_nodes) > max(1, _BLOCK_NODES // (n + 1))
+    return _text(itertools.chain([_WIDE] * wide, _csv(["s", "t"], sheet.manifold.point_dim, fibers)))
 
 
 def sheet_to_csv(sheet):
@@ -339,21 +451,22 @@ def sheet_to_csv(sheet):
 
 def sheet_obj_pieces(sheet):
     """Pieces of ``sheet_to_obj(sheet)``, one block of fibers (or one strip
-    of faces) at a time: the face indices of a strip are built only when
-    its piece is drawn."""
+    of faces) at a time. A strip of faces is deferred as a slab is, so the
+    export helper of a wide sheet writes every other strip too."""
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     n = sheet.n_t_segments
     a = np.arange(n) + 1  # OBJ indices are 1-based
     strip = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
 
-    def faces(j):  # the one piece of strip j; indices are integers, written with %d
-        return ["\n".join(["f %d %d %d %d"] * n) % tuple((strip + j * (n + 1)).ravel())]
+    def faces(j):  # the text of strip j; indices are integers, written with %d
+        return "\n".join(["f %d %d %d %d"] * n) % tuple((strip + j * (n + 1)).ravel())
 
     vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
     S = sheet.n_s_segments
-    parts = [vertices, _joined(map(faces, range(S)), "\n")] if S else [vertices]
-    return _joined(parts, "\n", "", "\n")
+    strips = ([functools.partial(faces, j)] for j in range(S))
+    parts = [vertices, _joined(strips, "\n")] if S else [vertices]
+    return _text(_joined(parts, "\n", "", "\n"))
 
 
 def sheet_to_obj(sheet):

@@ -531,6 +531,30 @@ def test_compose_names_the_file_of_a_non_morphism_record(tmp_path, capsys, name,
     assert capsys.readouterr().err.startswith("error: %s: " % bad)
 
 
+def test_worldsheet_calls_the_generators_on_the_path_module(tmp_path, monkeypatch):
+    # the generator tables name their functions, so a wrapper set on the
+    # module (as the benchmark tracer sets one) sees every call
+    calls = []
+
+    def wrapped(name):
+        real = getattr(pth, name)
+        monkeypatch.setattr(pth, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+    wrapped("make_normal_field")
+    wrapped("make_latitude_circle")
+    config = write_config(
+        tmp_path,
+        {
+            "manifold": {"kind": "sphere", "radius": 1.0},
+            "paths": {"lat": {"generator": "latitude_circle", "colatitude": 1.0}},
+            "fields": {"normal": {"generator": "normal_to_path", "path": "lat", "scale": 0.5}},
+            "resolution": {"N": 32, "S": 4},
+        },
+    )
+    assert cli.main(["worldsheet", "--config", config]) == 0
+    assert calls == ["make_latitude_circle", "make_normal_field"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "obj"])
 def test_worldsheet_formats_no_export_without_out(tmp_path, monkeypatch, capsys, fmt):
     rows = ser._rows

@@ -258,6 +258,9 @@ def test_generators_registry_and_fixtures():
         "latitude_circle",
         "vertical_ray",
     }
+    # each entry names a function of the module, looked up when it is called
+    for table in (pth.GENERATORS, pth.FIELD_GENERATORS):
+        assert all(callable(getattr(pth, name)) for name in table.values())
 
 
 def test_path_json_roundtrip():

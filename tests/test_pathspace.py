@@ -539,6 +539,22 @@ def test_blocks_of_fibers_give_the_whole_sheet_bits(name, monkeypatch):
         assert ps.transverse_residual(sheet) == whole_sheet_residual(sheet)
 
 
+def test_a_sheet_is_read_only_without_copying_or_freezing_its_input():
+    gamma, field = collared_circle_and_field(n=64)
+    s = np.linspace(0.0, 1.0, 9)
+    built = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 8)
+    points, velocities = built.points.copy(), built.velocities.copy()
+    sheet = ps.Worldsheet(gamma.manifold, s, points, velocities, gamma.collar)
+    for given, held in [(s, sheet.s_nodes), (points, sheet.points), (velocities, sheet.velocities)]:
+        assert np.shares_memory(given, held)  # a view, not a copy
+        assert given.flags.writeable and not held.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        sheet.points[3, 5, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        sheet.velocities[3] *= 2.0
+    assert np.array_equal(sheet.points, built.points)
+
+
 def test_transverse_residual_keeps_a_nan_of_any_block():
     gamma, field = collared_circle_and_field(n=4096)
     sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)

@@ -79,12 +79,15 @@ def fixed_sheet(n, S):
     return circle, ps.pathspace_geodesic(circle, pth.make_normal_field(circle, 0.5), (0.0, 1.0), S)
 
 
+SHEET_WRITERS = {
+    "sheet_json": lambda sheet: ser.dumps(sheet.to_json()),
+    "sheet_csv": ser.sheet_to_csv,
+    "sheet_obj": ser.sheet_to_obj,
+}
+
+
 def sheet_exports(sheet):
-    return {
-        "sheet_json": ser.dumps(sheet.to_json()),
-        "sheet_csv": ser.sheet_to_csv(sheet),
-        "sheet_obj": ser.sheet_to_obj(sheet),
-    }
+    return {name: write(sheet) for name, write in SHEET_WRITERS.items()}
 
 
 @pytest.fixture(scope="module")
@@ -117,17 +120,29 @@ def large_sheet():
     return fixed_sheet(4096, 64)[1]
 
 
-def test_large_sheet_exports_are_byte_identical(large_sheet, pools):
+def test_large_sheet_exports_are_byte_identical(large_sheet, pools, helpers):
+    # 65 blocks of one fiber: each export forks exactly one helper, which
+    # formats every other block
+    for name, write in SHEET_WRITERS.items():
+        started = len(helpers)
+        assert sha256(write(large_sheet)) == LARGE_EXPORT_SHA256[name]
+        assert len(helpers) == started + min(len(os.sched_getaffinity(0)) - 1, 1), name
+    assert pools == []
+
+
+def test_one_cpu_large_sheet_exports_are_byte_identical(large_sheet, monkeypatch, helpers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     digests = {name: sha256(text) for name, text in sheet_exports(large_sheet).items()}
     assert digests == LARGE_EXPORT_SHA256
-    assert pools == []  # a large export is formatted in this process too
+    assert helpers == []  # on one CPU every slab is formatted in this process
 
 
-def test_small_exports_start_no_pool(pools):
+def test_small_exports_start_no_pool(pools, helpers):
     circle, sheet = fixed_sheet(64, 8)
     exports = dict(sheet_exports(sheet), path_csv=ser.path_to_csv(circle))
     assert {name: sha256(text) for name, text in exports.items()} == EXPORT_SHA256
     assert pools == []
+    assert helpers == []  # a sheet of one block of fibers starts no helper
 
 
 @pytest.fixture(scope="module")

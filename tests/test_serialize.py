@@ -284,22 +284,40 @@ def test_blocks_of_fibers_match_the_per_element_writer():
     assert ser.sheet_to_obj(sheet) == ref_sheet_to_obj(sheet)
 
 
-def test_a_sheet_export_formats_one_block_of_fibers_per_call(monkeypatch):
+def test_a_sheet_export_formats_one_block_of_fibers_per_call(monkeypatch, tmp_path):
+    # the deferred slabs are formatted in this process and in the export
+    # helper, so every call appends its process and slab shape to one file
     sheet = sphere_sheet(256)
-    rows, shapes = ser._float_rows, []
-    monkeypatch.setattr(ser, "_float_rows", lambda a, *args: shapes.append(a.shape) or rows(a, *args))
+    rows, log = ser._float_rows, tmp_path / "slabs"
+
+    def logged(a, *args):
+        with open(log, "a") as fh:
+            fh.write("%d %d %d\n" % ((os.getpid(),) + a.shape))
+        return rows(a, *args)
+
+    def calls():
+        lines = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+        log.unlink()
+        return {line[0] for line in lines}, sorted(line[1:] for line in lines)
+
+    monkeypatch.setattr(ser, "_float_rows", logged)
+    both = min(2, len(os.sched_getaffinity(0)))
     ser.dumps(sheet.to_json())
     # points and velocities: five blocks each; s_nodes: one row. One call per
     # fiber made 131
+    processes, shapes = calls()
+    assert len(processes) == both
     assert len(shapes) <= 11
-    assert sorted(shapes) == sorted([(1, 65)] + 2 * ([(15 * 257, 3)] * 4 + [(5 * 257, 3)]))
-    shapes.clear()
+    assert shapes == sorted([(1, 65)] + 2 * ([(15 * 257, 3)] * 4 + [(5 * 257, 3)]))
     ser.sheet_to_obj(sheet)
-    assert shapes == [(15 * 257, 3)] * 4 + [(5 * 257, 3)]
+    processes, shapes = calls()
+    assert len(processes) == both
+    assert shapes == sorted([(15 * 257, 3)] * 4 + [(5 * 257, 3)])
 
 
 def test_failed_export_leaves_no_partial_file(tmp_path):
     sheet = sheets(mf.ManifoldSpec.sphere(1.0), SEED + 5)["S5"]
+    sheet.velocities.flags.writeable = True  # a sheet is read-only; this one is spoilt on purpose
     sheet.velocities[-1, -1, 0] = np.nan  # velocities are the last key written
     drawn = []
 
@@ -325,6 +343,7 @@ def test_failed_export_leaves_no_partial_file(tmp_path):
 
 def test_a_pooled_csv_export_stops_at_the_same_fiber():
     sheet = sphere_sheet(4096)  # 798,915 floats per rank-3 array
+    sheet.points.flags.writeable = True  # a sheet is read-only; this one is spoilt on purpose
     sheet.points[40, 7, 0] = np.nan
     pieces = []
     with pytest.raises(DomainError, match="cannot serialize NaN"):
@@ -385,7 +404,7 @@ def test_edge_values_format_as_percent_g(name):
     values = edge_values()
     a = np.array(values[: len(values) // 3 * 3]).reshape(-1, 3)
     assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
-    assert "".join(ser._rows(a[None], template, sep)) == per_value(a, template, sep)
+    assert "".join(ser._text(ser._rows(a[None], template, sep))) == per_value(a, template, sep)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -483,6 +502,7 @@ def test_dumps_rejects_non_finite_floats(bad, message, shape):
 def test_csv_and_obj_reject_non_finite_floats():
     spec = mf.ManifoldSpec.sphere(1.0)
     sheet = sheets(spec, SEED + 2)["S5"]
+    sheet.points.flags.writeable = True  # a sheet is read-only; this one is spoilt on purpose
     sheet.points[2, 3, 1] = np.nan
     for writer in (ser.sheet_to_csv, ser.sheet_to_obj):
         with pytest.raises(DomainError, match="NaN"):
