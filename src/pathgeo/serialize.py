@@ -25,16 +25,19 @@ deferred ``_float_rows`` call, and one function, ``_text``, turns that
 stream into the text pieces, in order. When the stream reaches a worldsheet
 array of more than one block of fibers (JSON ``points`` and
 ``velocities``, CSV rows, OBJ vertices) and this process may run on more
-than one CPU, ``_text`` forks one helper process, which formats every other
-slab from there on (an OBJ strip of faces is deferred as a slab is) and
-sends its bytes back through a pipe while this process formats the rest;
-the text is the same byte for byte. Check
+than one CPU, ``_text`` forks one helper process. From there on each slab
+(an OBJ strip of faces is deferred as a slab is) is formatted by the
+process that claims it first, about every other slab on two free CPUs and
+more of them on the freer one; the helper sends its bytes back through a
+pipe, and this process yields every piece in order. The text is the same
+byte for byte. Check
 reports, path and morphism records and a sheet of one block are formatted
 in the calling process, and so is everything on one CPU.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import fcntl
 import functools
@@ -42,6 +45,7 @@ import itertools
 import json
 import math
 import os
+import select
 import signal
 
 import numpy as np
@@ -227,9 +231,12 @@ _WIDE = object()
 _LENGTH = 8  # bytes of the length that comes before each slab the helper sends
 # the helper's pipe holds about four N = 4096 slabs of JSON, so the helper
 # formats on while this process has yet to read them; with the default 64 KB
-# it waits for each read, and an N = 4096 JSON export took 1.6 times as long
+# it waits for each read, and an N = 4096 JSON export took 1.2 times as long
 # (2 vCPUs)
 _PIPE_BYTES = 1 << 20
+# pieces this process holds, formatted, behind a slab the helper has yet to
+# send: about four slabs
+_AHEAD = 8
 
 
 def _text(pieces):
@@ -238,58 +245,112 @@ def _text(pieces):
     returns text, of ``_float_rows`` or of the faces of an OBJ strip.
 
     At the first ``_WIDE``, if this process may run on more than one CPU,
-    one helper process is forked. It inherits the state of the stream,
-    draws the same pieces and formats every other slab from there on (the
-    2nd, 4th, ...), sending the bytes of each through one pipe after their
-    length (``_help``). This process formats the other slabs and yields
-    every piece in order. The helper is killed and reaped when the stream
-    ends, fails or is closed; a helper that exits before it has sent a slab
-    this process needs is a ChildProcessError. Without a helper (one CPU,
-    no ``_WIDE``, or a failed fork) every slab is formatted here.
+    one helper process is forked. It inherits the state of the stream and
+    draws the same pieces (``_help``); from there on each slab is formatted
+    by the process that claims it first (``_shared``), so on two free CPUs
+    each formats about every other slab, and on one busy CPU the other
+    takes more. The helper sends the bytes of its slabs through one pipe,
+    each after its length, and this process yields every piece in order.
+    The helper is killed and reaped when the stream ends, fails or is
+    closed; a helper that exits before it has sent a slab it claimed is a
+    ChildProcessError. Without a helper (one CPU, no ``_WIDE``, or a failed
+    fork) every slab is formatted here.
     """
     pieces = iter(pieces)
-    helper, k = None, 0  # (pid, read end of its pipe); slabs since the fork
+    helper = None  # (pid, read end of its pipe, the claims file)
     try:
         for piece in pieces:
             if isinstance(piece, str):
                 yield piece
-            elif piece is _WIDE:
-                if helper is None and len(os.sched_getaffinity(0)) > 1:
-                    r, w = os.pipe()
-                    with contextlib.suppress(OSError):  # where the limit allows: slabs in flight
-                        fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        os.close(r)
-                        os.close(w)
-                        continue
-                    if not pid:
-                        _help(pieces, r, w)
-                    helper, k = (pid, os.fdopen(r, "rb")), 0
-                    os.close(w)
-            else:
-                k += 1
-                yield _received(helper[1]) if helper and k % 2 == 0 else piece()
+            elif piece is not _WIDE:
+                yield piece()
+            elif len(os.sched_getaffinity(0)) > 1:  # _shared draws the rest
+                claims = os.memfd_create("pathgeo-export-claims")
+                r, w = os.pipe()
+                with contextlib.suppress(OSError):  # where the limit allows: slabs in flight
+                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+                try:
+                    pid = os.fork()
+                except OSError:
+                    for fd in (claims, r, w):
+                        os.close(fd)
+                    continue
+                if not pid:
+                    _help(pieces, claims, r, w)
+                helper = (pid, r, claims)
+                os.close(w)
+                yield from _shared(pieces, r, claims)
     finally:
         if helper:
-            pid, fh = helper
-            fh.close()
+            pid, r, claims = helper
+            os.close(r)
+            os.close(claims)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 
 
-def _help(pieces, r, w):
-    """The helper of ``_text``, in the forked process: formats every other
-    deferred slab of ``pieces`` (the 2nd, 4th, ...) and writes each to the
-    pipe end ``w``. It never returns: it leaves by ``os._exit``, so no
-    buffer it inherited is flushed twice and no cleanup of its parent runs."""
+def _claim(claims, k):
+    """True if this process takes slab k (counted from the fork): the first
+    of the two that asks for it. The claims file holds the last slab taken;
+    ``lockf`` makes the test and the update one step, and the kernel lifts
+    the lock of a process that dies."""
+    fcntl.lockf(claims, fcntl.LOCK_EX)
+    try:
+        taken = int.from_bytes(os.pread(claims, _LENGTH, 0), "little") < k
+        if taken:
+            os.pwrite(claims, k.to_bytes(_LENGTH, "little"), 0)
+    finally:
+        fcntl.lockf(claims, fcntl.LOCK_UN)
+    return taken
+
+
+def _shared(pieces, r, claims):
+    """The text of the rest of ``pieces``, in order, while the helper draws
+    them too. This process formats the slabs it claims, and reads the
+    others from the pipe ``r`` in turn; while the next of those is not
+    there yet, it draws on and formats the slabs after it that it can
+    claim, holding at most ``_AHEAD`` pieces. A stream that fails yields
+    every piece before the failure first, as without the helper."""
+    queue, k = collections.deque(), 0  # text, or None for a slab the helper took
+    sent = select.poll()
+    sent.register(r, select.POLLIN)
+
+    def ready():
+        return queue and (queue[0] is not None or len(queue) > _AHEAD or sent.poll(0))
+
+    def first():
+        head = queue.popleft()
+        return _received(r) if head is None else head
+
+    try:
+        for piece in pieces:
+            if callable(piece):
+                k += 1
+                queue.append(piece() if _claim(claims, k) else None)
+            elif piece is not _WIDE:
+                queue.append(piece)
+            while ready():
+                yield first()
+    except Exception:
+        while queue:
+            yield first()
+        raise
+    while queue:
+        yield first()
+
+
+def _help(pieces, claims, r, w):
+    """The helper of ``_text``, in the forked process: formats each deferred
+    slab of ``pieces`` it claims first and writes its bytes to the pipe end
+    ``w``, after their length. It never returns: it leaves by ``os._exit``,
+    so no buffer it inherited is flushed twice and no cleanup of its parent
+    runs."""
     status = 1
     try:
         os.close(r)
         with os.fdopen(w, "wb") as out:
             for k, slab in enumerate((p for p in pieces if callable(p)), 1):
-                if k % 2 == 0:
+                if _claim(claims, k):
                     data = slab().encode()
                     out.write(len(data).to_bytes(_LENGTH, "little"))
                     out.write(data)
@@ -299,14 +360,21 @@ def _help(pieces, r, w):
         os._exit(status)
 
 
-def _received(fh):
-    """The text of the next slab the helper sent through ``fh``."""
-    head = fh.read(_LENGTH)
-    size = int.from_bytes(head, "little")
-    data = fh.read(size)
-    if len(head) + len(data) < _LENGTH + size:
-        raise ChildProcessError("the export helper exited before it sent a slab")
-    return data.decode()
+def _received(r):
+    """The text of the next slab the helper sent through the pipe ``r``."""
+    return _read(r, int.from_bytes(_read(r, _LENGTH), "little")).decode()
+
+
+def _read(fd, n):
+    """Exactly ``n`` bytes from the pipe ``fd``."""
+    data = bytearray(n)
+    view, got = memoryview(data), 0
+    while got < n:
+        more = os.readv(fd, [view[got:]])
+        if not more:
+            raise ChildProcessError("the export helper exited before it sent a slab")
+        got += more
+    return data
 
 
 def _rows(a, template, sep):
@@ -452,7 +520,7 @@ def sheet_to_csv(sheet):
 def sheet_obj_pieces(sheet):
     """Pieces of ``sheet_to_obj(sheet)``, one block of fibers (or one strip
     of faces) at a time. A strip of faces is deferred as a slab is, so the
-    export helper of a wide sheet writes every other strip too."""
+    export helper of a wide sheet shares the strips too."""
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     n = sheet.n_t_segments

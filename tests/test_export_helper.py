@@ -1,11 +1,13 @@
 """The export helper of ``serialize._text``: a process forked once per
-export of a worldsheet array of more than one block, which formats every
-other slab. It must not outlive its export, whether the export succeeds,
-fails, is closed early or loses the helper, and an export must read the
-same with it as without it."""
+export of a worldsheet array of more than one block, which formats the
+slabs it claims before this process does. It must not outlive its export,
+whether the export succeeds, fails, is closed early or loses the helper;
+an export must read the same with it as without it; and the process with
+the freer CPU must take more slabs."""
 
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -106,15 +108,46 @@ def test_reports_and_records_start_no_helper(report, clean_sheet, helpers):
     assert helpers == []
 
 
+def logged_rows(monkeypatch, log, paused):
+    """Makes every ``_float_rows`` call append its process id to ``log``,
+    after a pause of 20 ms in a process for which ``paused(pid)`` holds;
+    returns the reader of that log."""
+    rows = ser._float_rows
+
+    def logged(a, *args):
+        if paused(os.getpid()):
+            time.sleep(0.02)
+        with open(log, "a") as fh:
+            fh.write("%d\n" % os.getpid())
+        return rows(a, *args)
+
+    monkeypatch.setattr(ser, "_float_rows", logged)
+    return lambda: [int(line) for line in log.read_text().split()]
+
+
+@two_cpus
+@pytest.mark.parametrize("slow", ["parent", "helper"])
+def test_the_process_with_the_freer_cpu_formats_more_slabs(clean_sheet, monkeypatch, tmp_path, helpers, slow):
+    # each slab goes to the process that claims it first: a process slowed
+    # down (by a busy CPU, here by a pause) leaves most slabs to the other
+    text = ser.sheet_to_csv(clean_sheet)  # 65 fibers of 257 rows, a slab each
+    parent = os.getpid()
+    calls = logged_rows(monkeypatch, tmp_path / "slabs", lambda pid: (pid == parent) == (slow == "parent"))
+    assert ser.sheet_to_csv(clean_sheet) == text
+    pids = calls()
+    assert len(pids) == 65 and set(pids) == {parent, helpers[-1]}
+    slowed = pids.count(parent) if slow == "parent" else len(pids) - pids.count(parent)
+    assert slowed < 65 / 3
+
+
 @two_cpus
 def test_a_dead_helper_raises_instead_of_hanging(clean_sheet, tmp_path, monkeypatch, helpers, alarm):
-    parent, rows, calls = os.getpid(), ser._float_rows, []
+    parent, rows = os.getpid(), ser._float_rows
 
     def dies(a, *args):
         if os.getpid() != parent:
-            calls.append(a)
-            if len(calls) == 2:  # the helper's second slab
-                os._exit(3)
+            os._exit(3)  # the helper's first slab
+        time.sleep(0.02)  # so the helper claims a slab
         return rows(a, *args)
 
     monkeypatch.setattr(ser, "_float_rows", dies)
@@ -126,12 +159,17 @@ def test_a_dead_helper_raises_instead_of_hanging(clean_sheet, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize("fmt, array", [("json", "velocities"), ("csv", "points")])
-def test_a_nan_in_a_late_block_raises_the_in_process_error(sheet, helpers, one_cpu, alarm, fmt, array):
+def test_a_nan_in_a_late_block_raises_the_in_process_error(sheet, helpers, one_cpu, alarm, monkeypatch, tmp_path,
+                                                           fmt, array):
     # JSON checks a whole array before its first slab, and its velocities
-    # come after the points, so the helper is at work; CSV checks each fiber
+    # come after the points, so the helper is at work; CSV checks each
+    # fiber. The helper is slowed down, so this process has drawn past slabs
+    # the helper has yet to send when the stream fails: they come first
     values = getattr(sheet, array)
     values.flags.writeable = True  # a sheet is read-only; this one is spoilt on purpose
     values[-1, 5, 0] = np.nan
+    parent = os.getpid()
+    logged_rows(monkeypatch, tmp_path / "slabs", lambda pid: pid != parent)
 
     def failed_export():
         pieces = []

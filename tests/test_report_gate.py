@@ -122,7 +122,7 @@ def large_sheet():
 
 def test_large_sheet_exports_are_byte_identical(large_sheet, pools, helpers):
     # 65 blocks of one fiber: each export forks exactly one helper, which
-    # formats every other block
+    # formats the blocks it claims first
     for name, write in SHEET_WRITERS.items():
         started = len(helpers)
         assert sha256(write(large_sheet)) == LARGE_EXPORT_SHA256[name]
