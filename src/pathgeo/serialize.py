@@ -39,14 +39,11 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import fcntl
 import functools
 import itertools
 import json
 import math
 import os
-import select
-import signal
 
 import numpy as np
 
@@ -265,6 +262,11 @@ def _text(pieces):
             elif piece is not _WIDE:
                 yield piece()
             elif len(os.sched_getaffinity(0)) > 1:  # _shared draws the rest
+                # imported here, not at module level: ``import pathgeo``
+                # would load them (0.3 MB of peak RSS) in every command
+                import fcntl
+                import signal
+
                 claims = os.memfd_create("pathgeo-export-claims")
                 r, w = os.pipe()
                 with contextlib.suppress(OSError):  # where the limit allows: slabs in flight
@@ -294,13 +296,13 @@ def _claim(claims, k):
     of the two that asks for it. The claims file holds the last slab taken;
     ``lockf`` makes the test and the update one step, and the kernel lifts
     the lock of a process that dies."""
-    fcntl.lockf(claims, fcntl.LOCK_EX)
+    os.lockf(claims, os.F_LOCK, 0)
     try:
         taken = int.from_bytes(os.pread(claims, _LENGTH, 0), "little") < k
         if taken:
             os.pwrite(claims, k.to_bytes(_LENGTH, "little"), 0)
     finally:
-        fcntl.lockf(claims, fcntl.LOCK_UN)
+        os.lockf(claims, os.F_ULOCK, 0)
     return taken
 
 
@@ -311,6 +313,8 @@ def _shared(pieces, r, claims):
     there yet, it draws on and formats the slabs after it that it can
     claim, holding at most ``_AHEAD`` pieces. A stream that fails yields
     every piece before the failure first, as without the helper."""
+    import select  # as in _text
+
     queue, k = collections.deque(), 0  # text, or None for a slab the helper took
     sent = select.poll()
     sent.register(r, select.POLLIN)
