@@ -30,9 +30,9 @@ than one CPU, ``_text`` forks one helper process. From there on each slab
 process that claims it first, about every other slab on two free CPUs and
 more of them on the freer one; the helper sends its bytes back through a
 pipe, and this process yields every piece in order. The text is the same
-byte for byte. Check
-reports, path and morphism records and a sheet of one block are formatted
-in the calling process, and so is everything on one CPU.
+byte for byte. Check reports, path and morphism records and a sheet of one
+block are formatted in the calling process, and so is everything on one
+CPU.
 """
 
 from __future__ import annotations
