@@ -62,7 +62,8 @@ def alarm():
 
 @pytest.fixture
 def one_cpu(monkeypatch):
-    """Makes this process look as if it may run on one CPU only."""
+    """A function that makes this process look, from then on, as if it may
+    run on one CPU only."""
     def apply():
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     return apply
