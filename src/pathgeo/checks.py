@@ -98,14 +98,10 @@ def random_collared_field(gamma, rng, scale=0.3):
     spec = gamma.manifold
     n = gamma.n_segments
     comps = rng.standard_normal((n + 1, spec.point_dim))
-    head, tail = gamma.collar_masks()
-    k_head = int(np.sum(head))
-    k_tail = int(np.sum(tail))
+    k_head, k_tail = pth._collar_nodes(n, gamma.collar)  # each at least its end sample
     comps = spec.project_tangent(gamma.samples, comps)
-    if k_head:
-        comps[:k_head] = comps[k_head - 1]
-    if k_tail:
-        comps[-k_tail:] = comps[-k_tail]
+    comps[:k_head] = comps[k_head - 1]
+    comps[-k_tail:] = comps[-k_tail]
     peak = float(np.max(mf.norm(spec, gamma.samples, comps)))
     if peak > 0:
         comps = comps * (_speed_cap(spec, scale) / peak)

@@ -8,6 +8,7 @@ so joins stay smooth under the 2t reparametrization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,26 +32,17 @@ class DiscretePath:
         object.__setattr__(self, "samples", samples)
         if samples.ndim != 2 or samples.shape[1] != spec.point_dim:
             raise DomainError("samples must have shape (N+1, point_dim)")
-        spec.validate(samples, "sample %d")
         if self.n_segments < 2:
             raise DomainError("a path needs at least N = 2 segments")
         if not (0.0 <= self.collar < 0.5):
             raise DomainError("collar must lie in [0, 1/2)")
-        if self.collar > 0:
-            self._check_collar()
+        check_fibers(spec, samples, self.collar, "sample %d")
 
     def collar_masks(self):
         """Boolean masks of the grid nodes on the start and end collars."""
-        return _collar_masks(self.n_segments, self.collar)
-
-    def _check_collar(self):
-        head, tail = self.collar_masks()
-        head, tail = self.samples[head], self.samples[tail]
-        spec = self.manifold
-        if len(head) and np.max(mf.dist(spec, head, head[0])) > mf.COINCIDENCE_TOL:
-            raise DomainError("samples inside the start collar must coincide")
-        if len(tail) and np.max(mf.dist(spec, tail, tail[-1])) > mf.COINCIDENCE_TOL:
-            raise DomainError("samples inside the end collar must coincide")
+        n = self.n_segments
+        head, tail = _collar_nodes(n, self.collar)
+        return np.arange(n + 1) < head, np.arange(n + 1) > n - tail
 
     @property
     def n_segments(self):
@@ -97,14 +89,8 @@ class PathTangentField:
         object.__setattr__(self, "components", comps)
         if comps.shape != self.base.samples.shape:
             raise DomainError("field shape must match the base path grid")
-        self.base.manifold.check_tangent(self.base.samples, comps, "field at sample %d")
-        if self.base.collar > 0:
-            head, tail = self.base.collar_masks()
-            head, tail = comps[head], comps[tail]
-            if len(head) and np.max(np.abs(head - head[0])) > mf.COINCIDENCE_TOL:
-                raise DomainError("field must be constant on the start collar")
-            if len(tail) and np.max(np.abs(tail - tail[-1])) > mf.COINCIDENCE_TOL:
-                raise DomainError("field must be constant on the end collar")
+        base = self.base
+        check_fibers(base.manifold, base.samples, base.collar, vectors=comps, vector_label="field at sample %d")
 
     @property
     def manifold(self):
@@ -122,11 +108,62 @@ class PathTangentField:
         return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
 
 
-def _collar_masks(n, collar):
-    """Boolean masks of the nodes of the uniform n-segment grid on the start
-    and end collars of width ``collar``."""
-    t = np.arange(n + 1) / n
-    return t <= collar + 1e-12, t >= 1.0 - collar - 1e-12
+def _collar_nodes(n, collar):
+    """The one collar rule: node i of the uniform n-segment grid is on the
+    start collar of width ``collar`` when i/n <= collar + 1e-12, and on the
+    end collar when i/n >= 1 - collar - 1e-12. Returns how many nodes each
+    collar holds, its end sample included. Counted in O(1): i/n grows with
+    i, and each collar's last (first) node is within one of its estimate."""
+    head_t, tail_t = collar + 1e-12, 1.0 - collar - 1e-12
+    k, m = int(head_t * n), math.ceil(tail_t * n)
+    last = max(i for i in (k - 1, k, k + 1) if i >= 0 and i / n <= head_t)
+    first = min(i for i in (m - 1, m, m + 1) if i / n >= tail_t)
+    return last + 1, n + 1 - first
+
+
+def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=None):
+    """The one node check of paths, fields and worldsheets. ``x`` holds
+    wrapped points (..., N+1, d), one fiber per leading index, each a path
+    with collars of width ``collar``. With ``point_label`` the points lie on
+    the manifold (``validate``) and, on each collar, coincide with its end
+    sample. The ``vectors`` (the shape of ``x``), if given, are tangent at
+    their points (``check_tangent``) and, on each collar, equal to the one
+    at its end sample. Both within ``COINCIDENCE_TOL``. DomainError names
+    the first failing node through ``point_label`` or ``vector_label``:
+    ``sample %d`` for a path, ``node (s=%d, t=%d)`` for a block of fibers.
+    Both collars are tested in one reduction over the whole block; the
+    per-node mask is built only on failure."""
+    if point_label:
+        spec.validate(x, point_label)
+    if vectors is not None:
+        spec.check_tangent(x, vectors, vector_label)
+    if not collar > 0:
+        return
+    n = x.shape[-2] - 1
+    head, tail = _collar_nodes(n, collar)
+    # the nodes of both collars, the end collar's counted back from -1 (node
+    # n), and the end sample each must match (itself for the end samples)
+    nodes = np.arange(-tail, head)
+    ends = n * (nodes < 0)
+    if point_label:
+        near = mf.dist(spec, x.take(nodes, axis=-2), x.take(ends, axis=-2)) <= mf.COINCIDENCE_TOL
+        if not near.all():
+            _collar_fault(near, nodes, n, head, point_label, "does not coincide with")
+    if vectors is not None:
+        near = np.abs(vectors.take(nodes, axis=-2) - vectors.take(ends, axis=-2)) <= mf.COINCIDENCE_TOL
+        if not near.all():
+            _collar_fault(near.all(axis=-1), nodes, n, head, vector_label, "differs from the one at")
+
+
+def _collar_fault(near, nodes, n, head, label, how):
+    """DomainError naming the first node that is False in ``near``, a test
+    over fibers and their collar ``nodes`` (indices into 0..n): on the start
+    collar (the nodes before ``head``) if one fails there, else on the end
+    collar."""
+    ok = np.ones(near.shape[:-1] + (n + 1,), dtype=bool)
+    ok[..., nodes] = near
+    mf.check_nodes(ok[..., :head], label, "is in the start collar but %s t=0" % how)
+    mf.check_nodes(ok, label, "is in the end collar but %s t=%d" % (how, n))
 
 
 def node_gaps(first, second):
@@ -229,11 +266,11 @@ def concatenate(gamma1, gamma2):
     if gamma1.collar <= 0 or gamma2.collar <= 0:
         raise DomainError("concatenation needs positive collars on both paths")
     samples = np.concatenate([gamma1.samples, gamma2.samples[1:]])
-    # collar width in node counts survives (1e-9 absorbs the rounding of
-    # collar * n); re-express it on the joint grid
+    # the collars keep their segments (``_collar_nodes``), re-expressed on
+    # the joint grid
     n1, n2 = gamma1.n_segments, gamma2.n_segments
-    head = np.floor(gamma1.collar * n1 + 1e-9)
-    tail = np.floor(gamma2.collar * n2 + 1e-9)
+    head = _collar_nodes(n1, gamma1.collar)[0] - 1
+    tail = _collar_nodes(n2, gamma2.collar)[1] - 1
     collar = min(head, tail, (n1 + n2) / 2 - 1) / (n1 + n2)
     return DiscretePath(spec, samples, collar)
 

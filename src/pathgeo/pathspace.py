@@ -17,9 +17,9 @@ from . import path as pth
 from .manifold import DomainError, NormalNeighborhoodError
 from .path import DiscretePath, PathTangentField
 
-# nodes per block of whole fibers: the sheet kernels (build_sheet,
-# transverse_residual), the sheet checks (_check_nodes) and the export of a
-# sheet's 3-d arrays (serialize._rows)
+# nodes per block of whole fibers (``_blocks``), the one block rule of the
+# sheet kernels (build_sheet, transverse_residual), the sheet checks
+# (_check_nodes) and the export of a sheet's 3-d arrays (serialize._fibers)
 _BLOCK_NODES = 4096
 
 
@@ -29,13 +29,14 @@ class Worldsheet:
     velocity at every node; each slice at fixed s is a path with the
     sheet's collar.
 
-    A sheet is checked once, where it is built: its grid, and then what
-    each slice's ``DiscretePath`` and the ``PathTangentField`` of its
-    velocities would check, one block of whole fibers at a time
-    (``_check_nodes``). So ``slice_path`` and ``slice_field`` check nothing
-    again, and an error names the failing node (s=j, t=i). The sheet holds
-    ``s_nodes``, ``points`` and ``velocities`` as read-only views of the
-    arrays it was given, so what it checked cannot change under it.
+    A sheet is checked once, where it is built: its grid, and then its
+    points and velocities by the check of each slice's ``DiscretePath`` and
+    ``PathTangentField`` (``path.check_fibers``), one block of whole fibers
+    at a time (``_check_nodes``). So ``slice_path`` and ``slice_field``
+    check nothing again, and an error names the failing node (s=j, t=i).
+    The sheet holds ``s_nodes``, ``points`` and ``velocities`` as read-only
+    views of the arrays it was given, so what it checked cannot change
+    under it.
     """
 
     manifold: mf.ManifoldSpec
@@ -106,79 +107,44 @@ class Worldsheet:
 
 
 def _check_nodes(sheet, vectors, label, points=False):
-    """What the slices of ``sheet`` would check in their constructors,
-    checked once over the sheet. ``vectors``, one per node, are tangent
-    and, on each collar, equal to the vector at its end sample
-    (``PathTangentField``). With ``points``, the sheet's points are checked
-    too: they lie on the manifold and, on each collar, coincide with its
-    end sample (``DiscretePath``). Both within ``COINCIDENCE_TOL``, at the
-    wrapped points a slice holds. DomainError names the first failing node
-    through ``label``, or ``node (s=%d, t=%d)`` for a point.
+    """The check of the slices of ``sheet`` (``path.check_fibers``), run
+    once over the sheet, one block of whole fibers at a time (``_blocks``).
+    ``vectors``, one per node, are checked as the ``PathTangentField`` of
+    each slice would check them, named through ``label``; with ``points``,
+    the sheet's points are checked too, as each slice's ``DiscretePath``
+    would, named ``node (s=%d, t=%d)``. A failing block is checked again
+    with all the fibers before it, which pass, so the error names the same
+    node by its s in the whole sheet."""
+    spec = sheet.manifold
+    point_label = "node (s=%d, t=%d)" if points else None
 
-    Nodes are checked in blocks of whole fibers of at most ``_BLOCK_NODES``
-    nodes, collars in blocks of at most ``_BLOCK_NODES`` collar nodes; a
-    block is one fiber where a fiber holds more.
-    """
-    spec, n = sheet.manifold, sheet.n_t_segments
-    node = "node (s=%d, t=%d)"
-
-    def on_grid(block):
+    def check(block):
         x = spec.wrap(sheet.points[block])
-        if points:
-            spec.validate(x, node)
-        spec.check_tangent(x, vectors[block], label)
+        pth.check_fibers(spec, x, sheet.collar, point_label, vectors[block], label)
 
-    _in_blocks(sheet, n + 1, on_grid)
-    if not sheet.collar > 0:
-        return
-    head, tail = (int(np.sum(mask)) for mask in pth._collar_masks(n, sheet.collar))
-    # the nodes of each collar but its end sample, which they must match
-    collars = [("start", slice(1, head), 0), ("end", slice(n + 1 - tail, n), n)]
-
-    def on_collars(block):
-        x, v = sheet.points[block], vectors[block]
-        for name, nodes, end in collars:
-            why = "is in the %s collar but %%s t=%d" % (name, end)
-            if points:
-                gaps = mf.dist(spec, spec.wrap(x[:, nodes]), spec.wrap(x[:, end, None]))
-                _all_near(gaps <= mf.COINCIDENCE_TOL, nodes, n, node, why % "does not coincide with")
-            near = (np.abs(v[:, nodes] - v[:, end, None]) <= mf.COINCIDENCE_TOL).all(axis=-1)
-            _all_near(near, nodes, n, label, why % "differs from the one at")
-
-    _in_blocks(sheet, head + tail, on_collars)
-
-
-def _all_near(near, nodes, n, label, why):
-    """DomainError naming the first node (s, t) of ``near``, a mask over a
-    block of fibers and their collar nodes ``nodes`` (a slice of 0..n),
-    that is False."""
-    if not near.all():
-        ok = np.ones((len(near), n + 1), dtype=bool)
-        ok[:, nodes] = near
-        mf.check_nodes(ok, label, why)
-
-
-def _in_blocks(sheet, width, check):
-    """``check(block)`` for each block of the sheet's fibers (a slice along
-    s) that spans at most ``_BLOCK_NODES // width`` fibers, or one. A check
-    names its first failing node through ``mf.check_nodes``; a failing
-    block is checked again with all the fibers before it, which pass, so
-    the error names the same node by its s in the whole sheet."""
-    step = max(1, _BLOCK_NODES // width)
-    for j in range(0, len(sheet.s_nodes), step):
+    for block in _blocks(0, len(sheet.s_nodes), sheet.n_t_segments + 1):
         try:
-            check(slice(j, j + step))
+            check(block)
         except DomainError:
-            check(slice(0, j + step))
+            check(slice(0, block.stop))
             raise
+
+
+def _blocks(start, stop, width):
+    """The blocks of the fibers start .. stop-1 of ``width`` nodes each, as
+    slices along s: each of at most ``_BLOCK_NODES`` nodes, or of one fiber
+    where a fiber holds more."""
+    step = max(1, _BLOCK_NODES // width)
+    return [slice(j, min(j + step, stop)) for j in range(start, stop, step)]
 
 
 def _slice(sheet, j, vectors=None):
     """The slice of ``sheet`` at s_j as a DiscretePath, or with ``vectors``
     the PathTangentField of them on it. Its samples are a wrapped copy, as
     ``DiscretePath`` makes them, but neither constructor runs: the sheet
-    checked its points and velocities once (``_check_nodes``), and
-    ``pathspace_transport`` checks what it transports the same way."""
+    checked its points and velocities once, by the constructors' own check
+    (``_check_nodes``), and ``pathspace_transport`` checks what it
+    transports the same way."""
     spec = sheet.manifold
     path = object.__new__(DiscretePath)
     vars(path).update(manifold=spec, samples=spec.wrap(sheet.points[j].copy()), collar=sheet.collar)
@@ -213,12 +179,12 @@ def l2_metric(gamma, field1, field2):
 def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     """Geodesic worldsheet from raw seed arrays; fibers evolve independently.
 
-    Evaluates the closed-form geodesic flow per node, one block of
-    ``max(1, _BLOCK_NODES // (N + 1))`` fibers at a time, into arrays
-    allocated up front; every flow kernel is elementwise per node, so the
-    blocks give the same bits as one call over the whole sheet. Nodes at
-    s = 0 reproduce the seed bitwise. Its RK4 oracle, which integrates the
-    fibers node to node, lives in the tests (``tests/oracles.py``).
+    Evaluates the closed-form geodesic flow per node, one block of fibers
+    (``_blocks``) at a time, into arrays allocated up front; every flow
+    kernel is elementwise per node, so the blocks give the same bits as one
+    call over the whole sheet. Nodes at s = 0 reproduce the seed bitwise.
+    Its RK4 oracle, which integrates the fibers node to node, lives in the
+    tests (``tests/oracles.py``).
     """
     s_nodes = np.asarray(s_nodes, dtype=float)
     samples = np.asarray(samples, dtype=float)
@@ -229,9 +195,7 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     # blocks bound the flow's temporaries: over a whole N = 4096, S = 64
     # sheet they are about eight 6.4 MB arrays, which set the peak RSS; a
     # block's are about 100 KB, so they come from the heap and are reused
-    step = max(1, _BLOCK_NODES // len(samples))
-    for j in range(0, len(s_nodes), step):
-        block = slice(j, j + step)
+    for block in _blocks(0, len(s_nodes), len(samples)):
         points[block], vels[block] = mf.flow(spec, samples[None], vcomps[None], s_nodes[block, None])
     at_zero = s_nodes == 0.0
     points[at_zero] = samples
@@ -376,10 +340,9 @@ def transverse_residual(sheet):
     spec = sheet.manifold
     h = np.diff(sheet.s_nodes)[:, None, None]
     p, v = sheet.points, sheet.velocities
-    step = max(1, _BLOCK_NODES // p.shape[1])
     worst = []
-    for j in range(1, S, step):
-        k = min(j + step, S)
+    for block in _blocks(1, S, p.shape[1]):
+        j, k = block.start, block.stop
         h1, h2 = h[j - 1 : k - 1], h[j:k]  # s-spacings behind and ahead of each node
         acc = spec.chart_diff(p[j + 1 : k + 1], p[j:k]) * (2.0 / (h2 * (h1 + h2)))
         acc += spec.chart_diff(p[j - 1 : k - 1], p[j:k]) * (2.0 / (h1 * (h1 + h2)))

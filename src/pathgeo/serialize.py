@@ -8,9 +8,9 @@ formatter, ``_rows``, writes every float array: each 2-d slab goes through
 the text of one %-format call of a repeated row template (JSON, CSV or OBJ
 vertex), after one finiteness check per array (per fiber for a sheet's CSV
 rows). A worldsheet's 3-d arrays (JSON ``points`` and ``velocities``, OBJ
-vertices) are formatted one block of ``max(1, _BLOCK_NODES // (N + 1))``
-whole fibers per call, the blocks of ``pathspace.build_sheet``. A scalar
-is formatted by ``format_float``, and OBJ face indices by ``%d``.
+vertices) are formatted one block of whole fibers per call, the blocks of
+``pathspace.build_sheet`` (``pathspace._blocks``). A scalar is formatted
+by ``format_float``, and OBJ face indices by ``%d``.
 
 Each format is one generator of text pieces (``json_pieces``,
 ``path_csv_pieces``, ``sheet_csv_pieces``, ``sheet_obj_pieces``) that
@@ -51,7 +51,7 @@ from . import category as cat
 from . import manifold as mf
 from .manifold import DomainError
 from .path import DiscretePath, PathTangentField
-from .pathspace import _BLOCK_NODES
+from .pathspace import _blocks
 
 _FLOAT = "%.17g"
 
@@ -394,18 +394,17 @@ def _rows(a, template, sep):
 def _fibers(a, template, sep, fiber_sep):
     """Pieces of the rows of the fibers (2-d slabs along axis 0) of a
     nonempty 3-d float array ``a``, rows joined by ``sep`` and fibers by
-    ``fiber_sep``: one deferred slab per block of ``max(1, _BLOCK_NODES //
-    m)`` whole fibers of m rows, after ``_WIDE`` if there is more than one
-    block."""
+    ``fiber_sep``: one deferred slab per block of whole fibers of m rows
+    (``_blocks``), after ``_WIDE`` if there is more than one block."""
     m, cols = a.shape[1:]
-    step = max(1, _BLOCK_NODES // m)
+    blocks = _blocks(0, len(a), m)
     fiber = None if fiber_sep == sep else (m, fiber_sep)
-    if len(a) > step:
+    if len(blocks) > 1:
         yield _WIDE
-    for j in range(0, len(a), step):
-        if j:
+    for k, block in enumerate(blocks):
+        if k:
             yield fiber_sep
-        yield functools.partial(_float_rows, a[j : j + step].reshape(-1, cols), template, sep, fiber)
+        yield functools.partial(_float_rows, a[block].reshape(-1, cols), template, sep, fiber)
 
 
 def _json_floats(a):
@@ -512,7 +511,7 @@ def sheet_csv_pieces(sheet):
     t = np.arange(n + 1) / n
     fibers = (np.column_stack([np.full(n + 1, s), t, x]) for s, x in zip(sheet.s_nodes, sheet.points))
     # a sheet of more than one block of fibers is wide, as in ``_fibers``
-    wide = len(sheet.s_nodes) > max(1, _BLOCK_NODES // (n + 1))
+    wide = len(_blocks(0, len(sheet.s_nodes), n + 1)) > 1
     return _text(itertools.chain([_WIDE] * wide, _csv(["s", "t"], sheet.manifold.point_dim, fibers)))
 
 

@@ -109,6 +109,34 @@ def test_concatenate_requires_matching_endpoints_and_collars():
         pth.concatenate(flat_a, b)
 
 
+def test_concatenate_counts_collar_nodes_by_the_collar_rule():
+    # a collar just under one segment holds node 0 only; counted as
+    # floor(collar * n + 1e-9) it held node 1 too, and the joint path's
+    # moving node 1 failed its own collar check
+    spec = mf.ManifoldSpec.euclidean(2)
+    collar = (1 - 1e-10) / 16
+    a = pth.DiscretePath(spec, np.linspace([0, 0], [1, 0], 17), collar)
+    b = pth.DiscretePath(spec, np.linspace([1, 0], [2, 0], 17), collar)
+    assert a.collar_masks()[0].sum() == 1
+    joined = pth.concatenate(a, b)
+    assert joined.collar == 0.0
+    assert np.array_equal(joined.samples, np.concatenate([a.samples, b.samples[1:]]))
+
+
+def test_collar_node_counts_follow_the_float_rule():
+    # the O(1) counts against the rule tested on every node, at collars on
+    # and next to grid nodes: t_i <= collar + 1e-12, t_i >= 1 - collar - 1e-12
+    for n in [2, 3, 7, 16, 17, 31, 64, 100, 255, 4096]:
+        t = np.arange(n + 1) / n
+        for k in range(n // 2 + 1):
+            c = k / n
+            near = (np.nextafter(c, 0), np.nextafter(c, 1), c + 1e-12, c - 1e-12, c - 1.0001e-12, c - 0.9999e-12)
+            for collar in (c,) + near:
+                if 0 <= collar < 0.5:
+                    want = (int(np.sum(t <= collar + 1e-12)), int(np.sum(t >= 1.0 - collar - 1e-12)))
+                    assert pth._collar_nodes(n, collar) == want, (n, collar)
+
+
 def test_concatenate_energy_scales_by_two():
     # running each half at double speed doubles the total energy of one half
     spec = mf.ManifoldSpec.euclidean(2)
@@ -121,7 +149,7 @@ def test_concatenate_energy_scales_by_two():
 def test_collar_validation():
     spec = mf.ManifoldSpec.euclidean(2)
     pts = np.linspace([0, 0], [1, 0], 17)
-    with pytest.raises(mf.DomainError):
+    with pytest.raises(mf.DomainError, match="^sample 1 is in the start collar but does not coincide with t=0$"):
         pth.DiscretePath(spec, pts, 0.25)  # moving samples inside the collar
     with pytest.raises(mf.DomainError):
         pth.DiscretePath(spec, pts, 0.6)  # collar too wide
@@ -173,7 +201,8 @@ def test_field_collar_constancy_enforced():
     spec = mf.ManifoldSpec.euclidean(2)
     gamma = pth.make_line(spec, [0, 0], [1, 0], n=32, collar=1.0 / 8)
     comps = np.outer(np.linspace(0, 1, 33), [1.0, 0.0])
-    with pytest.raises(mf.DomainError):
+    needle = "^field at sample 1 is in the start collar but differs from the one at t=0$"
+    with pytest.raises(mf.DomainError, match=needle):
         pth.PathTangentField(gamma, comps)
 
 

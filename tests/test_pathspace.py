@@ -406,6 +406,67 @@ def test_a_sheet_whose_slice_leaves_its_collar_is_rejected(fault, needle):
     assert str(err.value) == needle
 
 
+# each fault, the manifolds it applies to, and the reason a check gives
+FIBER_FAULTS = [
+    ("nan point", ["euclidean", "sphere", "hyperbolic_half_plane", "flat_torus"], "is not finite"),
+    ("off manifold", ["sphere"], "is off the sphere (|x| != radius)"),
+    ("off manifold", ["hyperbolic_half_plane"], "needs y > 0"),
+    ("collar point", ["euclidean", "sphere", "hyperbolic_half_plane", "flat_torus"],
+     "is in the %s collar but does not coincide with t=%d"),
+    ("nan vector", ["euclidean", "sphere", "hyperbolic_half_plane", "flat_torus"], "is not finite"),
+    ("collar vector", ["euclidean", "sphere", "hyperbolic_half_plane", "flat_torus"],
+     "is in the %s collar but differs from the one at t=%d"),
+    ("not tangent", ["sphere"], "is not tangent to the sphere"),
+]
+
+
+# the last node of the start collar (t <= 2) and the first of the end collar (t >= 30)
+@pytest.mark.parametrize("i", [2, 30], ids=["t2", "t30"])
+@pytest.mark.parametrize(
+    "name, fault, why",
+    [
+        pytest.param(name, fault, why, id="%s-%s" % (name, fault.replace(" ", "-")))
+        for fault, names, why in FIBER_FAULTS
+        for name in names
+    ],
+)
+def test_a_fiber_fails_alike_as_a_path_and_as_a_sheet_fiber(name, fault, why, i):
+    # paths, fields and sheets share one node check (path.check_fibers): a
+    # bad node i of a fiber names sample i of the path or field, and node
+    # (s=j, t=i) of the sheet whose fiber j it is, for the same reason
+    spec = checks.builtin_manifolds()[name]
+    rng = np.random.default_rng(SEED + 13)
+    gamma = checks.random_collared_path(spec, rng, n=32)
+    field = checks.random_collared_field(gamma, rng)
+    x, v = gamma.samples.copy(), field.components.copy()
+    if fault == "nan point":
+        x[i, 0] = np.nan
+    elif fault == "off manifold":
+        x[i] = 1.5 * x[i] if name == "sphere" else x[i] * [1.0, -1.0]
+    elif fault == "collar point":  # a ramp node, with its own tangent vector
+        x[i], v[i] = x[16], v[16]
+    elif fault == "nan vector":
+        v[i, -1] = np.nan
+    elif fault == "collar vector":
+        v[i] *= 1.001
+    else:
+        v[i] = x[i]
+    if "%" in why:
+        why = why % (("start", 0) if i < 16 else ("end", 32))
+    on_points = fault in ("nan point", "off manifold", "collar point")
+    with pytest.raises(mf.DomainError) as as_path:
+        pth.PathTangentField(pth.DiscretePath(spec, x, gamma.collar), v)
+    label = "sample %d" if on_points else "field at sample %d"
+    assert str(as_path.value) == "%s %s" % (label % i, why)
+    j = 2
+    points, velocities = np.stack([gamma.samples] * 4), np.stack([field.components] * 4)
+    points[j], velocities[j] = x, v
+    with pytest.raises(mf.DomainError) as as_sheet:
+        ps.Worldsheet(spec, np.arange(4.0), points, velocities, gamma.collar)
+    label = "node (s=%d, t=%d)" if on_points else "velocity at node (s=%d, t=%d)"
+    assert str(as_sheet.value) == "%s %s" % (label % (j, i), why)
+
+
 def transport_sheet(monkeypatch, fault):
     """A collared sphere sheet (N = 32, S = 8) and the field to transport,
     with ``spec.transport`` returning one bad vector at node (s=3, t=7)

@@ -1,9 +1,20 @@
-"""``pathspace._slice`` builds a slice of a worldsheet without the checks of
+"""Guards on the package source for the decisions that one function owns.
+
+``pathspace._slice`` builds a slice of a worldsheet without the checks of
 the ``DiscretePath`` and ``PathTangentField`` constructors. That is sound
-only where the sheet-level checks (``pathspace._check_nodes``) have covered
-the slice: a ``Worldsheet`` checks its own points and velocities, and
-``pathspace_transport`` checks what it transports. This test reads the
-package source and fails if any other function calls ``_slice``."""
+only where the sheet runs the constructors' own node check
+(``path.check_fibers``) over the slice, which ``pathspace._check_nodes``
+does: a ``Worldsheet`` checks its own points and velocities, and
+``pathspace_transport`` checks what it transports. So only those
+constructors and ``_check_nodes`` call ``check_fibers``, and only the
+slice methods and the transport call ``_slice``.
+
+The block of fibers the sheet kernels, the sheet checks and the export
+work on is decided in one function, ``pathspace._blocks``, the only
+reader of ``_BLOCK_NODES``.
+
+These tests read the package source and fail if another function calls
+or reads one of these names."""
 
 import ast
 from pathlib import Path
@@ -11,34 +22,86 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pathgeo"
 
 
-def callers(tree, name):
-    """The enclosing function of every call of ``name`` or ``x.name``."""
+def owners(tree, match):
+    """The owner of every node for which ``match(node)`` holds: its
+    module-level function, or ``Class.method``; a function nested in
+    either counts as it, and module level is None."""
     found = []
 
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            owner = node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (isinstance(func, ast.Name) and func.id == name) or (
-                isinstance(func, ast.Attribute) and func.attr == name
-            ):
-                found.append(owner)
+    def visit(node, owner, scope):
+        if owner is None and isinstance(node, ast.ClassDef):
+            scope = node.name + "."
+        elif owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = scope + node.name
+        if match(node):
+            found.append(owner)
         for child in ast.iter_child_nodes(node):
-            visit(child, owner)
+            visit(child, owner, scope)
 
-    visit(tree, None)
+    visit(tree, None, "")
+    return found
+
+
+def callers(tree, name):
+    """The owner of every call of ``name`` or ``x.name``."""
+
+    def is_call(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return (isinstance(func, ast.Name) and func.id == name) or (
+            isinstance(func, ast.Attribute) and func.attr == name
+        )
+
+    return owners(tree, is_call)
+
+
+def readers(tree, name):
+    """The owner of every read or import of ``name`` or ``x.name``."""
+
+    def reads(node):
+        if isinstance(node, ast.Name):
+            return node.id == name and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Attribute):
+            return node.attr == name
+        return isinstance(node, ast.ImportFrom) and any(alias.name == name for alias in node.names)
+
+    return owners(tree, reads)
+
+
+def package_owners(find, name):
+    """{file name: owners} of ``find(tree, name)`` over the package source."""
+    found = {}
+    for source in sorted(PACKAGE.glob("*.py")):
+        for owner in find(ast.parse(source.read_text()), name):
+            found.setdefault(source.name, set()).add(owner)
     return found
 
 
 def test_the_guard_sees_a_call():
     tree = ast.parse("def f(s):\n    return [_slice(s, j) for j in range(3)] + [ps._slice(s, 0)]\n")
     assert callers(tree, "_slice") == ["f", "f"]
+    tree = ast.parse("class C:\n    def m(self):\n        def g():\n            return _slice(self, 0)\n")
+    assert callers(tree, "_slice") == ["C.m"]
+
+
+def test_the_guard_sees_a_read():
+    tree = ast.parse("from .a import N\nN = 4\ndef f():\n    return N + a.N\ndef g():\n    N = 2\n")
+    assert readers(tree, "N") == [None, "f", "f"]
 
 
 def test_only_the_slice_methods_and_the_transport_build_unchecked_slices():
-    found = {}
-    for source in sorted(PACKAGE.glob("*.py")):
-        for owner in callers(ast.parse(source.read_text()), "_slice"):
-            found.setdefault(source.name, set()).add(owner)
-    assert found == {"pathspace.py": {"slice_path", "slice_field", "pathspace_transport"}}
+    assert package_owners(callers, "_slice") == {
+        "pathspace.py": {"Worldsheet.slice_path", "Worldsheet.slice_field", "pathspace_transport"}
+    }
+
+
+def test_only_the_path_and_field_constructors_and_the_sheet_check_run_the_node_check():
+    assert package_owners(callers, "check_fibers") == {
+        "path.py": {"DiscretePath.__post_init__", "PathTangentField.__post_init__"},
+        "pathspace.py": {"_check_nodes"},
+    }
+
+
+def test_only_the_block_helper_reads_the_block_size():
+    assert package_owners(readers, "_BLOCK_NODES") == {"pathspace.py": {"_blocks"}}
