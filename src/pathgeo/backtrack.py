@@ -220,7 +220,7 @@ def canonical_form(gamma, tol=DETECT_TOL, n=None):
     """
     mf._require_tol(tol)
     spec = gamma.manifold
-    n = gamma.n_segments if n is None else n
+    n = gamma.n_segments if n is None else mf.as_integer("n", n)
     keep, _ = _reduce(spec, gamma.samples, tol)
     if len(keep) == 1:
         return pth.make_constant_path(gamma.start(), n)
@@ -268,7 +268,7 @@ def field_canonical_form(field, n=None):
     """
     gamma = field.base
     spec, samples, comps = gamma.manifold, gamma.samples, field.components
-    n_out = gamma.n_segments if n is None else n
+    n_out = gamma.n_segments if n is None else mf.as_integer("n", n)
     keep, (i, j) = _reduce(spec, samples, DETECT_TOL)
     moved = spec.transport(samples[j], samples[i], comps[j])
     bad = np.flatnonzero(np.max(np.abs(comps[i] - moved), axis=-1) > DETECT_TOL)

@@ -60,6 +60,7 @@ class GeodObject:
 
     def __post_init__(self):
         mf._check_same_base(self.point, self.vector)
+        object.__setattr__(self, "time", mf.as_number("time", self.time, finite=True))
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,7 @@ class GeodMorphism2:
 def morphism1(path, field, time):
     """The 1-morphism of ``field`` at ``time``; ``field`` must be based on ``path``."""
     _composing(ps._check_field_on, path, field)
-    return GeodMorphism1(field, float(time))
+    return GeodMorphism1(field, mf.as_number("time", time, finite=True))
 
 
 def identity1(obj, n=pth.DEFAULT_GRID):

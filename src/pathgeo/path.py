@@ -34,15 +34,7 @@ class DiscretePath:
             raise DomainError("samples must have shape (N+1, point_dim)")
         if self.n_segments < 2:
             raise DomainError("a path needs at least N = 2 segments")
-        if not (0.0 <= self.collar < 0.5):
-            raise DomainError("collar must lie in [0, 1/2)")
         check_fibers(spec, samples, self.collar, "sample %d")
-
-    def collar_masks(self):
-        """Boolean masks of the grid nodes on the start and end collars."""
-        n = self.n_segments
-        head, tail = _collar_nodes(n, self.collar)
-        return np.arange(n + 1) < head, np.arange(n + 1) > n - tail
 
     @property
     def n_segments(self):
@@ -124,15 +116,20 @@ def _collar_nodes(n, collar):
 def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=None):
     """The one node check of paths, fields and worldsheets. ``x`` holds
     wrapped points (..., N+1, d), one fiber per leading index, each a path
-    with collars of width ``collar``. With ``point_label`` the points lie on
-    the manifold (``validate``) and, on each collar, coincide with its end
-    sample. The ``vectors`` (the shape of ``x``), if given, are tangent at
-    their points (``check_tangent``) and, on each collar, equal to the one
-    at its end sample. Both within ``COINCIDENCE_TOL``. DomainError names
-    the first failing node through ``point_label`` or ``vector_label``:
-    ``sample %d`` for a path, ``node (s=%d, t=%d)`` for a block of fibers.
-    Both collars are tested in one reduction over the whole block; the
-    per-node mask is built only on failure."""
+    with collars of width ``collar``, which must lie in [0, 1/2) (the one
+    collar range rule). With ``point_label`` the points lie on the manifold
+    (``validate``) and, on each collar, coincide with its end sample. The
+    ``vectors`` (the shape of ``x``), if given, are tangent at their points
+    (``check_tangent``) and, on each collar, equal to the one at its end
+    sample. Both within ``COINCIDENCE_TOL``. DomainError names the first
+    failing node through ``point_label`` or ``vector_label``: ``sample %d``
+    for a path, ``node (s=%d, t=%d)`` for a worldsheet, checked in one call
+    over all its fibers. Each test runs over every fiber before the next
+    test starts, so among several faults the first test's is named. Both
+    collars are tested in one reduction over all the fibers; the per-node
+    mask is built only on failure."""
+    if not (0.0 <= collar < 0.5):
+        raise DomainError("collar must lie in [0, 1/2)")
     if point_label:
         spec.validate(x, point_label)
     if vectors is not None:
@@ -211,7 +208,8 @@ def evaluate_many(gamma, ts):
     Each chord read off the grid must lie within the injectivity radius
     (``segment_lengths``); the chords it does not read are not checked."""
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts < -1e-12) or np.any(ts > 1 + 1e-12):
+    # written so that a NaN fails it too
+    if not np.all((ts >= -1e-12) & (ts <= 1 + 1e-12)):
         raise DomainError("parameter outside [0, 1]")
     spec, samples, n = gamma.manifold, gamma.samples, gamma.n_segments
     u = np.clip(ts, 0.0, 1.0) * n
@@ -231,6 +229,7 @@ def evaluate(gamma, t):
 
 def resample(gamma, n, collar=None):
     """The same path re-sampled on a uniform n-grid."""
+    n = mf.as_integer("n", n)
     pts = evaluate_many(gamma, np.arange(n + 1) / n)
     return DiscretePath(gamma.manifold, pts, gamma.collar if collar is None else collar)
 

@@ -18,8 +18,10 @@ from .manifold import DomainError, NormalNeighborhoodError
 from .path import DiscretePath, PathTangentField
 
 # nodes per block of whole fibers (``_blocks``), the one block rule of the
-# sheet kernels (build_sheet, transverse_residual), the sheet checks
-# (_check_nodes) and the export of a sheet's 3-d arrays (serialize._fibers)
+# sheet kernels whose d-vector temporaries it bounds (build_sheet,
+# transverse_residual) and of the export of a sheet's 3-d arrays
+# (serialize._fibers, serialize.sheet_csv_pieces). The node check needs no
+# blocks: its temporaries are per-node scalars and masks
 _BLOCK_NODES = 4096
 
 
@@ -31,9 +33,9 @@ class Worldsheet:
 
     A sheet is checked once, where it is built: its grid, and then its
     points and velocities by the check of each slice's ``DiscretePath`` and
-    ``PathTangentField`` (``path.check_fibers``), one block of whole fibers
-    at a time (``_check_nodes``). So ``slice_path`` and ``slice_field``
-    check nothing again, and an error names the failing node (s=j, t=i).
+    ``PathTangentField`` (``path.check_fibers``), in one call over all its
+    fibers. So ``slice_path`` and ``slice_field`` check nothing again, and
+    an error names the failing node (s=j, t=i).
     The sheet holds ``s_nodes``, ``points`` and ``velocities`` as read-only
     views of the arrays it was given, so what it checked cannot change
     under it.
@@ -60,9 +62,9 @@ class Worldsheet:
             raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
         if shape != self.velocities.shape:
             raise DomainError("points and velocities must share a grid")
-        if not (0.0 <= self.collar < 0.5):
-            raise DomainError("collar must lie in [0, 1/2)")
-        _check_nodes(self, self.velocities, "velocity at node (s=%d, t=%d)", points=True)
+        spec = self.manifold
+        pth.check_fibers(spec, spec.wrap(self.points), self.collar, "node (s=%d, t=%d)",
+                         self.velocities, "velocity at node (s=%d, t=%d)")
 
     @property
     def interval(self):
@@ -106,30 +108,6 @@ class Worldsheet:
         )
 
 
-def _check_nodes(sheet, vectors, label, points=False):
-    """The check of the slices of ``sheet`` (``path.check_fibers``), run
-    once over the sheet, one block of whole fibers at a time (``_blocks``).
-    ``vectors``, one per node, are checked as the ``PathTangentField`` of
-    each slice would check them, named through ``label``; with ``points``,
-    the sheet's points are checked too, as each slice's ``DiscretePath``
-    would, named ``node (s=%d, t=%d)``. A failing block is checked again
-    with all the fibers before it, which pass, so the error names the same
-    node by its s in the whole sheet."""
-    spec = sheet.manifold
-    point_label = "node (s=%d, t=%d)" if points else None
-
-    def check(block):
-        x = spec.wrap(sheet.points[block])
-        pth.check_fibers(spec, x, sheet.collar, point_label, vectors[block], label)
-
-    for block in _blocks(0, len(sheet.s_nodes), sheet.n_t_segments + 1):
-        try:
-            check(block)
-        except DomainError:
-            check(slice(0, block.stop))
-            raise
-
-
 def _blocks(start, stop, width):
     """The blocks of the fibers start .. stop-1 of ``width`` nodes each, as
     slices along s: each of at most ``_BLOCK_NODES`` nodes, or of one fiber
@@ -143,7 +121,7 @@ def _slice(sheet, j, vectors=None):
     the PathTangentField of them on it. Its samples are a wrapped copy, as
     ``DiscretePath`` makes them, but neither constructor runs: the sheet
     checked its points and velocities once, by the constructors' own check
-    (``_check_nodes``), and ``pathspace_transport`` checks what it
+    (``path.check_fibers``), and ``pathspace_transport`` checks what it
     transports the same way."""
     spec = sheet.manifold
     path = object.__new__(DiscretePath)
@@ -234,13 +212,14 @@ def pathspace_transport(sheet, field):
 
     ``field`` must be based on the first longitudinal slice; returns one
     PathTangentField per s node. The transported vectors are checked once
-    over the sheet, in blocks of fibers, as each field's constructor would
-    check them: tangent, and constant on the collars. Preserves the L2 norm
-    up to rounding.
+    over the sheet, as each field's constructor would check them: tangent,
+    and constant on the collars. Preserves the L2 norm up to rounding.
     """
     _check_field_on(_slice(sheet, 0), field)
-    out = mf.transport_along(sheet.manifold, sheet.points, field.components)
-    _check_nodes(sheet, out, "transported field at node (s=%d, t=%d)")
+    spec = sheet.manifold
+    out = mf.transport_along(spec, sheet.points, field.components)
+    pth.check_fibers(spec, spec.wrap(sheet.points), sheet.collar,
+                     vectors=out, vector_label="transported field at node (s=%d, t=%d)")
     return [_slice(sheet, j, X) for j, X in enumerate(out)]
 
 

@@ -570,7 +570,7 @@ def morphism1_from_json(obj):
         raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
-    return cat.GeodMorphism1(field, mf.as_number("time", obj["time"]))
+    return cat.GeodMorphism1(field, mf.as_number("time", obj["time"], finite=True))
 
 
 def morphism2_to_json(F):

@@ -482,6 +482,18 @@ def test_a_bad_tolerance_is_rejected(call, tol):
         call(abcba_path(), tol)
 
 
+@pytest.mark.parametrize("n", [2.0, 0, True], ids=repr)
+@pytest.mark.parametrize(
+    "call", [bt.canonical_form, lambda gamma, n: bt.field_canonical_form(pth.make_zero_field(gamma), n)],
+    ids=["canonical_form", "field_canonical_form"],
+)
+def test_a_canonical_grid_size_that_is_not_a_positive_integer_is_rejected(call, n):
+    # an injective path, so the grid size reaches the reparametrization
+    gamma = pth.make_line(mf.ManifoldSpec.euclidean(2), [0, 0], [1, 0], n=8)
+    with pytest.raises(mf.DomainError, match=r"^n must be an integer >= 1 \(got %r\)$" % n):
+        call(gamma, n=n)
+
+
 def test_window_validation():
     with pytest.raises(mf.DomainError):
         bt.BackTrackWindow(-1, 1)

@@ -232,6 +232,28 @@ def test_object_validation():
         cat.GeodObject(p, v, 0.0)
 
 
+def time_label_calls():
+    """Each place a time label enters, as a function of the label's JSON text."""
+    m = triple(mf.ManifoldSpec.euclidean(2), SEED + 30)[0]
+    record = ser.morphism1_to_json(m)
+    return {
+        "morphism1": lambda text: cat.morphism1(m.path, m.field, ser.loads(text)),
+        "morphism1_from_json": lambda text: ser.morphism1_from_json(
+            dict(record, time=ser.loads('{"time": %s}' % text)["time"])
+        ),
+        "GeodObject": lambda text: cat.GeodObject(m.path.start(), m.field.vector(0), ser.loads(text)),
+    }
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("entry", list(time_label_calls()))
+def test_a_time_label_that_is_not_finite_is_rejected(entry, text):
+    # a NaN label composed with nothing, not even itself, and failed only
+    # when its morphism was exported
+    with pytest.raises(mf.DomainError, match=r"^time must be a finite number \(got "):
+        time_label_calls()[entry](text)
+
+
 # ---------------------------------------------------------------------------
 # node-wise comparison: one manifold and one grid, or a CompositionError
 # ---------------------------------------------------------------------------

@@ -739,7 +739,7 @@ def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
     else:
         records = [ser.morphism1_to_json(m) for m in (m2, m1)]
         records[0]["time"] = "0"
-        argv, needle = _compose_argv(tmp_path, records), "time must be a number (got '0')"
+        argv, needle = _compose_argv(tmp_path, records), "time must be a finite number (got '0')"
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,32 @@ def test_resample_identity_on_same_grid():
     assert np.array_equal(again.samples, gamma.samples)
 
 
+def nan_parameter_calls():
+    """Each entry point that reads a parameter off the grid, given a NaN."""
+    gamma = pth.make_line(mf.ManifoldSpec.euclidean(2), [0, 0], [1, 0], n=16)
+    nan = float("nan")
+    return {
+        "evaluate": lambda: pth.evaluate(gamma, nan),
+        "evaluate_many": lambda: pth.evaluate_many(gamma, [0.0, nan, 1.0]),
+        "reparametrize": lambda: pth.reparametrize(gamma, [0.0, 0.5, nan]),
+    }
+
+
+@pytest.mark.parametrize("entry", list(nan_parameter_calls()))
+def test_a_nan_parameter_is_outside_the_interval(entry):
+    # NaN failed both one-sided tests, and reached an array index as -2**63
+    with pytest.raises(mf.DomainError, match=r"^parameter outside \[0, 1\]$"):
+        nan_parameter_calls()[entry]()
+
+
+@pytest.mark.parametrize("n", [0, 2.0, True], ids=repr)
+def test_resample_rejects_a_grid_size_that_is_not_a_positive_integer(n):
+    # n = 0 divided by zero on its way to the same array index as a NaN
+    gamma = pth.make_line(mf.ManifoldSpec.euclidean(2), [0, 0], [1, 0], n=16)
+    with pytest.raises(mf.DomainError, match=r"^n must be an integer >= 1 \(got %s\)$" % re.escape(repr(n))):
+        pth.resample(gamma, n)
+
+
 def test_reverse_is_involution():
     spec = mf.ManifoldSpec.flat_torus([1.0, 2.0])
     rng = np.random.default_rng(SEED + 2)
@@ -117,7 +144,7 @@ def test_concatenate_counts_collar_nodes_by_the_collar_rule():
     collar = (1 - 1e-10) / 16
     a = pth.DiscretePath(spec, np.linspace([0, 0], [1, 0], 17), collar)
     b = pth.DiscretePath(spec, np.linspace([1, 0], [2, 0], 17), collar)
-    assert a.collar_masks()[0].sum() == 1
+    assert pth._collar_nodes(a.n_segments, a.collar)[0] == 1
     joined = pth.concatenate(a, b)
     assert joined.collar == 0.0
     assert np.array_equal(joined.samples, np.concatenate([a.samples, b.samples[1:]]))
@@ -257,10 +284,10 @@ def test_a_collar_plateau_costs_few_dist_calls(monkeypatch):
     monkeypatch.setattr(mf, "dist", lambda *args: calls.append(1) or dist(*args))
     field = pth.make_normal_field(gamma, 0.5)
     assert len(calls) <= 40
-    head, tail = gamma.collar_masks()
+    head, tail = pth._collar_nodes(gamma.n_segments, gamma.collar)
     # a plateau's partner is the first sample past it
-    assert np.array_equal(field.components[head], np.tile(field.components[0], (head.sum(), 1)))
-    assert np.array_equal(field.components[tail], np.tile(field.components[-1], (tail.sum(), 1)))
+    assert np.array_equal(field.components[:head], np.tile(field.components[0], (head, 1)))
+    assert np.array_equal(field.components[-tail:], np.tile(field.components[-1], (tail, 1)))
 
 
 def test_worst_node_names_the_largest_gap():

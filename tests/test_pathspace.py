@@ -362,6 +362,34 @@ def test_a_wide_sheet_names_its_first_bad_node(wide_sphere_sheet, fault, needle)
         ps.Worldsheet(sheet.manifold, sheet.s_nodes, x, v, sheet.collar)
 
 
+def test_a_wide_sheet_and_its_transport_each_check_their_nodes_in_one_call(wide_sphere_sheet, monkeypatch):
+    # checked one block of fibers at a time, an N = 4096, S = 64 sheet made
+    # 65 calls, one a fiber
+    sheet, field = wide_sphere_sheet, wide_sphere_sheet.slice_field(0)
+    check, calls = pth.check_fibers, []
+    monkeypatch.setattr(pth, "check_fibers", lambda spec, x, *a, **kw: calls.append(x.shape) or check(spec, x, *a, **kw))
+    ps.Worldsheet(sheet.manifold, sheet.s_nodes, sheet.points, sheet.velocities, sheet.collar)
+    assert calls == [sheet.points.shape]
+    calls.clear()
+    ps.pathspace_transport(sheet, field)
+    assert calls == [sheet.points.shape]
+
+
+@pytest.mark.parametrize("n", [32, 4096])
+def test_a_sheet_names_its_faults_in_the_order_of_the_node_check_at_every_n(n):
+    # the node check runs each test over the whole sheet: a point off the
+    # sphere at a later fiber is named before a collar fault at an earlier
+    # one. Checked one fiber at a time, the N = 4096 sheet named the collar
+    gamma, field = collared_circle_and_field(n=n)
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 4)
+    x, v = sheet.points.copy(), sheet.velocities.copy()
+    x[1, 1], v[1, 1] = x[1, n // 2], v[1, n // 2]
+    x[3, n // 2] *= 1.5
+    with pytest.raises(mf.DomainError) as err:
+        ps.Worldsheet(sheet.manifold, sheet.s_nodes, x, v, sheet.collar)
+    assert str(err.value) == "node (s=3, t=%d) is off the sphere (|x| != radius)" % (n // 2)
+
+
 def test_transport_names_the_antipodal_node_of_a_sheet():
     spec = mf.ManifoldSpec.sphere(1.0)
     gamma = pth.make_great_circle_arc(spec, [1, 0, 0], [0, 1, 0], n=8, collar=0.0)
@@ -562,8 +590,8 @@ def wide_fields(spec, rng, n=4096):
     gamma = checks.random_collared_path(spec, rng, n=n)
     moving = checks.random_collared_field(gamma, rng)
     comps = moving.components.copy()
-    head, tail = gamma.collar_masks()
-    comps[head | tail] = 0.0
+    head, tail = pth._collar_nodes(gamma.n_segments, gamma.collar)
+    comps[:head] = comps[-tail:] = 0.0
     return gamma, [moving, pth.PathTangentField(gamma, comps)]
 
 
@@ -641,10 +669,11 @@ def traced_peak(fn, *args):
 
 
 @pytest.mark.parametrize("name", ["sphere", "hyperbolic_half_plane"])
-def test_a_wide_sheet_is_built_and_checked_in_blocks(name):
-    # one whole-sheet broadcast peaked at 3.2x (sphere) and 5.0x (half
-    # plane) the sheet's own bytes, its residual at 2.4x and 1.5x; in
-    # blocks they read 1.5x and 1.1x, and 0.04x
+def test_a_wide_sheet_is_built_in_blocks(name):
+    # one whole-sheet broadcast of the flow peaked at 3.2x (sphere) and 5.0x
+    # (half plane) the sheet's own bytes, its residual at 2.4x and 1.5x; in
+    # blocks, with the node check in one call over the whole sheet, they
+    # read 1.5x and 1.25x, and 0.04x
     spec = checks.builtin_manifolds()[name]
     gamma, (field, _) = wide_fields(spec, np.random.default_rng(SEED + 12))
     peak, sheet = traced_peak(ps.pathspace_geodesic, gamma, field, (0.0, 1.0), 64)

@@ -3,15 +3,17 @@
 ``pathspace._slice`` builds a slice of a worldsheet without the checks of
 the ``DiscretePath`` and ``PathTangentField`` constructors. That is sound
 only where the sheet runs the constructors' own node check
-(``path.check_fibers``) over the slice, which ``pathspace._check_nodes``
-does: a ``Worldsheet`` checks its own points and velocities, and
-``pathspace_transport`` checks what it transports. So only those
-constructors and ``_check_nodes`` call ``check_fibers``, and only the
-slice methods and the transport call ``_slice``.
+(``path.check_fibers``) over the slice: a ``Worldsheet`` checks its own
+points and velocities, and ``pathspace_transport`` checks what it
+transports, each in one call over the whole sheet. So only those
+constructors, the sheet and the transport call ``check_fibers``, only the
+slice methods and the transport call ``_slice``, and the collar range is
+spelled once, in ``check_fibers``.
 
-The block of fibers the sheet kernels, the sheet checks and the export
-work on is decided in one function, ``pathspace._blocks``, the only
-reader of ``_BLOCK_NODES``.
+The block of fibers the sheet kernels and the export work on is decided
+in one function, ``pathspace._blocks``, the only reader of
+``_BLOCK_NODES``. Blocks bound the d-vector temporaries of a kernel and
+the text of an export; the node check needs none.
 
 These tests read the package source and fail if another function calls
 or reads one of these names."""
@@ -99,7 +101,36 @@ def test_only_the_slice_methods_and_the_transport_build_unchecked_slices():
 def test_only_the_path_and_field_constructors_and_the_sheet_check_run_the_node_check():
     assert package_owners(callers, "check_fibers") == {
         "path.py": {"DiscretePath.__post_init__", "PathTangentField.__post_init__"},
-        "pathspace.py": {"_check_nodes"},
+        "pathspace.py": {"Worldsheet.__post_init__", "pathspace_transport"},
+    }
+
+
+def test_the_sheet_and_the_transport_each_check_their_nodes_in_one_call():
+    # each call is a statement of its function's own body: no loop, try or
+    # nested function runs it per block
+    tree = ast.parse((PACKAGE / "pathspace.py").read_text())
+    direct = [
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for stmt in func.body
+        if isinstance(stmt, ast.Expr) and callers(stmt, "check_fibers")
+    ]
+    assert sorted(direct) == ["__post_init__", "pathspace_transport"]
+    assert len(callers(tree, "check_fibers")) == 2
+
+
+def test_the_collar_range_is_spelled_once_in_the_node_check():
+    rule = "collar must lie in [0, 1/2)"
+    assert sum(source.read_text().count(rule) for source in PACKAGE.glob("*.py")) == 1
+    tree = ast.parse((PACKAGE / "path.py").read_text())
+    assert owners(tree, lambda node: isinstance(node, ast.Constant) and node.value == rule) == ["check_fibers"]
+
+
+def test_only_the_sheet_kernels_and_the_export_work_in_blocks():
+    assert package_owners(callers, "_blocks") == {
+        "pathspace.py": {"build_sheet", "transverse_residual"},
+        "serialize.py": {"_fibers", "sheet_csv_pieces"},
     }
 
 
