@@ -209,7 +209,7 @@ def _prop_minimizing(spec, rng, cases, n=64):
         bump = np.sin(np.pi * np.linspace(0, 1, len(sheet.s_nodes)))[:, None, None]
         noise = 0.05 * rng.standard_normal(sheet.points.shape) * bump
         pts = spec.retract(sheet.points + noise)
-        perturbed = ps.sheet_from_grid(spec, sheet.s_nodes, pts)
+        perturbed = ps.sheet_from_grid(spec, sheet.interval, pts)
         worst = max(worst, dtilde - ps.sheet_length(perturbed))
     return worst
 

@@ -179,8 +179,8 @@ def _write(outdir, filename, pieces):
 
 def _emit_report(args, filename, report):
     text = ser.dumps(report)
+    sys.stdout.write(text)  # first, so a file that cannot be written loses no report
     written = _write(args.out, filename, [text])
-    sys.stdout.write(text)
     if written:
         print("wrote %s" % written, file=sys.stderr)
 
@@ -387,7 +387,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GeometryError as err:
+    except (GeometryError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 1
 

@@ -131,6 +131,17 @@ def _check_finite(a, label):
         check_nodes(finite.all(axis=-1), label, "is not finite")
 
 
+def held(a):
+    """``a`` as a read-only float view: the one way a checked value (point,
+    vector, path, field, worldsheet) holds an array. The view copies nothing
+    that is already a float array, and the caller's array keeps its flags;
+    a write through the holder raises, so what was checked cannot change
+    under it."""
+    view = np.asarray(a, dtype=float).view()
+    view.flags.writeable = False
+    return view
+
+
 def as_integer(label, value):
     """``value`` as an int; DomainError naming ``label`` unless it is an
     integer >= 1. The one integer rule: an int or numpy integer, while a
@@ -627,7 +638,7 @@ class ManifoldPoint:
                 "expected %d coordinates, got shape %r" % (spec.point_dim, coords.shape)
             )
         spec.validate(coords, "point")
-        object.__setattr__(self, "coords", spec.wrap(coords))
+        object.__setattr__(self, "coords", held(spec.wrap(coords)))
 
 
 @dataclass(frozen=True)
@@ -636,7 +647,7 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
+        comps = held(self.components)
         object.__setattr__(self, "components", comps)
         spec = self.base.manifold
         if comps.shape != (spec.point_dim,):

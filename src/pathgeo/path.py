@@ -28,13 +28,13 @@ class DiscretePath:
 
     def __post_init__(self):
         spec = self.manifold
-        samples = spec.wrap(np.asarray(self.samples, dtype=float))
-        object.__setattr__(self, "samples", samples)
+        samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 2 or samples.shape[1] != spec.point_dim:
             raise DomainError("samples must have shape (N+1, point_dim)")
+        object.__setattr__(self, "samples", mf.held(spec.wrap(samples)))
         if self.n_segments < 2:
             raise DomainError("a path needs at least N = 2 segments")
-        check_fibers(spec, samples, self.collar, "sample %d")
+        check_fibers(spec, self.samples, self.collar, "sample %d")
 
     @property
     def n_segments(self):
@@ -77,7 +77,7 @@ class PathTangentField:
     components: np.ndarray  # (N+1, d)
 
     def __post_init__(self):
-        comps = np.asarray(self.components, dtype=float)
+        comps = mf.held(self.components)
         object.__setattr__(self, "components", comps)
         if comps.shape != self.base.samples.shape:
             raise DomainError("field shape must match the base path grid")
@@ -114,20 +114,22 @@ def _collar_nodes(n, collar):
 
 
 def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=None):
-    """The one node check of paths, fields and worldsheets. ``x`` holds
-    wrapped points (..., N+1, d), one fiber per leading index, each a path
-    with collars of width ``collar``, which must lie in [0, 1/2) (the one
-    collar range rule). With ``point_label`` the points lie on the manifold
-    (``validate``) and, on each collar, coincide with its end sample. The
-    ``vectors`` (the shape of ``x``), if given, are tangent at their points
-    (``check_tangent``) and, on each collar, equal to the one at its end
-    sample. Both within ``COINCIDENCE_TOL``. DomainError names the first
-    failing node through ``point_label`` or ``vector_label``: ``sample %d``
-    for a path, ``node (s=%d, t=%d)`` for a worldsheet, checked in one call
-    over all its fibers. Each test runs over every fiber before the next
-    test starts, so among several faults the first test's is named. Both
-    collars are tested in one reduction over all the fibers; the per-node
-    mask is built only on failure."""
+    """The one node check of paths, fields and worldsheets. ``x`` holds the
+    points (..., N+1, d) as their holder keeps them, wrapped once by its
+    constructor, one fiber per leading index, each a path with collars of
+    width ``collar``, which must be a number (``as_number``) in [0, 1/2)
+    (the one collar range rule). With ``point_label`` the points lie on the
+    manifold (``validate``) and, on each collar, coincide with its end
+    sample. The ``vectors`` (the shape of ``x``), if given, are tangent at
+    their points (``check_tangent``) and, on each collar, equal to the one
+    at its end sample. Both within ``COINCIDENCE_TOL``. DomainError names
+    the first failing node through ``point_label`` or ``vector_label``:
+    ``sample %d`` for a path, ``node (s=%d, t=%d)`` for a worldsheet,
+    checked in one call over all its fibers. Each test runs over every
+    fiber before the next test starts, so among several faults the first
+    test's is named. Both collars are tested in one reduction over all the
+    fibers; the per-node mask is built only on failure."""
+    collar = mf.as_number("collar", collar)
     if not (0.0 <= collar < 0.5):
         raise DomainError("collar must lie in [0, 1/2)")
     if point_label:

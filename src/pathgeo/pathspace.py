@@ -36,9 +36,11 @@ class Worldsheet:
     ``PathTangentField`` (``path.check_fibers``), in one call over all its
     fibers. So ``slice_path`` and ``slice_field`` check nothing again, and
     an error names the failing node (s=j, t=i).
-    The sheet holds ``s_nodes``, ``points`` and ``velocities`` as read-only
-    views of the arrays it was given, so what it checked cannot change
-    under it.
+    The sheet wraps its points once, as ``DiscretePath`` wraps its samples,
+    and holds ``s_nodes``, ``points`` and ``velocities`` read-only
+    (``manifold.held``): views of the arrays it was given, the points a
+    wrapped copy on the flat torus. So what it checked cannot change under
+    it, and nothing downstream wraps again.
     """
 
     manifold: mf.ManifoldSpec
@@ -48,22 +50,17 @@ class Worldsheet:
     collar: float = 0.0
 
     def __post_init__(self):
-        for name in ("s_nodes", "points", "velocities"):
-            # a read-only view: the caller's array keeps its flags, and a
-            # write through the sheet cannot reach the slices unchecked
-            view = np.asarray(getattr(self, name), dtype=float).view()
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
-        s = self.s_nodes
+        spec = self.manifold
+        s, points, velocities = (np.asarray(a, dtype=float) for a in (self.s_nodes, self.points, self.velocities))
         if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
             raise DomainError("s_nodes must be one or more finite, strictly increasing numbers")
-        shape = self.points.shape
-        if len(shape) != 3 or shape[::2] != (len(s), self.manifold.point_dim) or shape[1] < 3:
+        shape = points.shape
+        if len(shape) != 3 or shape[::2] != (len(s), spec.point_dim) or shape[1] < 3:
             raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
-        if shape != self.velocities.shape:
+        if shape != velocities.shape:
             raise DomainError("points and velocities must share a grid")
-        spec = self.manifold
-        pth.check_fibers(spec, spec.wrap(self.points), self.collar, "node (s=%d, t=%d)",
+        vars(self).update(s_nodes=mf.held(s), points=mf.held(spec.wrap(points)), velocities=mf.held(velocities))
+        pth.check_fibers(spec, self.points, self.collar, "node (s=%d, t=%d)",
                          self.velocities, "velocity at node (s=%d, t=%d)")
 
     @property
@@ -118,18 +115,19 @@ def _blocks(start, stop, width):
 
 def _slice(sheet, j, vectors=None):
     """The slice of ``sheet`` at s_j as a DiscretePath, or with ``vectors``
-    the PathTangentField of them on it. Its samples are a wrapped copy, as
-    ``DiscretePath`` makes them, but neither constructor runs: the sheet
+    the PathTangentField of them on it, both held read-only as the
+    constructors hold them. Neither constructor runs: the sheet wrapped and
     checked its points and velocities once, by the constructors' own check
     (``path.check_fibers``), and ``pathspace_transport`` checks what it
     transports the same way."""
-    spec = sheet.manifold
     path = object.__new__(DiscretePath)
-    vars(path).update(manifold=spec, samples=spec.wrap(sheet.points[j].copy()), collar=sheet.collar)
+    # a copy of the one fiber, not a view: a view would keep the whole sheet
+    # in memory for as long as any of its slices lives
+    vars(path).update(manifold=sheet.manifold, samples=mf.held(sheet.points[j].copy()), collar=sheet.collar)
     if vectors is None:
         return path
     field = object.__new__(PathTangentField)
-    vars(field).update(base=path, components=vectors)
+    vars(field).update(base=path, components=mf.held(vectors))
     return field
 
 
@@ -211,14 +209,16 @@ def pathspace_transport(sheet, field):
     """Parallel transport of a tangent field along the sheet, fiber by fiber.
 
     ``field`` must be based on the first longitudinal slice; returns one
-    PathTangentField per s node. The transported vectors are checked once
-    over the sheet, as each field's constructor would check them: tangent,
-    and constant on the collars. Preserves the L2 norm up to rounding.
+    PathTangentField per s node, each held read-only (``_slice``). The
+    transported vectors are checked once over the sheet, as each field's
+    constructor would check them: tangent at the sheet's points, which the
+    sheet wrapped when it was built, and constant on the collars. Preserves
+    the L2 norm up to rounding.
     """
     _check_field_on(_slice(sheet, 0), field)
     spec = sheet.manifold
     out = mf.transport_along(spec, sheet.points, field.components)
-    pth.check_fibers(spec, spec.wrap(sheet.points), sheet.collar,
+    pth.check_fibers(spec, sheet.points, sheet.collar,
                      vectors=out, vector_label="transported field at node (s=%d, t=%d)")
     return [_slice(sheet, j, X) for j, X in enumerate(out)]
 
@@ -295,17 +295,18 @@ def connecting_geodesic(gamma1, gamma2, S=64):
 # ---------------------------------------------------------------------------
 
 
-def sheet_from_grid(spec, s_nodes, points, collar=0.0):
-    """Worldsheet from a raw point grid; velocities by finite differences in s.
+def sheet_from_grid(spec, interval, points, collar=0.0):
+    """Worldsheet from a raw point grid on S+1 uniform s-nodes over the
+    interval (``s_grid``, S + 1 = len(points)); velocities by finite
+    differences in s, one node step apart.
 
     For perturbed (non-geodesic) sheets used in minimization experiments.
     """
-    s_nodes = np.asarray(s_nodes, dtype=float)
     points = np.asarray(points, dtype=float)
-    S = len(s_nodes) - 1
-    if S < 1:
+    s_nodes = s_grid(interval, len(points) - 1)
+    if len(s_nodes) < 2:
         raise DomainError("need at least two s nodes")
-    vels = pth.log_velocity(spec, points, (s_nodes[-1] - s_nodes[0]) / S)
+    vels = pth.log_velocity(spec, points, (s_nodes[-1] - s_nodes[0]) / (len(s_nodes) - 1))
     return Worldsheet(spec, s_nodes, points, vels, collar)
 
 

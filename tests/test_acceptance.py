@@ -128,7 +128,7 @@ def test_criterion_5_minimizing_property():
                 pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
             elif spec.kind == mf.HALF_PLANE:
                 pts[..., 1] = np.maximum(pts[..., 1], 0.05)
-            perturbed = ps.sheet_from_grid(spec, sheet.s_nodes, pts)
+            perturbed = ps.sheet_from_grid(spec, sheet.interval, pts)
             worst = max(worst, dtilde - ps.sheet_length(perturbed))
     ok = worst <= 1e-4
     _report(5, ok, "worst undercut %.3g over 100 perturbations" % worst)

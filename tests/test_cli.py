@@ -333,6 +333,24 @@ def test_check_rejects_a_bad_seed_or_cases(capsys, flag, value, message):
     assert out.err == "error: %s\n" % message and out.out == ""
 
 
+@pytest.mark.parametrize("command", ["worldsheet", "check"])
+def test_output_that_cannot_be_written_is_an_error(tmp_path, capsys, command):
+    # --out naming a regular file ended in a FileExistsError traceback; the
+    # check report is still written to stdout, before the file
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    argv = {
+        "worldsheet": ["worldsheet", "--config", flat_config(tmp_path), "--path", "base", "--field", "up"],
+        "check": ["check", "--suite", "manifold", "--cases", "1"],
+    }[command]
+    assert cli.main(argv + ["--out", str(blocker)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: [Errno 17] File exists: ") and out.err.count("\n") == 1
+    assert str(blocker) in out.err
+    if command == "check":
+        assert json.loads(out.out)["passed"]
+
+
 def test_check_requires_suite():
     with pytest.raises(SystemExit) as exc:
         cli.main(["check"])

@@ -182,6 +182,28 @@ def test_collar_validation():
         pth.DiscretePath(spec, pts, 0.6)  # collar too wide
 
 
+@pytest.mark.parametrize("collar", ["0.1", None, True], ids=repr)
+def test_a_collar_that_is_not_a_number_is_named(collar):
+    # it raised TypeError ('<=' not supported) from the collar range test
+    spec = mf.ManifoldSpec.euclidean(2)
+    gamma = pth.make_line(spec, [0, 0], [1, 0], n=16)
+    needle = r"^collar must be a number \(got %s\)$" % re.escape(repr(collar))
+    with pytest.raises(mf.DomainError, match=needle):
+        pth.DiscretePath(spec, gamma.samples, collar)
+    points = np.stack([gamma.samples] * 3)
+    with pytest.raises(mf.DomainError, match=needle):
+        Worldsheet(spec, np.arange(3.0), points, np.zeros_like(points), collar)
+
+
+def test_a_torus_path_of_the_wrong_dimension_is_named_before_it_is_wrapped():
+    # wrapping first broadcast the samples against the circumferences: ValueError
+    spec = mf.ManifoldSpec.flat_torus([1.0, 2.0])
+    with pytest.raises(mf.DomainError, match=r"^samples must have shape \(N\+1, point_dim\)$"):
+        pth.DiscretePath(spec, np.zeros((5, 3)))
+    with pytest.raises(mf.DomainError, match=r"^points must have shape \(S\+1, N\+1, point_dim\)"):
+        Worldsheet(spec, np.arange(2.0), np.zeros((2, 5, 3)), np.zeros((2, 5, 3)))
+
+
 def test_field_validation():
     spec = mf.ManifoldSpec.sphere(1.0)
     gamma = pth.make_great_circle_arc(spec, [1, 0, 0], [0, 1, 0], n=16, collar=0.0)

@@ -213,8 +213,24 @@ def test_perturbed_sheets_are_longer():
                 pts = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
             elif spec.kind == mf.HALF_PLANE:
                 pts[..., 1] = np.maximum(pts[..., 1], 0.05)
-            perturbed = ps.sheet_from_grid(spec, sheet.s_nodes, pts)
+            perturbed = ps.sheet_from_grid(spec, sheet.interval, pts)
             assert ps.sheet_length(perturbed) >= dtilde - 1e-4
+
+
+def test_a_sheet_from_a_grid_takes_its_interval_and_samples_it_uniformly():
+    # it took s-nodes and every velocity step as their span over S: on the
+    # nodes of a vertical composite (5 on [0, 0.3], then 8 more up to 1)
+    # this N = 32 sheet read energy 0.12667 for 0.125
+    gamma, field = collared_circle_and_field()
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 12)
+    grid = ps.sheet_from_grid(gamma.manifold, sheet.interval, sheet.points, sheet.collar)
+    assert grid.s_nodes.tobytes() == ps.s_grid((0.0, 1.0), 12).tobytes()
+    assert np.max(np.abs(grid.velocities - sheet.velocities)) < 1e-12
+    assert ps.sheet_energy(grid) == pytest.approx(0.125, abs=1e-12)
+    with pytest.raises(mf.DomainError, match=r"^need at least two s nodes$"):
+        ps.sheet_from_grid(gamma.manifold, (0.5, 0.5), sheet.points)
+    with pytest.raises(mf.DomainError, match=r"^S must be an integer >= 1 \(got 0\)$"):
+        ps.sheet_from_grid(gamma.manifold, (0.0, 1.0), sheet.points[:1])
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +577,8 @@ def swept_sheets():
 
 
 def test_slices_are_the_checked_paths_and_fields():
-    torus_wrapped = False
-    for sheet, field in swept_sheets():
+    sheets = swept_sheets()
+    for sheet, field in sheets:
         spec = sheet.manifold
         moved = ps.pathspace_transport(sheet, field)
         transported = mf.transport_along(spec, sheet.points, field.components)
@@ -573,8 +589,12 @@ def test_slices_are_the_checked_paths_and_fields():
             assert same_bits(moved[j], pth.PathTangentField(path, transported[j]))
             assert not np.shares_memory(sheet.slice_path(j).samples, sheet.points)
             assert not np.shares_memory(sheet.slice_field(j).components, sheet.velocities)
-            torus_wrapped |= spec.kind == mf.FLAT_TORUS and not np.array_equal(path.samples, sheet.points[j])
-    assert torus_wrapped  # the slices wrap, as DiscretePath does
+    # the torus sheet moved off the fundamental domain holds its points
+    # wrapped once, as DiscretePath holds its samples, so its slices copy them
+    built, off_domain = [sheet for sheet, _ in sheets if sheet.manifold.kind == mf.FLAT_TORUS]
+    given = built.points + np.asarray(built.manifold.circumferences)
+    assert not np.array_equal(given, off_domain.points)
+    assert off_domain.points.tobytes() == built.manifold.wrap(given).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -629,19 +649,55 @@ def test_blocks_of_fibers_give_the_whole_sheet_bits(name, monkeypatch):
 
 
 def test_a_sheet_is_read_only_without_copying_or_freezing_its_input():
+    # every checked value holds its arrays the one way (manifold.held): a
+    # point, a vector, a path, a field and a sheet hold views of what they
+    # were given; a slice and a transported field hold fiber copies
     gamma, field = collared_circle_and_field(n=64)
-    s = np.linspace(0.0, 1.0, 9)
+    spec = gamma.manifold
     built = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 8)
-    points, velocities = built.points.copy(), built.velocities.copy()
-    sheet = ps.Worldsheet(gamma.manifold, s, points, velocities, gamma.collar)
-    for given, held in [(s, sheet.s_nodes), (points, sheet.points), (velocities, sheet.velocities)]:
+    s, points, velocities = np.linspace(0.0, 1.0, 9), built.points.copy(), built.velocities.copy()
+    samples, comps = gamma.samples.copy(), field.components.copy()
+    coords, vector = samples[0].copy(), comps[0].copy()
+    point = mf.ManifoldPoint(spec, coords)
+    path = pth.DiscretePath(spec, samples, gamma.collar)
+    sheet = ps.Worldsheet(spec, s, points, velocities, gamma.collar)
+    viewed = [
+        (coords, point.coords),
+        (vector, mf.TangentVector(point, vector).components),
+        (samples, path.samples),
+        (comps, pth.PathTangentField(path, comps).components),
+        (s, sheet.s_nodes),
+        (points, sheet.points),
+        (velocities, sheet.velocities),
+    ]
+    for given, held in viewed:
         assert np.shares_memory(given, held)  # a view, not a copy
         assert given.flags.writeable and not held.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        sheet.points[3, 5, 0] = np.nan
+    copied = [sheet.slice_path(3).samples, sheet.slice_field(3).components]
+    copied += [moved.components for moved in ps.pathspace_transport(sheet, field)]
+    for held in [held for _, held in viewed] + copied:
+        with pytest.raises(ValueError, match="read-only"):
+            held[...] = np.nan
     with pytest.raises(ValueError, match="read-only"):
         sheet.velocities[3] *= 2.0
     assert np.array_equal(sheet.points, built.points)
+    assert np.array_equal(sheet.velocities, built.velocities)
+
+
+def test_a_torus_transport_and_slice_wrap_nothing(monkeypatch):
+    # the sheet wrapped its points once, when it was built: a transport
+    # called FlatTorus.wrap 67 times at N = 4096, S = 64, and a slice once
+    spec = checks.builtin_manifolds()["flat_torus"]
+    gamma, (field, _) = wide_fields(spec, np.random.default_rng(SEED + 17))
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)
+    wrap, calls = mf.FlatTorus.wrap, []
+    monkeypatch.setattr(mf.FlatTorus, "wrap", lambda self, x: calls.append(np.shape(x)) or wrap(self, x))
+    moved = ps.pathspace_transport(sheet, field)
+    assert calls == []
+    assert same_bits(sheet.slice_path(7), moved[7].base) and calls == []
+    assert sheet.slice_field(7).components.tobytes() == sheet.velocities[7].tobytes() and calls == []
+    ps.Worldsheet(spec, sheet.s_nodes, sheet.points, sheet.velocities, sheet.collar)
+    assert calls == [sheet.points.shape]  # the constructor wraps, once
 
 
 def test_transverse_residual_keeps_a_nan_of_any_block():

@@ -15,6 +15,12 @@ in one function, ``pathspace._blocks``, the only reader of
 ``_BLOCK_NODES``. Blocks bound the d-vector temporaries of a kernel and
 the text of an export; the node check needs none.
 
+A checked value holds its arrays one way, read-only through
+``manifold.held``, the only function that sets ``flags.writeable``. Points
+are wrapped once, where they enter: in the path and sheet layers only the
+``DiscretePath`` and ``Worldsheet`` constructors call ``wrap``, so a slice
+and a transport hold and check the sheet's points as they are.
+
 These tests read the package source and fail if another function calls
 or reads one of these names."""
 
@@ -136,3 +142,35 @@ def test_only_the_sheet_kernels_and_the_export_work_in_blocks():
 
 def test_only_the_block_helper_reads_the_block_size():
     assert package_owners(readers, "_BLOCK_NODES") == {"pathspace.py": {"_blocks"}}
+
+
+def writeable_setters(tree, name):
+    """The owner of every assignment to ``x.flags.writeable``."""
+
+    def sets(node):
+        return isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Attribute) and t.attr == name
+            and isinstance(t.value, ast.Attribute) and t.value.attr == "flags"
+            for t in node.targets
+        )
+
+    return owners(tree, sets)
+
+
+def test_the_guard_sees_a_writeable_flag_set():
+    tree = ast.parse("def f(a):\n    a.flags.writeable = False\n    b = a.flags.writeable\n    a.writeable = 1\n")
+    assert writeable_setters(tree, "writeable") == ["f"]
+
+
+def test_only_the_held_helper_sets_an_array_read_only():
+    assert package_owners(writeable_setters, "writeable") == {"manifold.py": {"held"}}
+
+
+def test_only_the_path_and_sheet_constructors_wrap_points():
+    found = package_owners(callers, "wrap")
+    assert {name: found[name] for name in ("path.py", "pathspace.py")} == {
+        "path.py": {"DiscretePath.__post_init__"},
+        "pathspace.py": {"Worldsheet.__post_init__"},
+    }
+    # one call in each: the sheet wraps its points once, not per fiber
+    assert [len(callers(ast.parse((PACKAGE / name).read_text()), "wrap")) for name in ("path.py", "pathspace.py")] == [1, 1]
