@@ -611,7 +611,12 @@ class FlatTorus(ManifoldSpec):
         return 0.5 * min(self.circumferences)
 
     def wrap(self, x):
-        return np.mod(x, np.asarray(self.circumferences))
+        L = np.asarray(self.circumferences)
+        w = np.mod(x, L)
+        # np.mod rounds a coordinate just below 0 up to L itself, which a
+        # second wrap maps to 0: so L goes to 0 here, and a NaN stays NaN
+        np.copyto(w, 0.0, where=w == L)
+        return w
 
     def chart_diff(self, a, b):
         L = np.asarray(self.circumferences)
@@ -723,18 +728,33 @@ def integrate_batch(spec, x0, v0, s_end, steps):
     return xs, vs
 
 
-def transport_along(spec, points, X0):
-    """Parallel transport X0 along axis 0 of ``points`` (m+1, ..., d), each
-    segment by the closed form ``spec.transport``; returns the field at
-    every sample. ``transport_along_rk4`` is its integrated oracle."""
+def _transport_steps(spec, points, X0):
+    """X0, then X0 parallel transported along axis 0 of ``points`` (m+1, ...,
+    d) to each sample in turn, each segment by the closed form
+    ``spec.transport``: one array per sample, of that sample's shape, which
+    the next step reads and nothing else holds. A flat chart's transport
+    keeps its input, so there every step is X0 itself. The one transport
+    loop; NormalNeighborhoodError names the failing segment."""
     points = np.asarray(points, dtype=float)
-    out = np.empty_like(points)
-    out[0] = X0
+    X = np.asarray(X0, dtype=float)
+    yield X
     for i in range(points.shape[0] - 1):
         try:
-            out[i + 1] = spec.transport(points[i], points[i + 1], out[i])
+            X = spec.transport(points[i], points[i + 1], X)
         except NormalNeighborhoodError as err:
             raise NormalNeighborhoodError("segment %d: %s" % (i, err)) from None
+        yield X
+
+
+def transport_along(spec, points, X0):
+    """Parallel transport X0 along axis 0 of ``points`` (m+1, ..., d); returns
+    the field at every sample, in one array filled from the transport loop
+    (``_transport_steps``). ``transport_along_rk4`` is its integrated
+    oracle."""
+    points = np.asarray(points, dtype=float)
+    out = np.empty_like(points)
+    for i, X in enumerate(_transport_steps(spec, points, X0)):
+        out[i] = X
     return out
 
 
@@ -821,6 +841,9 @@ def parallel_transport(curve, v0):
     Transport is parametrization independent; the s values only fix the
     ordering and are validated to be nondecreasing. Consecutive samples
     must not be antipodal (NormalNeighborhoodError names the segment).
+    Each vector holds its own components, from the transport loop
+    (``_transport_steps``): the same bits as ``transport_along``, and on a
+    flat chart v0's own read-only components.
     """
     if not curve:
         raise DomainError("empty curve")
@@ -831,5 +854,5 @@ def parallel_transport(curve, v0):
     _check_same_base(first, v0)
     spec = first.manifold
     pts = np.stack([pt.coords for _, pt in curve])
-    fields = transport_along(spec, pts, v0.components)
-    return [TangentVector(ManifoldPoint(spec, x), X) for (x, X) in zip(pts, fields)]
+    steps = _transport_steps(spec, pts, v0.components)
+    return [TangentVector(ManifoldPoint(spec, x), X) for x, X in zip(pts, steps)]

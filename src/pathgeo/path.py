@@ -113,6 +113,13 @@ def _collar_nodes(n, collar):
     return last + 1, n + 1 - first
 
 
+# nodes per block of whole fibers of the node check (``check_fibers``), so
+# that its temporaries, per-node scalars and masks and a transport's stacked
+# vectors, are the size of a block rather than of a sheet: 15 fibers at
+# N = 4096. Blocks of one fiber cost a call of every test per fiber
+_CHECK_NODES = 1 << 16
+
+
 def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=None):
     """The one node check of paths, fields and worldsheets. ``x`` holds the
     points (..., N+1, d) as their holder keeps them, wrapped once by its
@@ -120,18 +127,44 @@ def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=N
     width ``collar``, which must be a number (``as_number``) in [0, 1/2)
     (the one collar range rule). With ``point_label`` the points lie on the
     manifold (``validate``) and, on each collar, coincide with its end
-    sample. The ``vectors`` (the shape of ``x``), if given, are tangent at
-    their points (``check_tangent``) and, on each collar, equal to the one
-    at its end sample. Both within ``COINCIDENCE_TOL``. DomainError names
-    the first failing node through ``point_label`` or ``vector_label``:
-    ``sample %d`` for a path, ``node (s=%d, t=%d)`` for a worldsheet,
-    checked in one call over all its fibers. Each test runs over every
-    fiber before the next test starts, so among several faults the first
-    test's is named. Both collars are tested in one reduction over all the
-    fibers; the per-node mask is built only on failure."""
+    sample. The ``vectors`` (the shape of ``x``, or for a sheet a sequence
+    of its per-fiber arrays), if given, are tangent at their points
+    (``check_tangent``) and, on each collar, equal to the one at its end
+    sample. Both within ``COINCIDENCE_TOL``. DomainError names the first
+    failing node through ``point_label`` or ``vector_label``: ``sample %d``
+    for a path, ``node (s=%d, t=%d)`` for a worldsheet, checked in one call
+    over all its fibers. Each test runs over every fiber before the next
+    test starts, so among several faults the first test's is named. Both
+    collars are tested in one reduction; the per-node mask is built only on
+    failure.
+
+    A sheet of more than ``_CHECK_NODES`` nodes is checked one block of
+    whole fibers at a time, its vectors stacked a block at a time, so the
+    temporaries are a block's. Every test is elementwise per node or per
+    fiber, so the sheet passes exactly when every block does. Once a block
+    fails, the check runs over the whole sheet, in the order above, and
+    names the fault by the sheet's own (s, t): only an error allocates
+    sheet-sized temporaries."""
     collar = mf.as_number("collar", collar)
     if not (0.0 <= collar < 0.5):
         raise DomainError("collar must lie in [0, 1/2)")
+    step = max(1, _CHECK_NODES // x.shape[-2])
+    if x.ndim > 2 and len(x) > step:
+        try:
+            for j in range(0, len(x), step):
+                v = None if vectors is None else vectors[j : j + step]
+                _check_block(spec, x[j : j + step], collar, point_label, v, vector_label)
+            return
+        except DomainError:
+            pass  # named below, by the check over the whole sheet
+    _check_block(spec, x, collar, point_label, vectors, vector_label)
+
+
+def _check_block(spec, x, collar, point_label, vectors, vector_label):
+    """``check_fibers`` over the points ``x`` and the ``vectors`` (stacked
+    here if a sequence) of some fibers, in its order of tests."""
+    if vectors is not None and not isinstance(vectors, np.ndarray):
+        vectors = np.stack(vectors)
     if point_label:
         spec.validate(x, point_label)
     if vectors is not None:

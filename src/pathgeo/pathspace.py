@@ -20,8 +20,9 @@ from .path import DiscretePath, PathTangentField
 # nodes per block of whole fibers (``_blocks``), the one block rule of the
 # sheet kernels whose d-vector temporaries it bounds (build_sheet,
 # transverse_residual) and of the export of a sheet's 3-d arrays
-# (serialize._fibers, serialize.sheet_csv_pieces). The node check needs no
-# blocks: its temporaries are per-node scalars and masks
+# (serialize._fibers, serialize.sheet_csv_pieces). The node check, whose
+# temporaries are mostly per-node scalars and masks, takes larger blocks
+# of its own (``path._CHECK_NODES``)
 _BLOCK_NODES = 4096
 
 
@@ -209,18 +210,22 @@ def pathspace_transport(sheet, field):
     """Parallel transport of a tangent field along the sheet, fiber by fiber.
 
     ``field`` must be based on the first longitudinal slice; returns one
-    PathTangentField per s node, each held read-only (``_slice``). The
-    transported vectors are checked once over the sheet, as each field's
-    constructor would check them: tangent at the sheet's points, which the
-    sheet wrapped when it was built, and constant on the collars. Preserves
-    the L2 norm up to rounding.
+    PathTangentField per s node, each held read-only (``_slice``). Each
+    field holds its own fiber's array from the transport loop
+    (``manifold._transport_steps``), so a field kept alone keeps no other
+    fiber in memory; on a flat chart every field holds ``field``'s own
+    read-only components. The transported vectors are checked once over
+    the sheet, in one call that stacks them a block at a time, as each
+    field's constructor would check them: tangent at the sheet's points,
+    which the sheet wrapped when it was built, and constant on the collars.
+    Preserves the L2 norm up to rounding.
     """
     _check_field_on(_slice(sheet, 0), field)
     spec = sheet.manifold
-    out = mf.transport_along(spec, sheet.points, field.components)
+    moved = list(mf._transport_steps(spec, sheet.points, field.components))
     pth.check_fibers(spec, sheet.points, sheet.collar,
-                     vectors=out, vector_label="transported field at node (s=%d, t=%d)")
-    return [_slice(sheet, j, X) for j, X in enumerate(out)]
+                     vectors=moved, vector_label="transported field at node (s=%d, t=%d)")
+    return [_slice(sheet, j, X) for j, X in enumerate(moved)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from pathgeo import backtrack as bt
 from pathgeo import checks, cli
 from pathgeo import manifold as mf
 from pathgeo import path as pth
@@ -217,6 +218,20 @@ def test_backtrack_subcommand_windows_and_canonical(tmp_path, capsys):
     assert len(canon["samples"]) == len(spurred.samples)
 
 
+def test_backtrack_reads_a_config_path(tmp_path, capsys):
+    cfg = sphere_config(tmp_path)
+    gamma = cli.ScenarioConfig.load(cfg).build_path("lat1")
+    # the collars, constant runs, are the windows
+    windows = [{"start": w.start, "half_width": w.half_width, "end": w.end} for w in bt.detect_backtracks(gamma)]
+    assert len(windows) == 2
+    for mode, want in (("--windows", windows), ("--canonical", bt.canonical_form(gamma).to_json())):
+        assert cli.main(["backtrack", "--config", cfg, "--path", "lat1", mode]) == 0
+        assert capsys.readouterr().out == ser.dumps(want)
+    # three paths, none selected
+    assert cli.main(["backtrack", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: config defines 3 paths; select one with --path\n"
+
+
 @pytest.mark.parametrize("tol", ["nan", "-0.5"])
 def test_backtrack_rejects_a_bad_tolerance(tmp_path, capsys, tol):
     spec = mf.ManifoldSpec.euclidean(2)
@@ -259,6 +274,21 @@ def test_compose_exchange_report(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["max_discrepancy"] <= 1e-9
+
+
+def test_compose_horizontal_joins_two_2_morphisms_side_by_side(tmp_path, capsys):
+    m1, m2, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(6), n=16)
+    F, G = cat.morphism2(m1, (0.0, 0.5), S=3), cat.morphism2(m2, (0.0, 0.5), S=3)
+    files = []
+    for name, M in (("G", G), ("F", F)):  # the later morphism first, as for vertical composition
+        f = tmp_path / (name + ".json")
+        f.write_text(ser.dumps(ser.morphism2_to_json(M)))
+        files.append(str(f))
+    assert cli.main(["compose"] + files + ["--horizontal"]) == 0
+    assert capsys.readouterr().out == ser.dumps(ser.morphism2_to_json(cat.compose2_horizontal(F, G)))
+    # over one interval the two do not compose vertically
+    assert cli.main(["compose"] + files) == 1
+    assert capsys.readouterr().err.startswith("error: intervals do not abut")
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1.0"])

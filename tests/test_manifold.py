@@ -4,9 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathgeo import manifold as mf
+from pathgeo import path as pth
 from pathgeo import pathspace as ps
+from pathgeo import serialize as ser
 
 from oracles import log_map_shooting
 
@@ -261,6 +265,55 @@ def test_torus_distance_wraps():
     assert d == pytest.approx(0.1, abs=1e-12)
 
 
+TORUS = mf.ManifoldSpec.flat_torus([1.0, 2.0])
+
+
+def wrap_edges(L):
+    """Coordinates at the edges of a circumference L: np.mod takes those just
+    below 0 to L itself, outside [0, L)."""
+    return [-0.0, -5e-324, -1e-20, float(np.nextafter(L, 0.0)), L, 3 * L, -7 * L, 1e300, -1e300]
+
+
+# torus points, each coordinate an edge of its circumference or any finite float
+torus_points = st.lists(
+    st.tuples(*(st.one_of(st.sampled_from(wrap_edges(L)), st.floats(allow_nan=False, allow_infinity=False))
+                for L in TORUS.circumferences)),
+    min_size=3, max_size=12,
+).map(np.array)
+
+
+def test_torus_wrap_lands_in_the_domain_at_its_edges():
+    L = np.asarray(TORUS.circumferences)
+    # a coordinate just below 0 wrapped to L, and a second wrap moved it to 0
+    assert TORUS.wrap(np.array([-1e-20, 0.0])).tolist() == [0.0, 0.0]
+    for edges in zip(*(wrap_edges(c) for c in TORUS.circumferences)):
+        w = TORUS.wrap(np.array(edges))
+        assert np.all((w >= 0.0) & (w < L)), edges
+
+
+def test_torus_wrap_keeps_a_nan():
+    w = TORUS.wrap(np.array([[np.nan, 0.5], [-1e-20, np.nan]]))
+    assert np.isnan(w).tolist() == [[True, False], [False, True]]
+    assert w[0, 1] == 0.5 and w[1, 0] == 0.0
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(torus_points)
+def test_hypothesis_torus_wrap_is_idempotent_and_lands_in_the_domain(x):
+    w = TORUS.wrap(x)
+    assert TORUS.wrap(w).tobytes() == w.tobytes()
+    assert np.all((w >= 0.0) & (w < np.asarray(TORUS.circumferences)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(torus_points)
+def test_hypothesis_torus_path_records_round_trip_at_the_wrap_edges(x):
+    # a sample at (-1e-20, 0) was held as (1, 0) and read back as (0, 0)
+    path = pth.DiscretePath(TORUS, x)
+    back = pth.DiscretePath.from_json(ser.loads(ser.dumps(path.to_json())))
+    assert back.samples.tobytes() == path.samples.tobytes()
+
+
 def test_exp_log_roundtrip():
     rng = np.random.default_rng(SEED + 8)
     for spec in builtin_specs():
@@ -379,6 +432,26 @@ def test_closed_form_transport_matches_rk4_oracle():
                 got = mf.transport_along(spec, c, X)
                 want = mf.transport_along_rk4(spec, c, X)
                 assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_parallel_transport_gives_the_bits_of_transport_along_one_vector_each():
+    rng = np.random.default_rng(SEED + 23)
+    for spec in builtin_specs():
+        x = spec.random_point(rng)
+        v = random_tangent(spec, x, rng, max_norm=1.0)
+        pts, _ = mf.flow(spec, x[None], v[None], np.linspace(0, 1, 9)[:, None])
+        curve = [(s, mf.ManifoldPoint(spec, p)) for s, p in zip(np.linspace(0, 1, 9), pts[:, 0])]
+        v0 = mf.TangentVector(curve[0][1], random_tangent(spec, x, rng, max_norm=1.0))
+        moved = mf.parallel_transport(curve, v0)
+        want = mf.transport_along(spec, np.stack([p.coords for _, p in curve]), v0.components)
+        assert np.stack([m.components for m in moved]).tobytes() == want.tobytes()
+        for (_, p), m in zip(curve, moved):
+            assert m.base.coords.tobytes() == p.coords.tobytes()
+            assert m.components.base.shape == (spec.point_dim,)  # its own vector, no wider array
+        if spec.kind in (mf.EUCLIDEAN, mf.FLAT_TORUS):  # a flat chart keeps v0
+            assert all(np.shares_memory(m.components, v0.components) for m in moved)
+        else:
+            assert not any(np.shares_memory(a.components, b.components) for a, b in zip(moved, moved[1:]))
 
 
 def test_transport_across_antipodal_samples_is_rejected():

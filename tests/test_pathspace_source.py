@@ -13,7 +13,8 @@ spelled once, in ``check_fibers``.
 The block of fibers the sheet kernels and the export work on is decided
 in one function, ``pathspace._blocks``, the only reader of
 ``_BLOCK_NODES``. Blocks bound the d-vector temporaries of a kernel and
-the text of an export; the node check needs none.
+the text of an export. The node check bounds its own temporaries by
+blocks of ``path._CHECK_NODES``, which only ``check_fibers`` reads.
 
 A checked value holds its arrays one way, read-only through
 ``manifold.held``, the only function that sets ``flags.writeable``. Points
@@ -142,6 +143,10 @@ def test_only_the_sheet_kernels_and_the_export_work_in_blocks():
 
 def test_only_the_block_helper_reads_the_block_size():
     assert package_owners(readers, "_BLOCK_NODES") == {"pathspace.py": {"_blocks"}}
+
+
+def test_only_the_node_check_reads_its_block_size():
+    assert package_owners(readers, "_CHECK_NODES") == {"path.py": {"check_fibers"}}
 
 
 def writeable_setters(tree, name):
