@@ -5,9 +5,10 @@ random cases from a seed derived deterministically from the run seed, so
 reports are byte-identical for identical inputs regardless of execution
 order. Failures are report content, never exceptions.
 
-``run_checks`` runs the properties on a pool of forked worker processes,
-one per CPU this process may run on, and collects their results in suite
-order, so the report is byte-identical to a serial run.
+``run_checks`` runs the properties in worker processes forked from the
+calling process, one per CPU it may run on, which claim the properties
+one at a time; it collects their results in suite order, so the report is
+byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import functools
 import numbers
 import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from . import category as cat
 from . import manifold as mf
 from . import path as pth
 from . import pathspace as ps
+from . import serialize as ser
 
 DEFAULT_SEED = 42
 
@@ -428,24 +431,13 @@ def _run_property(name, fn, tol, cases):
     return PropertyResult(name, worst <= tol, worst, tol, cases)
 
 
-# the task list of the running ``run_checks``, inherited by its forked workers
-_TASKS = ()
-
-
-def _run_task(i):
-    """The result of task ``i``, run in a worker: only the index and the
-    ``PropertyResult`` cross the process boundary."""
-    return _run_property(*_TASKS[i])
-
-
 def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
     """Run a named suite; returns a JSON-ready deterministic report.
 
-    Each property runs in a worker process forked from this one, with one
-    worker per CPU this process may run on, at most one per property; a
-    worker that dies raises ``BrokenProcessPool``.
+    The properties run in worker processes forked from this one
+    (``_results``), one per CPU this process may run on, at most one per
+    property; a worker that dies raises ``ChildProcessError``.
     """
-    global _TASKS
     if suite not in SUITES:
         raise mf.DomainError("unknown suite %r (choose from %s)" % (suite, ", ".join(SUITES)))
     cases = mf.as_integer("cases", cases)
@@ -464,23 +456,87 @@ def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
             for fname in sorted(config.fields):
                 fn = functools.partial(_prop_config_field, config, fname)
                 tasks.append(("config_field_reflection/" + fname, fn, 1e-9, 1))
-    # imported here, not at module level: ``import pathgeo`` would pay for
-    # the executor machinery (about 25 ms) in every command. ``fork`` starts
-    # each worker from this process's memory, with ``_TASKS`` set, where
-    # ``spawn`` would import numpy and pathgeo again in every worker.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    _TASKS = tasks
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            results = list(pool.map(_run_task, range(len(tasks))))
-    finally:
-        _TASKS = ()
+    results = _results(tasks)
     return {
         "suite": suite,
         "seed": int(seed),
         "passed": all(r.passed for r in results),
         "properties": [r.to_json() for r in results],
     }
+
+
+def _results(tasks):
+    """The ``PropertyResult`` of each task ``(name, property, tolerance,
+    cases)``, in order, each run in a worker process forked from this one.
+
+    There are ``min(CPUs, len(tasks))`` workers. Each claims the next task
+    through a claims file shared with the others (``serialize._claim``),
+    runs it, and sends its index and result back through a pipe of its own
+    (``serialize._send``) at once; it leaves by ``os._exit`` when no task
+    is left. This process only collects the results. A worker that exits
+    before it has sent the result of a task it claimed is a
+    ``ChildProcessError`` naming the first task without a result. Every
+    worker is reaped before this returns or raises, and killed first if
+    this process fails or is interrupted.
+    """
+    # imported here, not at module level: ``import pathgeo`` would load it in
+    # every command
+    import select
+
+    results, pids, ends = [None] * len(tasks), [], []
+    claims = os.memfd_create("pathgeo-check-claims")
+    try:
+        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
+            r, w = os.pipe()
+            ends.append(r)
+            try:
+                pid = os.fork()
+                if not pid:
+                    _work(tasks, claims, w)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        sent = select.poll()
+        for r in ends:
+            sent.register(r, select.POLLIN)
+        running = len(ends)
+        while running:
+            for r, _ in sent.poll():
+                try:
+                    i, result = pickle.loads(ser._message(r))
+                except EOFError:  # the worker is gone
+                    sent.unregister(r)
+                    running -= 1
+                else:
+                    results[i] = result
+    except BaseException:
+        import signal  # as select
+
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd in ends + [claims]:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    if None in results:
+        name = tasks[results.index(None)][0]
+        raise ChildProcessError("a check worker exited before it sent the result of %s" % name)
+    return results
+
+
+def _work(tasks, claims, w):
+    """A worker of ``_results``, in the forked process: runs each task it
+    claims and writes ``(index, result)``, pickled, to the pipe end ``w``.
+    It never returns: it leaves by ``os._exit``, so no buffer it inherited
+    is flushed twice and no cleanup of its parent runs."""
+    status = 1
+    try:
+        with os.fdopen(w, "wb") as out:
+            for i, task in enumerate(tasks):
+                if ser._claim(claims, i + 1):
+                    ser._send(out, pickle.dumps((i, _run_property(*task))))
+        status = 0
+    finally:
+        os._exit(status)

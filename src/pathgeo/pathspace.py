@@ -41,7 +41,9 @@ class Worldsheet:
     and holds ``s_nodes``, ``points`` and ``velocities`` read-only
     (``manifold.held``): views of the arrays it was given, the points a
     wrapped copy on the flat torus. So what it checked cannot change under
-    it, and nothing downstream wraps again.
+    it, and nothing downstream wraps again. ``build_sheet``, whose flow
+    wrapped every point already, builds its sheet without this wrap
+    (``_built_sheet``), by the same checks.
     """
 
     manifold: mf.ManifoldSpec
@@ -50,7 +52,7 @@ class Worldsheet:
     velocities: np.ndarray  # (S+1, N+1, d)
     collar: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, wrap=True):
         spec = self.manifold
         s, points, velocities = (np.asarray(a, dtype=float) for a in (self.s_nodes, self.points, self.velocities))
         if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
@@ -60,7 +62,9 @@ class Worldsheet:
             raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
         if shape != velocities.shape:
             raise DomainError("points and velocities must share a grid")
-        vars(self).update(s_nodes=mf.held(s), points=mf.held(spec.wrap(points)), velocities=mf.held(velocities))
+        if wrap:
+            points = spec.wrap(points)
+        vars(self).update(s_nodes=mf.held(s), points=mf.held(points), velocities=mf.held(velocities))
         pth.check_fibers(spec, self.points, self.collar, "node (s=%d, t=%d)",
                          self.velocities, "velocity at node (s=%d, t=%d)")
 
@@ -132,6 +136,15 @@ def _slice(sheet, j, vectors=None):
     return field
 
 
+def _built_sheet(spec, s_nodes, points, velocities, collar):
+    """The Worldsheet of points that are wrapped already, as the flow
+    returns them: the constructor's checks run, its wrap does not."""
+    sheet = object.__new__(Worldsheet)
+    vars(sheet).update(manifold=spec, s_nodes=s_nodes, points=points, velocities=velocities, collar=collar)
+    sheet.__post_init__(wrap=False)
+    return sheet
+
+
 def _check_field_on(gamma, field):
     """DomainError naming the first sample of the field's base off ``gamma``."""
     d = _pointwise_distances(field.base, gamma)
@@ -154,12 +167,15 @@ def l2_metric(gamma, field1, field2):
 
 
 def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
-    """Geodesic worldsheet from raw seed arrays; fibers evolve independently.
+    """Geodesic worldsheet from seed arrays; fibers evolve independently.
 
-    Evaluates the closed-form geodesic flow per node, one block of fibers
-    (``_blocks``) at a time, into arrays allocated up front; every flow
-    kernel is elementwise per node, so the blocks give the same bits as one
-    call over the whole sheet. Nodes at s = 0 reproduce the seed bitwise.
+    ``samples`` are a path's samples, wrapped as ``DiscretePath`` holds
+    them. Evaluates the closed-form geodesic flow per node, one block of
+    fibers (``_blocks``) at a time, into arrays allocated up front; every
+    flow kernel is elementwise per node, so the blocks give the same bits as
+    one call over the whole sheet. Nodes at s = 0 reproduce the seed
+    bitwise. The flow wraps each block's points, so the sheet does not wrap
+    them again (``_built_sheet``).
     Its RK4 oracle, which integrates the fibers node to node, lives in the
     tests (``tests/oracles.py``).
     """
@@ -177,7 +193,7 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     at_zero = s_nodes == 0.0
     points[at_zero] = samples
     vels[at_zero] = vcomps
-    return Worldsheet(spec, s_nodes, points, vels, collar)
+    return _built_sheet(spec, s_nodes, points, vels, collar)
 
 
 def s_grid(interval, S):

@@ -96,28 +96,15 @@ def _digit_tables():
     digit k; ``heads[2 * (X + 4) + negative]`` is the sign and the start of
     ``0.`` or ``0.0``.
     """
-    d2 = ["%02d" % v for v in range(100)]
-    d3 = ["%03d" % v for v in range(1000)]
-    texts, start = [], {}
-
-    def section(name, full, stripped):
-        start[name] = len(texts)
-        texts.extend(full + [""] * (1000 - len(full)) + stripped + [""] * (1000 - len(stripped)))
-
-    def point(s, k):
-        # digits s with a point before digit k, trailing fraction zeros
-        # and a point with nothing after it removed
-        frac = s[k:].rstrip("0")
-        return s[:k] + ("." + frac if frac else "")
-
-    section("g0.int", d2, d2)
-    section("g0.point", [s[0] + "." + s[1] for s in d2], [point(s, 1) for s in d2])
-    for z in range(3):
-        section("g0.frac%d" % z, ["0" * z + s for s in d2], ["0" * z + s.rstrip("0") for s in d2])
-    section("int", d3, d3)
-    section("frac", d3, [s.rstrip("0") for s in d3])
-    for k in range(3):
-        section("point%d" % k, [s[:k] + "." + s[k:] for s in d3], [point(s, k) for s in d3])
+    built = {
+        "g0.int": _section(2, 2),
+        "g0.point": _section(2, 1, point=1),
+        **{"g0.frac%d" % z: _section(2, 0, zeros=z) for z in range(3)},
+        "int": _section(3, 3),
+        "frac": _section(3, 0),
+        **{"point%d" % k: _section(3, k, point=1) for k in range(3)},
+    }
+    start = {name: 2000 * i for i, name in enumerate(built)}
     sections, heads = [], []
     for X in range(-4, 16):
         g0 = "g0.frac%d" % max(-X - 2, 0) if X < 0 else "g0.point" if X == 0 else "g0.int"
@@ -128,8 +115,29 @@ def _digit_tables():
         sections.append([start[name] for name in [g0] + rest])
         head = "0." + "0" * min(-X - 1, 1) if X < 0 else ""
         heads += [head, "-" + head]
-    return (_uint32s(texts), np.array(sections, dtype=np.intp), _uint32s(heads),
+    return (np.concatenate(list(built.values())), np.array(sections, dtype=np.intp), _uint32s(heads),
             np.array([10.0**p for p in range(23)]))
+
+
+def _section(width, frac, point=0, zeros=0):
+    """One section of ``_digit_tables``, built in numpy: the text of each
+    value below ``10**width`` as ``width`` digits after ``zeros`` zeros,
+    with a point before digit ``frac`` if ``point`` is 1; then the same
+    texts with the digits from ``frac`` on stripped of trailing zeros (and
+    the point too, if no digit follows it). Each half is 1000 NUL-padded
+    uint32, the values' texts first, as ``_uint32s`` encodes them."""
+    n = 10**width
+    v = np.arange(n)[:, None]
+    digits = v // 10 ** np.arange(width - 1, -1, -1) % 10
+    chars = np.concatenate([np.full((n, zeros), ord("0")), digits[:, :frac] + ord("0"),
+                            np.full((n, point), ord(".")), digits[:, frac:] + ord("0")], axis=1)
+    # fraction digit j stays if digits j.. are not all zero, and the point if
+    # the first fraction digit does: what stays is a prefix of the text
+    tail = v % 10 ** np.arange(width - frac, 0, -1) != 0
+    stays = np.concatenate([np.ones((n, zeros + frac), bool), tail[:, :point], tail], axis=1)
+    text = np.zeros((2, 1000, 4), np.uint8)
+    text[:, :n, : chars.shape[1]] = chars, chars * stays
+    return text.view(np.uint32).ravel()
 
 
 def _uint32s(texts, width=1):
@@ -225,7 +233,9 @@ def _joined(parts, sep, open_="", close=""):
 
 # comes before the deferred slabs of a worldsheet array of more than one block
 _WIDE = object()
-_LENGTH = 8  # bytes of the length that comes before each slab the helper sends
+# bytes of the length before each message (``_send``), and of the last item
+# taken in a claims file (``_claim``)
+_LENGTH = 8
 # the helper's pipe holds about four N = 4096 slabs of JSON, so the helper
 # formats on while this process has yet to read them; with the default 64 KB
 # it waits for each read, and an N = 4096 JSON export took 1.2 times as long
@@ -292,10 +302,13 @@ def _text(pieces):
 
 
 def _claim(claims, k):
-    """True if this process takes slab k (counted from the fork): the first
-    of the two that asks for it. The claims file holds the last slab taken;
-    ``lockf`` makes the test and the update one step, and the kernel lifts
-    the lock of a process that dies."""
+    """True if this process takes item k: the first of the processes that
+    share the claims file to ask for it. Each process asks for the items
+    1, 2, ... in order (the slabs of an export from the fork, or the tasks
+    of ``checks.run_checks``), so each item goes to exactly one of them.
+    The claims file holds the last item taken; ``lockf`` makes the test and
+    the update one step, and the kernel lifts the lock of a process that
+    dies."""
     os.lockf(claims, os.F_LOCK, 0)
     try:
         taken = int.from_bytes(os.pread(claims, _LENGTH, 0), "little") < k
@@ -355,10 +368,7 @@ def _help(pieces, claims, r, w):
         with os.fdopen(w, "wb") as out:
             for k, slab in enumerate((p for p in pieces if callable(p)), 1):
                 if _claim(claims, k):
-                    data = slab().encode()
-                    out.write(len(data).to_bytes(_LENGTH, "little"))
-                    out.write(data)
-                    out.flush()
+                    _send(out, slab().encode())
         status = 0
     finally:
         os._exit(status)
@@ -366,17 +376,36 @@ def _help(pieces, claims, r, w):
 
 def _received(r):
     """The text of the next slab the helper sent through the pipe ``r``."""
-    return _read(r, int.from_bytes(_read(r, _LENGTH), "little")).decode()
+    try:
+        return _message(r).decode()
+    except EOFError:
+        raise ChildProcessError("the export helper exited before it sent a slab") from None
+
+
+def _send(out, data):
+    """Write the bytes ``data`` to the binary file ``out`` after their
+    length, and flush them: one message of ``_message``."""
+    out.write(len(data).to_bytes(_LENGTH, "little"))
+    out.write(data)
+    out.flush()
+
+
+def _message(fd):
+    """The bytes of the next message ``_send`` wrote to the pipe ``fd``;
+    EOFError if every writer closes the pipe before it is whole, or before
+    it begins."""
+    return _read(fd, int.from_bytes(_read(fd, _LENGTH), "little"))
 
 
 def _read(fd, n):
-    """Exactly ``n`` bytes from the pipe ``fd``."""
+    """Exactly ``n`` bytes from the pipe ``fd``; EOFError if every writer
+    closes it first."""
     data = bytearray(n)
     view, got = memoryview(data), 0
     while got < n:
         more = os.readv(fd, [view[got:]])
         if not more:
-            raise ChildProcessError("the export helper exited before it sent a slab")
+            raise EOFError
         got += more
     return data
 

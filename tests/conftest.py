@@ -6,7 +6,8 @@ import pytest
 @pytest.fixture
 def helpers(monkeypatch):
     """The process ids of the children forked with ``os.fork`` while it is
-    active: the export helpers of ``serialize``."""
+    active: the export helpers of ``serialize``, and the check workers of
+    ``checks`` in a test that runs checks."""
     started = []
     fork = os.fork
 

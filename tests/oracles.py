@@ -8,6 +8,11 @@ agreement checks the closed forms against the equations they solve:
   of ``manifold.log_map``.
 * ``integrate_sheet`` -- the worldsheet of ``pathspace.build_sheet``,
   integrated fiber by fiber.
+
+``digit_groups`` is the oracle of the digit-group table of
+``serialize._digit_tables``, which the library builds with numpy integer
+arithmetic: here each entry is a Python string, made by ``%`` formatting
+and ``str.rstrip``.
 """
 
 import math
@@ -96,3 +101,30 @@ def integrate_sheet(spec, samples, vcomps, s_nodes, collar=0.0, steps_per_unit=1
                 cur = s
             points[j], vels[j] = x, v
     return Worldsheet(spec, s_nodes, points, vels, collar)
+
+
+def digit_groups():
+    """The ``groups`` table of ``serialize._digit_tables`` from one Python
+    string per entry: ten sections of 1000 entries, each followed by its
+    variant with the trailing fraction zeros stripped (and the point too,
+    if no digit follows it), in the order the library lays them out."""
+    d2 = ["%02d" % v for v in range(100)]
+    d3 = ["%03d" % v for v in range(1000)]
+    texts = []
+
+    def section(full, stripped):
+        texts.extend(full + [""] * (1000 - len(full)) + stripped + [""] * (1000 - len(stripped)))
+
+    def point(s, k):
+        frac = s[k:].rstrip("0")
+        return s[:k] + ("." + frac if frac else "")
+
+    section(d2, d2)  # g0.int
+    section([s[0] + "." + s[1] for s in d2], [point(s, 1) for s in d2])  # g0.point
+    for z in range(3):  # g0.frac0 .. g0.frac2
+        section(["0" * z + s for s in d2], ["0" * z + s.rstrip("0") for s in d2])
+    section(d3, d3)  # int
+    section(d3, [s.rstrip("0") for s in d3])  # frac
+    for k in range(3):  # point0 .. point2
+        section([s[:k] + "." + s[k:] for s in d3], [point(s, k) for s in d3])
+    return np.frombuffer("".join(t.ljust(4, "\0") for t in texts).encode(), dtype=np.uint32)

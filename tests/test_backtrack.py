@@ -377,6 +377,19 @@ def test_canonical_form_of_constant_path():
     assert np.max(mf.dist(spec, c.samples, gamma.samples)) == 0.0
 
 
+def test_field_canonical_form_of_a_path_that_reduces_to_a_point():
+    # a path out and straight back erases to its start: the canonical field
+    # is the start's vector on a constant path, on the grid asked for
+    spec = mf.ManifoldSpec.euclidean(2)
+    line = pth.make_line(spec, [0, 0], [1, 0.5], n=8, collar=0.0)
+    out_and_back = pth.DiscretePath(spec, np.concatenate([line.samples, line.samples[-2::-1]]), 0.0)
+    field = pth.make_constant_field(out_and_back, [0.3, -0.2])
+    canonical = bt.field_canonical_form(field, n=6)
+    assert canonical.base.n_segments == 6
+    assert np.array_equal(canonical.base.samples, np.zeros((7, 2)))
+    assert np.array_equal(canonical.components, np.tile([0.3, -0.2], (7, 1)))
+
+
 def test_bt_equivalence_positive_and_negative():
     rng = np.random.default_rng(SEED + 3)
     for spec in specs():

@@ -1,33 +1,110 @@
-"""The property runner: its worker pool and the arguments it takes."""
+"""The property runner: its forked workers and the arguments it takes."""
 
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 
-from pathgeo import checks
+from pathgeo import checks, cli
 from pathgeo import manifold as mf
+from pathgeo import serialize as ser
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _dies(spec, rng, cases):
     os._exit(3)
 
 
+def _passes(spec, rng, cases):
+    return 0.0
+
+
+def _sleeps(spec, rng, cases):
+    time.sleep(60)
+    return 0.0
+
+
 def _timeout(signum, frame):
     raise TimeoutError("run_checks did not return")
 
 
-def test_a_dead_worker_raises_instead_of_hanging(monkeypatch):
-    monkeypatch.setattr(checks, "PROPERTY_TABLES", {"manifold": (0, 1, False, [("dies", _dies, 1e-9)])})
+@pytest.fixture
+def alarm():
+    """Fails a test whose run hangs, by SIGALRM after 60 s."""
     previous = signal.signal(signal.SIGALRM, _timeout)
     signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def no_children():
+    """True if this process has no child, running or unreaped."""
     try:
-        with pytest.raises(BrokenProcessPool):
-            checks.run_checks("manifold")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_dead_worker_raises_instead_of_hanging(monkeypatch, alarm):
+    monkeypatch.setattr(checks, "PROPERTY_TABLES", {"manifold": (0, 1, False, [("dies", _dies, 1e-9)])})
+    with pytest.raises(ChildProcessError, match="the result of dies/euclidean$"):
+        checks.run_checks("manifold")
+    assert no_children()
+
+
+def test_a_dead_worker_is_a_cli_error(monkeypatch, alarm, capsys):
+    # ChildProcessError is an OSError: one error line and exit code 1
+    monkeypatch.setattr(checks, "PROPERTY_TABLES", {"manifold": (0, 1, False, [("dies", _dies, 1e-9)])})
+    assert cli.main(["check", "--suite", "manifold"]) == 1
+    assert capsys.readouterr().err == "error: a check worker exited before it sent the result of dies/euclidean\n"
+    assert no_children()
+
+
+def test_an_interrupted_run_kills_and_reaps_its_workers(monkeypatch, alarm):
+    # the first result interrupts this process while the other worker
+    # sleeps in its property: without the kill, the reap would wait 60 s
+    table = [("passes", _passes, 1e-9), ("sleeps", _sleeps, 1e-9)]
+    monkeypatch.setattr(checks, "PROPERTY_TABLES", {"manifold": (0, 1, False, table)})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def interrupted(fd):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ser, "_message", interrupted)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        checks.run_checks("manifold")
+    assert time.monotonic() - started < 30
+    assert no_children()
+
+
+def test_a_check_run_leaves_no_pool_thread_or_child():
+    # the parent forks its workers itself: it loads no executor machinery,
+    # starts no thread, and reaps every worker
+    probe = textwrap.dedent("""
+        import os, sys, threading
+        from pathgeo import checks, cli
+        assert checks.run_checks("all", cases=2)["passed"]
+        print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+        print(threading.active_count())
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            print("child left")
+        except ChildProcessError:
+            print("no child")
+    """)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == ["[]", "1", "no child", ""]
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "7"])

@@ -9,6 +9,7 @@ from pathgeo import backtrack as bt
 from pathgeo import checks, cli
 from pathgeo import manifold as mf
 from pathgeo import path as pth
+from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
 from pathgeo import category as cat
 
@@ -83,6 +84,25 @@ def test_worldsheet_flat_square(tmp_path):
     assert summary["energy"] == pytest.approx(0.5, abs=1e-6)
     assert summary["length"] == pytest.approx(1.0, abs=1e-6)
     assert os.path.exists(os.path.join(out, "worldsheet.json"))
+
+
+def test_worldsheet_of_a_field_given_inline(tmp_path):
+    # a field without a generator is its inline components, one row per sample
+    comps = np.outer(np.linspace(0.0, 1.0, 9), [0.5, 1.0])
+    cfg = write_config(
+        tmp_path,
+        {
+            "manifold": {"kind": "euclidean", "dim": 2},
+            "paths": {"base": {"generator": "line", "start": [0, 0], "end": [1, 0], "collar": 0}},
+            "fields": {"ramp": {"path": "base", "components": comps.tolist()}},
+            "resolution": {"N": 8, "S": 2},
+        },
+    )
+    out = str(tmp_path / "out")
+    assert cli.main(["worldsheet", "--config", cfg, "--path", "base", "--field", "ramp", "--out", out]) == 0
+    sheet = ps.Worldsheet.from_json(read_json(os.path.join(out, "worldsheet.json")))
+    assert np.array_equal(sheet.velocities[0], comps)
+    assert np.array_equal(sheet.points[-1], sheet.points[0] + comps)
 
 
 def test_worldsheet_zero_field(tmp_path):

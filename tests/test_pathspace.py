@@ -754,6 +754,36 @@ def test_a_torus_transport_and_slice_wrap_nothing(monkeypatch):
     assert calls == [sheet.points.shape]  # the constructor wraps, once
 
 
+def test_a_torus_sheet_wraps_each_block_once(monkeypatch):
+    # the flow wraps each block of fibers; the sheet built from them does
+    # not wrap them again, and a sheet given points from outside does
+    spec = checks.builtin_manifolds()["flat_torus"]
+    gamma, (field, _) = wide_fields(spec, np.random.default_rng(SEED + 13))
+    wrap, calls = mf.FlatTorus.wrap, []
+    monkeypatch.setattr(mf.FlatTorus, "wrap", lambda self, x: calls.append(np.shape(x)) or wrap(self, x))
+    sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)
+    assert calls == [(1, gamma.n_segments + 1, 2)] * 65  # N + 1 > _BLOCK_NODES: one fiber a block
+    assert np.array_equal(sheet.points, wrap(spec, sheet.points))
+    calls.clear()
+    given = sheet.points + np.asarray(spec.circumferences)
+    outside = ps.Worldsheet(spec, sheet.s_nodes, given, sheet.velocities, sheet.collar)
+    assert calls == [given.shape]
+    assert outside.points.tobytes() == wrap(spec, given).tobytes()
+    assert np.all((outside.points >= 0.0) & (outside.points < np.asarray(spec.circumferences)))
+
+
+def test_transverse_residual_of_a_sheet_without_interior_nodes():
+    # the residual is a second difference in s: a sheet of one or two s
+    # nodes has no node to take it at, however far from a geodesic it is
+    spec = mf.ManifoldSpec.sphere(1.0)
+    grid = [pth.make_latitude_circle(spec, c, n=16).samples for c in (0.6, 1.3)]
+    sheet = ps.sheet_from_grid(spec, (0.0, 1.0), grid)
+    assert sheet.n_s_segments == 1
+    assert ps.transverse_residual(sheet) == 0.0
+    one = ps.Worldsheet(spec, [0.0], sheet.points[:1], sheet.velocities[:1])
+    assert ps.transverse_residual(one) == 0.0
+
+
 def test_transverse_residual_keeps_a_nan_of_any_block():
     gamma, field = collared_circle_and_field(n=4096)
     sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)
@@ -778,13 +808,14 @@ def traced_peak(fn, *args):
     return peak, out
 
 
-@pytest.mark.parametrize("name", ["sphere", "hyperbolic_half_plane", "euclidean"])
+@pytest.mark.parametrize("name", ["sphere", "hyperbolic_half_plane", "euclidean", "flat_torus"])
 def test_a_wide_sheet_is_built_in_blocks(name):
     # one whole-sheet broadcast of the flow peaked at 3.2x (sphere) and 5.0x
     # (half plane) the sheet's own bytes, its residual at 2.4x and 1.5x. With
     # the flow in blocks and the node check over the whole sheet at once,
     # the sphere, half plane and euclidean read 1.50x, 1.25x and 1.25x; with
-    # the node check in blocks too, 1.12x, 1.10x and 1.06x, and 0.04x
+    # the node check in blocks too, 1.12x, 1.10x and 1.06x, and 0.04x. The
+    # torus read 1.57x while the sheet wrapped its points a second time
     spec = checks.builtin_manifolds()[name]
     gamma, (field, _) = wide_fields(spec, np.random.default_rng(SEED + 12))
     peak, sheet = traced_peak(ps.pathspace_geodesic, gamma, field, (0.0, 1.0), 64)

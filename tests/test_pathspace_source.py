@@ -20,7 +20,10 @@ A checked value holds its arrays one way, read-only through
 ``manifold.held``, the only function that sets ``flags.writeable``. Points
 are wrapped once, where they enter: in the path and sheet layers only the
 ``DiscretePath`` and ``Worldsheet`` constructors call ``wrap``, so a slice
-and a transport hold and check the sheet's points as they are.
+and a transport hold and check the sheet's points as they are. Only
+``build_sheet``, whose flow wrapped its points, skips the sheet
+constructor's wrap, through ``pathspace._built_sheet``, the one caller of
+``Worldsheet.__post_init__``.
 
 These tests read the package source and fail if another function calls
 or reads one of these names."""
@@ -179,3 +182,8 @@ def test_only_the_path_and_sheet_constructors_wrap_points():
     }
     # one call in each: the sheet wraps its points once, not per fiber
     assert [len(callers(ast.parse((PACKAGE / name).read_text()), "wrap")) for name in ("path.py", "pathspace.py")] == [1, 1]
+
+
+def test_only_the_sheet_kernel_builds_a_sheet_without_its_wrap():
+    assert package_owners(callers, "_built_sheet") == {"pathspace.py": {"build_sheet"}}
+    assert package_owners(callers, "__post_init__") == {"pathspace.py": {"_built_sheet"}}

@@ -1,8 +1,8 @@
-"""The package starts processes in two places only: the property pool of
-``checks.run_checks`` and the export helper that ``serialize._text``
-forks. This test reads every module of the package and fails on
-``os.fork``, a process pool or ``multiprocessing`` anywhere else, so no
-third way of starting processes slips in beside them."""
+"""The package starts processes in two places only: the check workers
+that ``checks._results`` forks and the export helper that
+``serialize._text`` forks. This test reads every module of the package
+and fails on ``os.fork``, a process pool or ``multiprocessing`` anywhere
+else, so no third way of starting processes slips in beside them."""
 
 import ast
 from pathlib import Path
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pathgeo"
-ALLOWED = {("checks.py", "run_checks"), ("serialize.py", "_text")}
+ALLOWED = {("checks.py", "_results"), ("serialize.py", "_text")}
 NAMES = {"fork", "forkpty", "multiprocessing", "ProcessPoolExecutor"}
 
 

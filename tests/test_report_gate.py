@@ -3,9 +3,9 @@ at seeds 42, 1, 3, 7 and 1234, the exports of one fixed worldsheet at two
 sizes and the records of three fixed composites must not change. A change
 that alters them on purpose updates the digests below and says why."""
 
-import concurrent.futures
 import hashlib
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -58,9 +58,9 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_seed_42_report_is_byte_identical(pools):
+def test_seed_42_report_is_byte_identical(check_workers):
     assert sha256(ser.dumps(checks.run_checks("all", seed=42))) == REPORT_SHA256
-    assert pools == [min(len(os.sched_getaffinity(0)), 56)]  # one pool, one worker per CPU
+    assert len(check_workers) == min(len(os.sched_getaffinity(0)), 56)  # one worker per CPU
 
 
 @pytest.mark.parametrize("seed", sorted(OTHER_SEED_SHA256))
@@ -68,10 +68,10 @@ def test_other_seed_reports_are_byte_identical(seed):
     assert sha256(ser.dumps(checks.run_checks("all", seed=seed))) == OTHER_SEED_SHA256[seed]
 
 
-def test_one_worker_report_is_byte_identical(monkeypatch, pools):
+def test_one_worker_report_is_byte_identical(monkeypatch, check_workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert sha256(ser.dumps(checks.run_checks("all", seed=1))) == OTHER_SEED_SHA256[1]
-    assert pools == [1]
+    assert len(check_workers) == 1
 
 
 def fixed_sheet(n, S):
@@ -101,17 +101,27 @@ def test_fixed_sheet_exports_are_byte_identical(exports, name):
     assert sha256(exports[name]) == EXPORT_SHA256[name]
 
 
+def callers(frame):
+    """The code of ``frame`` and of every frame below it on the stack."""
+    while frame:
+        yield frame.f_code
+        frame = frame.f_back
+
+
 @pytest.fixture
-def pools(monkeypatch):
-    """The worker counts of the process pools started while it is active."""
+def check_workers(monkeypatch):
+    """The process ids of the check workers (of ``checks._results``) forked
+    while it is active; an export helper is not one."""
     started = []
-    executor = concurrent.futures.ProcessPoolExecutor
+    fork = os.fork
 
-    def counting(max_workers, **kwargs):
-        started.append(max_workers)
-        return executor(max_workers, **kwargs)
+    def counting():
+        pid = fork()
+        if pid and checks._results.__code__ in callers(sys._getframe(1)):
+            started.append(pid)
+        return pid
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    monkeypatch.setattr(os, "fork", counting)
     return started
 
 
@@ -120,14 +130,14 @@ def large_sheet():
     return fixed_sheet(4096, 64)[1]
 
 
-def test_large_sheet_exports_are_byte_identical(large_sheet, pools, helpers):
+def test_large_sheet_exports_are_byte_identical(large_sheet, check_workers, helpers):
     # 65 blocks of one fiber: each export forks exactly one helper, which
     # formats the blocks it claims first
     for name, write in SHEET_WRITERS.items():
         started = len(helpers)
         assert sha256(write(large_sheet)) == LARGE_EXPORT_SHA256[name]
         assert len(helpers) == started + min(len(os.sched_getaffinity(0)) - 1, 1), name
-    assert pools == []
+    assert check_workers == []
 
 
 def test_one_cpu_large_sheet_exports_are_byte_identical(large_sheet, monkeypatch, helpers):
@@ -137,11 +147,11 @@ def test_one_cpu_large_sheet_exports_are_byte_identical(large_sheet, monkeypatch
     assert helpers == []  # on one CPU every slab is formatted in this process
 
 
-def test_small_exports_start_no_pool(pools, helpers):
+def test_small_exports_start_no_pool(check_workers, helpers):
     circle, sheet = fixed_sheet(64, 8)
     exports = dict(sheet_exports(sheet), path_csv=ser.path_to_csv(circle))
     assert {name: sha256(text) for name, text in exports.items()} == EXPORT_SHA256
-    assert pools == []
+    assert check_workers == []
     assert helpers == []  # a sheet of one block of fibers starts no helper
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import digit_groups
 
 from pathgeo import category as cat
 from pathgeo import checks, cli
@@ -192,6 +193,27 @@ def test_torus_tuple_parameters_match():
 def test_edge_values_and_shapes_match():
     record = edge_record()
     assert ser.dumps(record) == ref_dumps(listed(record))
+
+
+def test_a_rank_4_and_an_empty_3d_array_match():
+    # each goes through the nested lists of its sub-arrays, not the blocks
+    # of fibers of a nonempty 3-d array
+    record = {
+        "rank4": np.arange(48.0).reshape(2, 2, 3, 4) / 7.0,
+        "empty_fibers": np.zeros((2, 0, 3)),
+        "no_fibers": np.zeros((0, 2, 3)),
+    }
+    assert ser.dumps(record) == ref_dumps(listed(record))
+    assert ser.dumps(record["empty_fibers"]) == "[[], []]\n"
+
+
+def test_the_digit_tables_equal_their_string_oracle():
+    # the library builds the 20,000 digit groups with numpy arithmetic; the
+    # oracle formats each one as a Python string
+    groups = ser._digit_tables()[0]
+    want = digit_groups()
+    assert groups.dtype == want.dtype and groups.shape == want.shape == (20000,)
+    assert groups.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
