@@ -467,35 +467,25 @@ def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
 
 def _results(tasks):
     """The ``PropertyResult`` of each task ``(name, property, tolerance,
-    cases)``, in order, each run in a worker process forked from this one.
+    cases)``, in order, each run in a worker process forked from this one
+    (``serialize._forked``).
 
     There are ``min(CPUs, len(tasks))`` workers. Each claims the next task
-    through a claims file shared with the others (``serialize._claim``),
-    runs it, and sends its index and result back through a pipe of its own
-    (``serialize._send``) at once; it leaves by ``os._exit`` when no task
+    through the claims file it shares with the others
+    (``serialize._claim``), runs it, and sends its index and result back
+    through its pipe (``serialize._send``) at once; it leaves when no task
     is left. This process only collects the results. A worker that exits
     before it has sent the result of a task it claimed is a
     ``ChildProcessError`` naming the first task without a result. Every
-    worker is reaped before this returns or raises, and killed first if
-    this process fails or is interrupted.
+    worker is killed and reaped before this returns or raises.
     """
     # imported here, not at module level: ``import pathgeo`` would load it in
     # every command
     import select
 
-    results, pids, ends = [None] * len(tasks), [], []
-    claims = os.memfd_create("pathgeo-check-claims")
-    try:
-        for _ in range(min(len(os.sched_getaffinity(0)), len(tasks))):
-            r, w = os.pipe()
-            ends.append(r)
-            try:
-                pid = os.fork()
-                if not pid:
-                    _work(tasks, claims, w)
-                pids.append(pid)
-            finally:
-                os.close(w)
+    results = [None] * len(tasks)
+    workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    with ser._forked(workers, functools.partial(_work, tasks)) as (claims, ends):
         sent = select.poll()
         for r in ends:
             sent.register(r, select.POLLIN)
@@ -509,34 +499,16 @@ def _results(tasks):
                     running -= 1
                 else:
                     results[i] = result
-    except BaseException:
-        import signal  # as select
-
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd in ends + [claims]:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
     if None in results:
         name = tasks[results.index(None)][0]
         raise ChildProcessError("a check worker exited before it sent the result of %s" % name)
     return results
 
 
-def _work(tasks, claims, w):
-    """A worker of ``_results``, in the forked process: runs each task it
-    claims and writes ``(index, result)``, pickled, to the pipe end ``w``.
-    It never returns: it leaves by ``os._exit``, so no buffer it inherited
-    is flushed twice and no cleanup of its parent runs."""
-    status = 1
-    try:
-        with os.fdopen(w, "wb") as out:
-            for i, task in enumerate(tasks):
-                if ser._claim(claims, i + 1):
-                    ser._send(out, pickle.dumps((i, _run_property(*task))))
-        status = 0
-    finally:
-        os._exit(status)
+def _work(tasks, claims, out):
+    """The work of a worker of ``_results``, in the forked process: runs
+    each task it claims and sends ``(index, result)``, pickled, through the
+    binary file ``out``."""
+    for i, task in enumerate(tasks):
+        if ser._claim(claims, i + 1):
+            ser._send(out, pickle.dumps((i, _run_property(*task))))

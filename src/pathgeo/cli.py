@@ -98,6 +98,11 @@ class ScenarioConfig:
         if name not in self.paths:
             raise ConfigError("unknown path %r (have: %s)" % (name, ", ".join(sorted(self.paths)) or "none"))
         d = dict(self.paths[name])
+        gen = d.pop("generator", None)
+        if "samples" not in d and gen not in pth.GENERATORS:
+            raise ConfigError(
+                "path %r needs 'samples' or a known generator (%s)" % (name, ", ".join(sorted(pth.GENERATORS)))
+            )
         try:
             if "samples" in d:
                 gamma = pth.DiscretePath(
@@ -106,12 +111,6 @@ class ScenarioConfig:
                     mf.as_number("collar", d.get("collar", 0.0)),
                 )
             else:
-                gen = d.pop("generator", None)
-                if gen not in pth.GENERATORS:
-                    raise ConfigError(
-                        "path %r needs 'samples' or a known generator (%s)"
-                        % (name, ", ".join(sorted(pth.GENERATORS)))
-                    )
                 d.setdefault("n", self.N)
                 gamma = getattr(pth, pth.GENERATORS[gen])(self.manifold, **d)
         except (TypeError, ValueError) as err:
@@ -216,9 +215,10 @@ def cmd_worldsheet(args):
     sheet = ps.pathspace_geodesic(gamma, field, config.interval, config.S)
     writers = {"csv": ser.sheet_csv_pieces, "obj": ser.sheet_obj_pieces, "json": lambda s: ser.json_pieces(s.to_json())}
     _write(args.out, "worldsheet." + args.format, writers[args.format](sheet))
+    energy = ps.sheet_energy(sheet)
     summary = {
-        "energy": ps.sheet_energy(sheet),
-        "length": ps.sheet_length(sheet),
+        "energy": energy,
+        "length": ps._length(sheet.interval, energy),
         "fiber_residual_max": ps.transverse_residual(sheet),
     }
     _emit_report(args, "summary.json", summary)

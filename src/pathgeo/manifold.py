@@ -704,8 +704,7 @@ def integrate_batch(spec, x0, v0, s_end, steps):
     endpoints. Raises IntegrationError (with the last valid state attached)
     if the trajectory leaves the chart domain.
     """
-    if steps < 1:
-        raise DomainError("steps must be >= 1")
+    steps = as_integer("steps", steps)
     x = np.array(x0, dtype=float)
     v = np.array(v0, dtype=float)
     h = s_end / steps

@@ -267,8 +267,14 @@ def sheet_energy(sheet):
 
 def sheet_length(sheet):
     """Length of a geodesic sheet via the Cauchy-Schwarz equality L^2 = 2|b-a|E."""
-    a, b = sheet.interval
-    return float(np.sqrt(max(2.0 * (b - a) * sheet_energy(sheet), 0.0)))
+    return _length(sheet.interval, sheet_energy(sheet))
+
+
+def _length(interval, energy):
+    """``sheet_length`` of a sheet over ``interval`` whose ``sheet_energy`` is
+    ``energy``."""
+    a, b = interval
+    return float(np.sqrt(max(2.0 * (b - a) * energy, 0.0)))
 
 
 def _pointwise_distances(gamma1, gamma2):

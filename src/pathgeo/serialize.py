@@ -236,10 +236,10 @@ _WIDE = object()
 # bytes of the length before each message (``_send``), and of the last item
 # taken in a claims file (``_claim``)
 _LENGTH = 8
-# the helper's pipe holds about four N = 4096 slabs of JSON, so the helper
-# formats on while this process has yet to read them; with the default 64 KB
-# it waits for each read, and an N = 4096 JSON export took 1.2 times as long
-# (2 vCPUs)
+# each child's pipe (``_forked``) holds about four N = 4096 slabs of JSON, so
+# the export helper formats on while this process has yet to read them; with
+# the default 64 KB it waits for each read, and an N = 4096 JSON export took
+# 1.2 times as long (2 vCPUs)
 _PIPE_BYTES = 1 << 20
 # pieces this process holds, formatted, behind a slab the helper has yet to
 # send: about four slabs
@@ -252,53 +252,30 @@ def _text(pieces):
     returns text, of ``_float_rows`` or of the faces of an OBJ strip.
 
     At the first ``_WIDE``, if this process may run on more than one CPU,
-    one helper process is forked. It inherits the state of the stream and
-    draws the same pieces (``_help``); from there on each slab is formatted
-    by the process that claims it first (``_shared``), so on two free CPUs
-    each formats about every other slab, and on one busy CPU the other
-    takes more. The helper sends the bytes of its slabs through one pipe,
-    each after its length, and this process yields every piece in order.
-    The helper is killed and reaped when the stream ends, fails or is
-    closed; a helper that exits before it has sent a slab it claimed is a
-    ChildProcessError. Without a helper (one CPU, no ``_WIDE``, or a failed
-    fork) every slab is formatted here.
+    one helper process is forked (``_forked``). It inherits the state of
+    the stream and draws the same pieces (``_help``); from there on each
+    slab is formatted by the process that claims it first (``_shared``), so
+    on two free CPUs each formats about every other slab, and on one busy
+    CPU the other takes more. The helper sends the bytes of its slabs
+    through its pipe, each after its length, and this process yields every
+    piece in order. The helper is killed and reaped when the stream ends,
+    fails or is closed; a helper that exits before it has sent a slab it
+    claimed is a ChildProcessError. Without a helper (one CPU, no
+    ``_WIDE``, or a failed fork) every slab is formatted here.
     """
     pieces = iter(pieces)
-    helper = None  # (pid, read end of its pipe, the claims file)
-    try:
+    with contextlib.ExitStack() as helper:
         for piece in pieces:
             if isinstance(piece, str):
                 yield piece
             elif piece is not _WIDE:
                 yield piece()
             elif len(os.sched_getaffinity(0)) > 1:  # _shared draws the rest
-                # imported here, not at module level: ``import pathgeo``
-                # would load them (0.3 MB of peak RSS) in every command
-                import fcntl
-                import signal
-
-                claims = os.memfd_create("pathgeo-export-claims")
-                r, w = os.pipe()
-                with contextlib.suppress(OSError):  # where the limit allows: slabs in flight
-                    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
                 try:
-                    pid = os.fork()
-                except OSError:
-                    for fd in (claims, r, w):
-                        os.close(fd)
+                    claims, (r,) = helper.enter_context(_forked(1, functools.partial(_help, pieces)))
+                except OSError:  # no helper: the slabs are formatted here
                     continue
-                if not pid:
-                    _help(pieces, claims, r, w)
-                helper = (pid, r, claims)
-                os.close(w)
                 yield from _shared(pieces, r, claims)
-    finally:
-        if helper:
-            pid, r, claims = helper
-            os.close(r)
-            os.close(claims)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _claim(claims, k):
@@ -317,6 +294,58 @@ def _claim(claims, k):
     finally:
         os.lockf(claims, os.F_ULOCK, 0)
     return taken
+
+
+@contextlib.contextmanager
+def _forked(count, work):
+    """Fork ``count`` children that share one claims file (``_claim``), and
+    yield ``(claims, read ends)``: the file, and the read end of each
+    child's pipe, in order. The one place the package starts processes.
+
+    Each child closes every read end it inherited, so it gets EPIPE rather
+    than blocking on a full pipe if this process is gone; it then runs
+    ``work(claims, out)``, with ``out`` the binary write end of its pipe,
+    and leaves by ``os._exit``, with status 1 if ``work`` raised: no buffer
+    it inherited is flushed twice and no cleanup of this process runs. Every
+    child is killed and reaped, and the ends and the claims file closed,
+    on every way out: the end of the block, an error or an interrupt in it,
+    and a fork that fails after some children have started.
+    """
+    # imported here, not at module level: ``import pathgeo`` would load them
+    # (0.3 MB of peak RSS) in every command
+    import fcntl
+    import signal
+
+    claims, ends, pids = os.memfd_create("pathgeo-claims"), [], []
+    try:
+        for _ in range(count):
+            r, w = os.pipe()
+            ends.append(r)
+            with contextlib.suppress(OSError):  # where the limit allows: messages in flight
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            try:
+                pid = os.fork()
+                if not pid:
+                    status = 1
+                    try:
+                        for fd in ends:
+                            os.close(fd)
+                        with os.fdopen(w, "wb") as out:
+                            work(claims, out)
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+            finally:
+                os.close(w)
+        yield claims, ends
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for fd in ends + [claims]:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
 
 
 def _shared(pieces, r, claims):
@@ -356,22 +385,13 @@ def _shared(pieces, r, claims):
         yield first()
 
 
-def _help(pieces, claims, r, w):
-    """The helper of ``_text``, in the forked process: formats each deferred
-    slab of ``pieces`` it claims first and writes its bytes to the pipe end
-    ``w``, after their length. It never returns: it leaves by ``os._exit``,
-    so no buffer it inherited is flushed twice and no cleanup of its parent
-    runs."""
-    status = 1
-    try:
-        os.close(r)
-        with os.fdopen(w, "wb") as out:
-            for k, slab in enumerate((p for p in pieces if callable(p)), 1):
-                if _claim(claims, k):
-                    _send(out, slab().encode())
-        status = 0
-    finally:
-        os._exit(status)
+def _help(pieces, claims, out):
+    """The work of the helper of ``_text``, in the forked process: formats
+    each deferred slab of ``pieces`` it claims first and sends its bytes
+    through the binary file ``out``."""
+    for k, slab in enumerate((p for p in pieces if callable(p)), 1):
+        if _claim(claims, k):
+            _send(out, slab().encode())
 
 
 def _received(r):

@@ -1,6 +1,8 @@
 """The property runner: its forked workers and the arguments it takes."""
 
+import contextlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -83,6 +85,51 @@ def test_an_interrupted_run_kills_and_reaps_its_workers(monkeypatch, alarm):
     with pytest.raises(KeyboardInterrupt):
         checks.run_checks("manifold")
     assert time.monotonic() - started < 30
+    assert no_children()
+
+
+def test_a_fork_that_fails_while_the_workers_start_is_a_cli_error(monkeypatch, alarm, capsys):
+    # the second fork fails while the first worker sleeps in its first
+    # property: one error line, and without the kill the reap would wait 60 s
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(checks, "_run_property", lambda *task: _sleeps(None, None, None))
+    fork, forks = os.fork, []
+
+    def second_fails():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    started = time.monotonic()
+    assert cli.main(["check", "--suite", "all"]) == 1
+    assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    assert no_children()
+
+
+def _open_files(claims, out):
+    """Sends the (target, access mode) of every file this process holds
+    open: ``pipe:[inode]`` for either end of a pipe."""
+    held = []
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the listing's own descriptor is gone
+            info = Path("/proc/self/fdinfo", fd).read_text().split()
+            held.append((os.readlink("/proc/self/fd/" + fd), int(info[info.index("flags:") + 1], 8) & os.O_ACCMODE))
+    ser._send(out, pickle.dumps(held))
+
+
+def test_each_child_closes_the_read_ends_it_inherited(alarm):
+    # so a child whose parent is gone gets EPIPE instead of blocking on a
+    # full pipe; each keeps the write end of its own pipe
+    with ser._forked(3, _open_files) as (claims, ends):
+        pipes = [os.readlink("/proc/self/fd/%d" % r) for r in ends]
+        held = [set(pickle.loads(ser._message(r))) for r in ends]
+    for pipe, files in zip(pipes, held):
+        assert (pipe, os.O_WRONLY) in files
+        assert not files & {(p, os.O_RDONLY) for p in pipes}
     assert no_children()
 
 

@@ -646,6 +646,22 @@ def test_worldsheet_formats_no_export_without_out(tmp_path, monkeypatch, capsys,
     assert sorted(os.listdir(out)) == sorted(["summary.json", "worldsheet." + fmt])
 
 
+def test_worldsheet_computes_the_sheet_energy_once(tmp_path, monkeypatch, capsys):
+    # the summary's length comes from the energy it already holds
+    real, sheets = ps.sheet_energy, []
+
+    def spied(sheet):
+        sheets.append(sheet)
+        return real(sheet)
+
+    monkeypatch.setattr(ps, "sheet_energy", spied)
+    assert cli.main(["worldsheet", "--config", sphere_config(tmp_path), "--path", "eq"]) == 0
+    assert len(sheets) == 1
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["energy"] == real(sheets[0])
+    assert summary["length"] == ps.sheet_length(sheets[0])
+
+
 @pytest.mark.parametrize(
     "entry, needle",
     [
@@ -811,3 +827,59 @@ def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and needle in err
+
+
+LINE = {"generator": "line", "start": [0, 0], "end": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "data, argv, message",
+    [
+        ({"paths": {"a": LINE}}, ["energy", "--path", "b"], "unknown path 'b' (have: a)"),
+        ({"paths": {"a": {"start": [0, 0], "end": [1, 0]}}}, ["energy"],
+         "path 'a' needs 'samples' or a known generator (great_circle_arc, latitude_circle, line, vertical_ray)"),
+        ({"paths": {"a": LINE}, "fields": {"up": {"generator": "zero", "path": "a"}}},
+         ["worldsheet", "--field", "down"], "unknown field 'down' (have: up)"),
+        ({"paths": {"a": LINE}, "fields": {"f": {"generator": "zero"}}}, ["worldsheet"],
+         "field 'f' needs a 'path' reference"),
+        ({"paths": {"a": LINE}, "fields": {"f": {"path": "a"}}}, ["worldsheet"],
+         "field 'f' needs a generator or inline 'components'"),
+        ({}, ["energy"], "config defines no paths"),
+    ],
+    ids=["unknown-path", "path-without-generator", "unknown-field", "field-without-path",
+         "field-without-generator", "no-paths"],
+)
+def test_config_entry_rules_are_one_error_line(tmp_path, capsys, data, argv, message):
+    cfg = write_config(tmp_path, dict(data, manifold={"kind": "euclidean", "dim": 2}, resolution={"N": 16, "S": 2}))
+    assert cli.main(argv + ["--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_a_subcommand_without_its_config_is_one_error_line(capsys):
+    assert cli.main(["energy"]) == 1
+    assert capsys.readouterr().err == "error: this subcommand needs --config FILE\n"
+
+
+@pytest.fixture(scope="module")
+def morphism_records():
+    """The record texts of a 1-morphism and of a 2-morphism over it."""
+    m1, _, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
+    return {"1": ser.dumps(ser.morphism1_to_json(m1)),
+            "2": ser.dumps(ser.morphism2_to_json(cat.morphism2(m1, (0.0, 0.5), S=2)))}
+
+
+@pytest.mark.parametrize(
+    "kinds, message",
+    [
+        ("12", "cannot mix 1-morphism and 2-morphism files"),
+        ("222", "compose needs exactly two or four morphism files"),
+        ("2212", "exchange check needs four 2-morphism files"),
+    ],
+    ids=["mixed-pair", "three-files", "exchange-with-a-1-morphism"],
+)
+def test_compose_of_a_wrong_set_of_files_is_one_error_line(tmp_path, capsys, morphism_records, kinds, message):
+    files = [tmp_path / ("%d.json" % k) for k in range(len(kinds))]
+    for file, kind in zip(files, kinds):
+        file.write_text(morphism_records[kind])
+    assert cli.main(["compose"] + [str(f) for f in files]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message

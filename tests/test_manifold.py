@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -632,3 +633,46 @@ def test_sphere_point_and_tangent_validation():
     p = mf.ManifoldPoint(spec, [1.0, 0.0, 0.0])
     with pytest.raises(mf.DomainError):
         mf.TangentVector(p, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("steps", [0, 2.5, "3", True], ids=repr)
+def test_integrate_batch_reads_its_steps_through_the_integer_rule(steps):
+    with pytest.raises(mf.DomainError, match=r"^steps must be an integer >= 1 \(got %s\)$" % re.escape(repr(steps))):
+        mf.integrate_batch(mf.ManifoldSpec.euclidean(2), [0.0, 0.0], [1.0, 0.0], 1.0, steps)
+
+
+def _plane_point(coords=(0.0, 0.0)):
+    return mf.ManifoldPoint(mf.ManifoldSpec.euclidean(2), coords)
+
+
+def _torus_vector():
+    return mf.TangentVector(mf.ManifoldPoint(mf.ManifoldSpec.flat_torus([1.0, 2.0]), [0.0, 0.0]), [1.0, 0.0])
+
+
+ENTRY_RULES = {
+    "normal-in-3d-chart": (
+        lambda: pth.make_normal_field(pth.make_line(mf.ManifoldSpec.euclidean(3), [0, 0, 0], [1, 0, 0], n=16)),
+        "normal field needs a 2d chart or the sphere",
+    ),
+    "point-coordinate-count": (lambda: _plane_point([0.0, 0.0, 0.0]), "expected 2 coordinates, got shape (3,)"),
+    "vector-shape": (lambda: mf.TangentVector(_plane_point(), [1.0, 0.0, 0.0]),
+                     "tangent components have wrong shape (3,)"),
+    "vector-on-another-manifold": (lambda: mf.exp_map(_plane_point(), _torus_vector()),
+                                   "tangent vector lives on a different manifold"),
+    "points-on-different-manifolds": (lambda: mf.distance(_plane_point(), _torus_vector().base),
+                                      "points live on different manifolds"),
+    "empty-curve": (lambda: mf.parallel_transport([], mf.TangentVector(_plane_point(), [1.0, 0.0])), "empty curve"),
+    "unordered-curve": (
+        lambda: mf.parallel_transport([(1.0, _plane_point()), (0.0, _plane_point([1.0, 0.0]))],
+                                      mf.TangentVector(_plane_point(), [1.0, 0.0])),
+        "curve samples must be ordered in s",
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ENTRY_RULES))
+def test_value_type_entry_rules_name_the_problem(rule):
+    build, message = ENTRY_RULES[rule]
+    with pytest.raises(mf.DomainError) as err:
+        build()
+    assert str(err.value) == message

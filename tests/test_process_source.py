@@ -1,8 +1,9 @@
-"""The package starts processes in two places only: the check workers
-that ``checks._results`` forks and the export helper that
-``serialize._text`` forks. This test reads every module of the package
-and fails on ``os.fork``, a process pool or ``multiprocessing`` anywhere
-else, so no third way of starting processes slips in beside them."""
+"""The package starts processes in one place only: ``serialize._forked``,
+through which the check workers of ``checks._results`` and the export
+helper of ``serialize._text`` are forked. This test reads every module of
+the package and fails on ``os.fork``, a process pool or
+``multiprocessing`` anywhere else, so no second way of starting processes
+slips in beside it."""
 
 import ast
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pathgeo"
-ALLOWED = {("checks.py", "_results"), ("serialize.py", "_text")}
+ALLOWED = {("serialize.py", "_forked")}
 NAMES = {"fork", "forkpty", "multiprocessing", "ProcessPoolExecutor"}
 
 

@@ -110,8 +110,9 @@ def callers(frame):
 
 @pytest.fixture
 def check_workers(monkeypatch):
-    """The process ids of the check workers (of ``checks._results``) forked
-    while it is active; an export helper is not one."""
+    """The process ids of the check workers forked while it is active: the
+    children ``serialize._forked`` starts under ``checks._results``; an
+    export helper is not one."""
     started = []
     fork = os.fork
 
