@@ -5,6 +5,10 @@ random cases from a seed derived deterministically from the run seed, so
 reports are byte-identical for identical inputs regardless of execution
 order. Failures are report content, never exceptions.
 
+A property is a generator that yields each value it measures. The
+report's ``worst`` is the largest of them (``_run_property``): a NaN is the
+worst value and fails, and an infinite value ends the property.
+
 ``run_checks`` runs the properties in worker processes forked from the
 calling process, one per CPU it may run on, which claim the properties
 one at a time; it collects their results in suite order, so the report is
@@ -14,6 +18,7 @@ byte-identical to a serial run.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import os
 import pickle
@@ -45,11 +50,14 @@ def builtin_manifolds():
 @dataclass(frozen=True)
 class PropertyResult:
     name: str
-    passed: bool
     worst: float
     tolerance: float
     cases: int
     detail: str = ""
+
+    @property
+    def passed(self):
+        return self.worst <= self.tolerance
 
     def to_json(self):
         out = {
@@ -127,33 +135,27 @@ def _prop_geodesic_oracle(spec, rng, cases):
     vs = np.stack([random_tangent(spec, x, rng) for x in xs])
     pts, _ = mf.integrate_batch(spec, xs, vs, 1.0, 1000)
     ref, _ = mf.flow(spec, xs, vs, 1.0)
-    worst = float(np.max(mf.dist(spec, pts[-1], ref)))
-    return worst
+    yield float(np.max(mf.dist(spec, pts[-1], ref)))
 
 
 def _prop_exp_log(spec, rng, cases):
     inj = spec.injectivity_radius()
     cap = 0.9 * inj if np.isfinite(inj) else 2.0
-    worst = 0.0
     for _ in range(cases):
         x = spec.random_point(rng)
         v = random_tangent(spec, x, rng, max_norm=cap)
         p = mf.ManifoldPoint(spec, x)
         q = mf.exp_map(p, mf.TangentVector(p, v))
         back = mf.log_map(p, q)
-        worst = max(worst, float(np.max(np.abs(back.components - v))))
-    return worst
+        yield float(np.max(np.abs(back.components - v)))
 
 
 def _prop_distance_axioms(spec, rng, cases):
-    worst = 0.0
     for _ in range(cases):
         x, y, z = (spec.random_point(rng) for _ in range(3))
         dxy = mf.dist(spec, x, y)
-        worst = max(worst, abs(float(dxy - mf.dist(spec, y, x))))
-        slack = float(dxy + mf.dist(spec, y, z) - mf.dist(spec, x, z))
-        worst = max(worst, max(0.0, -slack))
-    return worst
+        yield abs(float(dxy - mf.dist(spec, y, x)))
+        yield -float(dxy + mf.dist(spec, y, z) - mf.dist(spec, x, z))
 
 
 def _prop_transport_isometry(spec, rng, cases):
@@ -167,9 +169,9 @@ def _prop_transport_isometry(spec, rng, cases):
     moved = mf.transport_along(spec, curves, w)
     n0 = mf.norm(spec, curves[0], moved[0])
     n1 = mf.norm(spec, curves[-1], moved[-1])
-    worst = np.max(np.abs(n1 - n0) / np.maximum(n0, 1e-12))
+    yield float(np.max(np.abs(n1 - n0) / np.maximum(n0, 1e-12)))
     oracle = mf.transport_along_rk4(spec, curves, w)
-    return max(float(worst), float(np.max(np.abs(moved - oracle))))
+    yield float(np.max(np.abs(moved - oracle)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,6 @@ def _prop_transport_isometry(spec, rng, cases):
 
 
 def _prop_fubini(spec, rng, cases, n=64, S=16):
-    worst = 0.0
     for _ in range(cases):
         gamma = random_collared_path(spec, rng, n=n)
         field = random_collared_field(gamma, rng)
@@ -186,24 +187,18 @@ def _prop_fubini(spec, rng, cases, n=64, S=16):
         E = ps.sheet_energy(sheet)
         et = ps.transverse_energies(sheet)
         resummed = float(np.sum(pth.trapezoid_weights(n) / n * et))
-        worst = max(worst, abs(E - resummed) / (1.0 + abs(E)))
-    return worst
+        yield abs(E - resummed) / (1.0 + abs(E))
 
 
 def _prop_distance_chain(spec, rng, cases, n=64):
-    worst = 0.0
     for _ in range(cases):
         g1 = random_collared_path(spec, rng, n=n)
         g2 = nearby_path(g1, rng)
         sheet = ps.connecting_geodesic(g1, g2, S=32)
-        worst = max(
-            worst, abs(ps.sheet_length(sheet) - ps.pathspace_distance(g1, g2))
-        )
-    return worst
+        yield abs(ps.sheet_length(sheet) - ps.pathspace_distance(g1, g2))
 
 
 def _prop_minimizing(spec, rng, cases, n=64):
-    worst = 0.0
     for _ in range(cases):
         g1 = random_collared_path(spec, rng, n=n)
         g2 = nearby_path(g1, rng)
@@ -213,12 +208,10 @@ def _prop_minimizing(spec, rng, cases, n=64):
         noise = 0.05 * rng.standard_normal(sheet.points.shape) * bump
         pts = spec.retract(sheet.points + noise)
         perturbed = ps.sheet_from_grid(spec, sheet.interval, pts)
-        worst = max(worst, dtilde - ps.sheet_length(perturbed))
-    return worst
+        yield dtilde - ps.sheet_length(perturbed)
 
 
 def _prop_l2_transport(spec, rng, cases, n=64, S=16):
-    worst = 0.0
     for _ in range(cases):
         gamma = random_collared_path(spec, rng, n=n)
         vfield = random_collared_field(gamma, rng)
@@ -227,18 +220,15 @@ def _prop_l2_transport(spec, rng, cases, n=64, S=16):
         moved = ps.pathspace_transport(sheet, xfield)
         g0 = ps.l2_metric(moved[0].base, moved[0], moved[0])
         g1 = ps.l2_metric(moved[-1].base, moved[-1], moved[-1])
-        worst = max(worst, abs(g1 - g0) / max(abs(g0), 1e-12))
-    return worst
+        yield abs(g1 - g0) / max(abs(g0), 1e-12)
 
 
 def _prop_geodesic_residual(spec, rng, cases, n=32, S=64):
-    worst = 0.0
     for _ in range(cases):
         gamma = random_collared_path(spec, rng, n=n)
         field = random_collared_field(gamma, rng)
         sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), S)
-        worst = max(worst, ps.transverse_residual(sheet))
-    return worst
+        yield ps.transverse_residual(sheet)
 
 
 # ---------------------------------------------------------------------------
@@ -261,22 +251,19 @@ def _spur_path(spec, rng, n=64):
 
 
 def _prop_detect_erase(spec, rng, cases, n=64):
-    worst = 0.0
     for _ in range(cases):
         spurred, clean, (T, k) = _spur_path(spec, rng, n=n)
         wins = bt.detect_backtracks(spurred)
         if len(wins) != 1 or wins[0].start != T or wins[0].half_width != k:
-            return float("inf")
+            yield math.inf
         if not bt.bt_equivalent(spurred, clean, 1e-6):
-            return float("inf")
+            yield math.inf
         c = bt.canonical_form(spurred)
         cc = bt.canonical_form(c)
-        worst = max(worst, float(np.max(mf.dist(spec, c.samples, cc.samples))))
-    return worst
+        yield float(np.max(mf.dist(spec, c.samples, cc.samples)))
 
 
 def _prop_exp_preserves_windows(spec, rng, cases, n=64):
-    worst = 0.0
     for _ in range(cases):
         spurred, _, (T, k) = _spur_path(spec, rng, n=n)
         field = pth.make_constant_field(spurred, 0.2 * rng.standard_normal(spec.point_dim))
@@ -284,27 +271,21 @@ def _prop_exp_preserves_windows(spec, rng, cases, n=64):
         wins = bt.detect_backtracks(moved, tol=1e-9)
         covered = any(w.start <= T and w.start + 2 * w.half_width >= T + 2 * k for w in wins)
         if not covered:
-            return float("inf")
+            yield math.inf
         for u in range(k + 1):
-            worst = max(
-                worst,
-                float(mf.dist(spec, moved.samples[T + u], moved.samples[T + 2 * k - u])),
-            )
-    return worst
+            yield float(mf.dist(spec, moved.samples[T + u], moved.samples[T + 2 * k - u]))
 
 
 def _prop_field_reflection(spec, rng, cases, n=64):
-    worst = 0.0
     for _ in range(cases):
         spurred, _, _ = _spur_path(spec, rng, n=n)
         field = pth.make_constant_field(spurred, 0.3 * rng.standard_normal(spec.point_dim))
         try:
             out = bt.field_canonical_form(field)
         except mf.DomainError:
-            return float("inf")
+            yield math.inf
         out2 = bt.field_canonical_form(out)
-        worst = max(worst, float(np.max(np.abs(out.components - out2.components))))
-    return worst
+        yield float(np.max(np.abs(out.components - out2.components)))
 
 
 def _prop_config_field(config, fname):
@@ -312,8 +293,8 @@ def _prop_config_field(config, fname):
     try:
         bt.field_canonical_form(field)
     except mf.DomainError:
-        return float("inf")
-    return 0.0
+        yield math.inf
+    yield 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -339,27 +320,21 @@ def _composable_triple(spec, rng, n=32):
 
 
 def _prop_cat1_laws(spec, rng, cases, n=32):
-    worst = 0.0
     for _ in range(cases):
         m1, m2, m3 = _composable_triple(spec, rng, n=n)
         lhs = cat.compose1(m3, cat.compose1(m2, m1))
         rhs = cat.compose1(cat.compose1(m3, m2), m1)
-        worst = max(
-            worst,
-            float(np.max(np.abs(lhs.path.samples - rhs.path.samples))),
-            float(np.max(np.abs(lhs.field.components - rhs.field.components))),
-        )
+        yield float(np.max(np.abs(lhs.path.samples - rhs.path.samples)))
+        yield float(np.max(np.abs(lhs.field.components - rhs.field.components)))
         ido = cat.identity1(cat.src1(m1), n=n)
         if not cat.morphism1_equal(cat.compose1(m1, ido), m1, 1e-6):
-            return float("inf")
+            yield math.inf
         idt = cat.identity1(cat.tgt1(m1), n=n)
         if not cat.morphism1_equal(cat.compose1(idt, m1), m1, 1e-6):
-            return float("inf")
-    return worst
+            yield math.inf
 
 
 def _prop_cat2_laws(spec, rng, cases, n=32, S=8):
-    worst = 0.0
     for _ in range(cases):
         m1, m2, _ = _composable_triple(spec, rng, n=n)
         a, b, c = 0.0, float(rng.uniform(0.3, 0.7)), 1.0
@@ -368,23 +343,17 @@ def _prop_cat2_laws(spec, rng, cases, n=32, S=8):
         F2 = cat.morphism2(m2, (a, b), S=S)
         G2 = cat.morphism2(m2, (b, c), S=S)
         V = cat.compose2_vertical(G1, F1)
-        worst = max(
-            worst,
-            float(np.max(np.abs(V.sheet.points[: S + 1] - F1.sheet.points))),
-            float(np.max(np.abs(V.sheet.points[S:] - G1.sheet.points))),
-        )
+        yield float(np.max(np.abs(V.sheet.points[: S + 1] - F1.sheet.points)))
+        yield float(np.max(np.abs(V.sheet.points[S:] - G1.sheet.points)))
         H = cat.compose2_horizontal(F1, F2)
-        if not cat.morphism1_equal(
-            cat.src2(H), cat.compose1(cat.src2(F2), cat.src2(F1)), 1e-9
-        ):
-            return float("inf")
+        if not cat.morphism1_equal(cat.src2(H), cat.compose1(cat.src2(F2), cat.src2(F1)), 1e-9):
+            yield math.inf
         rep = cat.check_exchange(F1, G1, F2, G2)
         if rep.error is not None:
-            return float("inf")
-        worst = max(worst, rep.max_discrepancy)
+            yield math.inf
+        yield rep.max_discrepancy
         V2 = cat.compose2_vertical(F1, cat.identity2(m1))
-        worst = max(worst, float(np.max(np.abs(V2.sheet.points - F1.sheet.points))))
-    return worst
+        yield float(np.max(np.abs(V2.sheet.points - F1.sheet.points)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +393,19 @@ PROPERTY_TABLES = {
 
 
 def _run_property(name, fn, tol, cases):
+    """The one fold of the values ``fn()`` yields: one not ``<= worst``
+    replaces it, so a NaN wins, and once ``worst`` is inf or NaN ``fn`` is
+    not resumed. An exception reports inf, with its message as detail."""
+    worst, detail = 0.0, ""
     try:
-        worst = float(fn())
+        for value in fn():
+            if not value <= worst:
+                worst = float(value)
+                if not worst < math.inf:
+                    break
     except Exception as err:  # report, never raise
-        return PropertyResult(name, False, float("inf"), tol, cases, str(err))
-    return PropertyResult(name, worst <= tol, worst, tol, cases)
+        worst, detail = math.inf, str(err)
+    return PropertyResult(name, worst, tol, cases, detail)
 
 
 def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):

@@ -539,7 +539,7 @@ class HalfPlane(ManifoldSpec):
         return out
 
     def project_state(self, x, v):
-        if np.any(x[..., 1] <= 0):
+        if not np.all(x[..., 1] > 0):  # so a NaN leaves the half plane too
             raise IntegrationError("trajectory left the upper half plane")
         return x, v
 

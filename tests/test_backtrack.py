@@ -514,6 +514,8 @@ def test_window_validation():
         bt.BackTrackWindow(0, 0)
     with pytest.raises(mf.DomainError):
         bt.detect_backtracks(abcba_path(), tol=-1.0)
+    with pytest.raises(mf.DomainError, match="^window exceeds the grid$"):
+        bt.erase_backtrack(abcba_path(), bt.BackTrackWindow(1, 2))
 
 
 # ---------------------------------------------------------------------------

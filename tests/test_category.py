@@ -304,6 +304,11 @@ def field_on_another_grid():
     cat.morphism1(m.path, pth.make_zero_field(finer), m.time)
 
 
+def horizontal_across_intervals():
+    m1, m2, _ = triple(SPHERE, SEED + 27, n=16)
+    cat.compose2_horizontal(cat.morphism2(m1, (0.0, 0.5), S=2), cat.morphism2(m2, (0.0, 1.0), S=2))
+
+
 @pytest.mark.parametrize(
     "call, needle",
     [
@@ -313,8 +318,10 @@ def field_on_another_grid():
         (discrepancy_across_manifolds, "different manifolds"),
         (field_on_another_manifold, "different manifolds"),
         (field_on_another_grid, "grids differ"),
+        (horizontal_across_intervals, "^horizontal composition needs equal intervals$"),
     ],
-    ids=["compose1", "morphism1_equal", "morphism1_equal-times", "sheet_discrepancy", "morphism1-field", "morphism1-field-grid"],
+    ids=["compose1", "morphism1_equal", "morphism1_equal-times", "sheet_discrepancy", "morphism1-field", "morphism1-field-grid",
+         "compose2_horizontal-intervals"],
 )
 def test_comparisons_reject_another_manifold_or_grid(call, needle):
     with pytest.raises(cat.CompositionError, match=needle):

@@ -1,6 +1,9 @@
-"""The property runner: its forked workers and the arguments it takes."""
+"""The property runner: its fold of the values a property yields, its forked
+workers and the arguments it takes."""
 
 import contextlib
+import inspect
+import math
 import os
 import pickle
 import signal
@@ -9,11 +12,17 @@ import sys
 import textwrap
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from pathgeo import backtrack as bt
+from pathgeo import category as cat
 from pathgeo import checks, cli
 from pathgeo import manifold as mf
+from pathgeo import path as pth
+from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -24,7 +33,7 @@ def _dies(spec, rng, cases):
 
 
 def _passes(spec, rng, cases):
-    return 0.0
+    yield 0.0
 
 
 def _sleeps(spec, rng, cases):
@@ -152,6 +161,107 @@ def test_a_check_run_leaves_no_pool_thread_or_child():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split("\n") == ["[]", "1", "no child", ""]
+
+
+def test_every_property_is_a_generator():
+    props = [prop for _, _, _, table in checks.PROPERTY_TABLES.values() for _, prop, _ in table]
+    assert len(props) == 14
+    for prop in props + [checks._prop_config_field]:
+        assert inspect.isgeneratorfunction(prop), prop.__name__
+
+
+def test_a_nan_is_the_worst_value_and_fails():
+    result = checks._run_property("p", lambda: iter([0.1, math.nan, 0.2]), 1e-9, 3)
+    assert math.isnan(result.worst) and not result.passed
+    assert result.to_json() == {"name": "p", "passed": False, "worst": None, "tolerance": 1e-9, "cases": 3}
+
+
+def test_the_worst_value_is_the_largest_and_never_below_zero():
+    assert checks._run_property("p", lambda: iter([0.5, -1.0, 2.0, 1.0]), 3.0, 4).to_json()["worst"] == 2.0
+    result = checks._run_property("p", lambda: iter([-1.0]), 0.0, 1)
+    assert result.worst == 0.0 and result.passed
+
+
+def test_an_infinite_value_ends_the_property():
+    def fails_then_raises():
+        yield math.inf
+        raise AssertionError("resumed after an infinite value")
+
+    result = checks._run_property("p", fails_then_raises, 1e-9, 1)
+    assert result.worst == math.inf and not result.passed and result.detail == ""
+
+
+def test_an_exception_is_an_infinite_worst_with_its_message():
+    def raises():
+        yield 0.0
+        raise mf.DomainError("no such case")
+
+    result = checks._run_property("p", raises, 1e-9, 1)
+    assert result.worst == math.inf and not result.passed
+    assert result.to_json() == {"name": "p", "passed": False, "worst": None, "tolerance": 1e-9, "cases": 1,
+                                "detail": "no such case"}
+
+
+def _answers(*values):
+    """A stub that returns the given values, one a call."""
+    it = iter(values)
+    return lambda *args, **kwargs: next(it)
+
+
+def _refuses(*args, **kwargs):
+    raise mf.DomainError("refused")
+
+
+def _case(prop):
+    return lambda: prop(mf.ManifoldSpec.euclidean(2), np.random.default_rng(0), 1)
+
+
+# fault -> (property, module, kernel the property calls, stub of that kernel)
+STRUCTURAL_FAULTS = {
+    "detect_erase-windows": (_case(checks._prop_detect_erase), bt, "detect_backtracks", lambda: _answers([])),
+    "detect_erase-equivalence": (_case(checks._prop_detect_erase), bt, "bt_equivalent", lambda: _answers(False)),
+    "exp_preserves_windows": (_case(checks._prop_exp_preserves_windows), bt, "detect_backtracks", lambda: _answers([])),
+    "field_reflection": (_case(checks._prop_field_reflection), bt, "field_canonical_form", lambda: _refuses),
+    "config_field_reflection": (
+        lambda: checks._prop_config_field(SimpleNamespace(build_field=lambda name: None), "f"),
+        bt, "field_canonical_form", lambda: _refuses,
+    ),
+    "cat1-left-identity": (_case(checks._prop_cat1_laws), cat, "morphism1_equal", lambda: _answers(False)),
+    "cat1-right-identity": (_case(checks._prop_cat1_laws), cat, "morphism1_equal", lambda: _answers(True, False)),
+    "cat2-horizontal-source": (_case(checks._prop_cat2_laws), cat, "morphism1_equal", lambda: _answers(False)),
+    "cat2-exchange": (_case(checks._prop_cat2_laws), cat, "check_exchange",
+                      lambda: _answers(SimpleNamespace(error="no exchange"))),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(STRUCTURAL_FAULTS))
+def test_a_failed_structural_check_ends_its_property_as_inf(monkeypatch, fault):
+    # not resumed: field_reflection would go on to read an unset result
+    prop, module, kernel, stub = STRUCTURAL_FAULTS[fault]
+    monkeypatch.setattr(module, kernel, stub())
+    result = checks._run_property(fault, prop, 1e-9, 1)
+    assert (result.worst, result.detail) == (math.inf, "")
+
+
+def test_a_config_field_that_reflects_passes():
+    field = pth.make_zero_field(pth.make_line(mf.ManifoldSpec.euclidean(2), [0, 0], [1, 0], n=8))
+    config = SimpleNamespace(build_field=lambda name: field)
+    result = checks._run_property("f", lambda: checks._prop_config_field(config, "f"), 1e-9, 1)
+    assert result.passed and result.worst == 0.0
+
+
+def test_a_nan_residual_fails_its_property(monkeypatch, alarm):
+    monkeypatch.setattr(ps, "transverse_residual", lambda sheet: math.nan)
+    report = checks.run_checks("pathspace", seed=42)
+    residuals = [p for p in report["properties"] if p["name"].startswith("geodesic_residual/")]
+    assert len(residuals) == 4 and not report["passed"]
+    for p in residuals:
+        assert p["passed"] is False and p["worst"] is None
+
+
+def test_an_unknown_suite_is_rejected():
+    with pytest.raises(mf.DomainError, match=r"^unknown suite 'geometry' \(choose from manifold, pathspace, backtrack, category, all\)$"):
+        checks.run_checks("geometry")
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "7"])

@@ -633,12 +633,41 @@ def test_sphere_point_and_tangent_validation():
     p = mf.ManifoldPoint(spec, [1.0, 0.0, 0.0])
     with pytest.raises(mf.DomainError):
         mf.TangentVector(p, [1.0, 0.0, 0.0])
+    assert mf.TangentVector(p, [0.0, 1.0, 0.0]).manifold is spec
 
 
 @pytest.mark.parametrize("steps", [0, 2.5, "3", True], ids=repr)
 def test_integrate_batch_reads_its_steps_through_the_integer_rule(steps):
     with pytest.raises(mf.DomainError, match=r"^steps must be an integer >= 1 \(got %s\)$" % re.escape(repr(steps))):
         mf.integrate_batch(mf.ManifoldSpec.euclidean(2), [0.0, 0.0], [1.0, 0.0], 1.0, steps)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("v0", [[1.0, -2.0], [10.0, 0.0]], ids=["rk4-stage-on-the-axis", "step-below-the-axis"])
+def test_a_half_plane_trajectory_that_leaves_the_chart_raises_with_its_last_state(v0):
+    # the first case's RK4 stage lands on y = 0, so its step is NaN: a NaN
+    # leaves the half plane too, instead of coming out as the trajectory
+    with pytest.raises(mf.IntegrationError, match="^trajectory left the upper half plane$") as err:
+        mf.integrate_batch(mf.ManifoldSpec.hyperbolic_half_plane(), [0.0, 1.0], v0, 1.0, 1)
+    x, v = err.value.last_state
+    assert x.tolist() == [0.0, 1.0] and v.tolist() == v0
+
+
+@pytest.mark.parametrize("case", ["axes", "random"])
+def test_the_rk4_transport_oracle_carries_a_vector_across_a_repeated_sample_bit_for_bit(case):
+    # a zero-length segment transports by identity; at a random point an RK4
+    # step's tangent projection would move the vector's last bits
+    spec = mf.ManifoldSpec.sphere(1.0)
+    if case == "axes":
+        p, q, X = np.eye(3)[0], np.eye(3)[1], np.array([0.0, 0.6, 0.8])
+    else:
+        rng = np.random.default_rng(SEED + 31)
+        p, q = spec.random_point(rng), spec.random_point(rng)
+        X = spec.project_tangent(p, rng.standard_normal(3))
+    points = np.stack([p, p, q])
+    out = mf.transport_along_rk4(spec, points, X)
+    assert out[1].tobytes() == X.tobytes()
+    assert out[1:].tobytes() == mf.transport_along_rk4(spec, points[1:], X).tobytes()
 
 
 def _plane_point(coords=(0.0, 0.0)):

@@ -396,6 +396,18 @@ def _nan_velocity():
             lambda: Worldsheet.from_json(dict(_sheet(S2, _RADIAL).to_json(), velocities=_RADIAL.tolist())),
             "velocity at node (s=0, t=0) is not tangent to the sphere",
         ),
+        (lambda: pth.DiscretePath(E2, [[0, 0], [1, 0]]), "a path needs at least N = 2 segments"),
+        (
+            lambda: pth.PathTangentField(pth.make_line(E2, [0, 0], [1, 0], n=4), np.zeros((4, 2))),
+            "field shape must match the base path grid",
+        ),
+        (
+            lambda: pth.reparametrize(pth.make_line(E2, [0, 0], [1, 0], n=4), [0.0, 0.5, 0.4]),
+            "reparametrization must be nondecreasing",
+        ),
+        (lambda: pth.make_great_circle_arc(E2, [0, 0], [1, 0]), "great_circle_arc requires a sphere"),
+        (lambda: pth.make_latitude_circle(H2, 1.0), "latitude_circle requires a sphere"),
+        (lambda: pth.make_vertical_ray(S2, 0.0, 1.0, 2.0), "vertical_ray requires the hyperbolic half plane"),
     ],
     ids=[
         "path-half-plane-below-axis",
@@ -408,6 +420,12 @@ def _nan_velocity():
         "sheet-nan-velocity",
         "sheet-radial-velocity",
         "sheet-record-radial-velocity",
+        "path-one-segment",
+        "field-grid",
+        "reparametrization-decreasing",
+        "great-circle-off-sphere",
+        "latitude-off-sphere",
+        "vertical-ray-off-half-plane",
     ],
 )
 def test_invalid_samples_are_rejected_where_they_enter(build, message):

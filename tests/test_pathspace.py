@@ -267,6 +267,8 @@ def faulty_grid(fault):
         x, v = x[..., :2], v[..., :2]
     elif fault == "one t-segment":
         x, v = x[:, :2], v[:, :2]
+    elif fault == "velocity grid":
+        v = v[:, :-1]
     return s, x, v
 
 
@@ -277,8 +279,9 @@ def faulty_grid(fault):
         ("nan", "s_nodes must be one or more finite, strictly increasing numbers"),
         ("planar", "points must have shape (S+1, N+1, point_dim)"),
         ("one t-segment", "with N >= 2"),
+        ("velocity grid", "points and velocities must share a grid"),
     ],
-    ids=["decreasing", "nan", "planar", "one-t-segment"],
+    ids=["decreasing", "nan", "planar", "one-t-segment", "velocity-grid"],
 )
 def test_worldsheet_checks_its_grid(fault, needle):
     s, x, v = faulty_grid(fault)
@@ -331,6 +334,11 @@ def test_s_grid_rejects_an_s_count_that_is_not_a_positive_integer(S):
         ps.pathspace_geodesic(gamma, field, (0.0, 1.0), S)
     with pytest.raises(mf.DomainError, match=needle):
         ps.connecting_geodesic(gamma, gamma, S=S)
+
+
+def test_s_grid_rejects_a_reversed_interval():
+    with pytest.raises(mf.DomainError, match=r"^interval must satisfy a <= b$"):
+        ps.s_grid((1.0, 0.0), 4)
 
 
 def test_connecting_geodesic_uses_the_s_grid():

@@ -521,6 +521,12 @@ def test_dumps_rejects_non_finite_floats(bad, message, shape):
         ser.dumps(record)
 
 
+@pytest.mark.parametrize("value", [object(), {1.0}, 1j], ids=["object", "set", "complex"])
+def test_dumps_names_a_type_it_cannot_serialize(value):
+    with pytest.raises(DomainError, match="^cannot serialize '%s'$" % type(value).__name__):
+        ser.dumps({"x": [0.5, value]})
+
+
 def test_csv_and_obj_reject_non_finite_floats():
     spec = mf.ManifoldSpec.sphere(1.0)
     sheet = sheets(spec, SEED + 2)["S5"]
