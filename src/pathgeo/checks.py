@@ -130,10 +130,16 @@ def nearby_path(gamma, rng, scale=0.2):
 # ---------------------------------------------------------------------------
 
 
-def _prop_geodesic_oracle(spec, rng, cases):
+def _geodesic_draws(spec, rng, cases):
+    """The cases of geodesic_oracle: points and initial velocities, stacked."""
     xs = np.stack([spec.random_point(rng) for _ in range(cases)])
     vs = np.stack([random_tangent(spec, x, rng) for x in xs])
-    pts, _ = mf.integrate_batch(spec, xs, vs, 1.0, 1000)
+    return xs, vs
+
+
+def _prop_geodesic_oracle(spec, rng, cases):
+    xs, vs = _geodesic_draws(spec, rng, cases)
+    pts, _ = mf.integrate_batch(spec, xs, vs, 1.0, mf.GEODESIC_ORACLE_STEPS)
     ref, _ = mf.flow(spec, xs, vs, 1.0)
     yield float(np.max(mf.dist(spec, pts[-1], ref)))
 
@@ -158,7 +164,9 @@ def _prop_distance_axioms(spec, rng, cases):
         yield -float(dxy + mf.dist(spec, y, z) - mf.dist(spec, x, z))
 
 
-def _prop_transport_isometry(spec, rng, cases):
+def _transport_draws(spec, rng, cases):
+    """The cases of transport_isometry: geodesics of 33 samples (cases on
+    axis 1) and the vectors to transport along them (cases on axis 0)."""
     draws = []
     for _ in range(cases):
         x = spec.random_point(rng)
@@ -166,6 +174,11 @@ def _prop_transport_isometry(spec, rng, cases):
         draws.append((x, v, random_tangent(spec, x, rng, max_norm=1.0)))
     x, v, w = (np.stack(c) for c in zip(*draws))  # cases on axis 0
     curves, _ = mf.flow(spec, x, v, np.linspace(0, 1, 33)[:, None])
+    return curves, w
+
+
+def _prop_transport_isometry(spec, rng, cases):
+    curves, w = _transport_draws(spec, rng, cases)
     moved = mf.transport_along(spec, curves, w)
     n0 = mf.norm(spec, curves[0], moved[0])
     n1 = mf.norm(spec, curves[-1], moved[-1])

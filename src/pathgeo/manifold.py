@@ -30,8 +30,11 @@ All kernels are vectorized over leading axes; the public API (``exp_map``,
 types (ManifoldPoint, TangentVector). ``integrate_batch`` and
 ``transport_along_rk4`` solve the geodesic and transport equations by
 fixed-step RK4: the independent oracles of ``flow`` and ``transport_along``
-that the check report runs. The other oracles, the shooting log map and the
-integrated worldsheet, live in the tests (``tests/oracles.py``).
+that the check report runs, at ``GEODESIC_ORACLE_STEPS`` (250) steps per
+unit and ``RK4_SUBSTEPS`` (4) steps per segment. Each count is the one that
+keeps its oracle's own error at most 1e-4 of the tolerance it is checked
+against. The other oracles, the shooting log map and the integrated
+worldsheet, live in the tests (``tests/oracles.py``).
 
 The kernel rule: a sheet holds (S+1)(N+1) nodes of only d = 2 or 3
 coordinates, and numpy reduces so short a last axis several times slower
@@ -63,8 +66,19 @@ FLAT_TORUS = "flat_torus"
 COINCIDENCE_TOL = 1e-9
 # relative tolerance of the tangency check of vectors, fields and sheet velocities
 TANGENT_RTOL = 1e-9
-# RK4 steps per segment of the transport oracle ``transport_along_rk4``
-RK4_SUBSTEPS = 8
+# The RK4 step counts of the two oracles the check report runs. The rule:
+# an oracle's own error is at most 1e-4 of the tolerance it is checked
+# against, over the report's draws at seeds 42, 1, 3, 7 and 1234; doubling
+# the count moves its result by less than that (tests/test_manifold.py).
+# Steps per unit parameter of ``integrate_batch`` in geodesic_oracle
+# (tolerance 1e-5): worst error 3.5e-10, on the half plane; 125 steps give
+# 5.6e-9, which breaks the rule.
+GEODESIC_ORACLE_STEPS = 250
+# RK4 steps per segment of ``transport_along_rk4`` in transport_isometry
+# (tolerance 1e-5): worst error 3.4e-11, on the half plane. 2 substeps keep
+# the rule on the report's draws (5.4e-10) but miss the 1e-9 bound of the
+# polyline test. A power of two, so the stage times j h / 2 are exact.
+RK4_SUBSTEPS = 4
 
 
 class GeometryError(Exception):
@@ -208,6 +222,8 @@ class ManifoldSpec:
 
     # the stored coordinates embed the manifold in 3-space
     embedded_3d = False
+    # the message of the IntegrationError of a trajectory that leaves the chart
+    chart_exit = "trajectory left the chart"
 
     def __init__(self, *args, **kwargs):
         raise DomainError("ManifoldSpec takes no kind: use a model class, constructor or from_json")
@@ -519,6 +535,7 @@ class HalfPlane(ManifoldSpec):
     """
 
     kind = HALF_PLANE
+    chart_exit = "trajectory left the upper half plane"
 
     @property
     def point_dim(self):
@@ -540,7 +557,7 @@ class HalfPlane(ManifoldSpec):
 
     def project_state(self, x, v):
         if not np.all(x[..., 1] > 0):  # so a NaN leaves the half plane too
-            raise IntegrationError("trajectory left the upper half plane")
+            raise IntegrationError(self.chart_exit)
         return x, v
 
     def flow(self, x, v, s):
@@ -702,7 +719,9 @@ def integrate_batch(spec, x0, v0, s_end, steps):
 
     Returns (xs, vs) with shape (steps + 1,) + x0.shape, including both
     endpoints. Raises IntegrationError (with the last valid state attached)
-    if the trajectory leaves the chart domain.
+    if the trajectory leaves the chart domain: after a step, or at a stage
+    whose arithmetic divides by zero or makes a NaN, such as a half-plane
+    stage on y = 0, before numpy warns of it.
     """
     steps = as_integer("steps", steps)
     x = np.array(x0, dtype=float)
@@ -711,19 +730,19 @@ def integrate_batch(spec, x0, v0, s_end, steps):
     xs = np.empty((steps + 1,) + x.shape)
     vs = np.empty_like(xs)
     xs[0], vs[0] = x, v
-    for i in range(steps):
-        k1x, k1v = _geo_rhs(spec, x, v)
-        k2x, k2v = _geo_rhs(spec, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-        k3x, k3v = _geo_rhs(spec, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-        k4x, k4v = _geo_rhs(spec, x + h * k3x, v + h * k3v)
-        x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        try:
-            x, v = spec.project_state(x, v)
-        except IntegrationError as err:
-            err.last_state = (xs[i].copy(), vs[i].copy())
-            raise
-        xs[i + 1], vs[i + 1] = x, v
+    with np.errstate(divide="raise", invalid="raise"):
+        for i in range(steps):
+            try:
+                k1x, k1v = _geo_rhs(spec, x, v)
+                k2x, k2v = _geo_rhs(spec, x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+                k3x, k3v = _geo_rhs(spec, x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+                k4x, k4v = _geo_rhs(spec, x + h * k3x, v + h * k3v)
+                x = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+                v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+                x, v = spec.project_state(x, v)
+            except (IntegrationError, FloatingPointError):
+                raise IntegrationError(spec.chart_exit, (xs[i].copy(), vs[i].copy())) from None
+            xs[i + 1], vs[i + 1] = x, v
     return xs, vs
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathgeo import checks
 from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo import pathspace as ps
@@ -143,6 +144,66 @@ def test_rk4_matches_closed_form_flow():
         want, wantv = mf.flow(spec, xs, vs, 1.0)
         assert np.max(mf.dist(spec, got[-1], want)) < 1e-6
         assert np.max(np.abs(gotv[-1] - wantv)) < 1e-5
+
+
+GATED_SEEDS = (42, 1, 3, 7, 1234)
+
+
+def report_draws(label, draws):
+    """(spec, tolerance, cases) of the manifold-suite property ``label`` for
+    each built-in manifold at each gated seed: ``draws(spec, rng, 10)`` on
+    the rng the check report hands that property."""
+    base, first, _, table = checks.PROPERTY_TABLES["manifold"]
+    off, tol = next((k, tol) for k, (name, _, tol) in enumerate(table, first) if name == label)
+    for seed in GATED_SEEDS:
+        for idx, spec in enumerate(checks.builtin_manifolds().values()):
+            yield spec, tol, draws(spec, np.random.default_rng(seed + base + 1000 * idx + off), 10)
+
+
+def test_the_geodesic_oracle_moves_by_less_than_its_tolerance_over_1e4_at_twice_its_steps():
+    for spec, tol, (xs, vs) in report_draws("geodesic_oracle", checks._geodesic_draws):
+        once, _ = mf.integrate_batch(spec, xs, vs, 1.0, mf.GEODESIC_ORACLE_STEPS)
+        twice, _ = mf.integrate_batch(spec, xs, vs, 1.0, 2 * mf.GEODESIC_ORACLE_STEPS)
+        assert np.max(mf.dist(spec, once[-1], twice[-1])) < tol / 1e4, spec.kind
+
+
+def test_the_transport_oracle_moves_by_less_than_its_tolerance_over_1e4_at_twice_its_substeps(monkeypatch):
+    substeps = mf.RK4_SUBSTEPS
+    for spec, tol, (curves, w) in report_draws("transport_isometry", checks._transport_draws):
+        once = mf.transport_along_rk4(spec, curves, w)
+        with monkeypatch.context() as m:
+            m.setattr(mf, "RK4_SUBSTEPS", 2 * substeps)
+            twice = mf.transport_along_rk4(spec, curves, w)
+        assert np.max(np.abs(once - twice)) < tol / 1e4, spec.kind
+
+
+def forbid(monkeypatch, names):
+    """Every closed form ``names`` of every model raises while the test runs."""
+
+    def closed_form(*args):
+        raise AssertionError("an oracle called a closed form")
+
+    for cls in (mf.ManifoldSpec, *mf._MODELS.values()):
+        for name in names:
+            if name in vars(cls):
+                monkeypatch.setattr(cls, name, closed_form)
+
+
+def test_each_rk4_oracle_runs_without_the_closed_form_it_checks(monkeypatch):
+    rng = np.random.default_rng(SEED + 37)
+    cases = []
+    for spec in builtin_specs():
+        x = spec.random_point(rng)
+        v = random_tangent(spec, x, rng)
+        curve, _ = mf.flow(spec, x, v, np.linspace(0, 1, 5)[:, None])
+        cases.append((spec, x, v, curve, random_tangent(spec, x, rng)))
+    with monkeypatch.context() as m:
+        forbid(m, ("flow", "dist", "log", "transport"))
+        for spec, x, v, _, _ in cases:
+            mf.integrate_batch(spec, x, v, 1.0, 4)
+    forbid(monkeypatch, ("transport",))
+    for spec, _, _, curve, w in cases:
+        mf.transport_along_rk4(spec, curve, w)
 
 
 def test_great_circle_closed_form():
@@ -464,6 +525,19 @@ def test_transport_across_antipodal_samples_is_rejected():
         mf.parallel_transport(curve, v0)
 
 
+def test_transport_rejects_a_pair_just_inside_the_antipodal_guard():
+    # r^2 + x.y = 1 - cos(1e-6), about 5e-13: inside the guard's 1e-12 r^2
+    # though far above rounding, so a narrower guard lets it through
+    spec = mf.ManifoldSpec.sphere(1.0)
+    eps = 1e-6
+    x = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    y = np.array([[0.0, 1.0, 0.0], [-math.cos(eps), math.sin(eps), 0.0]])
+    assert 1e-14 < 1.0 + np.dot(x[1], y[1]) < 1e-12
+    X = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(mf.NormalNeighborhoodError, match="^transport at node 1 between antipodal points is undefined$"):
+        spec.transport(x, y, X)
+
+
 # ---------------------------------------------------------------------------
 # serialization and validation
 # ---------------------------------------------------------------------------
@@ -642,15 +716,25 @@ def test_integrate_batch_reads_its_steps_through_the_integer_rule(steps):
         mf.integrate_batch(mf.ManifoldSpec.euclidean(2), [0.0, 0.0], [1.0, 0.0], 1.0, steps)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("v0", [[1.0, -2.0], [10.0, 0.0]], ids=["rk4-stage-on-the-axis", "step-below-the-axis"])
 def test_a_half_plane_trajectory_that_leaves_the_chart_raises_with_its_last_state(v0):
-    # the first case's RK4 stage lands on y = 0, so its step is NaN: a NaN
-    # leaves the half plane too, instead of coming out as the trajectory
+    # the first case's RK4 stage lands on y = 0, where the Christoffel form
+    # divides by zero: that stage raises, before numpy warns of it
     with pytest.raises(mf.IntegrationError, match="^trajectory left the upper half plane$") as err:
         mf.integrate_batch(mf.ManifoldSpec.hyperbolic_half_plane(), [0.0, 1.0], v0, 1.0, 1)
     x, v = err.value.last_state
     assert x.tolist() == [0.0, 1.0] and v.tolist() == v0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_stage_that_makes_a_nan_raises_with_its_last_state_on_any_model():
+    # the sphere's Christoffel form multiplies a zero coordinate by |v|^2 = inf
+    x0, v0 = [1.0, 0.0, 0.0], [0.0, math.inf, 0.0]
+    with pytest.raises(mf.IntegrationError, match="^trajectory left the chart$") as err:
+        mf.integrate_batch(mf.ManifoldSpec.sphere(1.0), x0, v0, 1.0, 4)
+    x, v = err.value.last_state
+    assert x.tolist() == x0 and v.tolist() == v0
 
 
 @pytest.mark.parametrize("case", ["axes", "random"])

@@ -1,14 +1,21 @@
 """Refactor gate: the deterministic reports of ``pathgeo check --suite all``
 at seeds 42, 1, 3, 7 and 1234, the exports of one fixed worldsheet at two
 sizes and the records of three fixed composites must not change. A change
-that alters them on purpose updates the digests below and says why."""
+that alters them on purpose updates the digests below and says why.
+
+A report or composite digest that does not match prints the numpy version
+and the SIMD target of each float64 loop the kernels use (``dispatch``): a
+host whose numpy dispatches to another target can round those loops
+differently, and so write other bits."""
 
 import hashlib
 import os
+import re
 import sys
 
 import numpy as np
 import pytest
+from numpy.lib.introspect import opt_func_info
 
 from pathgeo import category as cat
 from pathgeo import checks
@@ -17,13 +24,13 @@ from pathgeo import path as pth
 from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
 
-REPORT_SHA256 = "301e6a50f19f0e7e28a6b27d8b93d68ff47ed5adac3dbdcdd09580cd2dec5ee0"
+REPORT_SHA256 = "f83523849be274c1cf47da60281c82aa2a488cfbff70254badfd239a9b1a3e46"
 # the same report at four more seeds
 OTHER_SEED_SHA256 = {
-    1: "4ebcf425d848774d50cb054208d90ce43af88fbb13bcb52f17a5776b9a103fb9",
-    3: "b60e2c73d2c783095c44f4a68b1539272a5c9d054e736dbbb9687f33fe29a40f",
-    7: "0f8e621b79f85e743098d3433d19c05e869be21bb0a8d8206b2722580f6c3e79",
-    1234: "cd2e7f3f9afe8ebc22f0531c54804c2a88173791587e3d92a4ad447a8ccf8655",
+    1: "482e6a24f1799918fb930941366bf1dc28e7eac03bedc246c032ddb59b94f483",
+    3: "dcf33abe9de7f6a9b95fbe0acf014d8730dbbc7ffb8e1dfa0d12ce291488411c",
+    7: "5f56c2933bd9cd139f3180d96b1252e43431192dbdb3a71cdd8c1db8752e6e2f",
+    1234: "246d7ab846ddeb817dc880f0b0caa2cca87a7f8aac4714d75278b1fd54c732d5",
 }
 
 # sphere latitude circle at colatitude 1, N = 64 (default collar), swept
@@ -54,24 +61,54 @@ COMPOSITE_SHA256 = {
 }
 
 
+# the ufuncs whose float64 loops the manifold kernels and the check report use
+KERNEL_UFUNCS = ("arcsinh", "arccosh", "sinh", "cosh", "arctan2", "arctan", "exp", "log", "power")
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def dispatch():
+    """The numpy version and the current SIMD target of each float64 loop of
+    KERNEL_UFUNCS on this host, as one line."""
+    info = opt_func_info(func_name="^(%s)$" % "|".join(KERNEL_UFUNCS), signature="float64")
+    targets = ", ".join(
+        "%s %s" % (name, "/".join(loop["current"] for loop in info[name].values()) if name in info else "baseline")
+        for name in KERNEL_UFUNCS
+    )
+    return "numpy %s; float64 loops dispatch to: %s" % (np.__version__, targets)
+
+
+def assert_digest(text, want):
+    """``text`` hashes to ``want``; else the failure names this host's dispatch."""
+    got = sha256(text)
+    assert got == want, "digest %s, pinned %s (%s)" % (got, want, dispatch())
+
+
 def test_seed_42_report_is_byte_identical(check_workers):
-    assert sha256(ser.dumps(checks.run_checks("all", seed=42))) == REPORT_SHA256
+    assert_digest(ser.dumps(checks.run_checks("all", seed=42)), REPORT_SHA256)
     assert len(check_workers) == min(len(os.sched_getaffinity(0)), 56)  # one worker per CPU
 
 
 @pytest.mark.parametrize("seed", sorted(OTHER_SEED_SHA256))
 def test_other_seed_reports_are_byte_identical(seed):
-    assert sha256(ser.dumps(checks.run_checks("all", seed=seed))) == OTHER_SEED_SHA256[seed]
+    assert_digest(ser.dumps(checks.run_checks("all", seed=seed)), OTHER_SEED_SHA256[seed])
 
 
 def test_one_worker_report_is_byte_identical(monkeypatch, check_workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert sha256(ser.dumps(checks.run_checks("all", seed=1))) == OTHER_SEED_SHA256[1]
+    assert_digest(ser.dumps(checks.run_checks("all", seed=1)), OTHER_SEED_SHA256[1])
     assert len(check_workers) == 1
+
+
+def test_a_digest_mismatch_names_the_numpy_version_and_every_kernel_loop():
+    with pytest.raises(AssertionError) as err:
+        assert_digest("not a report", REPORT_SHA256)
+    message = str(err.value)
+    assert ("numpy %s;" % np.__version__) in message
+    for name in KERNEL_UFUNCS:
+        assert re.search(r"[:,] %s \S" % name, message), name
 
 
 def fixed_sheet(n, S):
@@ -170,4 +207,4 @@ def composites():
 
 @pytest.mark.parametrize("name", sorted(COMPOSITE_SHA256))
 def test_composite_records_are_byte_identical(composites, name):
-    assert sha256(composites[name]) == COMPOSITE_SHA256[name]
+    assert_digest(composites[name], COMPOSITE_SHA256[name])
