@@ -11,8 +11,8 @@ worst value and fails, and an infinite value ends the property.
 
 ``run_checks`` runs the properties in worker processes forked from the
 calling process, one per CPU it may run on, which claim the properties
-one at a time; it collects their results in suite order, so the report is
-byte-identical to a serial run.
+one at a time (``_fork``); it collects their results in suite order, so
+the report is byte-identical to a serial run.
 """
 
 from __future__ import annotations
@@ -26,12 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from . import backtrack as bt
 from . import category as cat
 from . import manifold as mf
 from . import path as pth
 from . import pathspace as ps
-from . import serialize as ser
 
 DEFAULT_SEED = 42
 
@@ -458,32 +458,27 @@ def run_checks(suite, seed=DEFAULT_SEED, cases=10, config=None):
 def _results(tasks):
     """The ``PropertyResult`` of each task ``(name, property, tolerance,
     cases)``, in order, each run in a worker process forked from this one
-    (``serialize._forked``).
+    (``_fork._forked``).
 
-    There are ``min(CPUs, len(tasks))`` workers. Each claims the next task
-    through the claims file it shares with the others
-    (``serialize._claim``), runs it, and sends its index and result back
-    through its pipe (``serialize._send``) at once; it leaves when no task
-    is left. This process only collects the results. A worker that exits
-    before it has sent the result of a task it claimed is a
-    ``ChildProcessError`` naming the first task without a result. Every
-    worker is killed and reaped before this returns or raises.
+    There are ``min(CPUs, len(tasks))`` workers. Each runs the child loop
+    ``_fork._serve``: it claims the next task through the claims file it
+    shares with the others, runs it, and sends its index and result back
+    through its pipe at once; it leaves when no task is left. This process
+    only collects the results. A worker that exits before it has sent the
+    result of a task it claimed is a ``ChildProcessError`` naming the first
+    task without a result. Every worker is killed and reaped before this
+    returns or raises.
     """
-    # imported here, not at module level: ``import pathgeo`` would load it in
-    # every command
-    import select
-
     results = [None] * len(tasks)
     workers = min(len(os.sched_getaffinity(0)), len(tasks))
-    with ser._forked(workers, functools.partial(_work, tasks)) as (claims, ends):
-        sent = select.poll()
-        for r in ends:
-            sent.register(r, select.POLLIN)
+    jobs = [functools.partial(_job, i, *task) for i, task in enumerate(tasks)]
+    with _fork._forked(workers, functools.partial(_fork._serve, jobs, pickle.dumps)) as (claims, ends):
+        sent = _fork._poll(ends)
         running = len(ends)
         while running:
             for r, _ in sent.poll():
                 try:
-                    i, result = pickle.loads(ser._message(r))
+                    i, result = pickle.loads(_fork._message(r))
                 except EOFError:  # the worker is gone
                     sent.unregister(r)
                     running -= 1
@@ -495,10 +490,6 @@ def _results(tasks):
     return results
 
 
-def _work(tasks, claims, out):
-    """The work of a worker of ``_results``, in the forked process: runs
-    each task it claims and sends ``(index, result)``, pickled, through the
-    binary file ``out``."""
-    for i, task in enumerate(tasks):
-        if ser._claim(claims, i + 1):
-            ser._send(out, pickle.dumps((i, _run_property(*task))))
+def _job(i, *task):
+    """``(i, result)`` of task i of ``_results``, run in a worker."""
+    return i, _run_property(*task)

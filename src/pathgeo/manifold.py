@@ -550,6 +550,8 @@ class HalfPlane(ManifoldSpec):
 
     def gamma_quad(self, x, a, b):
         y = x[..., 1]
+        if not np.all(y > 0):  # an RK4 stage off the chart; a NaN fails too
+            raise IntegrationError(self.chart_exit)
         out = np.empty_like(a)
         out[..., 0] = -(a[..., 0] * b[..., 1] + a[..., 1] * b[..., 0]) / y
         out[..., 1] = (a[..., 0] * b[..., 0] - a[..., 1] * b[..., 1]) / y
@@ -719,9 +721,10 @@ def integrate_batch(spec, x0, v0, s_end, steps):
 
     Returns (xs, vs) with shape (steps + 1,) + x0.shape, including both
     endpoints. Raises IntegrationError (with the last valid state attached)
-    if the trajectory leaves the chart domain: after a step, or at a stage
-    whose arithmetic divides by zero or makes a NaN, such as a half-plane
-    stage on y = 0, before numpy warns of it.
+    if the trajectory leaves the chart domain: after a step, at a stage off
+    the chart (a half-plane stage at y <= 0, even if the step ends above
+    the axis), or at a stage whose arithmetic divides by zero or makes a
+    NaN, before numpy warns of it.
     """
     steps = as_integer("steps", steps)
     x = np.array(x0, dtype=float)

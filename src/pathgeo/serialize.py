@@ -22,17 +22,9 @@ into one string.
 
 The format generators do not format a slab themselves: they yield it as a
 deferred ``_float_rows`` call, and one function, ``_text``, turns that
-stream into the text pieces, in order. When the stream reaches a worldsheet
-array of more than one block of fibers (JSON ``points`` and
-``velocities``, CSV rows, OBJ vertices) and this process may run on more
-than one CPU, ``_text`` forks one helper process. From there on each slab
-(an OBJ strip of faces is deferred as a slab is) is formatted by the
-process that claims it first, about every other slab on two free CPUs and
-more of them on the freer one; the helper sends its bytes back through a
-pipe, and this process yields every piece in order. The text is the same
-byte for byte. Check reports, path and morphism records and a sheet of one
-block are formatted in the calling process, and so is everything on one
-CPU.
+stream into the text pieces, in order; it shares the slabs of a worldsheet
+array of more than one block with one helper process (``_fork``). The text
+is the same byte for byte.
 """
 
 from __future__ import annotations
@@ -47,6 +39,7 @@ import os
 
 import numpy as np
 
+from . import _fork
 from . import category as cat
 from . import manifold as mf
 from .manifold import DomainError
@@ -233,14 +226,6 @@ def _joined(parts, sep, open_="", close=""):
 
 # comes before the deferred slabs of a worldsheet array of more than one block
 _WIDE = object()
-# bytes of the length before each message (``_send``), and of the last item
-# taken in a claims file (``_claim``)
-_LENGTH = 8
-# each child's pipe (``_forked``) holds about four N = 4096 slabs of JSON, so
-# the export helper formats on while this process has yet to read them; with
-# the default 64 KB it waits for each read, and an N = 4096 JSON export took
-# 1.2 times as long (2 vCPUs)
-_PIPE_BYTES = 1 << 20
 # pieces this process holds, formatted, behind a slab the helper has yet to
 # send: about four slabs
 _AHEAD = 8
@@ -252,16 +237,16 @@ def _text(pieces):
     returns text, of ``_float_rows`` or of the faces of an OBJ strip.
 
     At the first ``_WIDE``, if this process may run on more than one CPU,
-    one helper process is forked (``_forked``). It inherits the state of
-    the stream and draws the same pieces (``_help``); from there on each
-    slab is formatted by the process that claims it first (``_shared``), so
-    on two free CPUs each formats about every other slab, and on one busy
-    CPU the other takes more. The helper sends the bytes of its slabs
-    through its pipe, each after its length, and this process yields every
-    piece in order. The helper is killed and reaped when the stream ends,
-    fails or is closed; a helper that exits before it has sent a slab it
-    claimed is a ChildProcessError. Without a helper (one CPU, no
-    ``_WIDE``, or a failed fork) every slab is formatted here.
+    one helper process is forked (``_fork._forked``). It inherits the state
+    of the stream and draws the same slabs (``_fork._serve``); from there on
+    each slab is formatted by the process that claims it first
+    (``_shared``), so on two free CPUs each formats about every other slab,
+    and on one busy CPU the other takes more. The helper sends the bytes of
+    its slabs through its pipe, and this process yields every piece in
+    order. The helper is killed and reaped when the stream ends, fails or
+    is closed; a helper that exits before it has sent a slab it claimed is
+    a ChildProcessError. Without a helper (one CPU, no ``_WIDE``, or a
+    failed fork) every slab is formatted here.
     """
     pieces = iter(pieces)
     with contextlib.ExitStack() as helper:
@@ -271,81 +256,12 @@ def _text(pieces):
             elif piece is not _WIDE:
                 yield piece()
             elif len(os.sched_getaffinity(0)) > 1:  # _shared draws the rest
+                serve = functools.partial(_fork._serve, (p for p in pieces if callable(p)), str.encode)
                 try:
-                    claims, (r,) = helper.enter_context(_forked(1, functools.partial(_help, pieces)))
+                    claims, (r,) = helper.enter_context(_fork._forked(1, serve))
                 except OSError:  # no helper: the slabs are formatted here
                     continue
                 yield from _shared(pieces, r, claims)
-
-
-def _claim(claims, k):
-    """True if this process takes item k: the first of the processes that
-    share the claims file to ask for it. Each process asks for the items
-    1, 2, ... in order (the slabs of an export from the fork, or the tasks
-    of ``checks.run_checks``), so each item goes to exactly one of them.
-    The claims file holds the last item taken; ``lockf`` makes the test and
-    the update one step, and the kernel lifts the lock of a process that
-    dies."""
-    os.lockf(claims, os.F_LOCK, 0)
-    try:
-        taken = int.from_bytes(os.pread(claims, _LENGTH, 0), "little") < k
-        if taken:
-            os.pwrite(claims, k.to_bytes(_LENGTH, "little"), 0)
-    finally:
-        os.lockf(claims, os.F_ULOCK, 0)
-    return taken
-
-
-@contextlib.contextmanager
-def _forked(count, work):
-    """Fork ``count`` children that share one claims file (``_claim``), and
-    yield ``(claims, read ends)``: the file, and the read end of each
-    child's pipe, in order. The one place the package starts processes.
-
-    Each child closes every read end it inherited, so it gets EPIPE rather
-    than blocking on a full pipe if this process is gone; it then runs
-    ``work(claims, out)``, with ``out`` the binary write end of its pipe,
-    and leaves by ``os._exit``, with status 1 if ``work`` raised: no buffer
-    it inherited is flushed twice and no cleanup of this process runs. Every
-    child is killed and reaped, and the ends and the claims file closed,
-    on every way out: the end of the block, an error or an interrupt in it,
-    and a fork that fails after some children have started.
-    """
-    # imported here, not at module level: ``import pathgeo`` would load them
-    # (0.3 MB of peak RSS) in every command
-    import fcntl
-    import signal
-
-    claims, ends, pids = os.memfd_create("pathgeo-claims"), [], []
-    try:
-        for _ in range(count):
-            r, w = os.pipe()
-            ends.append(r)
-            with contextlib.suppress(OSError):  # where the limit allows: messages in flight
-                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-            try:
-                pid = os.fork()
-                if not pid:
-                    status = 1
-                    try:
-                        for fd in ends:
-                            os.close(fd)
-                        with os.fdopen(w, "wb") as out:
-                            work(claims, out)
-                        status = 0
-                    finally:
-                        os._exit(status)
-                pids.append(pid)
-            finally:
-                os.close(w)
-        yield claims, ends
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for fd in ends + [claims]:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
 
 
 def _shared(pieces, r, claims):
@@ -355,11 +271,8 @@ def _shared(pieces, r, claims):
     there yet, it draws on and formats the slabs after it that it can
     claim, holding at most ``_AHEAD`` pieces. A stream that fails yields
     every piece before the failure first, as without the helper."""
-    import select  # as in _text
-
     queue, k = collections.deque(), 0  # text, or None for a slab the helper took
-    sent = select.poll()
-    sent.register(r, select.POLLIN)
+    sent = _fork._poll([r])
 
     def ready():
         return queue and (queue[0] is not None or len(queue) > _AHEAD or sent.poll(0))
@@ -372,7 +285,7 @@ def _shared(pieces, r, claims):
         for piece in pieces:
             if callable(piece):
                 k += 1
-                queue.append(piece() if _claim(claims, k) else None)
+                queue.append(piece() if _fork._claim(claims, k) else None)
             elif piece is not _WIDE:
                 queue.append(piece)
             while ready():
@@ -385,49 +298,12 @@ def _shared(pieces, r, claims):
         yield first()
 
 
-def _help(pieces, claims, out):
-    """The work of the helper of ``_text``, in the forked process: formats
-    each deferred slab of ``pieces`` it claims first and sends its bytes
-    through the binary file ``out``."""
-    for k, slab in enumerate((p for p in pieces if callable(p)), 1):
-        if _claim(claims, k):
-            _send(out, slab().encode())
-
-
 def _received(r):
     """The text of the next slab the helper sent through the pipe ``r``."""
     try:
-        return _message(r).decode()
+        return _fork._message(r).decode()
     except EOFError:
         raise ChildProcessError("the export helper exited before it sent a slab") from None
-
-
-def _send(out, data):
-    """Write the bytes ``data`` to the binary file ``out`` after their
-    length, and flush them: one message of ``_message``."""
-    out.write(len(data).to_bytes(_LENGTH, "little"))
-    out.write(data)
-    out.flush()
-
-
-def _message(fd):
-    """The bytes of the next message ``_send`` wrote to the pipe ``fd``;
-    EOFError if every writer closes the pipe before it is whole, or before
-    it begins."""
-    return _read(fd, int.from_bytes(_read(fd, _LENGTH), "little"))
-
-
-def _read(fd, n):
-    """Exactly ``n`` bytes from the pipe ``fd``; EOFError if every writer
-    closes it first."""
-    data = bytearray(n)
-    view, got = memoryview(data), 0
-    while got < n:
-        more = os.readv(fd, [view[got:]])
-        if not more:
-            raise EOFError
-        got += more
-    return data
 
 
 def _rows(a, template, sep):

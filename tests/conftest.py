@@ -6,7 +6,7 @@ import pytest
 @pytest.fixture
 def helpers(monkeypatch):
     """The process ids of the children forked with ``os.fork`` (by
-    ``serialize._forked``) while it is active: the export helpers of
+    ``_fork._forked``) while it is active: the export helpers of
     ``serialize._text``, and the check workers of ``checks._results`` in a
     test that runs checks."""
     started = []

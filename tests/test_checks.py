@@ -17,13 +17,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from pathgeo import _fork
 from pathgeo import backtrack as bt
 from pathgeo import category as cat
 from pathgeo import checks, cli
 from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo import pathspace as ps
-from pathgeo import serialize as ser
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -89,7 +89,7 @@ def test_an_interrupted_run_kills_and_reaps_its_workers(monkeypatch, alarm):
     def interrupted(fd):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ser, "_message", interrupted)
+    monkeypatch.setattr(_fork, "_message", interrupted)
     started = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         checks.run_checks("manifold")
@@ -127,15 +127,15 @@ def _open_files(claims, out):
         with contextlib.suppress(OSError):  # the listing's own descriptor is gone
             info = Path("/proc/self/fdinfo", fd).read_text().split()
             held.append((os.readlink("/proc/self/fd/" + fd), int(info[info.index("flags:") + 1], 8) & os.O_ACCMODE))
-    ser._send(out, pickle.dumps(held))
+    _fork._send(out, pickle.dumps(held))
 
 
 def test_each_child_closes_the_read_ends_it_inherited(alarm):
     # so a child whose parent is gone gets EPIPE instead of blocking on a
     # full pipe; each keeps the write end of its own pipe
-    with ser._forked(3, _open_files) as (claims, ends):
+    with _fork._forked(3, _open_files) as (claims, ends):
         pipes = [os.readlink("/proc/self/fd/%d" % r) for r in ends]
-        held = [set(pickle.loads(ser._message(r))) for r in ends]
+        held = [set(pickle.loads(_fork._message(r))) for r in ends]
     for pipe, files in zip(pipes, held):
         assert (pipe, os.O_WRONLY) in files
         assert not files & {(p, os.O_RDONLY) for p in pipes}

@@ -717,10 +717,13 @@ def test_integrate_batch_reads_its_steps_through_the_integer_rule(steps):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("v0", [[1.0, -2.0], [10.0, 0.0]], ids=["rk4-stage-on-the-axis", "step-below-the-axis"])
+@pytest.mark.parametrize("v0", [[1.0, -2.0], [10.0, 0.0], [-2.71, -2.02]],
+                         ids=["rk4-stage-on-the-axis", "step-below-the-axis", "rk4-stage-below-a-step-above-the-axis"])
 def test_a_half_plane_trajectory_that_leaves_the_chart_raises_with_its_last_state(v0):
     # the first case's RK4 stage lands on y = 0, where the Christoffel form
-    # divides by zero: that stage raises, before numpy warns of it
+    # divides by zero, and the third's reach y < 0 though the step ends far
+    # above the axis, at (116856, 187828): such a stage raises, before numpy
+    # warns of it
     with pytest.raises(mf.IntegrationError, match="^trajectory left the upper half plane$") as err:
         mf.integrate_batch(mf.ManifoldSpec.hyperbolic_half_plane(), [0.0, 1.0], v0, 1.0, 1)
     x, v = err.value.last_state

@@ -6,12 +6,19 @@ that alters them on purpose updates the digests below and says why.
 A report or composite digest that does not match prints the numpy version
 and the SIMD target of each float64 loop the kernels use (``dispatch``): a
 host whose numpy dispatches to another target can round those loops
-differently, and so write other bits."""
+differently, and so write other bits. So the reports and composites are
+pinned twice: for a host whose kernel loops run AVX-512, and for one whose
+loops run none (``avx512``); each host is held to the one set of its
+dispatch, and an AVX-512 host checks the second set in a process with
+AVX-512 disabled too."""
 
 import hashlib
+import json
 import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +30,8 @@ from pathgeo import manifold as mf
 from pathgeo import path as pth
 from pathgeo import pathspace as ps
 from pathgeo import serialize as ser
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 REPORT_SHA256 = "f83523849be274c1cf47da60281c82aa2a488cfbff70254badfd239a9b1a3e46"
 # the same report at four more seeds
@@ -60,6 +69,25 @@ COMPOSITE_SHA256 = {
     "morphism1": "ab6a1f9dbfb80407fc1c98816d015e0907b8e913cdf1f9da4b103f0f68de7f29",
 }
 
+# the same reports (by seed) and composites where no float64 loop of
+# KERNEL_UFUNCS dispatches to an AVX-512 target (``avx512``), as on an
+# x86-64 host with AVX2 at most: there those loops round some values
+# differently. Computed on an AVX-512 host with NPY_DISABLE_CPU_FEATURES set
+# to NO_AVX512, which leaves exp and log on X86_V3 and the others on the
+# baseline; adding X86_V3 to it gives the same digests
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+NO_AVX512_REPORT_SHA256 = {
+    42: "d8061ae276819ed30cc21e07dc73d6e50d4a378860b4a033613edf273244fb5e",
+    1: "c2c85b2e177e90c9650e3ea698b75e757a5f934f04278182ad05017547122fa5",
+    3: "a668d6fbe873012b9d3f1fd264115647bada1b297cfe407168a8118f35473b92",
+    7: "df48d1bf440dfcb6a911d6598f42a330a1f9b74489338b2514ee99ffa9a9255a",
+    1234: "6513d6ac22427c2532b7fd76dc41a8099d944fd8e0f57dc79233e48253e2735a",
+}
+NO_AVX512_COMPOSITE_SHA256 = {
+    "vertical": "fefd20a60c9c2436f1325f6e4129b49c058839073a8a8a098ee130d8268d2e13",
+    "horizontal": "04291917e95b7a30f7c19fe05fbf27c5a97454ae4c662890bca6b14630cc9ae3",
+    "morphism1": "8c7130daeb31e47d9365fccdbf89356325e83b42dcc926845a573169e3abcc9d",
+}
 
 # the ufuncs whose float64 loops the manifold kernels and the check report use
 KERNEL_UFUNCS = ("arcsinh", "arccosh", "sinh", "cosh", "arctan2", "arctan", "exp", "log", "power")
@@ -69,15 +97,38 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def targets():
+    """The current SIMD target of each float64 loop of KERNEL_UFUNCS on this
+    host, by name ("baseline" for a ufunc without dispatched loops)."""
+    info = opt_func_info(func_name="^(%s)$" % "|".join(KERNEL_UFUNCS), signature="float64")
+    return {
+        name: "/".join(loop["current"] for loop in info[name].values()) if name in info else "baseline"
+        for name in KERNEL_UFUNCS
+    }
+
+
+def avx512():
+    """True if a kernel loop dispatches to an AVX-512 target on this host."""
+    return any(t == "X86_V4" or t.startswith("AVX512") for t in targets().values())
+
+
+def report_digests():
+    """The pinned report digests, by seed, of this host's dispatch: one of
+    the two sets, never either."""
+    return {42: REPORT_SHA256, **OTHER_SEED_SHA256} if avx512() else NO_AVX512_REPORT_SHA256
+
+
+def composite_digests():
+    """The pinned composite digests of this host's dispatch, as
+    ``report_digests`` picks its set."""
+    return COMPOSITE_SHA256 if avx512() else NO_AVX512_COMPOSITE_SHA256
+
+
 def dispatch():
     """The numpy version and the current SIMD target of each float64 loop of
     KERNEL_UFUNCS on this host, as one line."""
-    info = opt_func_info(func_name="^(%s)$" % "|".join(KERNEL_UFUNCS), signature="float64")
-    targets = ", ".join(
-        "%s %s" % (name, "/".join(loop["current"] for loop in info[name].values()) if name in info else "baseline")
-        for name in KERNEL_UFUNCS
-    )
-    return "numpy %s; float64 loops dispatch to: %s" % (np.__version__, targets)
+    loops = ", ".join("%s %s" % item for item in targets().items())
+    return "numpy %s; float64 loops dispatch to: %s" % (np.__version__, loops)
 
 
 def assert_digest(text, want):
@@ -87,18 +138,18 @@ def assert_digest(text, want):
 
 
 def test_seed_42_report_is_byte_identical(check_workers):
-    assert_digest(ser.dumps(checks.run_checks("all", seed=42)), REPORT_SHA256)
+    assert_digest(ser.dumps(checks.run_checks("all", seed=42)), report_digests()[42])
     assert len(check_workers) == min(len(os.sched_getaffinity(0)), 56)  # one worker per CPU
 
 
 @pytest.mark.parametrize("seed", sorted(OTHER_SEED_SHA256))
 def test_other_seed_reports_are_byte_identical(seed):
-    assert_digest(ser.dumps(checks.run_checks("all", seed=seed)), OTHER_SEED_SHA256[seed])
+    assert_digest(ser.dumps(checks.run_checks("all", seed=seed)), report_digests()[seed])
 
 
 def test_one_worker_report_is_byte_identical(monkeypatch, check_workers):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert_digest(ser.dumps(checks.run_checks("all", seed=1)), OTHER_SEED_SHA256[1])
+    assert_digest(ser.dumps(checks.run_checks("all", seed=1)), report_digests()[1])
     assert len(check_workers) == 1
 
 
@@ -148,7 +199,7 @@ def callers(frame):
 @pytest.fixture
 def check_workers(monkeypatch):
     """The process ids of the check workers forked while it is active: the
-    children ``serialize._forked`` starts under ``checks._results``; an
+    children ``_fork._forked`` starts under ``checks._results``; an
     export helper is not one."""
     started = []
     fork = os.fork
@@ -195,6 +246,11 @@ def test_small_exports_start_no_pool(check_workers, helpers):
 
 @pytest.fixture(scope="module")
 def composites():
+    return composite_records()
+
+
+def composite_records():
+    """The records of the three composites, by name."""
     m1, m2, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(2718), n=16)
     F, G = cat.morphism2(m1, (0.0, 0.5), S=4), cat.morphism2(m1, (0.5, 1.0), S=4)
     H1, H2 = cat.morphism2(m1, (0.0, 1.0), S=4), cat.morphism2(m2, (0.0, 1.0), S=4)
@@ -207,4 +263,22 @@ def composites():
 
 @pytest.mark.parametrize("name", sorted(COMPOSITE_SHA256))
 def test_composite_records_are_byte_identical(composites, name):
-    assert_digest(composites[name], COMPOSITE_SHA256[name])
+    assert_digest(composites[name], composite_digests()[name])
+
+
+@pytest.mark.skipif(not avx512(), reason="no kernel loop of this host dispatches to AVX-512")
+def test_the_digests_without_avx512_hold_here_with_avx512_disabled():
+    # both sets are gated on an AVX-512 host: the first in this process, the
+    # second in one that numpy starts with the AVX-512 targets disabled
+    tests = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(filter(None, [str(SRC), tests, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    code = (
+        "import json, test_report_gate as t\n"
+        "from pathgeo import checks, serialize as ser\n"
+        "report = ser.dumps(checks.run_checks('all', seed=42))\n"
+        "composites = {name: t.sha256(text) for name, text in t.composite_records().items()}\n"
+        "print(json.dumps([t.avx512(), t.sha256(report), composites]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [False, NO_AVX512_REPORT_SHA256[42], NO_AVX512_COMPOSITE_SHA256]
