@@ -68,6 +68,9 @@ class GeodMorphism1:
     field: PathTangentField
     time: float
 
+    def __post_init__(self):
+        object.__setattr__(self, "time", mf.as_number("time", self.time, finite=True))
+
     @property
     def path(self) -> DiscretePath:
         return self.field.base
@@ -92,7 +95,7 @@ class GeodMorphism2:
 def morphism1(path, field, time):
     """The 1-morphism of ``field`` at ``time``; ``field`` must be based on ``path``."""
     _composing(ps._check_field_on, path, field)
-    return GeodMorphism1(field, mf.as_number("time", time, finite=True))
+    return GeodMorphism1(field, time)
 
 
 def identity1(obj, n=pth.DEFAULT_GRID):
@@ -153,7 +156,7 @@ def identity2(seed):
 
 
 def _slice_morphism(F, j, time):
-    return GeodMorphism1(F.sheet.slice_field(j), float(time))
+    return GeodMorphism1(F.sheet.slice_field(j), time)
 
 
 def src2(F):

@@ -105,11 +105,7 @@ class ScenarioConfig:
             )
         try:
             if "samples" in d:
-                gamma = pth.DiscretePath(
-                    self.manifold,
-                    np.asarray(d["samples"], dtype=float),
-                    mf.as_number("collar", d.get("collar", 0.0)),
-                )
+                gamma = pth.DiscretePath(self.manifold, np.asarray(d["samples"], dtype=float), d.get("collar", 0.0))
             else:
                 d.setdefault("n", self.N)
                 gamma = getattr(pth, pth.GENERATORS[gen])(self.manifold, **d)

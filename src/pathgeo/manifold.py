@@ -631,6 +631,8 @@ class FlatTorus(ManifoldSpec):
 
     def wrap(self, x):
         L = np.asarray(self.circumferences)
+        if not np.signbit(x).any() and (x < L).all():
+            return x  # np.mod returns these bits too: no sign bit, each below L
         w = np.mod(x, L)
         # np.mod rounds a coordinate just below 0 up to L itself, which a
         # second wrap maps to 0: so L goes to 0 here, and a NaN stays NaN

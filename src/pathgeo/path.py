@@ -34,6 +34,7 @@ class DiscretePath:
         object.__setattr__(self, "samples", mf.held(spec.wrap(samples)))
         if self.n_segments < 2:
             raise DomainError("a path needs at least N = 2 segments")
+        object.__setattr__(self, "collar", _as_collar(self.collar))
         check_fibers(spec, self.samples, self.collar, "sample %d")
 
     @property
@@ -67,7 +68,7 @@ class DiscretePath:
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
             np.array(obj["samples"], dtype=float),
-            mf.as_number("collar", obj.get("collar", 0.0)),
+            obj.get("collar", 0.0),
         )
 
 
@@ -100,6 +101,14 @@ class PathTangentField:
         return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
 
 
+def _as_collar(value):
+    """``value`` as a collar width, a number in [0, 1/2): the one collar rule."""
+    collar = mf.as_number("collar", value)
+    if not (0.0 <= collar < 0.5):
+        raise DomainError("collar must lie in [0, 1/2)")
+    return collar
+
+
 def _collar_nodes(n, collar):
     """The one collar rule: node i of the uniform n-segment grid is on the
     start collar of width ``collar`` when i/n <= collar + 1e-12, and on the
@@ -124,8 +133,8 @@ def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=N
     """The one node check of paths, fields and worldsheets. ``x`` holds the
     points (..., N+1, d) as their holder keeps them, wrapped once by its
     constructor, one fiber per leading index, each a path with collars of
-    width ``collar``, which must be a number (``as_number``) in [0, 1/2)
-    (the one collar range rule). With ``point_label`` the points lie on the
+    width ``collar``, which their holder's constructor checked
+    (``_as_collar``). With ``point_label`` the points lie on the
     manifold (``validate``) and, on each collar, coincide with its end
     sample. The ``vectors`` (the shape of ``x``, or for a sheet a sequence
     of its per-fiber arrays), if given, are tangent at their points
@@ -145,9 +154,6 @@ def check_fibers(spec, x, collar, point_label=None, vectors=None, vector_label=N
     fails, the check runs over the whole sheet, in the order above, and
     names the fault by the sheet's own (s, t): only an error allocates
     sheet-sized temporaries."""
-    collar = mf.as_number("collar", collar)
-    if not (0.0 <= collar < 0.5):
-        raise DomainError("collar must lie in [0, 1/2)")
     step = max(1, _CHECK_NODES // x.shape[-2])
     if x.ndim > 2 and len(x) > step:
         try:
@@ -389,12 +395,12 @@ def collar_ramp(ts, collar):
 
 def _ramp(n, collar):
     """The checked grid size and collar, and the collar-warped grid."""
-    n, collar = mf.as_integer("n", n), mf.as_number("collar", collar)
+    n, collar = mf.as_integer("n", n), _as_collar(collar)
     return n, collar, collar_ramp(np.arange(n + 1) / n, collar)
 
 
 def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
-    n, collar = mf.as_integer("n", n), mf.as_number("collar", collar)
+    n = mf.as_integer("n", n)
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
@@ -439,8 +445,9 @@ def make_latitude_circle(
     if not isinstance(spec, mf.Sphere):
         raise DomainError("latitude_circle requires a sphere")
     n, collar, phi = _ramp(n, collar)
-    ang = mf.as_number("phase", phase) + 2 * np.pi * mf.as_number("fraction", fraction) * phi
-    colatitude = mf.as_number("colatitude", colatitude)
+    phase, fraction = mf.as_number("phase", phase, finite=True), mf.as_number("fraction", fraction, finite=True)
+    ang = phase + 2 * np.pi * fraction * phi
+    colatitude = mf.as_number("colatitude", colatitude, finite=True)
     st, ct = np.sin(colatitude), np.cos(colatitude)
     pts = spec.radius * np.stack([st * np.cos(ang), st * np.sin(ang), ct * np.ones_like(ang)], axis=-1)
     return DiscretePath(spec, pts, collar)
@@ -453,7 +460,7 @@ def make_vertical_ray(spec, x, y_start, y_end, n=DEFAULT_GRID, collar=DEFAULT_CO
     n, collar, phi = _ramp(n, collar)
     y_start = mf.as_number("y_start", y_start, positive=True)
     ys = y_start * (mf.as_number("y_end", y_end, positive=True) / y_start) ** phi
-    pts = np.stack([np.full_like(ys, mf.as_number("x", x)), ys], axis=-1)
+    pts = np.stack([np.full_like(ys, mf.as_number("x", x, finite=True)), ys], axis=-1)
     return DiscretePath(spec, pts, collar)
 
 
@@ -493,7 +500,7 @@ def make_normal_field(gamma, scale=1.0):
     a plateau (a collar) costs O(log N) calls. Every chord must lie within
     the injectivity radius (``segment_lengths``).
     """
-    scale = mf.as_number("scale", scale)
+    scale = mf.as_number("scale", scale, finite=True)
     spec, x = gamma.manifold, gamma.samples
     n = gamma.n_segments
     segment_lengths(spec, x)

@@ -40,10 +40,9 @@ class Worldsheet:
     The sheet wraps its points once, as ``DiscretePath`` wraps its samples,
     and holds ``s_nodes``, ``points`` and ``velocities`` read-only
     (``manifold.held``): views of the arrays it was given, the points a
-    wrapped copy on the flat torus. So what it checked cannot change under
-    it, and nothing downstream wraps again. ``build_sheet``, whose flow
-    wrapped every point already, builds its sheet without this wrap
-    (``_built_sheet``), by the same checks.
+    wrapped copy on the flat torus if one of them lies outside its domain
+    (``FlatTorus.wrap`` returns points in the domain as they are). So what
+    it checked cannot change under it, and nothing downstream wraps again.
     """
 
     manifold: mf.ManifoldSpec
@@ -52,7 +51,7 @@ class Worldsheet:
     velocities: np.ndarray  # (S+1, N+1, d)
     collar: float = 0.0
 
-    def __post_init__(self, wrap=True):
+    def __post_init__(self):
         spec = self.manifold
         s, points, velocities = (np.asarray(a, dtype=float) for a in (self.s_nodes, self.points, self.velocities))
         if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
@@ -62,9 +61,8 @@ class Worldsheet:
             raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
         if shape != velocities.shape:
             raise DomainError("points and velocities must share a grid")
-        if wrap:
-            points = spec.wrap(points)
-        vars(self).update(s_nodes=mf.held(s), points=mf.held(points), velocities=mf.held(velocities))
+        vars(self).update(s_nodes=mf.held(s), points=mf.held(spec.wrap(points)), velocities=mf.held(velocities),
+                          collar=pth._as_collar(self.collar))
         pth.check_fibers(spec, self.points, self.collar, "node (s=%d, t=%d)",
                          self.velocities, "velocity at node (s=%d, t=%d)")
 
@@ -106,7 +104,7 @@ class Worldsheet:
             np.array(obj["s_nodes"], dtype=float),
             np.array(obj["points"], dtype=float),
             np.array(obj["velocities"], dtype=float),
-            mf.as_number("collar", obj.get("collar", 0.0)),
+            obj.get("collar", 0.0),
         )
 
 
@@ -134,15 +132,6 @@ def _slice(sheet, j, vectors=None):
     field = object.__new__(PathTangentField)
     vars(field).update(base=path, components=mf.held(vectors))
     return field
-
-
-def _built_sheet(spec, s_nodes, points, velocities, collar):
-    """The Worldsheet of points that are wrapped already, as the flow
-    returns them: the constructor's checks run, its wrap does not."""
-    sheet = object.__new__(Worldsheet)
-    vars(sheet).update(manifold=spec, s_nodes=s_nodes, points=points, velocities=velocities, collar=collar)
-    sheet.__post_init__(wrap=False)
-    return sheet
 
 
 def _check_field_on(gamma, field):
@@ -174,8 +163,8 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     fibers (``_blocks``) at a time, into arrays allocated up front; every
     flow kernel is elementwise per node, so the blocks give the same bits as
     one call over the whole sheet. Nodes at s = 0 reproduce the seed
-    bitwise. The flow wraps each block's points, so the sheet does not wrap
-    them again (``_built_sheet``).
+    bitwise. The flow wraps each block's points, so the ``Worldsheet``
+    constructor, which checks them, finds them wrapped and copies none.
     Its RK4 oracle, which integrates the fibers node to node, lives in the
     tests (``tests/oracles.py``).
     """
@@ -193,7 +182,7 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     at_zero = s_nodes == 0.0
     points[at_zero] = samples
     vels[at_zero] = vcomps
-    return _built_sheet(spec, s_nodes, points, vels, collar)
+    return Worldsheet(spec, s_nodes, points, vels, collar)
 
 
 def s_grid(interval, S):

@@ -3,14 +3,15 @@
 All floating-point values are written in decimal with 17 significant
 digits (``%.17g``), which round-trips IEEE doubles exactly, and JSON object
 keys are sorted, so identical inputs produce byte-identical files. One row
-formatter, ``_rows``, writes every float array: each 2-d slab goes through
-``_float_rows``, which formats a whole slab in numpy and returns exactly
-the text of one %-format call of a repeated row template (JSON, CSV or OBJ
-vertex), after one finiteness check per array (per fiber for a sheet's CSV
-rows). A worldsheet's 3-d arrays (JSON ``points`` and ``velocities``, OBJ
-vertices) are formatted one block of whole fibers per call, the blocks of
-``pathspace.build_sheet`` (``pathspace._blocks``). A scalar is formatted
-by ``format_float``, and OBJ face indices by ``%d``.
+formatter, ``_float_rows``, writes every array: it formats a whole 2-d
+slab in numpy and returns exactly the text of one %-format call of a
+repeated row template (JSON, CSV, OBJ vertex or OBJ face), after one
+finiteness check per array (per fiber for a sheet's CSV rows). OBJ face
+indices are integers held as floats, which ``%.17g`` writes with the
+digits of ``%d``. A worldsheet's 3-d arrays (JSON ``points`` and
+``velocities``, OBJ vertices) are formatted one block of whole fibers per
+call, the blocks of ``pathspace.build_sheet`` (``pathspace._blocks``). A
+scalar is formatted by ``format_float``.
 
 Each format is one generator of text pieces (``json_pieces``,
 ``path_csv_pieces``, ``sheet_csv_pieces``, ``sheet_obj_pieces``) that
@@ -234,7 +235,7 @@ _AHEAD = 8
 def _text(pieces):
     """The text of ``pieces``, in order, one piece at a time. A piece is
     text, ``_WIDE``, or a deferred slab: a ``functools.partial`` that
-    returns text, of ``_float_rows`` or of the faces of an OBJ strip.
+    returns text, of ``_float_rows`` or of a fiber's CSV rows (``_csv_rows``).
 
     At the first ``_WIDE``, if this process may run on more than one CPU,
     one helper process is forked (``_fork._forked``). It inherits the state
@@ -410,18 +411,25 @@ def loads(text):
 # ---------------------------------------------------------------------------
 
 
-def _csv(head, dim, slabs):
-    """Header ``head``,x1,...,x``dim``, then a line per row of each 2-d slab
-    in ``slabs``, formatted when it is drawn."""
+def _csv(head, dim, fibers):
+    """Header ``head``,x1,...,x``dim``, then the rows of each fiber
+    ``(lead, x)`` in ``fibers``, one deferred slab each (``_csv_rows``)."""
     names = head + ["x%d" % (k + 1) for k in range(dim)]
     template = ",".join([_FLOAT] * len(names))
-    rows = (_rows(_finite(slab), template, "\n") for slab in slabs)
+    rows = ([functools.partial(_csv_rows, lead, _finite(x), template)] for lead, x in fibers)
     return _joined(rows, "\n", ",".join(names) + "\n", "\n")
+
+
+def _csv_rows(lead, x, template):
+    """The CSV rows of the points ``x`` after the columns ``lead``, each an
+    array of one value per row or one value for every row."""
+    columns = [np.broadcast_to(c, len(x)) for c in lead]
+    return _float_rows(np.column_stack(columns + [x]), template, "\n")
 
 
 def path_csv_pieces(gamma):
     """Pieces of ``path_to_csv(gamma)``."""
-    return _text(_csv(["t"], gamma.manifold.point_dim, [np.column_stack([gamma.grid, gamma.samples])]))
+    return _text(_csv(["t"], gamma.manifold.point_dim, [((gamma.grid,), gamma.samples)]))
 
 
 def path_to_csv(gamma):
@@ -431,10 +439,10 @@ def path_to_csv(gamma):
 
 def sheet_csv_pieces(sheet):
     """Pieces of ``sheet_to_csv(sheet)``, one fiber at a time: the s,t,x
-    rows of a fiber are built only when its piece is drawn."""
+    rows of a fiber are built only by the process that formats its slab."""
     n = sheet.n_t_segments
     t = np.arange(n + 1) / n
-    fibers = (np.column_stack([np.full(n + 1, s), t, x]) for s, x in zip(sheet.s_nodes, sheet.points))
+    fibers = (((s, t), x) for s, x in zip(sheet.s_nodes, sheet.points))
     # a sheet of more than one block of fibers is wide, as in ``_fibers``
     wide = len(_blocks(0, len(sheet.s_nodes), n + 1)) > 1
     return _text(itertools.chain([_WIDE] * wide, _csv(["s", "t"], sheet.manifold.point_dim, fibers)))
@@ -447,20 +455,18 @@ def sheet_to_csv(sheet):
 
 def sheet_obj_pieces(sheet):
     """Pieces of ``sheet_to_obj(sheet)``, one block of fibers (or one strip
-    of faces) at a time. A strip of faces is deferred as a slab is, so the
-    export helper of a wide sheet shares the strips too."""
+    of faces) at a time. A strip of faces is a deferred slab of its integer
+    indices held as floats, which ``%.17g`` writes with the digits of ``%d``
+    below 2**53, so the export helper of a wide sheet shares the strips too."""
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
     n = sheet.n_t_segments
-    a = np.arange(n) + 1  # OBJ indices are 1-based
+    a = np.arange(n) + 1.0  # OBJ indices are 1-based
     strip = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
-
-    def faces(j):  # the text of strip j; indices are integers, written with %d
-        return "\n".join(["f %d %d %d %d"] * n) % tuple((strip + j * (n + 1)).ravel())
-
     vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
     S = sheet.n_s_segments
-    strips = ([functools.partial(faces, j)] for j in range(S))
+    faces = " ".join(["f"] + [_FLOAT] * 4)
+    strips = ([functools.partial(_float_rows, strip + j * (n + 1), faces, "\n")] for j in range(S))
     parts = [vertices, _joined(strips, "\n")] if S else [vertices]
     return _text(_joined(parts, "\n", "", "\n"))
 
@@ -484,7 +490,7 @@ def morphism1_to_json(m):
         "kind": "morphism1",
         "path": m.path.to_json(),
         "field": m.field.components,
-        "time": float(m.time),
+        "time": m.time,
     }
 
 
@@ -495,7 +501,7 @@ def morphism1_from_json(obj):
         raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
     base = DiscretePath.from_json(obj["path"])
     field = PathTangentField(base, np.array(obj["field"], dtype=float))
-    return cat.GeodMorphism1(field, mf.as_number("time", obj["time"], finite=True))
+    return cat.GeodMorphism1(field, obj["time"])
 
 
 def morphism2_to_json(F):

@@ -242,14 +242,17 @@ def time_label_calls():
             dict(record, time=ser.loads('{"time": %s}' % text)["time"])
         ),
         "GeodObject": lambda text: cat.GeodObject(m.path.start(), m.field.vector(0), ser.loads(text)),
+        "GeodMorphism1": lambda text: cat.GeodMorphism1(m.field, ser.loads(text)),
     }
 
 
-@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", '"0"', "true"])
 @pytest.mark.parametrize("entry", list(time_label_calls()))
 def test_a_time_label_that_is_not_finite_is_rejected(entry, text):
     # a NaN label composed with nothing, not even itself, and failed only
-    # when its morphism was exported
+    # when its morphism was exported; the 1-morphism constructor took one
+    # (and a string) as given, so its compose1 raised "time labels differ:
+    # nan vs nan"
     with pytest.raises(mf.DomainError, match=r"^time must be a finite number \(got "):
         time_label_calls()[entry](text)
 

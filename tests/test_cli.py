@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -407,6 +410,18 @@ def test_check_requires_suite():
     assert exc.value.code == 2
 
 
+def test_the_module_runs_as_the_command(capsys):
+    # ``python -m pathgeo.cli`` runs main and exits with its code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["check", "--suite", "manifold", "--cases", "2"]
+    run = subprocess.run([sys.executable, "-m", "pathgeo.cli"] + argv, env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0 and cli.main(argv) == 0
+    assert run.stdout == capsys.readouterr().out.encode()
+    run = subprocess.run([sys.executable, "-m", "pathgeo.cli", "check"], env=env, capture_output=True, timeout=300)
+    assert run.returncode == 2 and b"--suite" in run.stderr
+
+
 def test_config_validation_errors(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -625,15 +640,15 @@ def test_worldsheet_calls_the_generators_on_the_path_module(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "obj"])
 def test_worldsheet_formats_no_export_without_out(tmp_path, monkeypatch, capsys, fmt):
-    rows = ser._rows
-    slabs = []
+    # every export slab goes through _float_rows; this sheet is one block,
+    # so no helper process formats a slab out of this one's sight
+    rows, slabs = ser._float_rows, []
 
-    def counting_rows(a, template, sep):
-        for piece in rows(a, template, sep):
-            slabs.append(a.size)
-            yield piece
+    def counting_rows(a, *args):
+        slabs.append(a.size)
+        return rows(a, *args)
 
-    monkeypatch.setattr(ser, "_rows", counting_rows)
+    monkeypatch.setattr(ser, "_float_rows", counting_rows)
     argv = ["worldsheet", "--config", sphere_config(tmp_path), "--path", "eq", "--format", fmt]
     assert cli.main(argv) == 0
     # the summary holds only scalars, which format_float writes; no array was formatted
@@ -718,19 +733,38 @@ def test_a_config_number_beyond_the_float_range_is_an_error(tmp_path, capsys, en
     assert "Traceback" not in err
 
 
+LATITUDE = {"generator": "latitude_circle", "colatitude": 1.0}
+RAY = {"generator": "vertical_ray", "x": 0.0, "y_start": 1.0, "y_end": 2.0}
+NOT_FINITE = {"inf": math.inf, "nan": math.nan}
+
+
 @pytest.mark.parametrize(
-    "paths, fields, needle",
+    "manifold, path, scale, needle",
     [
-        ({"a": {"generator": "latitude_circle", "colatitude": "x"}}, {},
-         "path 'a': colatitude must be a number (got 'x')"),
-        ({"a": {"generator": "latitude_circle", "colatitude": 1.0}},
-         {"f": {"generator": "normal_to_path", "path": "a", "scale": "x"}},
-         "field 'f': scale must be a number (got 'x')"),
+        pytest.param("sphere", dict(LATITUDE, colatitude="x"), None,
+                     "path 'a': colatitude must be a finite number (got 'x')", id="colatitude"),
+        pytest.param("sphere", LATITUDE, "x", "field 'f': scale must be a finite number (got 'x')", id="scale"),
+    ]
+    + [
+        pytest.param(manifold, dict(path, **{key: value}), None,
+                     "path 'a': %s must be a finite number (got %r)" % (key, value), id="%s-%s" % (key, name))
+        for manifold, path, keys in (("sphere", LATITUDE, ("colatitude", "fraction", "phase")),
+                                     ("hyperbolic_half_plane", RAY, ("x",)))
+        for key in keys
+        for name, value in NOT_FINITE.items()
+    ]
+    + [
+        pytest.param("sphere", LATITUDE, value, "field 'f': scale must be a finite number (got %r)" % value,
+                     id="scale-" + name)
+        for name, value in NOT_FINITE.items()
     ],
-    ids=["colatitude", "scale"],
 )
-def test_generator_parameters_name_themselves(tmp_path, capsys, paths, fields, needle):
-    cfg = write_config(tmp_path, {"manifold": {"kind": "sphere"}, "paths": paths, "fields": fields,
+def test_generator_parameters_name_themselves(tmp_path, capsys, manifold, path, scale, needle):
+    # a parameter that is not a finite number is named before numpy computes
+    # with it: an inf or NaN was reported as a non-finite sample or field
+    # value, after a numpy warning from sin, cos or multiply
+    fields = {} if scale is None else {"f": {"generator": "normal_to_path", "path": "a", "scale": scale}}
+    cfg = write_config(tmp_path, {"manifold": {"kind": manifold}, "paths": {"a": path}, "fields": fields,
                                   "resolution": {"N": 16, "S": 2}})
     assert cli.main(["worldsheet", "--config", cfg]) == 1
     assert capsys.readouterr().err == "error: %s\n" % needle

@@ -353,6 +353,26 @@ def test_torus_wrap_lands_in_the_domain_at_its_edges():
         assert np.all((w >= 0.0) & (w < L)), edges
 
 
+def test_torus_wrap_returns_a_point_in_the_domain_as_it_is():
+    # np.mod returns a coordinate that has no sign bit and lies below L as
+    # it is, so wrap returns such a point itself and copies nothing; every
+    # other coordinate goes through np.mod, with L taken to 0
+    L = np.asarray(TORUS.circumferences)
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (64, 2)) * L
+    assert TORUS.wrap(x) is x
+    for k, c in enumerate(TORUS.circumferences):
+        inside = [0.0, 5e-324, float(np.nextafter(c, 0.0))]
+        edges = inside + [-0.0, c, -1e-17, math.nan]
+        x = np.full((len(edges), 2), 0.5)
+        x[:, k] = edges
+        expected = np.mod(x, L)
+        expected[expected == L] = 0.0
+        assert TORUS.wrap(x).tobytes() == expected.tobytes(), c
+        head = x[: len(inside)]
+        assert np.mod(head, L).tobytes() == head.tobytes()
+        assert TORUS.wrap(head) is head
+
+
 def test_torus_wrap_keeps_a_nan():
     w = TORUS.wrap(np.array([[np.nan, 0.5], [-1e-20, np.nan]]))
     assert np.isnan(w).tolist() == [[True, False], [False, True]]

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,29 @@ def test_a_collar_that_is_not_a_number_is_named(collar):
     points = np.stack([gamma.samples] * 3)
     with pytest.raises(mf.DomainError, match=needle):
         Worldsheet(spec, np.arange(3.0), points, np.zeros_like(points), collar)
+
+
+def test_a_path_and_a_sheet_hold_their_collar_as_a_float():
+    # a collar given as the int 0 was held as that int; the constructors
+    # store the float the collar rule returns, for a record read back too
+    spec = mf.ManifoldSpec.euclidean(2)
+    gamma = pth.DiscretePath(spec, np.linspace([0, 0], [1, 0], 17), 0)
+    points = np.stack([gamma.samples] * 3)
+    sheet = Worldsheet(spec, np.arange(3.0), points, np.zeros_like(points), 0)
+    held = [gamma, sheet, pth.DiscretePath.from_json(dict(gamma.to_json(), collar=0)),
+            Worldsheet.from_json(dict(sheet.to_json(), collar=0))]
+    assert [type(h.collar) for h in held] == [float] * 4
+
+
+@pytest.mark.parametrize("collar", [math.inf, math.nan, 0.5, -0.25], ids=repr)
+def test_a_generator_checks_its_collar_before_it_ramps(collar):
+    # an infinite collar made collar_ramp warn (invalid value in divide)
+    # before the path constructor named the collar
+    spec = mf.ManifoldSpec.euclidean(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mf.DomainError, match=r"^collar must lie in \[0, 1/2\)$"):
+            pth.make_line(spec, [0, 0], [1, 0], n=16, collar=collar)
 
 
 def test_a_torus_path_of_the_wrong_dimension_is_named_before_it_is_wrapped():

@@ -763,19 +763,29 @@ def test_a_torus_transport_and_slice_wrap_nothing(monkeypatch):
 
 
 def test_a_torus_sheet_wraps_each_block_once(monkeypatch):
-    # the flow wraps each block of fibers; the sheet built from them does
-    # not wrap them again, and a sheet given points from outside does
+    # the flow wraps each block of fibers; the sheet constructor's wrap then
+    # finds them wrapped and returns them as they are, so no second
+    # sheet-sized copy is made, while a sheet given points from outside the
+    # domain holds a wrapped copy
     spec = checks.builtin_manifolds()["flat_torus"]
     gamma, (field, _) = wide_fields(spec, np.random.default_rng(SEED + 13))
     wrap, calls = mf.FlatTorus.wrap, []
-    monkeypatch.setattr(mf.FlatTorus, "wrap", lambda self, x: calls.append(np.shape(x)) or wrap(self, x))
+
+    def counted(self, x):
+        out = wrap(self, x)
+        calls.append((np.shape(x), out is x))
+        return out
+
+    monkeypatch.setattr(mf.FlatTorus, "wrap", counted)
     sheet = ps.pathspace_geodesic(gamma, field, (0.0, 1.0), 64)
-    assert calls == [(1, gamma.n_segments + 1, 2)] * 65  # N + 1 > _BLOCK_NODES: one fiber a block
+    # N + 1 > _BLOCK_NODES: one fiber a block, then the constructor's wrap
+    assert [shape for shape, _ in calls] == [(1, gamma.n_segments + 1, 2)] * 65 + [sheet.points.shape]
+    assert calls[-1][1]
     assert np.array_equal(sheet.points, wrap(spec, sheet.points))
     calls.clear()
     given = sheet.points + np.asarray(spec.circumferences)
     outside = ps.Worldsheet(spec, sheet.s_nodes, given, sheet.velocities, sheet.collar)
-    assert calls == [given.shape]
+    assert calls == [(given.shape, False)]
     assert outside.points.tobytes() == wrap(spec, given).tobytes()
     assert np.all((outside.points >= 0.0) & (outside.points < np.asarray(spec.circumferences)))
 

@@ -6,9 +6,10 @@ only where the sheet runs the constructors' own node check
 (``path.check_fibers``) over the slice: a ``Worldsheet`` checks its own
 points and velocities, and ``pathspace_transport`` checks what it
 transports, each in one call over the whole sheet. So only those
-constructors, the sheet and the transport call ``check_fibers``, only the
-slice methods and the transport call ``_slice``, and the collar range is
-spelled once, in ``check_fibers``.
+constructors, the sheet and the transport call ``check_fibers``, and only
+the slice methods and the transport call ``_slice``. The collar range is
+spelled once, in ``path._as_collar``, which the constructors of the values
+that hold a collar apply to it, and ``path._ramp`` before it ramps.
 
 The block of fibers the sheet kernels and the export work on is decided
 in one function, ``pathspace._blocks``, the only reader of
@@ -20,10 +21,10 @@ A checked value holds its arrays one way, read-only through
 ``manifold.held``, the only function that sets ``flags.writeable``. Points
 are wrapped once, where they enter: in the path and sheet layers only the
 ``DiscretePath`` and ``Worldsheet`` constructors call ``wrap``, so a slice
-and a transport hold and check the sheet's points as they are. Only
-``build_sheet``, whose flow wrapped its points, skips the sheet
-constructor's wrap, through ``pathspace._built_sheet``, the one caller of
-``Worldsheet.__post_init__``.
+and a transport hold and check the sheet's points as they are. Every sheet,
+``build_sheet``'s too, is built by the ``Worldsheet`` constructor; its wrap
+returns the points that the flow wrapped as they are, without a copy, and
+no function runs a constructor's ``__post_init__`` by hand.
 
 These tests read the package source and fail if another function calls
 or reads one of these names."""
@@ -130,11 +131,15 @@ def test_the_sheet_and_the_transport_each_check_their_nodes_in_one_call():
     assert len(callers(tree, "check_fibers")) == 2
 
 
-def test_the_collar_range_is_spelled_once_in_the_node_check():
+def test_the_collar_range_is_spelled_once_in_the_collar_rule():
     rule = "collar must lie in [0, 1/2)"
     assert sum(source.read_text().count(rule) for source in PACKAGE.glob("*.py")) == 1
     tree = ast.parse((PACKAGE / "path.py").read_text())
-    assert owners(tree, lambda node: isinstance(node, ast.Constant) and node.value == rule) == ["check_fibers"]
+    assert owners(tree, lambda node: isinstance(node, ast.Constant) and node.value == rule) == ["_as_collar"]
+    assert package_owners(callers, "_as_collar") == {
+        "path.py": {"DiscretePath.__post_init__", "_ramp"},
+        "pathspace.py": {"Worldsheet.__post_init__"},
+    }
 
 
 def test_only_the_sheet_kernels_and_the_export_work_in_blocks():
@@ -182,8 +187,6 @@ def test_only_the_path_and_sheet_constructors_wrap_points():
     }
     # one call in each: the sheet wraps its points once, not per fiber
     assert [len(callers(ast.parse((PACKAGE / name).read_text()), "wrap")) for name in ("path.py", "pathspace.py")] == [1, 1]
+    # and no function runs a constructor by hand, to skip its wrap
+    assert package_owners(callers, "__post_init__") == {}
 
-
-def test_only_the_sheet_kernel_builds_a_sheet_without_its_wrap():
-    assert package_owners(callers, "_built_sheet") == {"pathspace.py": {"build_sheet"}}
-    assert package_owners(callers, "__post_init__") == {"pathspace.py": {"_built_sheet"}}

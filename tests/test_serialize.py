@@ -331,7 +331,8 @@ def test_a_sheet_export_formats_one_block_of_fibers_per_call(monkeypatch, tmp_pa
     assert shapes == sorted([(1, 65)] + 2 * ([(15 * 257, 3)] * 4 + [(5 * 257, 3)]))
     ser.sheet_to_obj(sheet)
     more, shapes = calls()
-    assert shapes == sorted([(15 * 257, 3)] * 4 + [(5 * 257, 3)])
+    # the vertices in the same five blocks, and one slab per strip of faces
+    assert shapes == sorted([(15 * 257, 3)] * 4 + [(5 * 257, 3)] + [(256, 4)] * 64)
     # this process and the one helper of each export, on more than one CPU
     assert len(helpers) == 2 * (len(os.sched_getaffinity(0)) > 1)
     assert processes | more <= {os.getpid()} | set(helpers)
