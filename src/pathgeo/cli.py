@@ -46,6 +46,15 @@ def _read_json(filename, build):
         raise ConfigError("%s: %s" % (filename, err)) from None
 
 
+def _section(data, name):
+    """A copy of the config section ``name`` ({} if absent), which must be a
+    JSON object: a list of pairs is not read as one."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError("config %s must be a JSON object (got %s)" % (name, type(section).__name__))
+    return dict(section)
+
+
 class ScenarioConfig:
     """Validated scenario: manifold, named paths/fields, interval, resolution."""
 
@@ -53,15 +62,13 @@ class ScenarioConfig:
         keys = ("manifold", "paths", "fields", "interval", "resolution", "tolerances")
         mf.only_keys("config key", data, keys, ("manifold",))
         self.manifold = mf.ManifoldSpec.from_json(data["manifold"])
-        self.paths = dict(data.get("paths", {}))
-        self.fields = dict(data.get("fields", {}))
+        sections = ("paths", "fields", "resolution", "tolerances")
+        self.paths, self.fields, res, tols = (_section(data, name) for name in sections)
         interval = data.get("interval", (0.0, 1.0))
         self.interval = tuple(mf.as_number("interval", v) for v in interval)
-        res = dict(data.get("resolution", {}))
         mf.only_keys("resolution key", res, ("N", "S"))
         self.N = mf.as_integer("resolution N", res.get("N", pth.DEFAULT_GRID))
         self.S = mf.as_integer("resolution S", res.get("S", 16))
-        tols = dict(data.get("tolerances", {}))
         mf.only_keys("tolerance", tols, ("distance",))
         self.tolerances = {k: mf.as_number("tolerance %r" % k, v) for k, v in tols.items()}
         self._validate()
@@ -105,7 +112,7 @@ class ScenarioConfig:
             )
         try:
             if "samples" in d:
-                gamma = pth.DiscretePath(self.manifold, np.asarray(d["samples"], dtype=float), d.get("collar", 0.0))
+                gamma = pth.DiscretePath(self.manifold, pth._numbers("samples", d["samples"]), d.get("collar", 0.0))
             else:
                 d.setdefault("n", self.N)
                 gamma = getattr(pth, pth.GENERATORS[gen])(self.manifold, **d)
@@ -134,7 +141,7 @@ class ScenarioConfig:
             )
         try:
             if gen is None:
-                return pth.PathTangentField(gamma, np.asarray(d["components"], dtype=float))
+                return pth.PathTangentField(gamma, pth._numbers("components", d["components"]))
             return getattr(pth, pth.FIELD_GENERATORS[gen])(gamma, **d)
         except (TypeError, KeyError, ValueError) as err:
             raise ConfigError("field %r: bad parameters (%s)" % (name, err))

@@ -404,6 +404,15 @@ def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
+def _numbers(label, value, finite=False):
+    """The nested lists ``value`` as a float array, each entry by the
+    ``as_number`` rule, whose error names ``label``; lists of unequal
+    length are a ValueError."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return np.array([_numbers(label, v, finite) for v in value], dtype=float)
+    return mf.as_number(label, value, finite=finite)
+
+
 def _point_param(spec, label, value):
     """The point parameter ``label`` as coordinates: point_dim of them, each
     by the ``as_number`` rule, together a point of the manifold."""
@@ -480,8 +489,9 @@ GENERATORS = {
 
 
 def make_constant_field(gamma, components):
-    """Same chart components at every sample (projected tangentially on the sphere)."""
-    comps = np.tile(np.asarray(components, dtype=float), (gamma.n_segments + 1, 1))
+    """Same chart components at every sample (projected tangentially on the
+    sphere), each a finite number by the ``as_number`` rule."""
+    comps = np.tile(_numbers("components", components, finite=True), (gamma.n_segments + 1, 1))
     return PathTangentField(gamma, gamma.manifold.project_tangent(gamma.samples, comps))
 
 

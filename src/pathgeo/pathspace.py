@@ -19,8 +19,8 @@ from .path import DiscretePath, PathTangentField
 
 # nodes per block of whole fibers (``_blocks``), the one block rule of the
 # sheet kernels whose d-vector temporaries it bounds (build_sheet,
-# transverse_residual) and of the export of a sheet's 3-d arrays
-# (serialize._fibers, serialize.sheet_csv_pieces). The node check, whose
+# transverse_residual) and of every sheet export, whose one block walk
+# (serialize._blocked) formats a block per slab. The node check, whose
 # temporaries are mostly per-node scalars and masks, takes larger blocks
 # of its own (``path._CHECK_NODES``)
 _BLOCK_NODES = 4096

@@ -6,11 +6,12 @@ keys are sorted, so identical inputs produce byte-identical files. One row
 formatter, ``_float_rows``, writes every array: it formats a whole 2-d
 slab in numpy and returns exactly the text of one %-format call of a
 repeated row template (JSON, CSV, OBJ vertex or OBJ face), after one
-finiteness check per array (per fiber for a sheet's CSV rows). OBJ face
-indices are integers held as floats, which ``%.17g`` writes with the
-digits of ``%d``. A worldsheet's 3-d arrays (JSON ``points`` and
-``velocities``, OBJ vertices) are formatted one block of whole fibers per
-call, the blocks of ``pathspace.build_sheet`` (``pathspace._blocks``). A
+finiteness check per array, made before its first slab. OBJ face indices
+are integers held as floats, which ``%.17g`` writes with the digits of
+``%d``. There is one block walk, ``_blocked``: every array of a worldsheet
+(JSON ``points`` and ``velocities``, CSV rows, OBJ vertices and faces) is
+formatted one block of whole fibers (or of strips of faces) per call, the
+blocks of ``pathspace.build_sheet`` (``pathspace._blocks``). A
 scalar is formatted by ``format_float``.
 
 Each format is one generator of text pieces (``json_pieces``,
@@ -235,7 +236,8 @@ _AHEAD = 8
 def _text(pieces):
     """The text of ``pieces``, in order, one piece at a time. A piece is
     text, ``_WIDE``, or a deferred slab: a ``functools.partial`` that
-    returns text, of ``_float_rows`` or of a fiber's CSV rows (``_csv_rows``).
+    returns text: a 2-d array's ``_float_rows``, or a block's slab
+    (``_blocked``).
 
     At the first ``_WIDE``, if this process may run on more than one CPU,
     one helper process is forked (``_fork._forked``). It inherits the state
@@ -307,30 +309,17 @@ def _received(r):
         raise ChildProcessError("the export helper exited before it sent a slab") from None
 
 
-def _rows(a, template, sep):
-    """Rows of the float array ``a`` through ``template`` (one ``%.17g``
-    slot per column), joined by ``sep``: one deferred slab for a 2-d ``a``,
-    and one per block of fibers for a 3-d ``a`` (``_fibers``)."""
-    if a.ndim > 2:
-        yield from _fibers(a, template, sep, sep)
-    else:
-        yield functools.partial(_float_rows, a, template, sep)
-
-
-def _fibers(a, template, sep, fiber_sep):
-    """Pieces of the rows of the fibers (2-d slabs along axis 0) of a
-    nonempty 3-d float array ``a``, rows joined by ``sep`` and fibers by
-    ``fiber_sep``: one deferred slab per block of whole fibers of m rows
-    (``_blocks``), after ``_WIDE`` if there is more than one block."""
-    m, cols = a.shape[1:]
-    blocks = _blocks(0, len(a), m)
-    fiber = None if fiber_sep == sep else (m, fiber_sep)
+def _blocked(count, width, slab, sep):
+    """Pieces of ``count`` fibers of ``width`` nodes each: one deferred
+    ``slab(block)`` per block of whole fibers (``_blocks``), joined by
+    ``sep``, after ``_WIDE`` if there is more than one block."""
+    blocks = _blocks(0, count, width)
     if len(blocks) > 1:
         yield _WIDE
     for k, block in enumerate(blocks):
         if k:
-            yield fiber_sep
-        yield functools.partial(_float_rows, a[block].reshape(-1, cols), template, sep, fiber)
+            yield sep
+        yield functools.partial(slab, block)
 
 
 def _json_floats(a):
@@ -342,9 +331,14 @@ def _json_floats(a):
         return
     template = "[" + ", ".join([_FLOAT] * a.shape[-1]) + "]"
     if a.ndim == 3:
-        yield from _joined([_fibers(a, template, ", ", "], [")], "", "[[", "]]")
+        m, cols = a.shape[1:]
+
+        def slab(block):
+            return _float_rows(a[block].reshape(-1, cols), template, ", ", (m, "], ["))
+
+        yield from _joined([_blocked(len(a), m, slab, "], [")], "", "[[", "]]")
         return
-    rows = _rows(np.atleast_2d(a), template, ", ")
+    rows = [functools.partial(_float_rows, np.atleast_2d(a), template, ", ")]
     yield from rows if a.ndim == 1 else _joined([rows], "", "[", "]")
 
 
@@ -411,25 +405,18 @@ def loads(text):
 # ---------------------------------------------------------------------------
 
 
-def _csv(head, dim, fibers):
-    """Header ``head``,x1,...,x``dim``, then the rows of each fiber
-    ``(lead, x)`` in ``fibers``, one deferred slab each (``_csv_rows``)."""
+def _csv(head, dim):
+    """The header line of the columns ``head``,x1,...,x``dim``, and the
+    template of a row: one ``%.17g`` slot per column."""
     names = head + ["x%d" % (k + 1) for k in range(dim)]
-    template = ",".join([_FLOAT] * len(names))
-    rows = ([functools.partial(_csv_rows, lead, _finite(x), template)] for lead, x in fibers)
-    return _joined(rows, "\n", ",".join(names) + "\n", "\n")
-
-
-def _csv_rows(lead, x, template):
-    """The CSV rows of the points ``x`` after the columns ``lead``, each an
-    array of one value per row or one value for every row."""
-    columns = [np.broadcast_to(c, len(x)) for c in lead]
-    return _float_rows(np.column_stack(columns + [x]), template, "\n")
+    return ",".join(names) + "\n", ",".join([_FLOAT] * len(names))
 
 
 def path_csv_pieces(gamma):
     """Pieces of ``path_to_csv(gamma)``."""
-    return _text(_csv(["t"], gamma.manifold.point_dim, [((gamma.grid,), gamma.samples)]))
+    header, template = _csv(["t"], gamma.manifold.point_dim)
+    rows = functools.partial(_float_rows, np.column_stack([gamma.grid, _finite(gamma.samples)]), template, "\n")
+    return _text([header, rows, "\n"])
 
 
 def path_to_csv(gamma):
@@ -438,14 +425,19 @@ def path_to_csv(gamma):
 
 
 def sheet_csv_pieces(sheet):
-    """Pieces of ``sheet_to_csv(sheet)``, one fiber at a time: the s,t,x
-    rows of a fiber are built only by the process that formats its slab."""
-    n = sheet.n_t_segments
+    """Pieces of ``sheet_to_csv(sheet)``, one block of fibers at a time: the
+    s,t,x rows of a block are built only by the process that formats its
+    slab."""
+    x, s_nodes, n = _finite(sheet.points), sheet.s_nodes, sheet.n_t_segments
     t = np.arange(n + 1) / n
-    fibers = (((s, t), x) for s, x in zip(sheet.s_nodes, sheet.points))
-    # a sheet of more than one block of fibers is wide, as in ``_fibers``
-    wide = len(_blocks(0, len(sheet.s_nodes), n + 1)) > 1
-    return _text(itertools.chain([_WIDE] * wide, _csv(["s", "t"], sheet.manifold.point_dim, fibers)))
+    header, template = _csv(["s", "t"], sheet.manifold.point_dim)
+
+    def slab(block):
+        fibers = x[block]
+        lead = [np.repeat(s_nodes[block], n + 1), np.tile(t, len(fibers))]
+        return _float_rows(np.column_stack(lead + [fibers.reshape(-1, x.shape[-1])]), template, "\n")
+
+    return _text(itertools.chain([header], _blocked(len(x), n + 1, slab, "\n"), ["\n"]))
 
 
 def sheet_to_csv(sheet):
@@ -454,20 +446,27 @@ def sheet_to_csv(sheet):
 
 
 def sheet_obj_pieces(sheet):
-    """Pieces of ``sheet_to_obj(sheet)``, one block of fibers (or one strip
-    of faces) at a time. A strip of faces is a deferred slab of its integer
+    """Pieces of ``sheet_to_obj(sheet)``, one block of fibers (or of strips
+    of faces) at a time. A block of faces is a deferred slab of its integer
     indices held as floats, which ``%.17g`` writes with the digits of ``%d``
-    below 2**53, so the export helper of a wide sheet shares the strips too."""
+    below 2**53, so the export helper of a wide sheet shares the faces too."""
     if not sheet.manifold.embedded_3d:
         raise DomainError("OBJ export needs an embedded 3d manifold (euclidean(3) or sphere)")
-    n = sheet.n_t_segments
+    x, n, S = _finite(sheet.points), sheet.n_t_segments, sheet.n_s_segments
     a = np.arange(n) + 1.0  # OBJ indices are 1-based
     strip = np.stack([a, a + 1, a + (n + 1) + 1, a + (n + 1)], axis=-1)
-    vertices = _rows(_finite(sheet.points), " ".join(["v"] + [_FLOAT] * 3), "\n")
-    S = sheet.n_s_segments
-    faces = " ".join(["f"] + [_FLOAT] * 4)
-    strips = ([functools.partial(_float_rows, strip + j * (n + 1), faces, "\n")] for j in range(S))
-    parts = [vertices, _joined(strips, "\n")] if S else [vertices]
+    vertex, face = " ".join(["v"] + [_FLOAT] * 3), " ".join(["f"] + [_FLOAT] * 4)
+
+    def vertices(block):
+        return _float_rows(x[block].reshape(-1, 3), vertex, "\n")
+
+    def faces(block):
+        strips = strip + (n + 1) * np.arange(block.start, block.stop)[:, None, None]
+        return _float_rows(strips.reshape(-1, 4), face, "\n")
+
+    parts = [_blocked(S + 1, n + 1, vertices, "\n")]
+    if S:  # a sheet of one fiber has no faces
+        parts.append(_blocked(S, n, faces, "\n"))
     return _text(_joined(parts, "\n", "", "\n"))
 
 

@@ -472,7 +472,7 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"interval": [0, 1, 2]}, "interval must be a pair (a, b) (got 3 values)"),
         ({"resolution": {"N": "abc"}}, "resolution N must be an integer >= 1 (got 'abc')"),
         ({"tolerances": {"distance": "x"}}, "tolerance 'distance' must be a number (got 'x')"),
-        ({"paths": "abc"}, "bad record (ValueError"),
+        ({"paths": "abc"}, "config paths must be a JSON object (got str)"),
         ({"paths": {"a": 3}}, "path 'a' must be a JSON object"),
         ({"fields": {"f": [1]}}, "field 'f' must be a JSON object"),
     ],
@@ -489,14 +489,14 @@ def test_config_bad_values_name_the_file(tmp_path, capsys, entry, needle):
 
 
 @pytest.mark.parametrize(
-    "path",
-    [{"samples": [[0, 0], [1]]}, {"samples": "abc"}],
+    "path, needle",
+    [({"samples": [[0, 0], [1]]}, "bad parameters ("), ({"samples": "abc"}, "samples must be a number (got 'abc')")],
     ids=["ragged-samples", "string-samples"],
 )
-def test_bad_path_values_name_the_path(tmp_path, capsys, path):
+def test_bad_path_values_name_the_path(tmp_path, capsys, path, needle):
     cfg = write_config(tmp_path, {"manifold": {"kind": "euclidean", "dim": 2}, "paths": {"a": path}})
     assert cli.main(["energy", "--config", cfg]) == 1
-    assert capsys.readouterr().err.startswith("error: path 'a': bad parameters (")
+    assert capsys.readouterr().err.startswith("error: path 'a': " + needle)
 
 
 @pytest.mark.parametrize(
@@ -887,6 +887,41 @@ def test_config_entry_rules_are_one_error_line(tmp_path, capsys, data, argv, mes
     cfg = write_config(tmp_path, dict(data, manifold={"kind": "euclidean", "dim": 2}, resolution={"N": 16, "S": 2}))
     assert cli.main(argv + ["--config", cfg]) == 1
     assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "paths, fields, message",
+    [
+        ({"a": {"samples": [["0", True], [1, 0]]}}, {}, "path 'a': samples must be a number (got '0')"),
+        ({"a": {"samples": [[0, 0], [1, False]]}}, {}, "path 'a': samples must be a number (got False)"),
+        ({"a": LINE}, {"f": {"path": "a", "components": [[0, 1]] * 16 + [[0, "1"]]}},
+         "field 'f': components must be a number (got '1')"),
+    ],
+    ids=["string-sample", "bool-sample", "string-component"],
+)
+def test_inline_samples_and_components_go_through_the_number_rule(tmp_path, capsys, paths, fields, message):
+    # numpy read ["0", true] as [0.0, 1.0]
+    cfg = write_config(tmp_path, {"manifold": {"kind": "euclidean", "dim": 2}, "paths": paths, "fields": fields,
+                                  "resolution": {"N": 16, "S": 2}})
+    assert cli.main(["worldsheet", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "section, pairs",
+    [
+        ("paths", [["a", LINE]]),
+        ("fields", [["f", {"generator": "zero", "path": "a"}]]),
+        ("resolution", [["N", 64], ["S", 4]]),
+        ("tolerances", [["distance", 1e-6]]),
+    ],
+)
+def test_a_config_section_given_as_a_list_of_pairs_is_rejected(tmp_path, capsys, section, pairs):
+    # dict() read each pair as a key and its value
+    data = {"manifold": {"kind": "euclidean", "dim": 2}, "paths": {"a": LINE}}
+    cfg = write_config(tmp_path, dict(data, **{section: pairs}))
+    assert cli.main(["energy", "--config", cfg]) == 1
+    assert capsys.readouterr().err == "error: %s: config %s must be a JSON object (got list)\n" % (cfg, section)
 
 
 def test_a_subcommand_without_its_config_is_one_error_line(capsys):

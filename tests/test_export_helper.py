@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import no_children
 
 from pathgeo import category as cat
 from pathgeo import checks, cli
@@ -37,13 +38,20 @@ def sheet(clean_sheet):
                          clean_sheet.velocities.copy(), clean_sheet.collar)
 
 
-def no_children():
-    """True if this process has no child, running or unreaped."""
+def test_a_child_left_running_is_seen():
+    # the check of the autouse fixture ``no_child_left`` of conftest.py
+    pid = os.fork()
+    if pid == 0:
+        try:
+            time.sleep(60)
+        finally:
+            os._exit(0)
     try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
+        assert not no_children()
+    finally:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert no_children()
 
 
 def _timeout(signum, frame):
@@ -131,7 +139,8 @@ def logged_rows(monkeypatch, log, paused):
 def test_the_process_with_the_freer_cpu_formats_more_slabs(clean_sheet, monkeypatch, tmp_path, helpers, slow):
     # each slab goes to the process that claims it first: a process slowed
     # down (by a busy CPU, here by a pause) leaves most slabs to the other
-    text = ser.sheet_to_csv(clean_sheet)  # 65 fibers of 257 rows, a slab each
+    text = ser.sheet_to_csv(clean_sheet)
+    monkeypatch.setattr(ps, "_BLOCK_NODES", 257)  # 65 blocks of one fiber of 257 rows, a slab each
     parent = os.getpid()
     calls = logged_rows(monkeypatch, tmp_path / "slabs", lambda pid: (pid == parent) == (slow == "parent"))
     assert ser.sheet_to_csv(clean_sheet) == text
@@ -159,13 +168,13 @@ def test_a_dead_helper_raises_instead_of_hanging(clean_sheet, tmp_path, monkeypa
     assert no_children()
 
 
-@pytest.mark.parametrize("fmt, array", [("json", "velocities"), ("csv", "points")])
+@pytest.mark.parametrize("fmt, array", [("json", "velocities")])
 def test_a_nan_in_a_late_block_raises_the_in_process_error(sheet, helpers, one_cpu, alarm, monkeypatch, tmp_path,
                                                            fmt, array):
-    # JSON checks a whole array before its first slab, and its velocities
-    # come after the points, so the helper is at work; CSV checks each
-    # fiber. The helper is slowed down, so this process has drawn past slabs
-    # the helper has yet to send when the stream fails: they come first
+    # an export checks each array whole before its first slab, and the JSON
+    # velocities come after the points, so the helper is at work. The
+    # helper is slowed down, so this process has drawn past slabs the
+    # helper has yet to send when the stream fails: they come first
     values = getattr(sheet, array)
     values.flags.writeable = True  # a sheet is read-only; this one is spoilt on purpose
     values[-1, 5, 0] = np.nan
@@ -185,6 +194,19 @@ def test_a_nan_in_a_late_block_raises_the_in_process_error(sheet, helpers, one_c
     assert no_children()
     one_cpu()
     assert failed_export() == (text, message)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "obj"])
+def test_a_nan_fails_a_csv_or_obj_export_before_its_first_piece(sheet, helpers, fmt):
+    # the points are checked whole when the export is called: no piece is
+    # drawn and no helper forks, though the sheet is five blocks wide
+    sheet.points.flags.writeable = True  # a sheet is read-only; this one is spoilt on purpose
+    sheet.points[-1, 5, 0] = np.nan
+    pieces = []
+    with pytest.raises(DomainError, match="^cannot serialize NaN$"):
+        pieces.extend(EXPORTS[fmt](sheet))
+    assert pieces == []
+    assert helpers == []
 
 
 def test_closing_an_export_early_reaps_its_helper(clean_sheet, helpers):

@@ -237,6 +237,19 @@ def test_field_validation():
     assert np.max(np.abs(np.sum(ok.components * gamma.samples, axis=1))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "components, got",
+    [([math.inf, 0, 0], "inf"), ([math.nan, 0, 0], "nan"), ([True, 0, 0], "True"), ([0, "1", 0], "'1'")],
+    ids=["inf", "nan", "bool", "string"],
+)
+def test_constant_field_components_go_through_the_number_rule(components, got):
+    # named before the sphere projects them: an inf made numpy warn there,
+    # a NaN was reported as a field value and a bool read as 1.0
+    gamma = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=16)
+    with pytest.raises(mf.DomainError, match=r"^components must be a finite number \(got %s\)$" % got):
+        pth.make_constant_field(gamma, components)
+
+
 @pytest.mark.parametrize("radius", [1.0, 3.0])
 def test_fields_and_vectors_share_one_tangency_rule(radius):
     # a normal part of 0.5e-9 relative is tangent and 5e-9 is not, for a

@@ -14,7 +14,9 @@ that hold a collar apply to it, and ``path._ramp`` before it ramps.
 The block of fibers the sheet kernels and the export work on is decided
 in one function, ``pathspace._blocks``, the only reader of
 ``_BLOCK_NODES``. Blocks bound the d-vector temporaries of a kernel and
-the text of an export. The node check bounds its own temporaries by
+the text of an export. Every export walks them in one generator,
+``serialize._blocked``, which alone calls ``_blocks`` there and alone
+yields ``_WIDE``, the mark of an array of more than one block. The node check bounds its own temporaries by
 blocks of ``path._CHECK_NODES``, which only ``check_fibers`` reads.
 
 A checked value holds its arrays one way, read-only through
@@ -145,8 +147,32 @@ def test_the_collar_range_is_spelled_once_in_the_collar_rule():
 def test_only_the_sheet_kernels_and_the_export_work_in_blocks():
     assert package_owners(callers, "_blocks") == {
         "pathspace.py": {"build_sheet", "transverse_residual"},
-        "serialize.py": {"_fibers", "sheet_csv_pieces"},
+        "serialize.py": {"_blocked"},
     }
+
+
+def yielders(tree, name):
+    """The owner of every ``yield`` of ``name`` or ``x.name``."""
+
+    def yields(node):
+        value = node.value if isinstance(node, ast.Yield) else None
+        return (isinstance(value, ast.Name) and value.id == name) or (
+            isinstance(value, ast.Attribute) and value.attr == name
+        )
+
+    return owners(tree, yields)
+
+
+def test_the_guard_sees_a_yield():
+    tree = ast.parse("def f():\n    yield W\n    yield from g(W)\n    x = W\ndef h():\n    yield ser.W\n")
+    assert yielders(tree, "W") == ["f", "h"]
+
+
+def test_only_the_export_block_walk_marks_a_wide_array():
+    # one wide rule: ``_WIDE`` comes only from the walk over the blocks, and
+    # besides it only the text of the stream (``_text``, ``_shared``) reads it
+    assert package_owners(yielders, "_WIDE") == {"serialize.py": {"_blocked"}}
+    assert package_owners(readers, "_WIDE") == {"serialize.py": {"_blocked", "_text", "_shared"}}
 
 
 def test_only_the_block_helper_reads_the_block_size():

@@ -331,11 +331,41 @@ def test_a_sheet_export_formats_one_block_of_fibers_per_call(monkeypatch, tmp_pa
     assert shapes == sorted([(1, 65)] + 2 * ([(15 * 257, 3)] * 4 + [(5 * 257, 3)]))
     ser.sheet_to_obj(sheet)
     more, shapes = calls()
-    # the vertices in the same five blocks, and one slab per strip of faces
-    assert shapes == sorted([(15 * 257, 3)] * 4 + [(5 * 257, 3)] + [(256, 4)] * 64)
+    # the vertices in the same five blocks, and the faces in four blocks of
+    # 16 strips of 256 faces (one slab per strip made 64)
+    assert shapes == sorted([(15 * 257, 3)] * 4 + [(5 * 257, 3)] + [(16 * 256, 4)] * 4)
     # this process and the one helper of each export, on more than one CPU
     assert len(helpers) == 2 * (len(os.sched_getaffinity(0)) > 1)
     assert processes | more <= {os.getpid()} | set(helpers)
+
+
+@pytest.mark.parametrize("n, fibers, strips", [(64, [63, 2], [64]), (256, [15] * 4 + [5], [16] * 4)])
+def test_every_sheet_export_formats_the_blocks_of_the_sheet_kernels(n, fibers, strips, monkeypatch):
+    # one block walk for every export: the slabs of the JSON points and
+    # velocities, of the CSV rows and of the OBJ vertices are the blocks of
+    # _blocks over the 65 fibers of N + 1 nodes, and the slabs of the OBJ
+    # faces its blocks over the 64 strips of N faces. On one CPU no helper
+    # forks, so every slab is formatted here, in order
+    sheet = sphere_sheet(n)
+    assert [b.stop - b.start for b in ps._blocks(0, 65, n + 1)] == fibers
+    assert [b.stop - b.start for b in ps._blocks(0, 64, n)] == strips
+    rows, shapes = ser._float_rows, []
+
+    def logged(a, *args):
+        shapes.append(a.shape)
+        return rows(a, *args)
+
+    monkeypatch.setattr(ser, "_float_rows", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    points = [(k * (n + 1), 3) for k in fibers]
+    for export, expected in [
+        (lambda: ser.dumps(sheet.to_json()), points + [(1, 65)] + points),  # points, s_nodes, velocities
+        (lambda: ser.sheet_to_csv(sheet), [(k * (n + 1), 5) for k in fibers]),
+        (lambda: ser.sheet_to_obj(sheet), points + [(k * n, 4) for k in strips]),
+    ]:
+        shapes.clear()
+        export()
+        assert shapes == expected
 
 
 def test_failed_export_leaves_no_partial_file(tmp_path):
@@ -371,8 +401,8 @@ def test_a_pooled_csv_export_stops_at_the_same_fiber():
     pieces = []
     with pytest.raises(DomainError, match="cannot serialize NaN"):
         pieces.extend(ser.sheet_csv_pieces(sheet))
-    # the header and fibers 0 to 39, of 4097 rows each
-    assert "".join(pieces).count("\n") == 1 + 40 * 4097 - 1
+    # the points are checked whole before the first slab: no piece is drawn
+    assert pieces == []
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +457,10 @@ def test_edge_values_format_as_percent_g(name):
     values = edge_values()
     a = np.array(values[: len(values) // 3 * 3]).reshape(-1, 3)
     assert ser._float_rows(a, template, sep) == per_value(a, template, sep)
-    assert "".join(ser._text(ser._rows(a[None], template, sep))) == per_value(a, template, sep)
+    def slab(block):
+        return ser._float_rows(a[None][block].reshape(-1, 3), template, sep)
+
+    assert "".join(ser._text(ser._blocked(1, len(a), slab, sep))) == per_value(a, template, sep)
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -479,7 +512,6 @@ def test_format_float_formats_its_scalar_directly(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a scalar went through the slab formatter")
 
-    monkeypatch.setattr(ser, "_rows", no_rows)
     monkeypatch.setattr(ser, "_float_rows", no_rows)
     for v in edge_values():
         assert ser.format_float(v) == "%.17g" % v
