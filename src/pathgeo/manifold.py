@@ -41,8 +41,8 @@ coordinates, and numpy reduces so short a last axis several times slower
 than it adds whole arrays. So every sum over the coordinate axis goes
 through ``_dot`` and ``_norm``, one component at a time and bit-equal to
 ``np.sum(..., axis=-1)`` and ``np.linalg.norm(..., axis=-1)`` (pinned by
-``tests/test_kernel_source.py``), and the half-plane formulas work on the
-hyperboloid per component. Checks (``validate``, ``check_tangent``, the
+``tests/test_kernel_source.py``), and the half-plane forms, complex
+numbers in the chart, are written out per component. Checks (``validate``, ``check_tangent``, the
 sphere's antipodal guard) first test the whole array at once; only on
 failure do they build a per-node mask such as "every coordinate of this
 node is finite" and let ``check_nodes`` find the first bad node, so every
@@ -79,6 +79,8 @@ GEODESIC_ORACLE_STEPS = 250
 # the rule on the report's draws (5.4e-10) but miss the 1e-9 bound of the
 # polyline test. A power of two, so the stage times j h / 2 are exact.
 RK4_SUBSTEPS = 4
+# the least positive float: max(r, _LEAST) is r itself unless r = 0
+_LEAST = math.ulp(0.0)
 
 
 class GeometryError(Exception):
@@ -391,7 +393,10 @@ class Sphere(ManifoldSpec):
     embedded_3d = True
 
     def __post_init__(self):
-        object.__setattr__(self, "radius", as_number(SPHERE + " radius", self.radius, positive=True))
+        radius = as_number(SPHERE + " radius", self.radius, positive=True)
+        if not 1e-50 <= radius <= 1e50:  # dist squares coordinate products: radius**4 stays normal
+            raise DomainError("sphere radius must lie in [1e-50, 1e50] (got %r)" % (radius,))
+        object.__setattr__(self, "radius", radius)
 
     @property
     def point_dim(self):
@@ -486,52 +491,16 @@ class Sphere(ManifoldSpec):
         return self.radius * x / _norm(x)[..., None]
 
 
-# -- hyperboloid model helpers for the half plane ---------------------------
-#
-# (x, y) maps to P = ((x^2+y^2+1)/2y, x/y, (x^2+y^2-1)/2y) on the hyperboloid
-# <P,P> = -1 in Minkowski signature (-,+,+); geodesics there are cosh/sinh
-# combinations, which avoids the semicircle-center degeneracy of the chart.
-# A hyperboloid point or vector is a tuple of its three component arrays:
-# the formulas act per component, and only the chart result is stacked.
-
-
-def _uhp_to_hyp(x):
-    a, y = x[..., 0], x[..., 1]
-    q = a * a + y * y
-    return (q + 1) / (2 * y), a / y, (q - 1) / (2 * y)
-
-
-def _uhp_vec_to_hyp(x, v):
-    a, y = x[..., 0], x[..., 1]
-    vx, vy = v[..., 0], v[..., 1]
-    ay = a / y
-    dPdx = (ay, 1 / y, ay)
-    dPdy = ((y * y - a * a - 1) / (2 * y * y), -a / (y * y), (y * y - a * a + 1) / (2 * y * y))
-    return tuple(p * vx + q * vy for p, q in zip(dPdx, dPdy))
-
-
-def _hyp_to_uhp(P):
-    t = P[0] - P[2]
-    return np.stack([P[1] / t, 1.0 / t], axis=-1)
-
-
-def _hyp_vec_to_uhp(P, U):
-    t = P[0] - P[2]
-    dt = U[0] - U[2]
-    vx = U[1] / t - P[1] * dt / (t * t)
-    vy = -dt / (t * t)
-    return np.stack([vx, vy], axis=-1)
-
-
-def _mink(A, B):
-    return -A[0] * B[0] + A[1] * B[1] + A[2] * B[2]
-
-
 @dataclass(frozen=True)
 class HalfPlane(ManifoldSpec):
     """Poincare upper half plane (x, y), y > 0, metric (dx^2 + dy^2) / y^2.
 
-    Flow, log and transport go through the hyperboloid model.
+    Flow, log and transport are closed forms in the chart. Written with
+    complex numbers z = x + i y and V = Vx + i Vy, they come from the Cayley
+    map z -> (z - z1) / (z - conj z1), which takes the base point z1 to the
+    centre of the disk, where geodesics are diameters. Each form divides by
+    y or by a chart length before it multiplies, so none of them overflows
+    or loses digits to a subnormal at large or small x and y.
     """
 
     kind = HALF_PLANE
@@ -563,41 +532,58 @@ class HalfPlane(ManifoldSpec):
         return x, v
 
     def flow(self, x, v, s):
+        # a diameter of the disk mapped back: with u = V / |V| (0 if V = 0),
+        # tau = tanh(|V| s / 2 y1) and D = 1 + i u tau, the point is
+        # z1 + 2 y1 tau u / D and the velocity V (1 - tau^2) / D^2. Only u tau
+        # and tau^2 enter, so the sign of s goes into u and tau >= 0. As tau
+        # -> 1, 1 - tau comes from expm1 and 1 - u_y from u_x^2 / (1 + u_y),
+        # so that Re D = 1 - tau + tau (1 - u_y) cancels nowhere
         s = np.asarray(s, dtype=float)
-        P = _uhp_to_hyp(x)
-        U = _uhp_vec_to_hyp(x, v)
-        sigma = np.sqrt(np.maximum(_mink(U, U), 0.0))
-        moving = sigma > 0
-        safe = sigma if moving.all() else np.where(moving, sigma, 1.0)
-        cosh, sinh = np.cosh(s * sigma), np.sinh(s * sigma)
-        Uh = [u / safe for u in U]
-        Ph = [cosh * p + sinh * u for p, u in zip(P, Uh)]
-        Vh = [sigma * (sinh * p + cosh * u) for p, u in zip(P, Uh)]
-        pt, vel = _hyp_to_uhp(Ph), _hyp_vec_to_uhp(Ph, Vh)
-        if moving.all():
-            return pt, vel
-        s, moving = s[..., None], moving[..., None]
-        return np.where(moving, pt, x + 0 * s), np.where(moving, vel, v + 0 * s)
+        x1, y1, vx, vy = x[..., 0], x[..., 1], v[..., 0], v[..., 1]
+        speed = np.hypot(vx, vy)
+        unit = np.copysign(np.maximum(speed, _LEAST), s)
+        ux, uy = vx / unit, vy / unit
+        em = np.expm1(np.abs(s) * speed / y1)
+        tau, lo = em / (em + 2.0), 2.0 / (em + 2.0)  # tau and 1 - tau
+        dr = lo + tau * np.where(uy > 0, ux * ux / (1.0 + np.abs(uy)), 1.0 - uy)  # |u_y|: no 0 / 0 at u_y = -1
+        di = tau * ux
+        q = dr * dr + di * di  # |D|^2
+        g = lo * (2.0 - lo) / q  # (1 - tau^2) / |D|^2, the ratio y(s) / y1
+        c, t = (dr * dr - di * di) / q, -2.0 * dr * di / q  # conj(D)^2 / |D|^2
+        pt = np.stack([x1 + 2.0 * y1 * tau * ux / q, y1 * g], axis=-1)
+        return pt, np.stack([g * (c * vx - t * vy), g * (t * vx + c * vy)], axis=-1)
 
     def dist(self, x, y):
-        # 2 asinh(|dq| / (2 sqrt(y1 y2))), stable for close points
-        dq = _norm(y - x)
-        return 2.0 * np.arcsinh(dq / (2.0 * np.sqrt(x[..., 1] * y[..., 1])))
+        # 2 asinh(|z2 - z1| / (2 sqrt(y1 y2))), stable for close points
+        dq = np.hypot(y[..., 0] - x[..., 0], y[..., 1] - x[..., 1])
+        return 2.0 * np.arcsinh(dq / (2.0 * np.sqrt(x[..., 1]) * np.sqrt(y[..., 1])))
+
+    @staticmethod
+    def _w(x, y):
+        """dx = x2 - x1 and the unit (a, b) = w / |w| of w = z2 - conj z1."""
+        dx, wy = y[..., 0] - x[..., 0], x[..., 1] + y[..., 1]
+        m = np.hypot(dx, wy)
+        return dx, dx / m, wy / m
 
     def log(self, x, y):
-        P = _uhp_to_hyp(x)
-        Q = _uhp_to_hyp(y)
-        alpha = -_mink(P, Q)
-        d = dist(self, x, y)
-        sinh_d = np.sinh(d)
-        scale = np.where(sinh_d > 0, d / np.where(sinh_d > 0, sinh_d, 1.0), 0.0)
-        return _hyp_vec_to_uhp(P, [(q - alpha * p) * scale for p, q in zip(P, Q)])
+        # y1 d (2 y1 dx, dx^2 + dy (y1 + y2)) / (|z2 - z1| |w|), where
+        # d / |z2 - z1| = asinh(r) / (r q) for r = |z2 - z1| / 2q and
+        # q = sqrt(y1 y2). At r = 0 the vector is 0 for any finite factor
+        y1, y2 = x[..., 1], y[..., 1]
+        dx, a, b = self._w(x, y)
+        dy, q = y2 - y1, np.sqrt(y1) * np.sqrt(y2)
+        r = np.hypot(dx, dy) / (2.0 * q)
+        c = np.arcsinh(r) / np.maximum(r, _LEAST) * (y1 / q)
+        return np.stack([c * (2.0 * y1 * a), c * (dx * a + dy * b)], axis=-1)
 
     def transport(self, x, y, X):
-        P, Q, W = _uhp_to_hyp(x), _uhp_to_hyp(y), _uhp_vec_to_hyp(x, X)
-        # 1 - <P,Q> = 1 + cosh d >= 2: no cut locus to guard
-        c = _mink(Q, W) / (1.0 - _mink(P, Q))
-        return _hyp_vec_to_uhp(Q, [w + c * (p + q) for p, q, w in zip(P, Q, W)])
+        # X -> -(y2 / y1) (w / conj w) X as complex numbers: w / conj w is
+        # (a + i b)^2, and at z2 = z1 the map is the identity
+        _, a, b = self._w(x, y)
+        g = y[..., 1] / x[..., 1]
+        c, t = g * (b * b - a * a), -2.0 * g * a * b
+        Xx, Xy = X[..., 0], X[..., 1]
+        return np.stack([c * Xx - t * Xy, t * Xx + c * Xy], axis=-1)
 
     def random_point(self, rng):
         return np.array([rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0)])

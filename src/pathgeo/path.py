@@ -8,6 +8,7 @@ so joins stay smooth under the 2t reparametrization.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -67,7 +68,7 @@ class DiscretePath:
         mf.only_keys("path key", obj, ("manifold", "collar", "samples"), ("manifold", "samples"))
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
-            np.array(obj["samples"], dtype=float),
+            _numbers("samples", obj["samples"], indexed=True),
             obj.get("collar", 0.0),
         )
 
@@ -98,7 +99,7 @@ class PathTangentField:
     @classmethod
     def from_json(cls, obj):
         mf.only_keys("field key", obj, ("base", "components"), ("base", "components"))
-        return cls(DiscretePath.from_json(obj["base"]), np.array(obj["components"], dtype=float))
+        return cls(DiscretePath.from_json(obj["base"]), _numbers("components", obj["components"], indexed=True))
 
 
 def _as_collar(value):
@@ -404,13 +405,37 @@ def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
-def _numbers(label, value, finite=False):
+def _numbers(label, value, finite=False, indexed=False):
     """The nested lists ``value`` as a float array, each entry by the
-    ``as_number`` rule, whose error names ``label``; lists of unequal
-    length are a ValueError."""
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return np.array([_numbers(label, v, finite) for v in value], dtype=float)
-    return mf.as_number(label, value, finite=finite)
+    ``as_number`` rule: the one reader of the number arrays of configs and
+    records. Parsed JSON is scanned level by level for entries of type float
+    or int, which costs a small part of ``json.loads``; only where that scan
+    fails does each entry go through ``as_number``, whose error names
+    ``label`` and, if ``indexed``, the entry as in ``samples[3][1]``. Records
+    are read ``indexed``; config entries are not, for one reason only: their
+    one-line CLI errors are pinned word for word and stay as they were. Lists
+    of unequal length are a ValueError."""
+    rows = [value]
+    while rows and all(type(r) is list for r in rows):
+        rows = [v for r in rows for v in r]
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu" or all(type(v) in (float, int) for v in rows):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range is named below
+            a = np.array(value, dtype=float)
+            if not finite or np.isfinite(a).all():
+                return a
+
+    def entries(v, index):
+        if isinstance(v, (list, tuple, np.ndarray)):
+            for i, w in enumerate(v):
+                entries(w, index + "[%d]" % i)
+            return
+        try:
+            mf.as_number(label, v, finite=finite)
+        except DomainError as err:
+            raise DomainError("%s at %s%s" % (err, label, index) if indexed and index else str(err)) from None
+
+    entries(value, "")
+    return np.array(value, dtype=float)
 
 
 def _point_param(spec, label, value):

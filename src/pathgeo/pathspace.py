@@ -101,9 +101,7 @@ class Worldsheet:
         mf.only_keys("worldsheet key", obj, required + ("collar",), required)
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
-            np.array(obj["s_nodes"], dtype=float),
-            np.array(obj["points"], dtype=float),
-            np.array(obj["velocities"], dtype=float),
+            *(pth._numbers(key, obj[key], indexed=True) for key in required[1:]),
             obj.get("collar", 0.0),
         )
 

@@ -45,7 +45,7 @@ from . import _fork
 from . import category as cat
 from . import manifold as mf
 from .manifold import DomainError
-from .path import DiscretePath, PathTangentField
+from .path import DiscretePath, PathTangentField, _numbers
 from .pathspace import _blocks
 
 _FLOAT = "%.17g"
@@ -499,7 +499,7 @@ def morphism1_from_json(obj):
     if obj["kind"] != "morphism1":
         raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
     base = DiscretePath.from_json(obj["path"])
-    field = PathTangentField(base, np.array(obj["field"], dtype=float))
+    field = PathTangentField(base, _numbers("field", obj["field"], indexed=True))
     return cat.GeodMorphism1(field, obj["time"])
 
 
@@ -521,8 +521,7 @@ def morphism2_from_json(obj):
     given = obj["s_nodes"]
     if not np.iterable(given) or isinstance(given, (str, bytes)):
         raise DomainError("s_nodes must be a list of numbers (got %r)" % (given,))
-    s_nodes = np.array([mf.as_number("s_nodes", s, finite=True) for s in given])
-    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), s_nodes)
+    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), _numbers("s_nodes", given, finite=True, indexed=True))
 
 
 def morphism_from_json(obj):

@@ -13,8 +13,15 @@ agreement checks the closed forms against the equations they solve:
 ``serialize._digit_tables``, which the library builds with numpy integer
 arithmetic: here each entry is a Python string, made by ``%`` formatting
 and ``str.rstrip``.
+
+``exact_dist``, ``exact_log``, ``exact_flow`` and ``exact_transport`` are
+the half-plane kernels in ``decimal`` arithmetic, to 40 digits, through the
+hyperboloid model: formulas that share nothing with the chart forms of
+``manifold.HalfPlane``. ``translation`` and ``scaling`` are half-plane
+isometries that are exact in the chart.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -128,3 +135,111 @@ def digit_groups():
     for k in range(3):  # point0 .. point2
         section([s[:k] + "." + s[k:] for s in d3], [point(s, k) for s in d3])
     return np.frombuffer("".join(t.ljust(4, "\0") for t in texts).encode(), dtype=np.uint32)
+
+
+# -- the half plane in decimal, through the hyperboloid model ----------------
+#
+# (x, y) maps to P = ((x^2+y^2+1)/2y, x/y, (x^2+y^2-1)/2y) on the hyperboloid
+# <P,P> = -1 in Minkowski signature (-,+,+), where geodesics are cosh/sinh
+# combinations. Away from i these formulas cancel: P is about (x^2+y^2)/2y,
+# and -<P,Q> is 1 + d^2/2 as a difference of terms near |P|^2. Over the
+# tests' draws (|x| <= 2e4, y >= 1e-6, chords >= 1e-8) that costs at most
+# 45 digits, so they run at 100 to keep 40; ``exact_*(..., prec=140)``
+# returns the same floats.
+
+DIGITS = 100
+
+
+def _decimals(a):
+    return [decimal.Decimal(float(c)) for c in a]
+
+
+def _hyp(x, y):
+    q = x * x + y * y
+    return (q + 1) / (2 * y), x / y, (q - 1) / (2 * y)
+
+
+def _hyp_vec(x, y, vx, vy):
+    dPdx = (x / y, 1 / y, x / y)
+    dPdy = ((y * y - x * x - 1) / (2 * y * y), -x / (y * y), (y * y - x * x + 1) / (2 * y * y))
+    return tuple(p * vx + q * vy for p, q in zip(dPdx, dPdy))
+
+
+def _chart(P):
+    t = P[0] - P[2]
+    return P[1] / t, 1 / t
+
+
+def _chart_vec(P, U):
+    t, dt = P[0] - P[2], U[0] - U[2]
+    return U[1] / t - P[1] * dt / (t * t), -dt / (t * t)
+
+
+def _mink(A, B):
+    return -A[0] * B[0] + A[1] * B[1] + A[2] * B[2]
+
+
+def _floats(*values):
+    return np.array([float(v) for v in values])
+
+
+def exact_dist(z1, z2, prec=DIGITS):
+    """The half-plane distance of the chart points z1, z2: arccosh -<P, Q>."""
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        alpha = -_mink(_hyp(*_decimals(z1)), _hyp(*_decimals(z2)))
+        return float((alpha + (alpha * alpha - 1).sqrt()).ln())
+
+
+def exact_log(z1, z2, prec=DIGITS):
+    """The half-plane log at z1 of z2: the chart image of (Q - alpha P)
+    d / sinh d, with alpha = -<P, Q> = cosh d."""
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        P, Q = _hyp(*_decimals(z1)), _hyp(*_decimals(z2))
+        alpha = -_mink(P, Q)
+        sinh = (alpha * alpha - 1).sqrt()
+        scale = (alpha + sinh).ln() / sinh if sinh else 0
+        return _floats(*_chart_vec(P, [(q - alpha * p) * scale for p, q in zip(P, Q)]))
+
+
+def exact_flow(z, v, s, prec=DIGITS):
+    """Point and velocity at parameter s of the half-plane geodesic from the
+    chart point z with velocity v: cosh(sigma s) P + sinh(sigma s) U / sigma,
+    with sigma^2 = <U, U>."""
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        (x, y), V = _decimals(z), _decimals(v)
+        P, U = _hyp(x, y), _hyp_vec(x, y, *V)
+        sigma = _mink(U, U).sqrt()
+        if not sigma:
+            return _floats(x, y), _floats(*V)
+        e = (decimal.Decimal(float(s)) * sigma).exp()
+        cosh, sinh = (e + 1 / e) / 2, (e - 1 / e) / 2
+        Ph = [cosh * p + sinh * u / sigma for p, u in zip(P, U)]
+        Vh = [sinh * sigma * p + cosh * u for p, u in zip(P, U)]
+        return _floats(*_chart(Ph)), _floats(*_chart_vec(Ph, Vh))
+
+
+def exact_transport(z1, z2, X, prec=DIGITS):
+    """X at z1 parallel transported to z2 along their geodesic: W + c (P + Q)
+    with c = <Q, W> / (1 - <P, Q>)."""
+    with decimal.localcontext(decimal.Context(prec=prec)):
+        (x, y), V = _decimals(z1), _decimals(X)
+        P, Q, W = _hyp(x, y), _hyp(*_decimals(z2)), _hyp_vec(x, y, *V)
+        c = _mink(Q, W) / (1 - _mink(P, Q))
+        return _floats(*_chart_vec(Q, [w + c * (p + q) for p, q, w in zip(P, Q, W)]))
+
+
+# -- half-plane isometries that are exact in the chart -----------------------
+
+
+def translation(b):
+    """z -> z + b for a real b, as (point map, vector map): exact in the chart
+    for points whose x and x + b are multiples of one power of two, such as
+    a dyadic b and points on a grid of 2^-36 with |x|, |x + b| < 2^15."""
+    return (lambda z: z + np.array([b, 0.0])), (lambda v: v)
+
+
+def scaling(k):
+    """z -> 2^k z, as (point map, vector map): exact in the chart for every
+    point and vector that stays a normal float."""
+    f = 2.0**k
+    return (lambda z: z * f), (lambda v: v * f)

@@ -40,3 +40,38 @@ def test_manifold_kernels_reduce_the_coordinate_axis_only_through_dot_and_norm()
     found = reductions_over_last_axis(ast.parse(MANIFOLD.read_text()))
     assert [f for f in found if f[0] not in ALLOWED] == []
     assert {f[0] for f in found} == {"_dot"}
+
+
+# numpy's transcendental ufuncs: their float64 loops may round differently on
+# another SIMD target, so each one the kernels call must be in KERNEL_UFUNCS,
+# which picks the digest set a host is held to; ``**`` is ``power``
+TRANSCENDENTAL = {
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "logaddexp", "logaddexp2", "power", "float_power",
+    "sin", "cos", "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "arcsinh",
+    "arccosh", "arctanh", "cbrt",
+}
+
+
+def transcendental_calls(tree):
+    """The numpy transcendental ufuncs that ``tree`` calls as ``np.<name>``
+    or through the ``**`` operator."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.startswith("np.") and name[3:] in TRANSCENDENTAL:
+                found.add(name[3:])
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            found.add("power")
+    return found
+
+
+def test_the_guard_sees_a_transcendental_call():
+    tree = ast.parse("def f(x):\n    return np.tanh(x) + np.sqrt(x) ** 2 + math.exp(1)\n")
+    assert transcendental_calls(tree) == {"tanh", "power"}
+
+
+def test_every_transcendental_the_kernels_call_picks_the_digest_set():
+    from test_report_gate import KERNEL_UFUNCS
+
+    assert transcendental_calls(ast.parse(MANIFOLD.read_text())) <= set(KERNEL_UFUNCS)

@@ -770,3 +770,40 @@ def test_hypothesis_records_round_trip_and_name_bad_keys(m2, kind, data):
     dropped = data.draw(st.sampled_from(required), label="dropped key")
     with pytest.raises(DomainError, match=r"^%s needs the key %s$" % (kind, re.escape(repr(dropped)))):
         read(_without(record, dropped))
+
+
+# the number arrays of each record type, by key
+RECORD_ARRAYS = {
+    "path": ("samples",),
+    "field": ("components",),
+    "worldsheet": ("s_nodes", "points", "velocities"),
+    "morphism1": ("field",),
+    "morphism2": ("s_nodes",),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(morphisms2(), st.sampled_from(sorted(RECORDS)), st.sampled_from(["0", True, None]), st.data())
+def test_hypothesis_a_record_array_entry_that_is_not_a_number_is_named(m2, kind, bad, data):
+    # numpy read "0", true and null as 0.0, 1.0 and nan
+    part, write, read, _ = RECORDS[kind]
+    record = ser.loads(ser.dumps(write(part(m2))))
+    key = data.draw(st.sampled_from(RECORD_ARRAYS[kind]), label="key")
+    entries, index = record[key], ""
+    while isinstance(entries[0], list):
+        i = data.draw(st.integers(0, len(entries) - 1), label="index")
+        entries, index = entries[i], index + "[%d]" % i
+    i = data.draw(st.integers(0, len(entries) - 1), label="index")
+    entries[i], index = bad, index + "[%d]" % i
+    needle = r"^%s must be a (finite )?number \(got %s\) at %s%s$" % (key, re.escape(repr(bad)), key, re.escape(index))
+    with pytest.raises(DomainError, match=needle):
+        read(record)
+
+
+def test_every_pinned_sheet_export_reads_back_bit_equal():
+    from test_report_gate import fixed_sheet
+
+    for n, S in ((64, 8), (4096, 64)):
+        sheet = fixed_sheet(n, S)[1]
+        back = ps.Worldsheet.from_json(ser.loads(ser.dumps(sheet.to_json())))
+        assert bits(back) == bits(sheet)
