@@ -79,13 +79,13 @@ class GeodMorphism1:
 @dataclass(frozen=True)
 class GeodMorphism2:
     seed: GeodMorphism1
-    s_nodes: np.ndarray
+    s_nodes: np.ndarray  # held as its sheet holds them, once build_sheet has read them
     sheet: Worldsheet = field(init=False, repr=False)  # the seed's geodesic over the s-nodes
 
     def __post_init__(self):
         path, comps = self.seed.path, self.seed.field.components
         sheet = ps.build_sheet(path.manifold, path.samples, comps, self.s_nodes, path.collar)
-        object.__setattr__(self, "sheet", sheet)
+        vars(self).update(s_nodes=sheet.s_nodes, sheet=sheet)
 
     @property
     def interval(self):

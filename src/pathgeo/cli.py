@@ -64,8 +64,7 @@ class ScenarioConfig:
         self.manifold = mf.ManifoldSpec.from_json(data["manifold"])
         sections = ("paths", "fields", "resolution", "tolerances")
         self.paths, self.fields, res, tols = (_section(data, name) for name in sections)
-        interval = data.get("interval", (0.0, 1.0))
-        self.interval = tuple(mf.as_number("interval", v) for v in interval)
+        self.interval = mf.as_numbers("interval", data.get("interval", (0.0, 1.0)))
         mf.only_keys("resolution key", res, ("N", "S"))
         self.N = mf.as_integer("resolution N", res.get("N", pth.DEFAULT_GRID))
         self.S = mf.as_integer("resolution S", res.get("S", 16))
@@ -112,7 +111,7 @@ class ScenarioConfig:
             )
         try:
             if "samples" in d:
-                gamma = pth.DiscretePath(self.manifold, pth._numbers("samples", d["samples"]), d.get("collar", 0.0))
+                gamma = pth.DiscretePath(self.manifold, d["samples"], d.get("collar", 0.0))
             else:
                 d.setdefault("n", self.N)
                 gamma = getattr(pth, pth.GENERATORS[gen])(self.manifold, **d)
@@ -141,7 +140,7 @@ class ScenarioConfig:
             )
         try:
             if gen is None:
-                return pth.PathTangentField(gamma, pth._numbers("components", d["components"]))
+                return pth.PathTangentField(gamma, d["components"])
             return getattr(pth, pth.FIELD_GENERATORS[gen])(gamma, **d)
         except (TypeError, KeyError, ValueError) as err:
             raise ConfigError("field %r: bad parameters (%s)" % (name, err))

@@ -51,6 +51,7 @@ error still names the same node.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields
@@ -148,12 +149,12 @@ def _check_finite(a, label):
 
 
 def held(a):
-    """``a`` as a read-only float view: the one way a checked value (point,
-    vector, path, field, worldsheet) holds an array. The view copies nothing
-    that is already a float array, and the caller's array keeps its flags;
-    a write through the holder raises, so what was checked cannot change
-    under it."""
-    view = np.asarray(a, dtype=float).view()
+    """The float array ``a`` as a read-only view: the one way a checked value
+    (point, vector, path, field, worldsheet) holds an array, once its
+    constructor has read it by the number rule (``as_numbers``). The view
+    copies nothing, and the caller's array keeps its flags; a write through
+    the holder raises, so what was checked cannot change under it."""
+    view = a.view()
     view.flags.writeable = False
     return view
 
@@ -190,7 +191,7 @@ def as_number(label, value, positive=False, finite=False):
     """``value`` as a float; DomainError naming ``label`` unless it is a
     number, a finite one if ``finite`` and a positive finite one if
     ``positive``. The one number rule: an int or float, numpy's too, while a
-    bool and a string are rejected."""
+    bool, None and a string are rejected. Arrays go through ``as_numbers``."""
     kind = "positive finite " if positive else "finite " if finite else ""
     got = None
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
@@ -202,6 +203,35 @@ def as_number(label, value, positive=False, finite=False):
             if not kind or (0 if positive else -math.inf) < x < math.inf:
                 return x
     raise DomainError("%s must be a %snumber (got %s)" % (label, kind, got or repr(value)))
+
+
+def as_numbers(label, value, finite=False):
+    """``value`` as a float array, each entry a number (a finite one if
+    ``finite``) by the ``as_number`` rule, which each checked value's
+    constructor and each array parameter applies where it enters. Lists and
+    tuples are scanned level by level for floats, ints and numeric ndarrays;
+    a float64 ndarray is returned itself, not a copy. Where that scan fails,
+    any iterable is read entry by entry, and the first entry that breaks the
+    rule is named with its index, as in ``at samples[3][1]``."""
+    rows = [] if isinstance(value, np.ndarray) and value.dtype.kind in "fiu" else [value]
+    while rows and all(type(r) in (list, tuple) for r in rows):
+        rows = [v for r in rows for v in r]
+    if all(type(v) in (float, int) or isinstance(v, (np.ndarray, np.number)) and v.dtype.kind in "fiu" for v in rows):
+        with contextlib.suppress(OverflowError):  # an int beyond the float range is named below
+            a = np.asarray(value, dtype=float)
+            if not finite or np.isfinite(a).all():
+                return a
+
+    def entries(v, index):
+        v = v.tolist() if isinstance(v, np.ndarray) else v
+        if np.iterable(v) and not isinstance(v, (str, bytes)):
+            return [entries(w, "%s[%d]" % (index, i)) for i, w in enumerate(v)]
+        try:
+            return as_number(label, v, finite=finite)
+        except DomainError as err:
+            raise DomainError("%s at %s%s" % (err, label, index) if index else str(err)) from None
+
+    return np.array(entries(value, ""), dtype=float)
 
 
 def _require_tol(tol):
@@ -601,12 +631,11 @@ class FlatTorus(ManifoldSpec):
     kind = FLAT_TORUS
 
     def __post_init__(self):
-        given = self.circumferences
-        cs = tuple(given) if np.iterable(given) and not isinstance(given, (str, bytes)) else ()
-        if not cs:
-            raise DomainError("flat_torus circumferences must be a nonempty list (got %r)" % (given,))
-        cs = tuple(as_number(FLAT_TORUS + " circumferences", c, positive=True) for c in cs)
-        object.__setattr__(self, "circumferences", cs)
+        label = FLAT_TORUS + " circumferences"
+        cs = as_numbers(label, self.circumferences, finite=True)
+        if cs.ndim != 1 or not cs.size:
+            raise DomainError("%s must be a nonempty list (got %r)" % (label, self.circumferences))
+        object.__setattr__(self, "circumferences", tuple(as_number(label, c, positive=True) for c in cs.tolist()))
 
     @property
     def point_dim(self):
@@ -643,12 +672,10 @@ class ManifoldPoint:
     coords: np.ndarray = field(repr=True)
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        coords = as_numbers("coords", self.coords)
         spec = self.manifold
         if coords.shape != (spec.point_dim,):
-            raise DomainError(
-                "expected %d coordinates, got shape %r" % (spec.point_dim, coords.shape)
-            )
+            raise DomainError("expected %d coordinates, got shape %r" % (spec.point_dim, coords.shape))
         spec.validate(coords, "point")
         object.__setattr__(self, "coords", held(spec.wrap(coords)))
 
@@ -659,7 +686,7 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self):
-        comps = held(self.components)
+        comps = held(as_numbers("components", self.components))
         object.__setattr__(self, "components", comps)
         spec = self.base.manifold
         if comps.shape != (spec.point_dim,):
@@ -847,17 +874,17 @@ def log_map(p, q):
 def parallel_transport(curve, v0):
     """Parallel transport of v0 along an (s, point) sample sequence.
 
-    Transport is parametrization independent; the s values only fix the
-    ordering and are validated to be nondecreasing. Consecutive samples
-    must not be antipodal (NormalNeighborhoodError names the segment).
+    Transport is parametrization independent; the s values, finite numbers
+    (``as_numbers``), only fix the ordering and must be nondecreasing.
+    Consecutive samples must not be antipodal (NormalNeighborhoodError
+    names the segment).
     Each vector holds its own components, from the transport loop
     (``_transport_steps``): the same bits as ``transport_along``, and on a
     flat chart v0's own read-only components.
     """
     if not curve:
         raise DomainError("empty curve")
-    svals = [s for s, _ in curve]
-    if any(b < a for a, b in zip(svals, svals[1:])):
+    if np.any(np.diff(as_numbers("s", [s for s, _ in curve], finite=True)) < 0):
         raise DomainError("curve samples must be ordered in s")
     first = curve[0][1]
     _check_same_base(first, v0)

@@ -8,7 +8,6 @@ so joins stay smooth under the 2t reparametrization.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -29,7 +28,7 @@ class DiscretePath:
 
     def __post_init__(self):
         spec = self.manifold
-        samples = np.asarray(self.samples, dtype=float)
+        samples = mf.as_numbers("samples", self.samples)
         if samples.ndim != 2 or samples.shape[1] != spec.point_dim:
             raise DomainError("samples must have shape (N+1, point_dim)")
         object.__setattr__(self, "samples", mf.held(spec.wrap(samples)))
@@ -68,7 +67,7 @@ class DiscretePath:
         mf.only_keys("path key", obj, ("manifold", "collar", "samples"), ("manifold", "samples"))
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
-            _numbers("samples", obj["samples"], indexed=True),
+            _copied(obj["samples"]),
             obj.get("collar", 0.0),
         )
 
@@ -79,7 +78,7 @@ class PathTangentField:
     components: np.ndarray  # (N+1, d)
 
     def __post_init__(self):
-        comps = mf.held(self.components)
+        comps = mf.held(mf.as_numbers("components", self.components))
         object.__setattr__(self, "components", comps)
         if comps.shape != self.base.samples.shape:
             raise DomainError("field shape must match the base path grid")
@@ -99,7 +98,13 @@ class PathTangentField:
     @classmethod
     def from_json(cls, obj):
         mf.only_keys("field key", obj, ("base", "components"), ("base", "components"))
-        return cls(DiscretePath.from_json(obj["base"]), _numbers("components", obj["components"], indexed=True))
+        return cls(DiscretePath.from_json(obj["base"]), _copied(obj["components"]))
+
+
+def _copied(value):
+    """A record's array ``value`` for its constructor: a copy of an ndarray, so
+    a round trip never shares memory with its source, and lists as parsed."""
+    return value.copy() if isinstance(value, np.ndarray) else value
 
 
 def _as_collar(value):
@@ -245,11 +250,11 @@ def chord_points(spec, samples, idx, frac):
 
 
 def evaluate_many(gamma, ts):
-    """Positions at parameters ts (array-like in [0,1]) on the chords
+    """Positions at parameters ts (numbers in [0,1]) on the chords
     between consecutive samples; within 1e-12 of a grid node, its sample.
     Each chord read off the grid must lie within the injectivity radius
     (``segment_lengths``); the chords it does not read are not checked."""
-    ts = np.asarray(ts, dtype=float)
+    ts = mf.as_numbers("ts", ts)
     # written so that a NaN fails it too
     if not np.all((ts >= -1e-12) & (ts <= 1 + 1e-12)):
         raise DomainError("parameter outside [0, 1]")
@@ -278,7 +283,7 @@ def resample(gamma, n, collar=None):
 
 def reparametrize(gamma, phi_values, collar=0.0):
     """Path t -> gamma(phi(t)) for nondecreasing phi values on a uniform grid."""
-    phi_values = np.asarray(phi_values, dtype=float)
+    phi_values = mf.as_numbers("phi_values", phi_values)
     if np.any(np.diff(phi_values) < -1e-12):
         raise DomainError("reparametrization must be nondecreasing")
     return DiscretePath(gamma.manifold, evaluate_many(gamma, phi_values), collar)
@@ -405,46 +410,12 @@ def make_constant_path(p, n=DEFAULT_GRID, collar=DEFAULT_COLLAR):
     return DiscretePath(p.manifold, np.tile(p.coords, (n + 1, 1)), collar)
 
 
-def _numbers(label, value, finite=False, indexed=False):
-    """The nested lists ``value`` as a float array, each entry by the
-    ``as_number`` rule: the one reader of the number arrays of configs and
-    records. Parsed JSON is scanned level by level for entries of type float
-    or int, which costs a small part of ``json.loads``; only where that scan
-    fails does each entry go through ``as_number``, whose error names
-    ``label`` and, if ``indexed``, the entry as in ``samples[3][1]``. Records
-    are read ``indexed``; config entries are not, for one reason only: their
-    one-line CLI errors are pinned word for word and stay as they were. Lists
-    of unequal length are a ValueError."""
-    rows = [value]
-    while rows and all(type(r) is list for r in rows):
-        rows = [v for r in rows for v in r]
-    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu" or all(type(v) in (float, int) for v in rows):
-        with contextlib.suppress(OverflowError):  # an int beyond the float range is named below
-            a = np.array(value, dtype=float)
-            if not finite or np.isfinite(a).all():
-                return a
-
-    def entries(v, index):
-        if isinstance(v, (list, tuple, np.ndarray)):
-            for i, w in enumerate(v):
-                entries(w, index + "[%d]" % i)
-            return
-        try:
-            mf.as_number(label, v, finite=finite)
-        except DomainError as err:
-            raise DomainError("%s at %s%s" % (err, label, index) if indexed and index else str(err)) from None
-
-    entries(value, "")
-    return np.array(value, dtype=float)
-
-
 def _point_param(spec, label, value):
-    """The point parameter ``label`` as coordinates: point_dim of them, each
-    by the ``as_number`` rule, together a point of the manifold."""
-    coords = list(value) if np.iterable(value) and not isinstance(value, (str, bytes)) else []
-    if len(coords) != spec.point_dim:
+    """The point parameter ``label`` as coordinates: point_dim numbers by
+    the number rule (``as_numbers``), together a point of the manifold."""
+    x = mf.as_numbers(label, value)
+    if x.shape != (spec.point_dim,):
         raise DomainError("%s must be a list of %d coordinates (got %r)" % (label, spec.point_dim, value))
-    x = np.array([mf.as_number(label + " coordinate", c) for c in coords])
     spec.validate(x, label)
     return x
 
@@ -515,8 +486,8 @@ GENERATORS = {
 
 def make_constant_field(gamma, components):
     """Same chart components at every sample (projected tangentially on the
-    sphere), each a finite number by the ``as_number`` rule."""
-    comps = np.tile(_numbers("components", components, finite=True), (gamma.n_segments + 1, 1))
+    sphere), finite numbers by the number rule (``as_numbers``)."""
+    comps = np.tile(mf.as_numbers("components", components, finite=True), (gamma.n_segments + 1, 1))
     return PathTangentField(gamma, gamma.manifold.project_tangent(gamma.samples, comps))
 
 

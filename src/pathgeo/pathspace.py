@@ -53,9 +53,8 @@ class Worldsheet:
 
     def __post_init__(self):
         spec = self.manifold
-        s, points, velocities = (np.asarray(a, dtype=float) for a in (self.s_nodes, self.points, self.velocities))
-        if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
-            raise DomainError("s_nodes must be one or more finite, strictly increasing numbers")
+        s, points, velocities = (mf.as_numbers(key, vars(self)[key]) for key in ("s_nodes", "points", "velocities"))
+        _check_s_nodes(s)
         shape = points.shape
         if len(shape) != 3 or shape[::2] != (len(s), spec.point_dim) or shape[1] < 3:
             raise DomainError("points must have shape (S+1, N+1, point_dim) with N >= 2, as a path")
@@ -101,9 +100,16 @@ class Worldsheet:
         mf.only_keys("worldsheet key", obj, required + ("collar",), required)
         return cls(
             mf.ManifoldSpec.from_json(obj["manifold"]),
-            *(pth._numbers(key, obj[key], indexed=True) for key in required[1:]),
+            *(pth._copied(obj[key]) for key in required[1:]),
             obj.get("collar", 0.0),
         )
+
+
+def _check_s_nodes(s):
+    """DomainError unless the float array ``s`` is one or more finite,
+    strictly increasing numbers: the s-node rule of every worldsheet."""
+    if s.ndim != 1 or not s.size or not np.all(np.isfinite(s)) or np.any(np.diff(s) <= 0):
+        raise DomainError("s_nodes must be one or more finite, strictly increasing numbers")
 
 
 def _blocks(start, stop, width):
@@ -161,14 +167,15 @@ def build_sheet(spec, samples, vcomps, s_nodes, collar=0.0):
     fibers (``_blocks``) at a time, into arrays allocated up front; every
     flow kernel is elementwise per node, so the blocks give the same bits as
     one call over the whole sheet. Nodes at s = 0 reproduce the seed
-    bitwise. The flow wraps each block's points, so the ``Worldsheet``
-    constructor, which checks them, finds them wrapped and copies none.
+    bitwise. The s-nodes, finite numbers, are checked before any flow. The
+    flow wraps each block's points, so the ``Worldsheet`` constructor,
+    which checks them, finds them wrapped and copies none.
     Its RK4 oracle, which integrates the fibers node to node, lives in the
     tests (``tests/oracles.py``).
     """
-    s_nodes = np.asarray(s_nodes, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    vcomps = np.asarray(vcomps, dtype=float)
+    s_nodes = mf.as_numbers("s_nodes", s_nodes, finite=True)
+    _check_s_nodes(s_nodes)
+    samples, vcomps = mf.as_numbers("samples", samples), mf.as_numbers("vcomps", vcomps)
     shape = (len(s_nodes),) + samples.shape
     points = np.empty(shape)
     vels = np.empty(shape)
@@ -188,9 +195,10 @@ def s_grid(interval, S):
     DomainError naming ``interval`` or ``S`` unless the interval is a pair
     of finite numbers a <= b and S is an integer >= 1. The one interval
     rule, for library callers and configs alike."""
-    if len(interval) != 2:
-        raise DomainError("interval must be a pair (a, b) (got %d values)" % len(interval))
-    a, b = (mf.as_number("interval", end, finite=True) for end in interval)
+    ab = mf.as_numbers("interval", interval, finite=True)
+    if ab.shape != (2,):
+        raise DomainError("interval must be a pair (a, b) (got %d values)" % ab.size)
+    a, b = ab.tolist()
     S = mf.as_integer("S", S)
     if a > b:
         raise DomainError("interval must satisfy a <= b")
@@ -316,7 +324,7 @@ def sheet_from_grid(spec, interval, points, collar=0.0):
 
     For perturbed (non-geodesic) sheets used in minimization experiments.
     """
-    points = np.asarray(points, dtype=float)
+    points = mf.as_numbers("points", points)
     s_nodes = s_grid(interval, len(points) - 1)
     if len(s_nodes) < 2:
         raise DomainError("need at least two s nodes")

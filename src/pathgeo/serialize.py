@@ -45,7 +45,7 @@ from . import _fork
 from . import category as cat
 from . import manifold as mf
 from .manifold import DomainError
-from .path import DiscretePath, PathTangentField, _numbers
+from .path import DiscretePath, PathTangentField, _copied
 from .pathspace import _blocks
 
 _FLOAT = "%.17g"
@@ -499,7 +499,8 @@ def morphism1_from_json(obj):
     if obj["kind"] != "morphism1":
         raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
     base = DiscretePath.from_json(obj["path"])
-    field = PathTangentField(base, _numbers("field", obj["field"], indexed=True))
+    # read under its record key, which is not the constructor's "components"
+    field = PathTangentField(base, mf.as_numbers("field", _copied(obj["field"])))
     return cat.GeodMorphism1(field, obj["time"])
 
 
@@ -518,10 +519,7 @@ def morphism2_from_json(obj):
     error naming it, and so is a missing one of them."""
     keys = ("kind", "seed", "s_nodes")
     mf.only_keys("morphism2 key", obj, keys, keys)
-    given = obj["s_nodes"]
-    if not np.iterable(given) or isinstance(given, (str, bytes)):
-        raise DomainError("s_nodes must be a list of numbers (got %r)" % (given,))
-    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), _numbers("s_nodes", given, finite=True, indexed=True))
+    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), _copied(obj["s_nodes"]))
 
 
 def morphism_from_json(obj):

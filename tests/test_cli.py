@@ -470,6 +470,8 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"interval": ["a", 1]}, "interval must be a number (got 'a')"),
         ({"interval": [0, float("nan")]}, "interval must be a finite number (got nan)"),
         ({"interval": [0, 1, 2]}, "interval must be a pair (a, b) (got 3 values)"),
+        ({"interval": 3}, "interval must be a pair (a, b) (got 1 values)"),
+        ({"interval": "ab"}, "interval must be a number (got 'ab')"),
         ({"resolution": {"N": "abc"}}, "resolution N must be an integer >= 1 (got 'abc')"),
         ({"tolerances": {"distance": "x"}}, "tolerance 'distance' must be a number (got 'x')"),
         ({"paths": "abc"}, "config paths must be a JSON object (got str)"),
@@ -477,7 +479,8 @@ def test_config_rejects_unknown_settings(tmp_path, capsys, entry, needle):
         ({"fields": {"f": [1]}}, "field 'f' must be a JSON object"),
     ],
     ids=["string-radius", "fractional-dim", "foreign-parameter", "manifold-string",
-         "string-interval", "nan-interval", "triple-interval", "string-N", "string-tolerance", "paths-string",
+         "string-interval", "nan-interval", "triple-interval", "number-interval", "string-as-interval",
+         "string-N", "string-tolerance", "paths-string",
          "path-number", "field-list"],
 )
 def test_config_bad_values_name_the_file(tmp_path, capsys, entry, needle):
@@ -774,11 +777,11 @@ def test_generator_parameters_name_themselves(tmp_path, capsys, manifold, path, 
     "manifold, path, needle",
     [
         ({"kind": "euclidean", "dim": 2}, {"generator": "line", "start": "x", "end": [1, 0]},
-         "start must be a list of 2 coordinates (got 'x')"),
+         "start must be a number (got 'x')"),
         ({"kind": "euclidean", "dim": 2}, {"generator": "line", "start": [0, 0, 0], "end": [1, 0]},
          "start must be a list of 2 coordinates (got [0, 0, 0])"),
         ({"kind": "sphere"}, {"generator": "great_circle_arc", "start": [1, 0, 0], "end": [0, "y", 1]},
-         "end coordinate must be a number (got 'y')"),
+         "end must be a number (got 'y') at end[1]"),
         ({"kind": "sphere"}, {"generator": "great_circle_arc", "start": [1, 1, 0], "end": [0, 1, 0]},
          "start is off the sphere (|x| != radius)"),
     ],
@@ -892,10 +895,10 @@ def test_config_entry_rules_are_one_error_line(tmp_path, capsys, data, argv, mes
 @pytest.mark.parametrize(
     "paths, fields, message",
     [
-        ({"a": {"samples": [["0", True], [1, 0]]}}, {}, "path 'a': samples must be a number (got '0')"),
-        ({"a": {"samples": [[0, 0], [1, False]]}}, {}, "path 'a': samples must be a number (got False)"),
+        ({"a": {"samples": [["0", True], [1, 0]]}}, {}, "path 'a': samples must be a number (got '0') at samples[0][0]"),
+        ({"a": {"samples": [[0, 0], [1, False]]}}, {}, "path 'a': samples must be a number (got False) at samples[1][1]"),
         ({"a": LINE}, {"f": {"path": "a", "components": [[0, 1]] * 16 + [[0, "1"]]}},
-         "field 'f': components must be a number (got '1')"),
+         "field 'f': components must be a number (got '1') at components[16][1]"),
     ],
     ids=["string-sample", "bool-sample", "string-component"],
 )

@@ -238,15 +238,16 @@ def test_field_validation():
 
 
 @pytest.mark.parametrize(
-    "components, got",
-    [([math.inf, 0, 0], "inf"), ([math.nan, 0, 0], "nan"), ([True, 0, 0], "True"), ([0, "1", 0], "'1'")],
+    "components, got, at",
+    [([math.inf, 0, 0], "inf", 0), ([math.nan, 0, 0], "nan", 0), ([True, 0, 0], "True", 0), ([0, "1", 0], "'1'", 1)],
     ids=["inf", "nan", "bool", "string"],
 )
-def test_constant_field_components_go_through_the_number_rule(components, got):
+def test_constant_field_components_go_through_the_number_rule(components, got, at):
     # named before the sphere projects them: an inf made numpy warn there,
     # a NaN was reported as a field value and a bool read as 1.0
     gamma = pth.make_latitude_circle(mf.ManifoldSpec.sphere(1.0), 1.0, n=16)
-    with pytest.raises(mf.DomainError, match=r"^components must be a finite number \(got %s\)$" % got):
+    needle = r"^components must be a finite number \(got %s\) at components\[%d\]$" % (got, at)
+    with pytest.raises(mf.DomainError, match=needle):
         pth.make_constant_field(gamma, components)
 
 

@@ -670,9 +670,9 @@ def _with_seed_kind(record, kind):
 @pytest.mark.parametrize(
     "reader, bad, needle",
     [
-        (ser.morphism_from_json, lambda m2: dict(m2, s_nodes=3), "s_nodes must be a list of numbers (got 3)"),
+        (ser.morphism_from_json, lambda m2: dict(m2, s_nodes=3), "s_nodes must be one or more finite, strictly increasing numbers"),
         (ser.morphism_from_json, lambda m2: dict(m2, s_nodes="0.5"),
-         "s_nodes must be a list of numbers (got '0.5')"),
+         "s_nodes must be a finite number (got '0.5')"),
         (ser.morphism1_from_json, lambda m2: dict(m2["seed"], kind="morphism2"),
          "morphism1 record kind must be 'morphism1' (got 'morphism2')"),
         (ser.morphism_from_json, lambda m2: _with_seed_kind(m2, "morphism2"),
