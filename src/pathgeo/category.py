@@ -3,7 +3,9 @@
 Objects are (point, tangent vector, time) triples. Each morphism stores
 only what determines it: a 1-morphism is a tangent field along a path
 (its base) with a time label, and a 2-morphism is its seed 1-morphism and
-its s-nodes, from which its geodesic worldsheet segment is built.
+its s-nodes, from which its geodesic worldsheet segment is built. Each
+writes and reads its own record (``to_json``/``from_json``), and
+``morphism_from_json`` reads either by its ``kind``.
 Vertical composition extends a geodesic segment in time; horizontal
 composition joins the seeds end to end. The composition of 1-morphisms
 keeps the appended-sample representative (strictly associative on the
@@ -75,6 +77,25 @@ class GeodMorphism1:
     def path(self) -> DiscretePath:
         return self.field.base
 
+    def to_json(self):
+        return {
+            "kind": "morphism1",
+            "path": self.path.to_json(),
+            "field": self.field.components,
+            "time": self.time,
+        }
+
+    @classmethod
+    def from_json(cls, obj):
+        keys = ("kind", "path", "field", "time")
+        mf.only_keys("morphism1 key", obj, keys, keys)
+        if obj["kind"] != "morphism1":
+            raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
+        base = DiscretePath.from_json(obj["path"])
+        # read under its record key, which is not the constructor's "components"
+        field = PathTangentField(base, mf.as_numbers("field", pth._copied(obj["field"])))
+        return cls(field, obj["time"])
+
 
 @dataclass(frozen=True)
 class GeodMorphism2:
@@ -90,6 +111,32 @@ class GeodMorphism2:
     @property
     def interval(self):
         return self.sheet.interval
+
+    def to_json(self):
+        """The record of this 2-morphism: its seed and s-nodes, which
+        determine its sheet."""
+        return {"kind": "morphism2", "seed": self.seed.to_json(), "s_nodes": self.s_nodes}
+
+    @classmethod
+    def from_json(cls, obj):
+        """The 2-morphism of the record's seed over its s-nodes. A key other
+        than ``kind``, ``seed`` and ``s_nodes`` (such as a stored ``sheet``)
+        is an error naming it, and so is a missing one of them."""
+        keys = ("kind", "seed", "s_nodes")
+        mf.only_keys("morphism2 key", obj, keys, keys)
+        return cls(GeodMorphism1.from_json(obj["seed"]), pth._copied(obj["s_nodes"]))
+
+
+def morphism_from_json(obj):
+    """The 1- or 2-morphism of a record, by its ``kind``."""
+    if not isinstance(obj, dict):
+        raise DomainError("a morphism record is a JSON object, not %s" % type(obj).__name__)
+    kind = obj.get("kind")
+    if kind == "morphism1":
+        return GeodMorphism1.from_json(obj)
+    if kind == "morphism2":
+        return GeodMorphism2.from_json(obj)
+    raise DomainError("unknown morphism record kind %r" % (kind,))
 
 
 def morphism1(path, field, time):

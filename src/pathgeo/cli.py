@@ -283,7 +283,7 @@ def cmd_backtrack(args):
 
 
 def cmd_compose(args):
-    ms = [_read_json(f, ser.morphism_from_json) for f in args.files]
+    ms = [_read_json(f, cat.morphism_from_json) for f in args.files]
     if len(ms) == 4:
         if not all(isinstance(m, cat.GeodMorphism2) for m in ms):
             raise DomainError("exchange check needs four 2-morphism files")
@@ -294,18 +294,16 @@ def cmd_compose(args):
     if len(ms) != 2:
         raise DomainError("compose needs exactly two or four morphism files")
     g, f = ms
-    if isinstance(f, cat.GeodMorphism1) and isinstance(g, cat.GeodMorphism1):
+    if type(f) is not type(g):
+        raise DomainError("cannot mix 1-morphism and 2-morphism files")
+    if isinstance(f, cat.GeodMorphism1):
         out = cat.compose1(g, f)
-        _emit_report(args, "composite.json", ser.morphism1_to_json(out))
-        return 0
-    if isinstance(f, cat.GeodMorphism2) and isinstance(g, cat.GeodMorphism2):
-        if args.horizontal:
-            out = cat.compose2_horizontal(f, g)
-        else:
-            out = cat.compose2_vertical(g, f)
-        _emit_report(args, "composite.json", ser.morphism2_to_json(out))
-        return 0
-    raise DomainError("cannot mix 1-morphism and 2-morphism files")
+    elif args.horizontal:
+        out = cat.compose2_horizontal(f, g)
+    else:
+        out = cat.compose2_vertical(g, f)
+    _emit_report(args, "composite.json", out.to_json())
+    return 0
 
 
 def cmd_check(args):

@@ -320,11 +320,14 @@ def connecting_geodesic(gamma1, gamma2, S=64):
 def sheet_from_grid(spec, interval, points, collar=0.0):
     """Worldsheet from a raw point grid on S+1 uniform s-nodes over the
     interval (``s_grid``, S + 1 = len(points)); velocities by finite
-    differences in s, one node step apart.
+    differences in s, one node step apart. A grid of fewer than two
+    s-rows is a DomainError naming ``points``.
 
     For perturbed (non-geodesic) sheets used in minimization experiments.
     """
     points = mf.as_numbers("points", points)
+    if points.ndim == 0 or len(points) < 2:
+        raise DomainError("points must have shape (S+1, N+1, point_dim) with S >= 1 (got shape %s)" % (points.shape,))
     s_nodes = s_grid(interval, len(points) - 1)
     if len(s_nodes) < 2:
         raise DomainError("need at least two s nodes")

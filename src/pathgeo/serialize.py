@@ -42,10 +42,7 @@ import os
 import numpy as np
 
 from . import _fork
-from . import category as cat
-from . import manifold as mf
 from .manifold import DomainError
-from .path import DiscretePath, PathTangentField, _copied
 from .pathspace import _blocks
 
 _FLOAT = "%.17g"
@@ -477,57 +474,3 @@ def sheet_to_obj(sheet):
     3-space: euclidean(3) and the sphere.
     """
     return "".join(sheet_obj_pieces(sheet))
-
-
-# ---------------------------------------------------------------------------
-# morphism records
-# ---------------------------------------------------------------------------
-
-
-def morphism1_to_json(m):
-    return {
-        "kind": "morphism1",
-        "path": m.path.to_json(),
-        "field": m.field.components,
-        "time": m.time,
-    }
-
-
-def morphism1_from_json(obj):
-    keys = ("kind", "path", "field", "time")
-    mf.only_keys("morphism1 key", obj, keys, keys)
-    if obj["kind"] != "morphism1":
-        raise DomainError("morphism1 record kind must be 'morphism1' (got %r)" % (obj["kind"],))
-    base = DiscretePath.from_json(obj["path"])
-    # read under its record key, which is not the constructor's "components"
-    field = PathTangentField(base, mf.as_numbers("field", _copied(obj["field"])))
-    return cat.GeodMorphism1(field, obj["time"])
-
-
-def morphism2_to_json(F):
-    """The record of ``F``: its seed and s-nodes, which determine its sheet."""
-    return {
-        "kind": "morphism2",
-        "seed": morphism1_to_json(F.seed),
-        "s_nodes": F.sheet.s_nodes,
-    }
-
-
-def morphism2_from_json(obj):
-    """The 2-morphism of the record's seed over its s-nodes. A key other than
-    ``kind``, ``seed`` and ``s_nodes`` (such as a stored ``sheet``) is an
-    error naming it, and so is a missing one of them."""
-    keys = ("kind", "seed", "s_nodes")
-    mf.only_keys("morphism2 key", obj, keys, keys)
-    return cat.GeodMorphism2(morphism1_from_json(obj["seed"]), _copied(obj["s_nodes"]))
-
-
-def morphism_from_json(obj):
-    if not isinstance(obj, dict):
-        raise DomainError("a morphism record is a JSON object, not %s" % type(obj).__name__)
-    kind = obj.get("kind")
-    if kind == "morphism1":
-        return morphism1_from_json(obj)
-    if kind == "morphism2":
-        return morphism2_from_json(obj)
-    raise DomainError("unknown morphism record kind %r" % (kind,))

@@ -215,11 +215,11 @@ def test_exchange_reports_incomposable_inputs():
 def test_morphism_json_roundtrip():
     spec = mf.ManifoldSpec.sphere(1.0)
     m1, _, _ = triple(spec, SEED + 16, n=8)
-    back = ser.morphism1_from_json(ser.morphism1_to_json(m1))
+    back = cat.GeodMorphism1.from_json(m1.to_json())
     assert np.array_equal(back.path.samples, m1.path.samples)
     assert np.array_equal(back.field.components, m1.field.components)
     F = cat.morphism2(m1, (0.0, 1.0), S=2)
-    back2 = ser.morphism2_from_json(ser.morphism2_to_json(F))
+    back2 = cat.GeodMorphism2.from_json(F.to_json())
     assert np.array_equal(back2.sheet.points, F.sheet.points)
 
 
@@ -235,10 +235,10 @@ def test_object_validation():
 def time_label_calls():
     """Each place a time label enters, as a function of the label's JSON text."""
     m = triple(mf.ManifoldSpec.euclidean(2), SEED + 30)[0]
-    record = ser.morphism1_to_json(m)
+    record = m.to_json()
     return {
         "morphism1": lambda text: cat.morphism1(m.path, m.field, ser.loads(text)),
-        "morphism1_from_json": lambda text: ser.morphism1_from_json(
+        "GeodMorphism1.from_json": lambda text: cat.GeodMorphism1.from_json(
             dict(record, time=ser.loads('{"time": %s}' % text)["time"])
         ),
         "GeodObject": lambda text: cat.GeodObject(m.path.start(), m.field.vector(0), ser.loads(text)),

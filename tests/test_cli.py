@@ -271,8 +271,8 @@ def test_compose_subcommand_roundtrip(tmp_path, capsys):
     m1, m2, _ = checks._composable_triple(spec, np.random.default_rng(4), n=16)
     f1 = tmp_path / "m1.json"
     f2 = tmp_path / "m2.json"
-    f1.write_text(ser.dumps(ser.morphism1_to_json(m1)))
-    f2.write_text(ser.dumps(ser.morphism1_to_json(m2)))
+    f1.write_text(ser.dumps(m1.to_json()))
+    f2.write_text(ser.dumps(m2.to_json()))
     code = cli.main(["compose", str(f2), str(f1)])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
@@ -291,7 +291,7 @@ def test_compose_exchange_report(tmp_path, capsys):
         ("G2", cat.morphism2(m2, (0.5, 1.0), S=3)),
     ]:
         f = tmp_path / (name + ".json")
-        f.write_text(ser.dumps(ser.morphism2_to_json(M)))
+        f.write_text(ser.dumps(M.to_json()))
         files.append(str(f))
     code = cli.main(["compose"] + files)
     assert code == 0
@@ -305,10 +305,10 @@ def test_compose_horizontal_joins_two_2_morphisms_side_by_side(tmp_path, capsys)
     files = []
     for name, M in (("G", G), ("F", F)):  # the later morphism first, as for vertical composition
         f = tmp_path / (name + ".json")
-        f.write_text(ser.dumps(ser.morphism2_to_json(M)))
+        f.write_text(ser.dumps(M.to_json()))
         files.append(str(f))
     assert cli.main(["compose"] + files + ["--horizontal"]) == 0
-    assert capsys.readouterr().out == ser.dumps(ser.morphism2_to_json(cat.compose2_horizontal(F, G)))
+    assert capsys.readouterr().out == ser.dumps(cat.compose2_horizontal(F, G).to_json())
     # over one interval the two do not compose vertically
     assert cli.main(["compose"] + files) == 1
     assert capsys.readouterr().err.startswith("error: intervals do not abut")
@@ -325,7 +325,7 @@ def test_compose_rejects_a_bad_exchange_tolerance(tmp_path, capsys, tol):
         ("G2", cat.morphism2(m2, (0.5, 1.0), S=2)),
     ]:
         f = tmp_path / (name + ".json")
-        f.write_text(ser.dumps(ser.morphism2_to_json(M)))
+        f.write_text(ser.dumps(M.to_json()))
         files.append(str(f))
     out = tmp_path / "out"
     assert cli.main(["compose"] + files + ["--tol", tol, "--out", str(out)]) == 1
@@ -797,8 +797,8 @@ def test_compose_across_manifolds_is_an_error(tmp_path, capsys):
     plane = checks._composable_triple(mf.ManifoldSpec.euclidean(2), np.random.default_rng(6), n=16)[0]
     ball = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(7), n=16)[0]
     g, f = tmp_path / "g.json", tmp_path / "f.json"
-    g.write_text(ser.dumps(ser.morphism1_to_json(ball)))
-    f.write_text(ser.dumps(ser.morphism1_to_json(plane)))
+    g.write_text(ser.dumps(ball.to_json()))
+    f.write_text(ser.dumps(plane.to_json()))
     assert cli.main(["compose", str(g), str(f)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "different manifolds" in err
@@ -816,8 +816,8 @@ def _compose_argv(tmp_path, records):
 def test_compose_rejects_a_morphism2_record_with_a_sheet(tmp_path, capsys):
     m1, _, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
     F = cat.morphism2(m1, (0.0, 0.5), S=2)
-    bad = dict(ser.morphism2_to_json(F), sheet=F.sheet.to_json())
-    argv = _compose_argv(tmp_path, [ser.morphism2_to_json(cat.morphism2(m1, (0.5, 1.0), S=2)), bad])
+    bad = dict(F.to_json(), sheet=F.sheet.to_json())
+    argv = _compose_argv(tmp_path, [cat.morphism2(m1, (0.5, 1.0), S=2).to_json(), bad])
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
     assert err == "error: %s: unknown morphism2 key 'sheet' (known: kind, seed, s_nodes)\n" % argv[2]
@@ -826,12 +826,12 @@ def test_compose_rejects_a_morphism2_record_with_a_sheet(tmp_path, capsys):
 def test_a_composite_record_round_trips_bit_equal(tmp_path, capsys):
     m1, _, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
     F, G = cat.morphism2(m1, (0.0, 0.5), S=2), cat.morphism2(m1, (0.5, 1.0), S=2)
-    assert cli.main(_compose_argv(tmp_path, [ser.morphism2_to_json(G), ser.morphism2_to_json(F)])) == 0
+    assert cli.main(_compose_argv(tmp_path, [G.to_json(), F.to_json()])) == 0
     text = capsys.readouterr().out
     record = json.loads(text)
     assert sorted(record) == ["kind", "s_nodes", "seed"]
-    back = ser.morphism2_from_json(record)
-    assert ser.dumps(ser.morphism2_to_json(back)) == text
+    back = cat.GeodMorphism2.from_json(record)
+    assert ser.dumps(back.to_json()) == text
     expected = cat.compose2_vertical(G, F).sheet
     for name in ("s_nodes", "points", "velocities"):
         assert getattr(back.sheet, name).tobytes() == getattr(expected, name).tobytes()
@@ -853,12 +853,12 @@ def test_record_numbers_go_through_the_number_rule(tmp_path, capsys, where):
         argv = ["energy", "--config", write_config(tmp_path, {"manifold": spec.to_json(), "paths": {"a": path}})]
         needle = "path 'a': collar must be a number (got '0.0625')"
     elif where == "s-node":
-        records = [json.loads(ser.dumps(ser.morphism2_to_json(cat.morphism2(m1, ab, S=2))))
+        records = [json.loads(ser.dumps(cat.morphism2(m1, ab, S=2).to_json()))
                    for ab in ((0.5, 1.0), (0.0, 0.5))]
         records[0]["s_nodes"][1] = "0.75"
         argv, needle = _compose_argv(tmp_path, records), "s_nodes must be a finite number (got '0.75')"
     else:
-        records = [ser.morphism1_to_json(m) for m in (m2, m1)]
+        records = [m.to_json() for m in (m2, m1)]
         records[0]["time"] = "0"
         argv, needle = _compose_argv(tmp_path, records), "time must be a finite number (got '0')"
     assert cli.main(argv) == 1
@@ -936,8 +936,8 @@ def test_a_subcommand_without_its_config_is_one_error_line(capsys):
 def morphism_records():
     """The record texts of a 1-morphism and of a 2-morphism over it."""
     m1, _, _ = checks._composable_triple(mf.ManifoldSpec.sphere(1.0), np.random.default_rng(9), n=16)
-    return {"1": ser.dumps(ser.morphism1_to_json(m1)),
-            "2": ser.dumps(ser.morphism2_to_json(cat.morphism2(m1, (0.0, 0.5), S=2)))}
+    return {"1": ser.dumps(m1.to_json()),
+            "2": ser.dumps(cat.morphism2(m1, (0.0, 0.5), S=2).to_json())}
 
 
 @pytest.mark.parametrize(

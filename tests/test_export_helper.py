@@ -108,8 +108,8 @@ def test_reports_and_records_start_no_helper(report, clean_sheet, helpers):
         report,
         m1.path.to_json(),
         m1.field.to_json(),
-        ser.morphism1_to_json(m1),
-        ser.morphism2_to_json(cat.morphism2(m2, (0.0, 1.0), S=64)),
+        m1.to_json(),
+        cat.morphism2(m2, (0.0, 1.0), S=64).to_json(),
     ]
     for record in records:
         ser.dumps(record)

@@ -229,8 +229,19 @@ def test_a_sheet_from_a_grid_takes_its_interval_and_samples_it_uniformly():
     assert ps.sheet_energy(grid) == pytest.approx(0.125, abs=1e-12)
     with pytest.raises(mf.DomainError, match=r"^need at least two s nodes$"):
         ps.sheet_from_grid(gamma.manifold, (0.5, 0.5), sheet.points)
-    with pytest.raises(mf.DomainError, match=r"^S must be an integer >= 1 \(got 0\)$"):
-        ps.sheet_from_grid(gamma.manifold, (0.0, 1.0), sheet.points[:1])
+
+
+@pytest.mark.parametrize(
+    "points, shape",
+    [([[[0.0, 0.0]] * 3], "(1, 3, 2)"), (3.0, "()")],
+    ids=["one-row", "scalar"],
+)
+def test_a_grid_of_fewer_than_two_rows_is_rejected_naming_points(points, shape):
+    # a one-row grid raised "S must be an integer >= 1 (got 0)", naming a
+    # parameter the caller never passed, and a scalar a bare TypeError from len()
+    message = "points must have shape (S+1, N+1, point_dim) with S >= 1 (got shape %s)" % shape
+    with pytest.raises(mf.DomainError, match="^%s$" % re.escape(message)):
+        ps.sheet_from_grid(mf.ManifoldSpec.euclidean(2), (0.0, 1.0), points)
 
 
 # ---------------------------------------------------------------------------

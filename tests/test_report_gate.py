@@ -256,9 +256,9 @@ def composite_records():
     F, G = cat.morphism2(m1, (0.0, 0.5), S=4), cat.morphism2(m1, (0.5, 1.0), S=4)
     H1, H2 = cat.morphism2(m1, (0.0, 1.0), S=4), cat.morphism2(m2, (0.0, 1.0), S=4)
     return {
-        "vertical": ser.dumps(ser.morphism2_to_json(cat.compose2_vertical(G, F))),
-        "horizontal": ser.dumps(ser.morphism2_to_json(cat.compose2_horizontal(H1, H2))),
-        "morphism1": ser.dumps(ser.morphism1_to_json(cat.compose1(m2, m1))),
+        "vertical": ser.dumps(cat.compose2_vertical(G, F).to_json()),
+        "horizontal": ser.dumps(cat.compose2_horizontal(H1, H2).to_json()),
+        "morphism1": ser.dumps(cat.compose1(m2, m1).to_json()),
     }
 
 

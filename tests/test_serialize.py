@@ -133,9 +133,9 @@ def records(m1, by_s):
     return [
         m1.path.to_json(),
         m1.field.to_json(),
-        ser.morphism1_to_json(m1),
-        ser.morphism2_to_json(cat.morphism2(m1, (0.0, 0.5), S=3)),
-        ser.morphism2_to_json(cat.identity2(m1)),
+        m1.to_json(),
+        cat.morphism2(m1, (0.0, 0.5), S=3).to_json(),
+        cat.identity2(m1).to_json(),
     ] + [sheet.to_json() for sheet in by_s.values()]
 
 
@@ -593,7 +593,7 @@ def test_round_trips_do_not_share_memory():
     for copy, source in pairs:
         assert np.array_equal(copy, source)
         assert not np.shares_memory(copy, source)
-    m1_back = ser.morphism1_from_json(ser.morphism1_to_json(m1))
+    m1_back = cat.GeodMorphism1.from_json(m1.to_json())
     assert not np.shares_memory(m1_back.field.components, m1.field.components)
 
 
@@ -618,7 +618,7 @@ def _misspelt(record, key, typo):
          "unknown field key 'scale' (known: base, components)"),
         (ps.Worldsheet.from_json, lambda m1, sheet: _misspelt(sheet.to_json(), "collar", "colar"),
          "unknown worldsheet key 'colar'"),
-        (ser.morphism_from_json, lambda m1, sheet: dict(ser.morphism1_to_json(m1), tme=1.0),
+        (cat.morphism_from_json, lambda m1, sheet: dict(m1.to_json(), tme=1.0),
          "unknown morphism1 key 'tme' (known: kind, path, field, time)"),
         (pth.DiscretePath.from_json, lambda m1, sheet: "abc", "path keys must be given as a JSON object (got str)"),
     ],
@@ -647,10 +647,10 @@ def _without(record, key):
          "field needs the key 'base'"),
         (ps.Worldsheet.from_json, lambda m1, sheet: _without(sheet.to_json(), "velocities"),
          "worldsheet needs the key 'velocities'"),
-        (ser.morphism_from_json, lambda m1, sheet: _without(ser.morphism1_to_json(m1), "time"),
+        (cat.morphism_from_json, lambda m1, sheet: _without(m1.to_json(), "time"),
          "morphism1 needs the key 'time'"),
-        (ser.morphism_from_json,
-         lambda m1, sheet: _without(_without(ser.morphism2_to_json(cat.identity2(m1)), "seed"), "s_nodes"),
+        (cat.morphism_from_json,
+         lambda m1, sheet: _without(_without(cat.identity2(m1).to_json(), "seed"), "s_nodes"),
          "morphism2 needs the keys 'seed', 's_nodes'"),
     ],
     ids=["path", "field", "worldsheet", "morphism1", "morphism2"],
@@ -670,21 +670,21 @@ def _with_seed_kind(record, kind):
 @pytest.mark.parametrize(
     "reader, bad, needle",
     [
-        (ser.morphism_from_json, lambda m2: dict(m2, s_nodes=3), "s_nodes must be one or more finite, strictly increasing numbers"),
-        (ser.morphism_from_json, lambda m2: dict(m2, s_nodes="0.5"),
+        (cat.morphism_from_json, lambda m2: dict(m2, s_nodes=3), "s_nodes must be one or more finite, strictly increasing numbers"),
+        (cat.morphism_from_json, lambda m2: dict(m2, s_nodes="0.5"),
          "s_nodes must be a finite number (got '0.5')"),
-        (ser.morphism1_from_json, lambda m2: dict(m2["seed"], kind="morphism2"),
+        (cat.GeodMorphism1.from_json, lambda m2: dict(m2["seed"], kind="morphism2"),
          "morphism1 record kind must be 'morphism1' (got 'morphism2')"),
-        (ser.morphism_from_json, lambda m2: _with_seed_kind(m2, "morphism2"),
+        (cat.morphism_from_json, lambda m2: _with_seed_kind(m2, "morphism2"),
          "morphism1 record kind must be 'morphism1' (got 'morphism2')"),
-        (ser.morphism_from_json, lambda m2: _with_seed_kind(m2, None),
+        (cat.morphism_from_json, lambda m2: _with_seed_kind(m2, None),
          "morphism1 record kind must be 'morphism1' (got None)"),
     ],
     ids=["s_nodes-number", "s_nodes-string", "morphism1-kind", "seed-kind", "seed-kind-null"],
 )
 def test_a_record_value_of_the_wrong_kind_is_rejected(reader, bad, needle):
     # an s_nodes number was a bare TypeError, and a seed of any kind was read
-    m2 = ser.loads(ser.dumps(ser.morphism2_to_json(cat.identity2(seed_morphism(mf.ManifoldSpec.sphere(1.0), SEED)))))
+    m2 = ser.loads(ser.dumps(cat.identity2(seed_morphism(mf.ManifoldSpec.sphere(1.0), SEED)).to_json()))
     with pytest.raises(DomainError) as exc:
         reader(bad(m2))
     assert str(exc.value) == needle
@@ -703,9 +703,9 @@ RECORDS = {
               ("base", "components")),
     "worldsheet": (lambda m2: m2.sheet, ps.Worldsheet.to_json, ps.Worldsheet.from_json,
                    ("manifold", "s_nodes", "points", "velocities")),
-    "morphism1": (lambda m2: m2.seed, ser.morphism1_to_json, ser.morphism1_from_json,
+    "morphism1": (lambda m2: m2.seed, cat.GeodMorphism1.to_json, cat.GeodMorphism1.from_json,
                   ("kind", "path", "field", "time")),
-    "morphism2": (lambda m2: m2, ser.morphism2_to_json, ser.morphism2_from_json, ("kind", "seed", "s_nodes")),
+    "morphism2": (lambda m2: m2, cat.GeodMorphism2.to_json, cat.GeodMorphism2.from_json, ("kind", "seed", "s_nodes")),
 }
 
 
