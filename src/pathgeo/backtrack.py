@@ -16,6 +16,7 @@ and at constant speed on the standard grid.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -40,6 +41,9 @@ class BackTrackWindow:
     half_width: int  # grid-index sigma
 
     def __post_init__(self):
+        for name, value in vars(self).items():  # start, then half_width
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise DomainError("window %s must be an integer (got %r)" % (name, value))
         if self.half_width < 1 or self.start < 0:
             raise DomainError("window needs start >= 0 and half_width >= 1")
 
@@ -238,7 +242,7 @@ def bt_equivalent(gamma1, gamma2, tol=1e-6):
     n = max(gamma1.n_segments, gamma2.n_segments)
     c1 = canonical_form(gamma1, DETECT_TOL, n)
     c2 = canonical_form(gamma2, DETECT_TOL, n)
-    return bool(np.max(pth.node_gaps((c1.manifold, c1.samples), (c2.manifold, c2.samples))) <= tol)
+    return bool(np.max(mf.node_gaps((c1.manifold, c1.samples), (c2.manifold, c2.samples))) <= tol)
 
 
 # ---------------------------------------------------------------------------

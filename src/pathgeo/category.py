@@ -35,7 +35,7 @@ class CompositionError(DomainError):
 
 
 def _composing(check, *args):
-    """``check(*args)`` (``path.node_gaps`` or the field base rule), with a
+    """``check(*args)`` (``manifold.node_gaps`` or the field base rule), with a
     DomainError it raises (a manifold or grid mismatch, or a field off its
     path) raised as a CompositionError."""
     try:
@@ -168,7 +168,7 @@ def compose1(g, f):
     """
     if f.time != g.time:
         raise CompositionError("time labels differ: %r vs %r" % (f.time, g.time))
-    gap = float(_composing(pth.node_gaps, _field_nodes(f.field, -1), _field_nodes(g.field, 0)))
+    gap = float(_composing(mf.node_gaps, _field_nodes(f.field, -1), _field_nodes(g.field, 0)))
     if gap > mf.COINCIDENCE_TOL:
         raise CompositionError("endpoints and their field values do not meet (gap %.3g)" % gap)
     joined = pth.concatenate(f.path, g.path)
@@ -183,7 +183,7 @@ def morphism1_equal(m1, m2, tol=1e-6):
     n = max(m1.path.n_segments, m2.path.n_segments)
     f1 = bt.field_canonical_form(m1.field, n)
     f2 = bt.field_canonical_form(m2.field, n)
-    gap = np.max(_composing(pth.node_gaps, _field_nodes(f1), _field_nodes(f2)))
+    gap = np.max(_composing(mf.node_gaps, _field_nodes(f1), _field_nodes(f2)))
     return bool(gap <= tol and m1.time == m2.time)
 
 
@@ -227,7 +227,7 @@ def compose2_vertical(G, F):
     b2, c = G.interval
     if abs(b2 - b) > INTERVAL_TOL:
         raise CompositionError("intervals do not abut: [%g,%g] then [%g,%g]" % (a, b, b2, c))
-    gap, i = pth.worst_node(_composing(pth.node_gaps, _sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1)))
+    gap, i = mf.worst_node(_composing(mf.node_gaps, _sheet_nodes(G.sheet, 0), _sheet_nodes(F.sheet, -1)))
     if gap > SEED_TOL:
         raise CompositionError("segments are not one geodesic (seed gap %.3g at t-node %d)" % (gap, i))
     return GeodMorphism2(F.seed, np.concatenate([F.sheet.s_nodes, G.sheet.s_nodes[1:]]))
@@ -250,7 +250,7 @@ def sheet_discrepancy(A, B):
 
     Returns (value, (j, i)) with the worst s/t node indices.
     """
-    return pth.worst_node(_composing(pth.node_gaps, _sheet_nodes(A.sheet), _sheet_nodes(B.sheet)))
+    return mf.worst_node(_composing(mf.node_gaps, _sheet_nodes(A.sheet), _sheet_nodes(B.sheet)))
 
 
 @dataclass(frozen=True)

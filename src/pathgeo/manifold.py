@@ -36,6 +36,10 @@ keeps its oracle's own error at most 1e-4 of the tolerance it is checked
 against. The other oracles, the shooting log map and the integrated
 worldsheet, live in the tests (``tests/oracles.py``).
 
+The node rule of every layer: two nodes coincide when their ``node_gaps``
+distance is at most ``COINCIDENCE_TOL``; ``worst_node`` names a gap's node.
+``distance``, vector bases and ``parallel_transport`` samples use them.
+
 The kernel rule: a sheet holds (S+1)(N+1) nodes of only d = 2 or 3
 coordinates, and numpy reduces so short a last axis several times slower
 than it adds whole arrays. So every sum over the coordinate axis goes
@@ -115,6 +119,33 @@ def check_nodes(ok, label, why, error=DomainError):
     if not np.all(ok):
         idx = np.unravel_index(np.argmin(ok), np.shape(ok))
         raise error("%s %s" % (label % tuple(int(i) for i in idx), why))
+
+
+def node_gaps(first, second):
+    """The one node-wise comparison of two ``(manifold, points)`` or
+    ``(manifold, points, vectors)`` tuples: per node the distance between
+    the points (``dist``), or the larger of it and the largest
+    vector-component difference. DomainError unless both share one manifold
+    and one grid shape."""
+    (spec, x, *u), (other, y, *v) = first, second
+    if spec != other:
+        raise DomainError("the compared objects live on different manifolds (%r vs %r)" % (spec, other))
+    if x.shape != y.shape:
+        raise DomainError("the compared grids differ (shape %r vs %r)" % (x.shape, y.shape))
+    gaps = dist(spec, x, y)
+    if u:
+        gaps = np.maximum(gaps, np.max(np.abs(u[0] - v[0]), axis=-1))
+    return gaps
+
+
+def worst_node(gaps):
+    """The largest entry of ``gaps`` (``node_gaps`` output, or a test of it)
+    and its node: an int for a path's gaps, an (s, t) pair for a sheet's.
+    A NaN counts as largest and ties go to the first node, so on a boolean
+    array the node is the first True."""
+    k = int(np.argmax(gaps))
+    node = tuple(int(i) for i in np.unravel_index(k, gaps.shape))
+    return gaps.flat[k].item(), node[0] if len(node) == 1 else node
 
 
 def _dot(a, b):
@@ -834,17 +865,10 @@ def transport_along_rk4(spec, points, X0):
 # ---------------------------------------------------------------------------
 
 
-def _check_same_base(p, *vectors):
-    for v in vectors:
-        if v.base.manifold != p.manifold:
-            raise DomainError("tangent vector lives on a different manifold")
-        if np.max(np.abs(v.base.coords - p.coords)) > COINCIDENCE_TOL:
-            raise DomainError("tangent vector based at a different point")
-
-
-def _check_same_manifold(p, q):
-    if p.manifold != q.manifold:
-        raise DomainError("points live on different manifolds")
+def _check_same_base(p, v):
+    """DomainError unless the vector v is based at p, by the node rule."""
+    if distance(p, v.base) > COINCIDENCE_TOL:
+        raise DomainError("tangent vector based at a different point")
 
 
 def exp_map(p, v):
@@ -854,41 +878,37 @@ def exp_map(p, v):
 
 
 def distance(p, q):
-    _check_same_manifold(p, q)
-    return float(dist(p.manifold, p.coords, q.coords))
+    """The Riemannian distance of two points on one manifold (``node_gaps``)."""
+    return float(node_gaps((p.manifold, p.coords), (q.manifold, q.coords)))
 
 
 def log_map(p, q):
     """Closed-form Riemannian logarithm; requires q in p's normal neighborhood."""
-    _check_same_manifold(p, q)
-    spec = p.manifold
-    d = distance(p, q)
-    if d >= spec.injectivity_radius():
-        raise NormalNeighborhoodError(
-            "distance %.6g is not below the injectivity radius %.6g"
-            % (d, spec.injectivity_radius())
-        )
-    return TangentVector(p, log(spec, p.coords, q.coords))
+    d, inj = distance(p, q), p.manifold.injectivity_radius()
+    if d >= inj:
+        raise NormalNeighborhoodError("distance %.6g is not below the injectivity radius %.6g" % (d, inj))
+    return TangentVector(p, log(p.manifold, p.coords, q.coords))
 
 
 def parallel_transport(curve, v0):
     """Parallel transport of v0 along an (s, point) sample sequence.
 
     Transport is parametrization independent; the s values, finite numbers
-    (``as_numbers``), only fix the ordering and must be nondecreasing.
-    Consecutive samples must not be antipodal (NormalNeighborhoodError
-    names the segment).
-    Each vector holds its own components, from the transport loop
-    (``_transport_steps``): the same bits as ``transport_along``, and on a
-    flat chart v0's own read-only components.
+    (``as_numbers``), only fix the ordering and must be nondecreasing. The
+    samples lie on v0's manifold, the first at v0's base, and consecutive
+    ones are not antipodal (NormalNeighborhoodError names the segment).
+    Each vector is based at its sample and holds its own components, from
+    the transport loop (``_transport_steps``): the same bits as
+    ``transport_along``, and on a flat chart v0's own read-only components.
     """
     if not curve:
         raise DomainError("empty curve")
     if np.any(np.diff(as_numbers("s", [s for s, _ in curve], finite=True)) < 0):
         raise DomainError("curve samples must be ordered in s")
-    first = curve[0][1]
-    _check_same_base(first, v0)
-    spec = first.manifold
+    off, i = worst_node(np.array([pt.manifold != v0.manifold for _, pt in curve]))
+    if off:
+        raise DomainError("curve sample %d is on another manifold (%r vs %r)" % (i, curve[i][1].manifold, v0.manifold))
+    _check_same_base(curve[0][1], v0)
     pts = np.stack([pt.coords for _, pt in curve])
-    steps = _transport_steps(spec, pts, v0.components)
-    return [TangentVector(ManifoldPoint(spec, x), X) for x, X in zip(pts, steps)]
+    steps = _transport_steps(v0.manifold, pts, v0.components)
+    return [TangentVector(pt, X) for (_, pt), X in zip(curve, steps)]

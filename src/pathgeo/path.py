@@ -3,7 +3,8 @@
 A path gamma : [0,1] -> M is stored as N+1 samples on the uniform grid
 t_i = i/N. Paths that take part in concatenation carry a *collar*: a
 width delta such that the path is constant on [0, delta] and [1-delta, 1],
-so joins stay smooth under the 2t reparametrization.
+so joins stay smooth under the 2t reparametrization; the joined ends
+coincide by the node rule of ``manifold.node_gaps``.
 """
 
 from __future__ import annotations
@@ -210,32 +211,6 @@ def _collar_fault(near, nodes, n, head, label, how):
     mf.check_nodes(ok, label, "is in the end collar but %s t=%d" % (how, n))
 
 
-def node_gaps(first, second):
-    """The one node-wise comparison of two ``(manifold, points)`` or
-    ``(manifold, points, vectors)`` tuples: per node, the distance between the
-    points, or the larger of it and the largest vector-component difference.
-    DomainError unless both share one manifold and one grid shape."""
-    (spec, x, *u), (other, y, *v) = first, second
-    if spec != other:
-        raise DomainError("the compared objects live on different manifolds (%r vs %r)" % (spec, other))
-    if x.shape != y.shape:
-        raise DomainError("the compared grids differ (shape %r vs %r)" % (x.shape, y.shape))
-    gaps = mf.dist(spec, x, y)
-    if u:
-        gaps = np.maximum(gaps, np.max(np.abs(u[0] - v[0]), axis=-1))
-    return gaps
-
-
-def worst_node(gaps):
-    """The largest entry of ``gaps`` (``node_gaps`` output, or a test of it)
-    and its node: an int for a path's gaps, an (s, t) pair for a sheet's.
-    A NaN counts as largest and ties go to the first node, so on a boolean
-    array the node is the first True."""
-    k = int(np.argmax(gaps))
-    node = tuple(int(i) for i in np.unravel_index(k, gaps.shape))
-    return gaps.flat[k].item(), node[0] if len(node) == 1 else node
-
-
 # ---------------------------------------------------------------------------
 # evaluation and resampling
 # ---------------------------------------------------------------------------
@@ -306,7 +281,7 @@ def concatenate(gamma1, gamma2):
     halves, so the join point is an honest constant plateau.
     """
     spec = gamma1.manifold
-    gap = float(node_gaps((spec, gamma1.samples[-1:]), (gamma2.manifold, gamma2.samples[:1]))[0])
+    gap = float(mf.node_gaps((spec, gamma1.samples[-1:]), (gamma2.manifold, gamma2.samples[:1]))[0])
     if gap > mf.COINCIDENCE_TOL:
         raise DomainError("paths are not composable: endpoint gap %.3g" % gap)
     if gamma1.collar <= 0 or gamma2.collar <= 0:

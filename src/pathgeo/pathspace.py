@@ -140,8 +140,8 @@ def _slice(sheet, j, vectors=None):
 
 def _check_field_on(gamma, field):
     """DomainError naming the first sample of the field's base off ``gamma``."""
-    d = _pointwise_distances(field.base, gamma)
-    off, i = pth.worst_node(d > mf.COINCIDENCE_TOL)
+    d = mf.node_gaps((field.manifold, field.base.samples), (gamma.manifold, gamma.samples))
+    off, i = mf.worst_node(d > mf.COINCIDENCE_TOL)
     if off:
         raise DomainError("field is based on a different path (its sample %d is %.3g away)" % (i, d[i]))
 
@@ -272,20 +272,16 @@ def _length(interval, energy):
     return float(np.sqrt(max(2.0 * (b - a) * energy, 0.0)))
 
 
-def _pointwise_distances(gamma1, gamma2):
-    return pth.node_gaps((gamma1.manifold, gamma1.samples), (gamma2.manifold, gamma2.samples))
-
-
 def in_normal_neighborhood(gamma0, gamma):
     """True iff every fiber pair sits strictly inside the injectivity radius."""
-    d = _pointwise_distances(gamma0, gamma)
+    d = mf.node_gaps((gamma0.manifold, gamma0.samples), (gamma.manifold, gamma.samples))
     return bool(np.max(d) < gamma0.manifold.injectivity_radius())
 
 
 def _require_normal(gamma1, gamma2):
-    d = _pointwise_distances(gamma1, gamma2)
+    d = mf.node_gaps((gamma1.manifold, gamma1.samples), (gamma2.manifold, gamma2.samples))
     inj = gamma1.manifold.injectivity_radius()
-    worst, i = pth.worst_node(d)
+    worst, i = mf.worst_node(d)
     if not worst < inj:
         raise NormalNeighborhoodError(
             "fibers leave the normal neighborhood; worst at t=%g (distance %.6g >= %.6g)"
@@ -331,7 +327,8 @@ def sheet_from_grid(spec, interval, points, collar=0.0):
     s_nodes = s_grid(interval, len(points) - 1)
     if len(s_nodes) < 2:
         raise DomainError("need at least two s nodes")
-    vels = pth.log_velocity(spec, points, (s_nodes[-1] - s_nodes[0]) / (len(s_nodes) - 1))
+    with np.errstate(all="ignore"):  # a bad node is named by the sheet's check, not warned of
+        vels = pth.log_velocity(spec, points, (s_nodes[-1] - s_nodes[0]) / (len(s_nodes) - 1))
     return Worldsheet(spec, s_nodes, points, vels, collar)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 
 import numpy as np
@@ -516,6 +517,29 @@ def test_window_validation():
         bt.detect_backtracks(abcba_path(), tol=-1.0)
     with pytest.raises(mf.DomainError, match="^window exceeds the grid$"):
         bt.erase_backtrack(abcba_path(), bt.BackTrackWindow(1, 2))
+
+
+@pytest.mark.parametrize(
+    "start, half_width, message",
+    [
+        (2.5, 1, "window start must be an integer (got 2.5)"),
+        (1, 1.5, "window half_width must be an integer (got 1.5)"),
+        (True, 1, "window start must be an integer (got True)"),
+        (1, True, "window half_width must be an integer (got True)"),
+        (-1, 1, "window needs start >= 0 and half_width >= 1"),
+        (0, 0, "window needs start >= 0 and half_width >= 1"),
+    ],
+    ids=["float-start", "float-half-width", "bool-start", "bool-half-width", "negative-start", "zero-half-width"],
+)
+def test_a_window_takes_integers_in_range_naming_the_field(start, half_width, message):
+    # a float raised a bare TypeError from slicing in erase_backtrack, and
+    # True was read as start 1
+    with pytest.raises(mf.DomainError, match="^%s$" % re.escape(message)):
+        bt.BackTrackWindow(start, half_width)
+
+
+def test_a_window_takes_numpy_integers():
+    assert bt.BackTrackWindow(np.int64(1), np.int32(1)) == bt.BackTrackWindow(1, 1)
 
 
 # ---------------------------------------------------------------------------

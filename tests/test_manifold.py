@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathgeo import category as cat
 from pathgeo import checks
 from pathgeo import manifold as mf
 from pathgeo import path as pth
@@ -794,9 +795,11 @@ ENTRY_RULES = {
     "vector-shape": (lambda: mf.TangentVector(_plane_point(), [1.0, 0.0, 0.0]),
                      "tangent components have wrong shape (3,)"),
     "vector-on-another-manifold": (lambda: mf.exp_map(_plane_point(), _torus_vector()),
-                                   "tangent vector lives on a different manifold"),
+                                   "the compared objects live on different manifolds"
+                                   " (Euclidean(dim=2) vs FlatTorus(circumferences=(1.0, 2.0)))"),
     "points-on-different-manifolds": (lambda: mf.distance(_plane_point(), _torus_vector().base),
-                                      "points live on different manifolds"),
+                                      "the compared objects live on different manifolds"
+                                      " (Euclidean(dim=2) vs FlatTorus(circumferences=(1.0, 2.0)))"),
     "empty-curve": (lambda: mf.parallel_transport([], mf.TangentVector(_plane_point(), [1.0, 0.0])), "empty curve"),
     "unordered-curve": (
         lambda: mf.parallel_transport([(1.0, _plane_point()), (0.0, _plane_point([1.0, 0.0]))],
@@ -812,3 +815,92 @@ def test_value_type_entry_rules_name_the_problem(rule):
     with pytest.raises(mf.DomainError) as err:
         build()
     assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the base of a vector: decided by distance, within COINCIDENCE_TOL
+# ---------------------------------------------------------------------------
+
+TOL = mf.COINCIDENCE_TOL
+# a gap well inside the tolerance, or well outside it
+gaps = st.one_of(st.floats(0.0, 0.4 * TOL), st.floats(2.5 * TOL, 1e3 * TOL))
+angles = st.floats(0.0, 2.0 * math.pi)
+
+
+def check_base_rule(spec, p, u, gap):
+    """A vector based at q = exp_p(gap u), for a unit vector u at p, is
+    accepted at p by exp_map, parallel_transport and GeodObject when q lies
+    within TOL / 2 of p, and rejected by each from 2 TOL on."""
+    q = mf.ManifoldPoint(spec, mf.flow(spec, p, gap * u, 1.0)[0])
+    p = mf.ManifoldPoint(spec, p)
+    v = mf.TangentVector(q, spec.project_tangent(q.coords, 0.25 * u))
+    curve = [(0.0, p), (1.0, p)]
+    calls = (lambda: mf.exp_map(p, v), lambda: mf.parallel_transport(curve, v), lambda: cat.GeodObject(p, v, 0.0))
+    measured = float(mf.dist(spec, p.coords, q.coords))
+    if gap <= 0.4 * TOL:
+        assert measured <= TOL / 2
+        for call in calls:
+            call()
+    else:
+        assert measured >= 2 * TOL
+        for call in calls:
+            with pytest.raises(mf.DomainError, match="^tangent vector based at a different point$"):
+                call()
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)), angles, gaps)
+def test_hypothesis_a_plane_vector_is_based_by_distance(p, angle, gap):
+    u = np.array([math.cos(angle), math.sin(angle)])
+    check_base_rule(mf.ManifoldSpec.euclidean(2), np.array(p), u, gap)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.floats(-1.5, 1.5), st.floats(0.0, 2.0 * math.pi), angles, gaps)
+def test_hypothesis_a_sphere_vector_is_based_by_distance(lat, lon, angle, gap):
+    spec = mf.ManifoldSpec.sphere(1.0)
+    p = np.array([math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat)])
+    east = np.array([-math.sin(lon), math.cos(lon), 0.0])
+    north = np.array([-math.sin(lat) * math.cos(lon), -math.sin(lat) * math.sin(lon), math.cos(lat)])
+    u = math.cos(angle) * east + math.sin(angle) * north
+    check_base_rule(spec, p, u, gap)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.floats(-6.0, 6.0), st.floats(-2.0, 2.0), angles, gaps)
+def test_hypothesis_a_half_plane_vector_is_based_by_distance(log_y, a, angle, gap):
+    # y from 1e-6 to 1e6: the chart distance of a gap scales with y, so a
+    # comparison of components accepted 5e-4 at y = 1e-6
+    spec = mf.ManifoldSpec.hyperbolic_half_plane()
+    y = 10.0**log_y
+    p = np.array([a * y, y])
+    u = y * np.array([math.cos(angle), math.sin(angle)])  # of unit length at p
+    check_base_rule(spec, p, u, gap)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 2.0), angles, gaps)
+def test_hypothesis_a_torus_vector_is_based_by_distance(t, y, angle, gap):
+    # p and q on the two sides of the wrap edge x = 0, a fraction t of the
+    # way: a comparison of components rejected a base at (1 - 1e-12, y)
+    # against (0, y)
+    u = np.array([math.cos(angle), math.sin(angle)])
+    p = np.array([-t * gap * u[0], y])
+    check_base_rule(TORUS, p, u, gap)
+
+
+def test_a_curve_sample_on_another_manifold_is_named():
+    # it was transported as a point of the first sample's manifold
+    v = mf.TangentVector(_plane_point(), [1.0, 0.0])
+    curve = [(0.0, _plane_point()), (0.5, _plane_point([0.5, 0.0])), (1.0, _torus_vector().base)]
+    message = ("curve sample 2 is on another manifold"
+               " (FlatTorus(circumferences=(1.0, 2.0)) vs Euclidean(dim=2))")
+    with pytest.raises(mf.DomainError, match="^%s$" % re.escape(message)):
+        mf.parallel_transport(curve, v)
+
+
+def test_a_transported_vector_is_based_at_its_curve_sample():
+    v = mf.TangentVector(_plane_point(), [1.0, 0.0])
+    curve = [(0.0, _plane_point()), (1.0, _plane_point([0.5, 0.0]))]
+    out = mf.parallel_transport(curve, v)
+    assert all(w.base is pt for w, (_, pt) in zip(out, curve))

@@ -351,13 +351,13 @@ def test_a_collar_plateau_costs_few_dist_calls(monkeypatch):
 
 
 def test_worst_node_names_the_largest_gap():
-    assert pth.worst_node(np.array([0.1, 0.3, 0.2, 0.3])) == (0.3, 1)
-    assert pth.worst_node(np.array([[0.0, 0.5], [0.7, 0.1]])) == (0.7, (1, 0))
-    value, node = pth.worst_node(np.array([0.1, np.nan, 0.2]))
+    assert mf.worst_node(np.array([0.1, 0.3, 0.2, 0.3])) == (0.3, 1)
+    assert mf.worst_node(np.array([[0.0, 0.5], [0.7, 0.1]])) == (0.7, (1, 0))
+    value, node = mf.worst_node(np.array([0.1, np.nan, 0.2]))
     assert math.isnan(value) and node == 1
     # on a test of the gaps, the first node that fails it
-    assert pth.worst_node(np.array([0.1, 0.3, 0.2, 0.3]) > 0.15) == (True, 1)
-    assert pth.worst_node(np.array([[0.0, 0.5], [0.7, 0.1]]) > 1.0) == (False, (0, 0))
+    assert mf.worst_node(np.array([0.1, 0.3, 0.2, 0.3]) > 0.15) == (True, 1)
+    assert mf.worst_node(np.array([[0.0, 0.5], [0.7, 0.1]]) > 1.0) == (False, (0, 0))
 
 
 def test_generators_registry_and_fixtures():

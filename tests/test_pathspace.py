@@ -2,6 +2,7 @@ import copy
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,18 @@ def test_a_grid_of_fewer_than_two_rows_is_rejected_naming_points(points, shape):
     message = "points must have shape (S+1, N+1, point_dim) with S >= 1 (got shape %s)" % shape
     with pytest.raises(mf.DomainError, match="^%s$" % re.escape(message)):
         ps.sheet_from_grid(mf.ManifoldSpec.euclidean(2), (0.0, 1.0), points)
+
+
+def test_a_grid_node_off_the_half_plane_is_named_without_a_numpy_warning():
+    # the velocities' neighbour logs warned 8 times (sqrt and divide of a
+    # negative y) before the sheet named the node, so under an error filter
+    # the call raised RuntimeWarning instead
+    grid = np.stack([np.stack([np.linspace(0.0, 1.0, 5), np.full(5, 1.0 + j)], axis=-1) for j in range(3)])
+    grid[1, 2, 1] = -1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(mf.DomainError, match=r"^node \(s=1, t=2\) needs y > 0$"):
+            ps.sheet_from_grid(mf.ManifoldSpec.hyperbolic_half_plane(), (0.0, 1.0), grid)
 
 
 # ---------------------------------------------------------------------------
